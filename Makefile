@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race race-batch replay-determinism tstore-equiv store-chaos lock-matrix bench-obs bench-perf bench-perf-smoke bench-rec bench-serve loadtest perf-guard query-smoke fuzz clean
+.PHONY: check vet build test race race-batch replay-determinism tstore-equiv store-chaos lock-matrix bench-obs bench-perf bench-perf-smoke bench-rec bench-serve bench-smoke loadtest perf-guard query-smoke fuzz clean
 
 # The full gate: vet, build, tests under the race detector (including the
 # focused batched-delivery pass), the replay-determinism gate, the
@@ -8,10 +8,10 @@ GO ?= go
 # the fuzzer smoke run, both benchmark smoke runs (BENCH_obs.json;
 # bench-perf-smoke does not overwrite the recorded BENCH_perf.json), the
 # record-and-query smoke, the daemon load + chaos-soak tests, the six-tool
-# lock verdict-matrix gate, and the hot-path + checkpoint-overhead +
-# recording-overhead + serve-throughput + warm-store + cross-process-warm
-# regression guards against the recorded baseline.
-check: vet build race race-batch replay-determinism tstore-equiv store-chaos lock-matrix fuzz bench-obs bench-perf-smoke query-smoke loadtest perf-guard
+# lock verdict-matrix gate, the benchmark-module smoke, and the hot-path +
+# checkpoint-overhead + recording-overhead + serve-throughput + warm-store +
+# cross-process-warm regression guards against the recorded baseline.
+check: vet build race race-batch replay-determinism tstore-equiv store-chaos lock-matrix fuzz bench-obs bench-perf-smoke bench-smoke query-smoke loadtest perf-guard
 
 vet:
 	$(GO) vet ./...
@@ -26,11 +26,11 @@ race:
 	$(GO) test -race ./...
 
 # Focused -race pass over the batched-delivery surface: the delivery
-# differential suite, the delivery/scheduler allocation guards, the golden
-# reports, and the extend-profile agreement tests. Fresh run (-count=1) so
-# the gate never passes on a cached result.
+# differential suite, the delivery/scheduler allocation guards and the
+# golden reports. Fresh run (-count=1) so the gate never passes on a cached
+# result.
 race-batch:
-	$(GO) test -race -count=1 -run 'TestDelivery|TestGoldenReports|TestProfileExtend|TestPick|TestSoleRunnable|TestSliceLoop' ./internal/dbi ./internal/vm ./internal/tools/golden
+	$(GO) test -race -count=1 -run 'TestDelivery|TestGoldenReports|TestPick|TestSoleRunnable|TestSliceLoop' ./internal/dbi ./internal/vm ./internal/tools/golden
 
 # Replay-determinism gate: checkpoint/resume fuzz over the Table I programs
 # on both engines, the supervisor's crash-reproduction and fallback paths,
@@ -42,8 +42,8 @@ replay-determinism:
 
 # Translation-store equivalence gate: the tstore unit suite (encode
 # roundtrips, persistent-tier invalidation, torn-tail recovery) under -race,
-# plus the store-equivalence differential smoke — cold vs warm vs
-# pretranslated runs bit-identical on both engines, the crash-report and
+# plus the store-equivalence differential smoke — cold vs shared-cold vs
+# warm vs disk-warm runs bit-identical on both engines, the crash-report and
 # invalidation cases, the 16-worker shared-store race test and the sweep
 # amortization counter check. Fresh run (-count=1) so the gate never passes
 # on a cached result.
@@ -87,7 +87,7 @@ bench-obs:
 	OBS_BENCH_OUT=BENCH_obs.json $(GO) test -run '^$$' -bench 'BenchmarkObservability' -benchtime 1x .
 
 # Engine comparison on the Table I suite (IR interpreter vs compiled
-# micro-op engine, with and without superblock extension), the
+# micro-op engine, cold and warm from a primed translation store), the
 # tool-delivery comparison (per-event vs batched under memcheck), the
 # checkpoint/journal overhead arms, the lock-contention comparison, and
 # the translation-store contention comparison (cold vs warm-in-memory vs
@@ -101,6 +101,13 @@ bench-perf:
 # Smoke run for the gate: exercises every arm once, no JSON output.
 bench-perf-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPerfEngines|BenchmarkToolDelivery|BenchmarkRobustness|BenchmarkRecording|BenchmarkLockContention|BenchmarkTStoreContention' -benchtime 1x .
+
+# The repository benchmark (bench/) is its own Go module built against this
+# one through a replace directive, so root `go test ./...` never compiles
+# it: vet and smoke-test it here so a change to an exported name it uses
+# cannot break it unnoticed.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Recording-overhead comparison (ring sink vs columnar run store on the
 # observability workload); writes the "recording" section of BENCH_perf.json.

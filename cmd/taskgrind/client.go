@@ -64,7 +64,6 @@ func runSubmit(args []string, w io.Writer) int {
 		threads    = fs.Int("threads", 4, "OMP_NUM_THREADS")
 		engine     = fs.String("engine", "", "execution engine (compiled, ir)")
 		delivery   = fs.String("delivery", "batched", "tool access delivery")
-		extend     = fs.Int("extend", 0, "superblock extension budget")
 		inject     = fs.String("inject", "", "fault injection spec")
 		injectSeed = fs.Uint64("inject-seed", 1, "fault injection seed")
 		lenient    = fs.Bool("lenient-mem", false, "lenient guest memory model")
@@ -90,7 +89,7 @@ func runSubmit(args []string, w io.Writer) int {
 		sp := serve.JobSpec{
 			Prog: *prog, Tool: *tool, Seed: *seed, Seeds: *seeds,
 			Threads: *threads, Engine: *engine, Delivery: *delivery,
-			Extend: *extend, Inject: *inject, Lenient: *lenient,
+			Inject: *inject, Lenient: *lenient,
 			MaxBlocks: *maxBlocks, MaxInstrs: *maxInstrs,
 			TimeoutMS:  int64(*timeout / time.Millisecond),
 			Supervised: *supervised, MaxRetries: *retries,

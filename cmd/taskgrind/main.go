@@ -38,7 +38,6 @@ import (
 	"repro/internal/progs"
 	"repro/internal/snapshot"
 	"repro/internal/tools/toolreg"
-	"repro/internal/trace"
 	"repro/internal/tstore"
 	"repro/internal/vm"
 )
@@ -69,18 +68,16 @@ func main() {
 		tool     = flag.String("tool", "taskgrind", fmt.Sprintf("analysis tool %v", toolreg.Names()))
 		engine   = flag.String("engine", "", "execution engine: compiled (micro-ops + block chaining), ir (reference interpreter), \"\" = default")
 		delivery = flag.String("delivery", "batched", "tool access delivery: batched (one flush per superblock segment), per-event (one callback per access)")
-		extend   = flag.Int("extend", 0, "superblock extension budget in guest instructions (0 = single basic blocks; changes scheduling granularity)")
 
-		tcacheDir      = flag.String("tcache-dir", "", "persistent translation store directory, shared safely by concurrent processes: instrumented+compiled translations are saved per (image,tool,engine,extend,delivery) and reused across runs")
+		tcacheDir      = flag.String("tcache-dir", "", "persistent translation store directory, shared safely by concurrent processes: instrumented+compiled translations are saved per (image,tool,engine,delivery) and reused across runs")
 		tcacheMaxMB    = flag.Int64("tcache-max-mb", 0, "translation store byte cap in MiB (0 = unbounded); clock eviction keeps the cache under it")
 		tcacheMaxUnits = flag.Int64("tcache-max-units", 0, "translation store unit cap (0 = unbounded); clock eviction keeps the cache under it")
-		pretranslate   = flag.Bool("pretranslate", false, "translate statically reachable blocks ahead of execution on spare cores (implies an in-memory translation store)")
-		threads  = flag.Int("threads", 4, "OMP_NUM_THREADS")
-		seed     = flag.Uint64("seed", 1, "scheduler seed")
-		list     = flag.Bool("list", false, "list available programs")
-		verbose  = flag.Bool("v", false, "print run statistics")
-		dotFile  = flag.String("dot", "", "write the segment graph (Graphviz DOT) to this file (taskgrind tools only)")
-		gantt    = flag.Bool("trace", false, "print a task-schedule Gantt chart after the run")
+		threads        = flag.Int("threads", 4, "OMP_NUM_THREADS")
+		seed           = flag.Uint64("seed", 1, "scheduler seed")
+		list           = flag.Bool("list", false, "list available programs")
+		verbose        = flag.Bool("v", false, "print run statistics")
+		dotFile        = flag.String("dot", "", "write the segment graph (Graphviz DOT) to this file (taskgrind tools only)")
+		gantt          = flag.Bool("trace", false, "print a task-schedule Gantt chart after the run")
 		// Observability outputs.
 		metricsFile  = flag.String("metrics", "", "write a metrics snapshot (JSON) to this file")
 		recordDir    = flag.String("record", "", "append this run (spans, instants, profile samples, counters, verdict) to a run store directory (query with `taskgrind query`)")
@@ -148,7 +145,7 @@ func main() {
 		if cfg.Delivery != "" {
 			*delivery = cfg.Delivery
 		}
-		*engine, *extend = cfg.Engine, cfg.Extend
+		*engine = cfg.Engine
 		*inject, *injectSeed = cfg.Inject, cfg.InjectSeed
 		*lenientMem = cfg.Lenient
 		sliceLen = cfg.Slice
@@ -190,7 +187,7 @@ func main() {
 	if *asmFile == "" {
 		cfg := snapshot.Config{
 			Prog: *prog, Tool: *tool, Seed: *seed, Threads: *threads, Slice: sliceLen,
-			Engine: *engine, Delivery: *delivery, Extend: *extend,
+			Engine: *engine, Delivery: *delivery,
 			Inject: *inject, Lenient: *lenientMem,
 		}
 		if *inject != "" {
@@ -211,25 +208,34 @@ func main() {
 		}
 		return ""
 	}
+	// -trace renders the task schedule from the run's recorded spans, so it
+	// needs a run store: the -record one, or a temporary one removed on exit.
+	storeDir := *recordDir
+	if *gantt && storeDir == "" {
+		if storeDir, err = os.MkdirTemp("", "taskgrind-trace-"); err != nil {
+			fatal(err)
+		}
+		scratchDir = storeDir
+	}
 	var storeW *store.Writer
-	if *recordDir != "" {
-		storeW, err = store.Create(*recordDir)
+	if storeDir != "" {
+		storeW, err = store.Create(storeDir)
 		if err != nil {
 			fatal(err)
 		}
 	}
 	var tcache *tstore.Cache
-	if *tcacheDir != "" || *pretranslate {
+	if *tcacheDir != "" {
 		opts := tstore.Options{
 			Dir:      *tcacheDir,
 			MaxBytes: *tcacheMaxMB << 20,
 			MaxUnits: *tcacheMaxUnits,
 		}
 		// Storage faults get their own injector instance: the run injector
-		// is rebuilt per supervision attempt, while disk I/O (pretranslate
-		// workers, merges, the final save) spans attempts. Same seed, same
-		// deterministic streams — the storage kinds just never alias an
-		// attempt's guest-visible draws.
+		// is rebuilt per supervision attempt, while disk I/O (merges, the
+		// final save) spans attempts. Same seed, same deterministic streams
+		// — the storage kinds just never alias an attempt's guest-visible
+		// draws.
 		if *inject != "" {
 			sin, _ := faultinject.ParseSpec(*inject, *injectSeed)
 			opts.FS = &tstore.FaultFS{In: sin}
@@ -244,7 +250,6 @@ func main() {
 	var (
 		tl     dbi.Tool
 		count  func() int
-		rec    *trace.Recorder
 		hooks  *obs.Hooks
 		reg    *obs.Registry
 		tracer *obs.Tracer
@@ -258,15 +263,6 @@ func main() {
 		tl, count, err = toolreg.Make(*tool)
 		if err != nil {
 			fatal(err)
-		}
-		rec = nil
-		if *gantt {
-			rec = trace.New()
-			if tl != nil {
-				tl = trace.Tee{A: tl, B: rec}
-			} else {
-				tl = rec
-			}
 		}
 		// Assemble the observability hooks. Nil hooks keep every
 		// instrumented hot path on its one-pointer-compare fast path.
@@ -328,20 +324,11 @@ func main() {
 			Inject:      inj,
 			LenientMem:  *lenientMem,
 			Engine:      *engine,
-			Extend:      *extend,
 			Delivery:    deliv,
 			CkptEvery:   *ckptInterval,
 			ReplayToken: token,
 			RunOpts:     vm.RunOpts{MaxBlocks: *maxBlocks, MaxInstrs: *maxInstrs, Timeout: *timeout},
 			TStore:      tcache,
-			// Pipeline workers instrument with plain tool instances; the
-			// -trace Tee adds no IR of its own, so their translations are
-			// exactly what the wrapped tool would produce.
-			Pretranslate: *pretranslate,
-			NewTool: func() dbi.Tool {
-				t, _, _ := toolreg.Make(*tool)
-				return t
-			},
 		}
 	}
 	start := time.Now()
@@ -372,17 +359,10 @@ func main() {
 		res = inst.Run()
 	}
 	if tcache != nil {
-		// Let the pipeline drain before persisting, so the saved tier
-		// carries everything it translated, then write the warm start for
-		// the next run. Runs on every exit path below (none return early
-		// before this point).
-		if inst.Pretrans != nil {
-			inst.Pretrans.Wait()
-		}
-		if *tcacheDir != "" {
-			if serr := tcache.Save(); serr != nil {
-				fmt.Fprintf(os.Stderr, "==taskgrind== tcache save: %v\n", serr)
-			}
+		// Write the warm start for the next run. Runs on every exit path
+		// below (none return early before this point).
+		if serr := tcache.Save(); serr != nil {
+			fmt.Fprintf(os.Stderr, "==taskgrind== tcache save: %v\n", serr)
 		}
 	}
 	injector := inj
@@ -411,11 +391,7 @@ func main() {
 		srw.SetCounters(reg.Snapshot().Counters)
 		srw.SetWork(res.GuestInstrs, inst.M.BlocksExecuted, uint64(res.Wall))
 		srw.SetReplayToken(token)
-		t := tl
-		if tee, ok := t.(trace.Tee); ok {
-			t = tee.A
-		}
-		if tg, ok := t.(*core.Taskgrind); ok {
+		if tg, ok := tl.(*core.Taskgrind); ok {
 			for _, row := range store.RacesFromSet(&tg.Reports) {
 				srw.AddRace(row)
 			}
@@ -439,6 +415,7 @@ func main() {
 		// code (fault=3, panic=4, timeout=5, deadlock=6, divergence=7,
 		// canceled=8; see README).
 		finishRecord(harness.Classify(res.Err), 0)
+		os.RemoveAll(scratchDir)
 		fmt.Fprint(os.Stderr, res.Crash.Render(inst.M.Image))
 		if injector.Enabled() {
 			fmt.Fprintf(os.Stderr, "==taskgrind== fault injection: %s\n", injector.Summary())
@@ -486,16 +463,18 @@ func main() {
 		}
 		pf.Close()
 	}
-	if rec != nil {
+	if *gantt {
+		r, rerr := store.OpenReader(storeDir)
+		if rerr != nil {
+			fatal(rerr)
+		}
 		fmt.Println("== task schedule (block time) ==")
-		if err := rec.Gantt(os.Stdout, 72); err != nil {
+		if err := renderGantt(os.Stdout, r, store.Q{Run: srw.Header().ID}, 72); err != nil {
 			fatal(err)
 		}
+		os.RemoveAll(scratchDir)
 	}
 	// Render tool reports.
-	if tee, ok := tl.(trace.Tee); ok {
-		tl = tee.A
-	}
 	if tt, ok := tl.(*core.Taskgrind); ok && *dotFile != "" {
 		df, derr := os.Create(*dotFile)
 		if derr != nil {
@@ -533,7 +512,14 @@ func listing4() *gbuild.Builder { return progs.Listing4() }
 // allocation.
 func wildstore() *gbuild.Builder { return progs.Wildstore() }
 
+// scratchDir is the temporary run store behind -trace without -record;
+// every exit path removes it.
+var scratchDir string
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "taskgrind:", err)
+	if scratchDir != "" {
+		os.RemoveAll(scratchDir)
+	}
 	os.Exit(2)
 }

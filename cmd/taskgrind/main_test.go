@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/base64"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -108,6 +109,22 @@ func TestReplayTokenRoundTripsInjection(t *testing.T) {
 	replayed, code := runCLI(t, bin, "-replay", m[1])
 	if code != 4 || replayed != orig {
 		t.Fatalf("injected replay differs (exit %d):\n--- original\n%s\n--- replay\n%s", code, orig, replayed)
+	}
+}
+
+// extendToken is a replay token recorded with superblock extension, a mode
+// this build no longer has.
+func extendToken() string {
+	return "tg1:" + base64.RawURLEncoding.EncodeToString([]byte("extend=64&prog=task.c&seed=1"))
+}
+
+// TestReplayTokenRejectsExtend: -replay refuses a token that names a block
+// granularity this build cannot reproduce, with the usage exit code.
+func TestReplayTokenRejectsExtend(t *testing.T) {
+	bin := buildCLI(t)
+	out, code := runCLI(t, bin, "-replay", extendToken())
+	if code != 2 || !strings.Contains(out, "extend=64") {
+		t.Fatalf("-replay extend token: exit %d, want 2 naming extend\n%s", code, out)
 	}
 }
 

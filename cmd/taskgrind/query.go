@@ -122,11 +122,7 @@ func runQuery(args []string, stdout io.Writer) {
 		if *runID == 0 {
 			fatal(fmt.Errorf("query gantt: -run is required"))
 		}
-		spans, err := r.Spans(q)
-		if err != nil {
-			fatal(err)
-		}
-		if err := trace.Gantt(stdout, ganttSpans(spans), *width); err != nil {
+		if err := renderGantt(stdout, r, q, *width); err != nil {
 			fatal(err)
 		}
 	default:
@@ -143,6 +139,16 @@ func writeJSONL(w io.Writer, n int, get func(i int) any) {
 			fatal(err)
 		}
 	}
+}
+
+// renderGantt draws the task schedule of the recorded spans q selects: the
+// renderer behind both `query gantt` and the single-run -trace flag.
+func renderGantt(w io.Writer, r *store.Reader, q store.Q, width int) error {
+	spans, err := r.Spans(q)
+	if err != nil {
+		return err
+	}
+	return trace.Gantt(w, ganttSpans(spans), width)
 }
 
 // ganttSpans maps recorded task-like spans onto the trace renderer's span

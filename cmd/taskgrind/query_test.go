@@ -107,6 +107,30 @@ func TestQueryCLISmoke(t *testing.T) {
 	}
 }
 
+// TestTraceMatchesQueryGantt: -trace renders the run's task schedule from
+// its recorded spans, so on a -record run it prints exactly what `query
+// gantt` prints for that run — and it shows both of Listing 4's tasks.
+func TestTraceMatchesQueryGantt(t *testing.T) {
+	bin := buildCLI(t)
+	dir := filepath.Join(t.TempDir(), "runs")
+	out, code := runCLI(t, bin, "-prog", "task.c", "-seed", "1", "-record", dir, "-trace")
+	if code != 1 {
+		t.Fatalf("record+trace exit %d, want 1\n%s", code, out)
+	}
+	gantt, code := runCLI(t, bin, "query", "gantt", "-store", dir, "-run", "1")
+	if code != 0 {
+		t.Fatalf("query gantt exit %d\n%s", code, gantt)
+	}
+	if !strings.Contains(out, "== task schedule (block time) ==\n"+gantt) {
+		t.Fatalf("-trace chart differs from query gantt:\n--- -trace run\n%s--- query gantt\n%s", out, gantt)
+	}
+	for _, task := range []string{"task_a", "task_b"} {
+		if !strings.Contains(gantt, task) {
+			t.Errorf("gantt lacks explicit task %s:\n%s", task, gantt)
+		}
+	}
+}
+
 // TestExploreRecordAggBitIdentical is the cross-seed acceptance criterion: a
 // 100-seed sweep recorded into a single store, re-aggregated via the reader,
 // reproduces the in-process outcome bit-identically — verdict matrix,

@@ -40,13 +40,11 @@ func (c *Core) sharedGet(addr uint64) *tstore.Unit {
 }
 
 // sharedPut publishes a freshly translated block, if portable.
-func (c *Core) sharedPut(addr uint64, sb *vex.SuperBlock, seams int) {
+func (c *Core) sharedPut(addr uint64, sb *vex.SuperBlock) {
 	if !c.storeActive() || !portableSB(sb) {
 		return
 	}
-	c.Shared.Put(&tstore.Unit{
-		Addr: addr, SB: sb, Seams: seams, Pretranslated: c.pretranslating,
-	})
+	c.Shared.Put(&tstore.Unit{Addr: addr, SB: sb})
 }
 
 // sharedPutCode attaches a locally compiled form to the block's published
@@ -139,10 +137,6 @@ func (c *Core) adoptSB(u *tstore.Unit) (*vex.SuperBlock, error) {
 	}
 	c.cache[u.Addr] = sb
 	c.SharedHits++
-	if u.Pretranslated {
-		c.PretranslatedBlocks++
-	}
-	c.ExtendSeams += uint64(u.Seams)
 	c.cacheStmts += uint64(len(sb.Stmts))
 	c.histBlockStmts.Observe(float64(len(sb.Stmts)))
 	return sb, nil

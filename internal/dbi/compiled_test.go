@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dbi"
-	"repro/internal/gbuild"
-	"repro/internal/guest"
 	"repro/internal/tools/archer"
 	"repro/internal/vex"
 )
@@ -148,77 +146,6 @@ func TestCompiledHandlesValidateAndHostCalls(t *testing.T) {
 	if mIR.ExitCode() != mC.ExitCode() || mIR.InstrsExecuted != mC.InstrsExecuted {
 		t.Fatalf("ir exit=%d instrs=%d, compiled exit=%d instrs=%d",
 			mIR.ExitCode(), mIR.InstrsExecuted, mC.ExitCode(), mC.InstrsExecuted)
-	}
-}
-
-// buildJumpLoop builds a countdown loop whose body hops through an
-// unconditional jump every iteration — the shape superblock extension fuses.
-func buildJumpLoop(t testing.TB, n int32) *guest.Image {
-	t.Helper()
-	b := gbuild.New()
-	f := b.Func("main", "loop.c")
-	f.Ldi(guest.R1, n)
-	f.Ldi(guest.R0, 0)
-	f.Ldi(guest.R2, 0)
-	head := f.NewLabel()
-	mid := f.NewLabel()
-	f.Bind(head)
-	f.Add(guest.R0, guest.R0, guest.R1)
-	f.Jmp(mid) // extension seam
-	f.Bind(mid)
-	f.Addi(guest.R1, guest.R1, -1)
-	f.Bne(guest.R1, guest.R2, head)
-	f.Hlt(guest.R0)
-	im, err := b.Link()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return im
-}
-
-func TestExtendBudgetFusesJumps(t *testing.T) {
-	im := buildJumpLoop(t, 20)
-	const want = 20 * 21 / 2
-
-	run := func(extend int) (*dbi.Core, uint64, uint64, uint64) {
-		m, core, _ := newMachine(t, im, &countTool{}, 3)
-		core.ExtendBudget = extend
-		if err := core.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return core, m.ExitCode(), m.InstrsExecuted, m.BlocksExecuted
-	}
-
-	core0, exit0, instrs0, blocks0 := run(0)
-	if core0.ExtendSeams != 0 {
-		t.Fatalf("seams without extension: %d", core0.ExtendSeams)
-	}
-	core1, exit1, instrs1, blocks1 := run(128)
-	if exit0 != want || exit1 != want {
-		t.Fatalf("exits: %d, %d, want %d", exit0, exit1, want)
-	}
-	if instrs0 != instrs1 {
-		t.Fatalf("instruction counts differ under extension: %d vs %d", instrs0, instrs1)
-	}
-	if core1.ExtendSeams == 0 {
-		t.Fatal("extension fused no jumps")
-	}
-	// Fused jumps mean fewer, bigger blocks for the same instruction stream.
-	if blocks1 >= blocks0 {
-		t.Fatalf("extension did not reduce dispatches: %d vs %d blocks", blocks1, blocks0)
-	}
-	// The IR engine executes extended translations identically.
-	mIR, coreIR, _ := newMachine(t, im, &countTool{}, 3)
-	coreIR.ExtendBudget = 128
-	if err := coreIR.SelectEngine(dbi.EngineIR); err != nil {
-		t.Fatal(err)
-	}
-	if err := coreIR.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if mIR.ExitCode() != want || mIR.InstrsExecuted != instrs1 {
-		t.Fatalf("ir under extension: exit=%d instrs=%d, want %d/%d",
-			mIR.ExitCode(), mIR.InstrsExecuted, want, instrs1)
 	}
 }
 

@@ -97,20 +97,9 @@ type Core struct {
 	// consulted between the local caches and fresh translation: local miss
 	// -> adopt a published unit (copy-on-attach, dirty helpers re-bound to
 	// this core) -> translate fresh and publish. The store must be keyed
-	// for exactly this core's (image, tool, engine, extend, delivery)
-	// universe — the harness derives the key; see internal/tstore.
+	// for exactly this core's (image, tool, engine, delivery) universe —
+	// the harness derives the key; see internal/tstore.
 	Shared *tstore.Store
-	// pretranslating marks a throwaway translation-pipeline core: its
-	// published units carry the Pretranslated flag.
-	pretranslating bool
-
-	// ExtendBudget, when positive, enables superblock extension: the
-	// translator follows unconditional direct jumps and keeps decoding
-	// until the block holds ExtendBudget guest instructions (Valgrind's
-	// multi-block superblock granularity). Zero keeps single basic
-	// blocks. Set before the first translation; both engines execute
-	// extended blocks identically.
-	ExtendBudget int
 
 	// Translations counts distinct blocks this core translated itself
 	// (blocks adopted from the shared store do not count).
@@ -131,11 +120,8 @@ type Core struct {
 	// CacheMisses == SharedHits + Translations.
 	CacheHits   uint64
 	CacheMisses uint64
-	// SharedHits counts blocks adopted from the shared translation store;
-	// PretranslatedBlocks is the subset published ahead of execution by
-	// the pretranslation pipeline.
-	SharedHits          uint64
-	PretranslatedBlocks uint64
+	// SharedHits counts blocks adopted from the shared translation store.
+	SharedHits uint64
 	// Compiles counts superblocks lowered to micro-ops.
 	Compiles uint64
 	// ChainHits counts dispatches that bypassed translation-cache lookup
@@ -143,9 +129,6 @@ type Core struct {
 	// dispatches that had to look the block up (via the fast dispatch
 	// table or the map: first visits and unchainable edges).
 	ChainHits, ChainMisses uint64
-	// ExtendSeams counts unconditional jumps fused away by superblock
-	// extension.
-	ExtendSeams uint64
 	// cacheStmts counts IR statements held in the translation cache.
 	cacheStmts uint64
 
@@ -436,11 +419,10 @@ func (c *Core) translateFresh(addr uint64, tid int) (*vex.SuperBlock, error) {
 			map[string]any{"addr": addr})
 	}
 	start := time.Now()
-	sb, seams, err := TranslateExt(c.M.Image, addr, c.ExtendBudget)
+	sb, err := Translate(c.M.Image, addr)
 	if err != nil {
 		return nil, err
 	}
-	c.ExtendSeams += uint64(seams)
 	if !c.NoOptimize {
 		// The VEX optimization pass: tools instrument cleaned-up IR,
 		// exactly like Valgrind plugins do.
@@ -463,7 +445,7 @@ func (c *Core) translateFresh(addr uint64, tid int) (*vex.SuperBlock, error) {
 		c.Obs.Tracer.End(c.M.BlocksExecuted, tid, "dbi", "translate",
 			map[string]any{"stmts": len(sb.Stmts)})
 	}
-	c.sharedPut(addr, sb, seams)
+	c.sharedPut(addr, sb)
 	return sb, nil
 }
 

@@ -55,12 +55,12 @@ type deliveryState struct {
 }
 
 // runSink executes mk with the sink-logging tool under (engine, delivery).
-func runSink(t *testing.T, mk func() *gbuild.Builder, engine string, d dbi.Delivery, extend, threads int, seed uint64) deliveryState {
+func runSink(t *testing.T, mk func() *gbuild.Builder, engine string, d dbi.Delivery, threads int, seed uint64) deliveryState {
 	t.Helper()
 	tool := &sinkTool{}
 	res, inst, err := harness.BuildAndRun(mk(), harness.Setup{
 		Tool: tool, Seed: seed, Threads: threads, Stdout: io.Discard,
-		Engine: engine, Extend: extend, Delivery: d,
+		Engine: engine, Delivery: d,
 	})
 	if err != nil {
 		t.Fatalf("%s/%v: %v", engine, d, err)
@@ -88,10 +88,10 @@ func runSink(t *testing.T, mk func() *gbuild.Builder, engine string, d dbi.Deliv
 
 // diffDelivery proves per-event and batched delivery agree on everything a
 // tool can observe, while batched enters the tool at most as often.
-func diffDelivery(t *testing.T, name string, mk func() *gbuild.Builder, engine string, extend, threads int, seed uint64) {
+func diffDelivery(t *testing.T, name string, mk func() *gbuild.Builder, engine string, threads int, seed uint64) {
 	t.Helper()
-	pe := runSink(t, mk, engine, dbi.DeliverPerEvent, extend, threads, seed)
-	ba := runSink(t, mk, engine, dbi.DeliverBatched, extend, threads, seed)
+	pe := runSink(t, mk, engine, dbi.DeliverPerEvent, threads, seed)
+	ba := runSink(t, mk, engine, dbi.DeliverBatched, threads, seed)
 	if pe.Exit != ba.Exit {
 		t.Fatalf("%s: exit: per-event=%d batched=%d", name, pe.Exit, ba.Exit)
 	}
@@ -131,7 +131,7 @@ func TestDeliveryDifferentialDRB(t *testing.T) {
 		for _, b := range drb.All() {
 			b := b
 			t.Run(engine+"/"+b.Name, func(t *testing.T) {
-				diffDelivery(t, b.Name, b.Build, engine, 0, 4, 1)
+				diffDelivery(t, b.Name, b.Build, engine, 4, 1)
 			})
 		}
 	}
@@ -140,20 +140,19 @@ func TestDeliveryDifferentialDRB(t *testing.T) {
 // TestDeliveryDifferentialListing4 covers the paper's running example.
 func TestDeliveryDifferentialListing4(t *testing.T) {
 	for _, engine := range []string{dbi.EngineIR, dbi.EngineCompiled} {
-		diffDelivery(t, "task.c/"+engine, buildListing4, engine, 0, 4, 1)
+		diffDelivery(t, "task.c/"+engine, buildListing4, engine, 4, 1)
 	}
 }
 
 // TestDeliveryDifferentialFuzz cross-checks the delivery modes on generated
-// programs, plain and with superblock extension, on both engines.
+// programs, on both engines.
 func TestDeliveryDifferentialFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			mk := func() *gbuild.Builder { return fuzzProgram(seed) }
 			for _, engine := range []string{dbi.EngineIR, dbi.EngineCompiled} {
-				diffDelivery(t, fmt.Sprintf("fuzz%d/%s", seed, engine), mk, engine, 0, 1, uint64(seed))
-				diffDelivery(t, fmt.Sprintf("fuzz%d-ext/%s", seed, engine), mk, engine, 64, 1, uint64(seed))
+				diffDelivery(t, fmt.Sprintf("fuzz%d/%s", seed, engine), mk, engine, 1, uint64(seed))
 			}
 		})
 	}

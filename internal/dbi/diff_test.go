@@ -75,12 +75,12 @@ type engineState struct {
 
 // runEngine executes the program built by mk under the given engine and
 // returns its observable state.
-func runEngine(t *testing.T, mk func() *gbuild.Builder, engine string, extend, threads int, seed uint64) engineState {
+func runEngine(t *testing.T, mk func() *gbuild.Builder, engine string, threads int, seed uint64) engineState {
 	t.Helper()
 	tool := &logTool{}
 	res, inst, err := harness.BuildAndRun(mk(), harness.Setup{
 		Tool: tool, Seed: seed, Threads: threads, Stdout: io.Discard,
-		Engine: engine, Extend: extend,
+		Engine: engine,
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", engine, err)
@@ -104,10 +104,10 @@ func runEngine(t *testing.T, mk func() *gbuild.Builder, engine string, extend, t
 
 // diffEngines runs mk under the IR oracle and the compiled engine and
 // asserts bit-identical observable state.
-func diffEngines(t *testing.T, name string, mk func() *gbuild.Builder, extend, threads int, seed uint64) {
+func diffEngines(t *testing.T, name string, mk func() *gbuild.Builder, threads int, seed uint64) {
 	t.Helper()
-	ir := runEngine(t, mk, dbi.EngineIR, extend, threads, seed)
-	co := runEngine(t, mk, dbi.EngineCompiled, extend, threads, seed)
+	ir := runEngine(t, mk, dbi.EngineIR, threads, seed)
+	co := runEngine(t, mk, dbi.EngineCompiled, threads, seed)
 	if ir.Exit != co.Exit {
 		t.Fatalf("%s: exit: ir=%d compiled=%d", name, ir.Exit, co.Exit)
 	}
@@ -137,7 +137,7 @@ func TestDifferentialDRB(t *testing.T) {
 	for _, b := range drb.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			diffEngines(t, b.Name, b.Build, 0, 4, 1)
+			diffEngines(t, b.Name, b.Build, 4, 1)
 		})
 	}
 }
@@ -152,12 +152,12 @@ func TestDifferentialLulesh(t *testing.T) {
 		}
 		return b
 	}
-	diffEngines(t, "lulesh", mk, 0, 4, 1)
+	diffEngines(t, "lulesh", mk, 4, 1)
 }
 
 // TestDifferentialListing4 covers the paper's running example (OMP tasks).
 func TestDifferentialListing4(t *testing.T) {
-	diffEngines(t, "task.c", buildListing4, 0, 4, 1)
+	diffEngines(t, "task.c", buildListing4, 4, 1)
 }
 
 func buildListing4() *gbuild.Builder {
@@ -245,7 +245,7 @@ func fuzzProgram(seed int64) *gbuild.Builder {
 			skip := f.NewLabel()
 			f.Br(guest.OpBeq, rs1, rs2, skip)
 			f.ALU(alu[rng.Intn(len(alu))], rd, rs1, rs2)
-			f.Jmp(skip) // adjacent unconditional jump: an extension seam
+			f.Jmp(skip) // adjacent unconditional jump: ends a block
 			f.Bind(skip)
 		}
 	}
@@ -261,16 +261,13 @@ func fuzzProgram(seed int64) *gbuild.Builder {
 	return b
 }
 
-// TestDifferentialFuzz runs generated programs under both engines, plain and
-// with superblock extension (same budget on both sides, so the schedules
-// stay comparable).
+// TestDifferentialFuzz runs generated programs under both engines.
 func TestDifferentialFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			mk := func() *gbuild.Builder { return fuzzProgram(seed) }
-			diffEngines(t, fmt.Sprintf("fuzz%d", seed), mk, 0, 1, uint64(seed))
-			diffEngines(t, fmt.Sprintf("fuzz%d-ext", seed), mk, 64, 1, uint64(seed))
+			diffEngines(t, fmt.Sprintf("fuzz%d", seed), mk, 1, uint64(seed))
 		})
 	}
 }

@@ -12,39 +12,22 @@ const MaxBlockInstrs = 64
 
 // Translate decodes the guest basic block starting at addr and lowers it to
 // flat VEX-like IR. Conditional branches end the block (taken edge as an
-// Exit statement, fall-through as Next).
+// Exit statement, fall-through as Next); so do unconditional jumps, calls,
+// returns, host calls and client requests. The scheduler's preemption
+// slices are counted in blocks, so block boundaries are part of every
+// seeded schedule. Blind superblock extension through unconditional jumps
+// was removed: it lost on the Table I suite both in execution and end to
+// end, and it changed every schedule it touched.
 func Translate(im *guest.Image, addr uint64) (*vex.SuperBlock, error) {
-	sb, _, err := TranslateExt(im, addr, 0)
-	return sb, err
-}
-
-// TranslateExt is Translate with superblock extension: when budget > 0 the
-// translator follows unconditional direct jumps and keeps decoding at the
-// target, building a multi-block translation of up to budget guest
-// instructions (Valgrind's superblock granularity). The second result is the
-// number of jumps fused away. budget <= 0 translates a single basic block
-// capped at MaxBlockInstrs.
-//
-// Extension changes how many blocks a given execution dispatches, and the
-// scheduler's preemption slices are counted in blocks — so both engines must
-// run the same translations for interleavings (and differential equality) to
-// hold. That is why extension lives here in the shared translator rather
-// than in one engine.
-func TranslateExt(im *guest.Image, addr uint64, budget int) (*vex.SuperBlock, int, error) {
-	limit := MaxBlockInstrs
-	if budget > 0 {
-		limit = budget
-	}
-	seams := 0
 	// Most guest instructions lower to 2-3 statements (IMark + compute +
 	// PutReg) and most blocks are a handful of instructions; start the list
 	// at a typical short block and let append grow the long tail.
 	sb := &vex.SuperBlock{GuestAddr: addr, Stmts: make([]vex.Stmt, 0, 16)}
 	pc := addr
-	for n := 0; n < limit; n++ {
+	for n := 0; n < MaxBlockInstrs; n++ {
 		in, err := im.FetchInstr(pc)
 		if err != nil {
-			return nil, seams, err
+			return nil, err
 		}
 		sb.IMark(pc, guest.InstrBytes)
 		next := pc + guest.InstrBytes
@@ -101,69 +84,54 @@ func TranslateExt(im *guest.Image, addr uint64, budget int) (*vex.SuperBlock, in
 			a := addrExpr(sb, in)
 			sb.Store(vex.Width(in.MemWidth()), a, reg(in.Rs2))
 		case guest.OpJmp:
-			target := uint64(uint32(in.Imm))
-			if budget > 0 && n+1 < limit && fetchable(im, target) {
-				// Superblock extension: fuse the jump away and keep
-				// decoding at its target.
-				seams++
-				pc = target
-				continue
-			}
-			sb.Next = vex.ConstE(target)
+			sb.Next = vex.ConstE(uint64(uint32(in.Imm)))
 			sb.NextJK = vex.JKBoring
-			return sb, seams, nil
+			return sb, nil
 		case guest.OpBeq, guest.OpBne, guest.OpBlt, guest.OpBge, guest.OpBltu, guest.OpBgeu:
 			g := sb.WrTmpBinop(branchOp(in.Op), reg(in.Rs1), reg(in.Rs2))
 			sb.Exit(vex.TmpE(g), uint64(uint32(in.Imm)), vex.JKBoring)
 			sb.Next = vex.ConstE(next)
 			sb.NextJK = vex.JKBoring
-			return sb, seams, nil
+			return sb, nil
 		case guest.OpJal:
 			sb.PutReg(guest.LR, vex.ConstE(next))
 			sb.Next = vex.ConstE(uint64(uint32(in.Imm)))
 			sb.NextJK = vex.JKCall
-			return sb, seams, nil
+			return sb, nil
 		case guest.OpJalr:
 			target := sb.WrTmpExpr(reg(in.Rs1))
 			sb.PutReg(guest.LR, vex.ConstE(next))
 			sb.Next = vex.TmpE(target)
 			sb.NextJK = vex.JKCall
-			return sb, seams, nil
+			return sb, nil
 		case guest.OpRet:
 			sb.Next = vex.RegE(guest.LR)
 			sb.NextJK = vex.JKRet
-			return sb, seams, nil
+			return sb, nil
 		case guest.OpHcall:
 			sb.Next = vex.ConstE(next)
 			sb.NextJK = vex.JKHostCall
 			sb.Aux = in.Imm
-			return sb, seams, nil
+			return sb, nil
 		case guest.OpCreq:
 			sb.Next = vex.ConstE(next)
 			sb.NextJK = vex.JKClientReq
 			sb.Aux = in.Imm
-			return sb, seams, nil
+			return sb, nil
 		case guest.OpHlt:
 			sb.PutReg(guest.R0, reg(in.Rs1))
 			sb.Next = vex.ConstE(next)
 			sb.NextJK = vex.JKExitThread
-			return sb, seams, nil
+			return sb, nil
 		default:
-			return nil, seams, fmt.Errorf("dbi: cannot translate opcode %s at 0x%x", in.Op, pc)
+			return nil, fmt.Errorf("dbi: cannot translate opcode %s at 0x%x", in.Op, pc)
 		}
 		pc = next
 	}
 	// Block cap reached: chain to the next address.
 	sb.Next = vex.ConstE(pc)
 	sb.NextJK = vex.JKBoring
-	return sb, seams, nil
-}
-
-// fetchable reports whether addr decodes to a guest instruction (i.e. is a
-// valid extension target).
-func fetchable(im *guest.Image, addr uint64) bool {
-	_, err := im.FetchInstr(addr)
-	return err == nil
+	return sb, nil
 }
 
 // addrExpr builds the effective-address expression rs1+imm for a memory op.

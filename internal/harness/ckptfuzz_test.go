@@ -115,8 +115,8 @@ func TestCheckpointResumeFuzzDRB(t *testing.T) {
 
 // TestCheckpointResumeCrossEngine: the two engines execute the same recorded
 // timeline — a journal recorded on the compiled engine verifies cleanly on
-// the IR oracle, digests included (the engines are bit-identical at Extend=0,
-// which is what makes checkpoint marks valid cross-engine probes).
+// the IR oracle, digests included (the engines are bit-identical, which is
+// what makes checkpoint marks valid cross-engine probes).
 func TestCheckpointResumeCrossEngine(t *testing.T) {
 	bm, ok := drb.ByName("027-taskdependmissing-orig")
 	if !ok {

@@ -58,11 +58,6 @@ type Setup struct {
 	// translations with block chaining), dbi.EngineIR (the reference IR
 	// interpreter), or "" to keep the default for the tool.
 	Engine string
-	// Extend, when positive, enables superblock extension: translations
-	// follow unconditional jumps up to Extend guest instructions. It changes
-	// block granularity — and therefore scheduler interleavings — so leave
-	// it zero when reproducing seeded schedules.
-	Extend int
 	// Delivery selects how access-stream tools receive memory accesses:
 	// dbi.DeliverBatched (one flush per superblock segment, the default) or
 	// dbi.DeliverPerEvent (one callback per access, the differential
@@ -87,24 +82,18 @@ type Setup struct {
 	ReplayToken string
 	// TStore, when set, attaches the content-addressed translation store:
 	// the core resolves translations from (and publishes to) the cache's
-	// store for this run's (image hash, tool, engine, extend, delivery)
-	// key, so translation happens once per image rather than once per run.
-	// Tools that fix the engine themselves (compile-time instrumentation)
-	// never translate and are unaffected.
+	// store for this run's (image hash, tool, engine, delivery) key, so
+	// translation happens once per image rather than once per run. Blocks
+	// enter the store on demand, as the guest reaches them; an
+	// ahead-of-execution pretranslation mode was removed because it never
+	// beat cold translation end to end. Tools that fix the engine
+	// themselves (compile-time instrumentation) never translate and are
+	// unaffected.
 	TStore *tstore.Cache
 	// ToolID overrides the tool identity in the store key (default
 	// Tool.Name(), or "none" uninstrumented). Set it when the same tool
 	// type is configured differently across runs sharing one cache.
 	ToolID string
-	// Pretranslate starts the ahead-of-execution pipeline on the store
-	// before the run: spare cores walk the image's statically reachable
-	// blocks and fill the store while the guest executes. Requires TStore;
-	// instrumented runs also require NewTool (pipeline workers each
-	// instrument with their own tool instance) or the pipeline stays off.
-	Pretranslate bool
-	// NewTool builds a fresh tool instance (same configuration as Tool)
-	// for each pretranslation worker.
-	NewTool func() dbi.Tool
 }
 
 // Instance is a ready-to-run guest machine with all substrates attached.
@@ -124,9 +113,6 @@ type Instance struct {
 	ReplayToken string
 	// Obs echoes Setup.Obs (nil when observability is off).
 	Obs *obs.Hooks
-	// Pretrans is the ahead-of-execution pipeline handle (nil unless
-	// Setup.Pretranslate started one). Wait on it before saving the cache.
-	Pretrans *dbi.Pretranslation
 	// TStore echoes Setup.TStore when the store was attached (nil when the
 	// tool fixes its own engine); CaptureMetrics snapshots its counters.
 	TStore *tstore.Cache
@@ -159,7 +145,6 @@ func New(s Setup) (*Instance, error) {
 	inst.M = m
 	inst.RunOpts = s.RunOpts
 	inst.Core = dbi.New(m, s.Tool)
-	inst.Core.ExtendBudget = s.Extend
 	inst.Core.Delivery = s.Delivery
 	if s.Engine != "" {
 		if err := inst.Core.SelectEngine(s.Engine); err != nil {
@@ -186,20 +171,10 @@ func New(s Setup) (*Instance, error) {
 			Image:    tstore.ImageHash(s.Image),
 			Tool:     toolID,
 			Engine:   engine,
-			Extend:   s.Extend,
 			Delivery: s.Delivery.String(),
 		})
 		inst.Core.Shared = st
 		inst.TStore = s.TStore
-		// An instrumented pipeline without NewTool would publish
-		// uninstrumented blocks under the instrumented key: refuse.
-		if s.Pretranslate && (s.Tool == nil || s.NewTool != nil) {
-			newTool := s.NewTool
-			if newTool == nil {
-				newTool = func() dbi.Tool { return nil }
-			}
-			inst.Pretrans = dbi.PretranslateAsync(st, s.Image, 0, newTool)
-		}
 	}
 	inst.Lib.Bind(inst.Core)
 	inst.OMP.Attach(m)
@@ -305,13 +280,11 @@ func (inst *Instance) CaptureMetrics(reg *obs.Registry) {
 	reg.Counter("dbi_cache_hits_total").Set(c.CacheHits)
 	reg.Counter("dbi_cache_misses_total").Set(c.CacheMisses)
 	reg.Counter("dbi_shared_hits_total").Set(c.SharedHits)
-	reg.Counter("dbi_pretranslated_blocks_total").Set(c.PretranslatedBlocks)
 	reg.Counter("dbi_cache_stmts").Set(c.CacheStmts())
 	reg.Gauge("dbi_cache_footprint_bytes").Set(float64(c.CacheFootprint()))
 	reg.Counter("dbi_compiles_total").Set(c.Compiles)
 	reg.Counter("dbi_chain_hits_total").Set(c.ChainHits)
 	reg.Counter("dbi_chain_misses_total").Set(c.ChainMisses)
-	reg.Counter("dbi_extend_seams_total").Set(c.ExtendSeams)
 	reg.Counter("dbi_dirty_calls_total").Set(c.DirtyCalls)
 	reg.Counter("dbi_accesses_delivered_total").Set(c.AccessesDelivered)
 

@@ -10,12 +10,12 @@ import (
 
 // Profiler samples the guest program counter on the block clock: every
 // Interval-th dispatched block contributes one sample at its entry PC,
-// weighted by the block's retired guest instruction count. The weighting is
-// what makes profiles comparable across superblock extension: an extended
-// block retires the instructions of every basic block it fused, so sampling
-// it at weight 1 would understate exactly the code hot enough to get
-// extended. Because the block clock is deterministic, the profile is exactly
-// reproducible from (program, seed). Samples resolve through the image's
+// weighted by the block's retired guest instruction count. The weighting
+// makes a sample measure instructions rather than dispatches — a long block
+// weighs more than a short one, and at interval 1 the profile total equals
+// the machine's retired instruction count — so -profile and `query top`
+// rank code by the work it does. Because the block clock is deterministic,
+// the profile is exactly reproducible from (program, seed). Samples resolve through the image's
 // symbol and line tables into a flat and a per-symbol profile — where
 // instrumented execution time goes, the measurement behind every "make the
 // hot path faster" decision.
@@ -85,9 +85,7 @@ func (p *Profiler) Each(fn func(pc, count uint64)) {
 	}
 }
 
-// BySymbol aggregates the samples per enclosing symbol — the granularity at
-// which extended and unextended profiles are comparable (extension fuses
-// jumps within a function but never crosses call or return edges).
+// BySymbol aggregates the samples per enclosing symbol.
 func (p *Profiler) BySymbol(im *guest.Image) map[string]uint64 {
 	out := make(map[string]uint64)
 	if p == nil {

@@ -19,6 +19,10 @@ type StoreSink struct {
 
 	open  map[int][]openSpan
 	maxTS uint64
+	// unbalanced counts end events that matched no open span on their
+	// thread. A correct event stream never produces one; counting them
+	// surfaces a stream bug instead of silently dropping the end.
+	unbalanced uint64
 }
 
 type openSpan struct {
@@ -124,8 +128,8 @@ func (s *StoreSink) Write(ev obs.Event) {
 		})
 	case obs.PhaseEnd:
 		stack := s.open[ev.Thread]
-		// Pop the nearest matching begin; mismatches (lost begins) drop
-		// the end rather than corrupting the stack.
+		// Pop the nearest matching begin; mismatches (lost begins) are
+		// counted and drop the end rather than corrupting the stack.
 		for i := len(stack) - 1; i >= 0; i-- {
 			if stack[i].cat == ev.Cat && stack[i].name == ev.Name {
 				sp := stack[i]
@@ -135,6 +139,7 @@ func (s *StoreSink) Write(ev obs.Event) {
 				return
 			}
 		}
+		s.unbalanced++
 	default: // instants and diagnostics
 		s.rw.Instant(ev.TS, ev.Thread, ev.Cat, ev.Name, eventArg(ev.Args))
 	}
@@ -155,9 +160,11 @@ func (s *StoreSink) Close() error {
 	return nil
 }
 
-// SinkMetrics implements obs.SinkMetrics, surfacing recording loss.
+// SinkMetrics implements obs.SinkMetrics, surfacing recording loss and
+// unbalanced span ends.
 func (s *StoreSink) SinkMetrics(put func(name string, v uint64)) {
 	flushed, dropped := s.rw.Stats()
 	put("trace_store_flushed_batches_total", flushed)
 	put("trace_store_dropped_events_total", dropped)
+	put("trace_store_unbalanced_ends_total", s.unbalanced)
 }

@@ -39,7 +39,6 @@ type JobSpec struct {
 	Threads    int    `json:"threads,omitempty"`
 	Engine     string `json:"engine,omitempty"`
 	Delivery   string `json:"delivery,omitempty"`
-	Extend     int    `json:"extend,omitempty"`
 	Inject     string `json:"inject,omitempty"`
 	InjectSeed uint64 `json:"inject_seed,omitempty"`
 	Lenient    bool   `json:"lenient,omitempty"`
@@ -148,7 +147,7 @@ func (sp *JobSpec) Lulesh() lulesh.Params {
 func (sp *JobSpec) Config() snapshot.Config {
 	cfg := snapshot.Config{
 		Prog: sp.Prog, Tool: sp.Tool, Seed: sp.Seed, Threads: sp.Threads,
-		Engine: sp.Engine, Delivery: sp.Delivery, Extend: sp.Extend,
+		Engine: sp.Engine, Delivery: sp.Delivery,
 		Inject: sp.Inject, Lenient: sp.Lenient,
 	}
 	if sp.Inject != "" {
@@ -171,7 +170,7 @@ func SpecFromToken(tok string) (JobSpec, error) {
 	}
 	sp := JobSpec{
 		Prog: cfg.Prog, Tool: cfg.Tool, Seed: cfg.Seed, Threads: cfg.Threads,
-		Engine: cfg.Engine, Delivery: cfg.Delivery, Extend: cfg.Extend,
+		Engine: cfg.Engine, Delivery: cfg.Delivery,
 		Inject: cfg.Inject, InjectSeed: cfg.InjectSeed, Lenient: cfg.Lenient,
 		LSize: cfg.LSize, LIters: cfg.LIters, LTasksEl: cfg.LTasksEl,
 		LTasksNd: cfg.LTasksNd, LRacy: cfg.LRacy,

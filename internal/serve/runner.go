@@ -256,7 +256,7 @@ func (s *Server) runAttempt(ctx context.Context, j *Job) JobResult {
 		st := harness.Setup{
 			Image: im, Tool: tl, Seed: sp.Seed, Threads: sp.Threads,
 			Stdout: outBuf, Inject: inj, LenientMem: sp.Lenient,
-			Engine: sp.Engine, Extend: sp.Extend, Delivery: deliv,
+			Engine: sp.Engine, Delivery: deliv,
 			TStore: s.opts.TCache,
 			RunOpts: vm.RunOpts{
 				MaxBlocks: sp.MaxBlocks, MaxInstrs: sp.MaxInstrs, Timeout: timeout,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"io"
@@ -513,6 +514,27 @@ func TestHTTPSurface(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad submission %q: %d, want 400", bad, resp.StatusCode)
+		}
+	}
+}
+
+// TestHTTPRejectsExtend: superblock extension was removed, so a submission
+// that still asks for it — as a spec field or inside a replay token — is a
+// 400 naming the field, never a job run at another block granularity.
+func TestHTTPRejectsExtend(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	tok := "tg1:" + base64.RawURLEncoding.EncodeToString([]byte("extend=64&prog=task.c&seed=1"))
+	for _, body := range []string{`{"prog":"task.c","extend":64}`, `{"token":"` + tok + `"}`} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "extend") {
+			t.Fatalf("POST %s: %d %s, want 400 naming extend", body, resp.StatusCode, msg)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"encoding/base64"
+	"strings"
 	"testing"
 
 	"repro/internal/gmem"
@@ -219,7 +221,7 @@ func TestJournalFirePrefixSemantics(t *testing.T) {
 func TestTokenRoundTrip(t *testing.T) {
 	cfg := Config{
 		Prog: "fib", Tool: "memcheck", Seed: 99, Threads: 4, Slice: 7,
-		Engine: "compiled", Delivery: "batched", Extend: 2,
+		Engine: "compiled", Delivery: "batched",
 		Inject: "panic:every=3", InjectSeed: 1234, Lenient: true,
 		LSize: 10, LIters: 8, LTasksEl: 4, LTasksNd: 2, LRacy: true,
 	}
@@ -234,6 +236,17 @@ func TestTokenRoundTrip(t *testing.T) {
 	// Canonical: same config, same token.
 	if cfg.Token() != tok {
 		t.Fatal("token not deterministic")
+	}
+}
+
+// TestTokenRejectsExtend: a token recorded with superblock extension names
+// a block granularity this build no longer has; replaying it at basic-block
+// granularity would run a different schedule, so it must not parse.
+func TestTokenRejectsExtend(t *testing.T) {
+	tok := "tg1:" + base64.RawURLEncoding.EncodeToString([]byte("extend=64&prog=task.c&seed=1"))
+	_, err := ParseToken(tok)
+	if err == nil || !strings.Contains(err.Error(), "extend=64") {
+		t.Fatalf("ParseToken(extend token) = %v, want an extend error", err)
 	}
 }
 

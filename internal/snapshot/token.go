@@ -28,7 +28,6 @@ type Config struct {
 	Slice      int
 	Engine     string
 	Delivery   string
-	Extend     int
 	Inject     string
 	InjectSeed uint64
 	Lenient    bool
@@ -67,7 +66,6 @@ func (c Config) Token() string {
 	setInt("slice", c.Slice)
 	set("engine", c.Engine)
 	set("delivery", c.Delivery)
-	setInt("extend", c.Extend)
 	set("inject", c.Inject)
 	setU64("iseed", c.InjectSeed)
 	if c.Lenient {
@@ -96,6 +94,12 @@ func ParseToken(tok string) (Config, error) {
 	v, err := url.ParseQuery(string(raw))
 	if err != nil {
 		return c, fmt.Errorf("snapshot: malformed replay token payload: %w", err)
+	}
+	if v.Has("extend") {
+		// Superblock extension was removed. Its blocks were the scheduling
+		// quantum, so replaying at basic-block granularity would silently
+		// run a different schedule.
+		return c, fmt.Errorf("snapshot: replay token carries extend=%s; superblock extension was removed, so the run cannot be reproduced", v.Get("extend"))
 	}
 	geti := func(k string) (int, error) {
 		if !v.Has(k) {
@@ -126,7 +130,7 @@ func ParseToken(tok string) (Config, error) {
 		k   string
 		dst *int
 	}{
-		{"threads", &c.Threads}, {"slice", &c.Slice}, {"extend", &c.Extend},
+		{"threads", &c.Threads}, {"slice", &c.Slice},
 		{"ls", &c.LSize}, {"li", &c.LIters}, {"lte", &c.LTasksEl}, {"ltn", &c.LTasksNd},
 	} {
 		if *f.dst, err = geti(f.k); err != nil {

@@ -5,111 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/gbuild"
-	"repro/internal/guest"
-	"repro/internal/harness"
-	"repro/internal/omp"
 	"repro/internal/trace"
 )
 
-const (
-	r0 = guest.R0
-	r1 = guest.R1
-	r2 = guest.R2
-)
-
-// taskProgram: two labelled tasks.
-func taskProgram() *gbuild.Builder {
-	b := omp.NewProgram()
-	b.Global("g", 16)
-	for i, name := range []string{"alpha", "beta"} {
-		f := b.Func(name, "tr.c")
-		f.Line(10 + i)
-		f.Enter(16)
-		// Busy loop so spans have width.
-		f.Ldi(r1, 0)
-		f.StLocal(8, 8, r1)
-		loop := f.NewLabel()
-		f.Bind(loop)
-		f.LdLocal(8, r1, 8)
-		f.Addi(r1, r1, 1)
-		f.StLocal(8, 8, r1)
-		f.Ldi(r2, 20)
-		f.Blt(r1, r2, loop)
-		f.Leave()
-	}
-	f := b.Func("micro", "tr.c")
-	f.Enter(0)
-	fn := f
-	omp.SingleNowait(f, func() {
-		omp.EmitTask(fn, omp.TaskOpts{Fn: "alpha"})
-		omp.EmitTask(fn, omp.TaskOpts{Fn: "beta"})
-		omp.Taskwait(fn)
-	})
-	f.Leave()
-	f = b.Func("main", "tr.c")
-	f.Enter(0)
-	f.Ldi(r1, 0)
-	omp.Parallel(f, "micro", r1, 4)
-	f.Ldi(r0, 0)
-	f.Hlt(r0)
-	return b
-}
-
-func TestRecorderCapturesSpans(t *testing.T) {
-	rec := trace.New()
-	res, _, err := harness.BuildAndRun(taskProgram(), harness.Setup{Tool: rec, Seed: 2, Threads: 4})
-	if err != nil || res.Err != nil {
-		t.Fatal(err, res.Err)
-	}
-	var explicit int
-	for _, s := range rec.Spans {
-		if s.End < s.Start {
-			t.Fatalf("inverted span %+v", s)
-		}
-		if s.Label != "implicit" && s.Label != "" {
-			explicit++
-		}
-	}
-	if explicit != 2 {
-		t.Fatalf("explicit task spans = %d, want 2 (%+v)", explicit, rec.Spans)
-	}
-	var buf bytes.Buffer
-	if err := rec.Gantt(&buf, 60); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "thr 0 |") || !strings.Contains(out, "tr.c:1") {
-		t.Fatalf("gantt:\n%s", out)
-	}
-}
-
-// TestTeeComposesWithTaskgrind: trace + taskgrind in one run.
-func TestTeeComposesWithTaskgrind(t *testing.T) {
-	tg := core.New(core.DefaultOptions())
-	rec := trace.New()
-	tee := trace.Tee{A: tg, B: rec}
-	res, _, err := harness.BuildAndRun(taskProgram(), harness.Setup{Tool: tee, Seed: 2, Threads: 4})
-	if err != nil || res.Err != nil {
-		t.Fatal(err, res.Err)
-	}
-	if len(rec.Spans) == 0 {
-		t.Fatal("tee lost the recorder's events")
-	}
-	// The analyzer worked too (clean program).
-	if tg.RaceCount != 0 {
-		t.Fatalf("tee perturbed the analysis: %d races", tg.RaceCount)
-	}
-	if tg.Stats.AccessesRecorded == 0 {
-		t.Fatal("tee lost the analyzer's instrumentation")
-	}
-}
-
 func TestEmptyGantt(t *testing.T) {
-	rec := trace.New()
 	var buf bytes.Buffer
-	if err := rec.Gantt(&buf, 40); err != nil {
+	if err := trace.Gantt(&buf, nil, 40); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "no task spans") {

@@ -40,7 +40,7 @@ func fuzzSeedFile() []byte {
 	e.str(testKey().String())
 	for _, addr := range []uint64{0x1000, 0x1040, 0x1080} {
 		var ue enc
-		encodeUnit(&ue, &Unit{Addr: addr, SB: sampleSB(addr), Seams: 1})
+		encodeUnit(&ue, &Unit{Addr: addr, SB: sampleSB(addr)})
 		e.u64(uint64(len(ue.buf)))
 		var crc [4]byte
 		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(ue.buf))

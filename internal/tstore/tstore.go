@@ -3,9 +3,9 @@
 // caches so translation happens once per program image, not once per run.
 //
 // Translation in this system is deterministic: the same (image, tool,
-// engine, extend budget, delivery mode) always produces the same
-// instrumented superblock and the same compiled micro-op array. That makes
-// translations content-addressable — a Key is the full set of inputs the
+// engine, delivery mode) always produces the same instrumented superblock
+// and the same compiled micro-op array. That makes translations
+// content-addressable — a Key is the full set of inputs the
 // translator consumes, with the image reduced to a content hash — and
 // therefore shareable across cores, across sweep workers, across daemon
 // jobs, and (via the on-disk tier) across concurrent processes and process
@@ -18,6 +18,10 @@
 // equivalent helpers of its own (copy-on-attach, implemented in
 // internal/dbi). Everything per-thread and mutable — chain predictions,
 // dispatch tables, generation counters — stays in the adopting core.
+//
+// Units are published on demand, by the core that first translates a block.
+// An ahead-of-execution pretranslation pipeline was removed: it never beat
+// cold on-demand translation end to end.
 //
 // The store is bounded: a Cache may carry byte and unit caps, enforced by
 // clock-style (second-chance) eviction over generation-stamped adoption
@@ -44,7 +48,10 @@ import (
 // header). Bump it whenever the unit encoding, the IR, the micro-op set or
 // the translator's output changes shape: old files then simply never match
 // and the store starts cold instead of serving stale translations.
-const FormatVersion = 1
+//
+// Version 2 dropped the superblock-extension budget from the key and the
+// extension-seam count and pretranslated flag from the unit encoding.
+const FormatVersion = 2
 
 // Key identifies one translation universe: every input that can change the
 // bytes a translation produces. Two runs with equal Keys may share
@@ -59,8 +66,6 @@ type Key struct {
 	Tool string
 	// Engine is the execution engine ("ir" or "compiled").
 	Engine string
-	// Extend is the superblock extension budget.
-	Extend int
 	// Delivery is the access-delivery mode ("batched" or "per-event").
 	Delivery string
 	// Version pins the store format; NewKey sets it to FormatVersion.
@@ -70,8 +75,8 @@ type Key struct {
 // String renders the canonical form hashed into the on-disk file name and
 // written into the file header.
 func (k Key) String() string {
-	return fmt.Sprintf("v%d/img=%s/tool=%s/engine=%s/extend=%d/delivery=%s",
-		k.Version, k.Image, k.Tool, k.Engine, k.Extend, k.Delivery)
+	return fmt.Sprintf("v%d/img=%s/tool=%s/engine=%s/delivery=%s",
+		k.Version, k.Image, k.Tool, k.Engine, k.Delivery)
 }
 
 // ImageHash computes the content hash of a guest image: text, data, entry,
@@ -128,15 +133,9 @@ type Unit struct {
 	// SB is the instrumented (and optimized) IR. In a disk-loaded unit the
 	// dirty statements carry nil Fn until a core re-binds them.
 	SB *vex.SuperBlock
-	// Code is the compiled micro-op form; nil until some core (or the
-	// pretranslation pipeline) compiles the block.
+	// Code is the compiled micro-op form; nil until some core compiles the
+	// block.
 	Code *vex.Compiled
-	// Seams is the number of superblock-extension seams crossed translating
-	// this block, replayed into the adopting core's counter.
-	Seams int
-	// Pretranslated marks units published by the ahead-of-execution
-	// pipeline rather than by a running guest.
-	Pretranslated bool
 }
 
 // slot wraps a published unit with the bookkeeping the eviction clock
@@ -190,9 +189,6 @@ type Store struct {
 func NewStore(key Key) *Store {
 	return &Store{key: key, units: make(map[uint64]*slot), evicted: make(map[uint64]bool)}
 }
-
-// Key returns the store's identity.
-func (s *Store) Key() Key { return s.key }
 
 // Get returns the unit at addr, or nil. A miss on a disk-backed store may
 // trigger a throttled re-scan of the shared file — the path by which a warm
@@ -334,20 +330,6 @@ func (s *Store) Len() int {
 	return len(s.units)
 }
 
-// Each calls fn for every unit. Used by the persistence tier and the
-// pretranslation pipeline's frontier seeding.
-func (s *Store) Each(fn func(*Unit)) {
-	s.mu.RLock()
-	units := make([]*Unit, 0, len(s.units))
-	for _, sl := range s.units {
-		units = append(units, sl.u)
-	}
-	s.mu.RUnlock()
-	for _, u := range units {
-		fn(u)
-	}
-}
-
 // snapshot returns the current unit set (for the disk tier).
 func (s *Store) snapshot() map[uint64]*Unit {
 	s.mu.RLock()
@@ -407,8 +389,7 @@ type Stats struct {
 	Hits   uint64
 	Misses uint64
 	// Puts counts distinct units published — the number of actual
-	// translations performed against this store across all attached cores
-	// and pipelines.
+	// translations performed against this store across all attached cores.
 	Puts uint64
 	// Evictions counts units dropped by the clock sweep.
 	Evictions uint64

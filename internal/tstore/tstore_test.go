@@ -2,6 +2,8 @@ package tstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -40,12 +42,12 @@ func sampleUnit(t *testing.T, addr uint64) *Unit {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	return &Unit{Addr: addr, SB: sb, Code: code, Seams: 2, Pretranslated: true}
+	return &Unit{Addr: addr, SB: sb, Code: code}
 }
 
 func testKey() Key {
 	return Key{Image: "abc123", Tool: "taskgrind", Engine: "compiled",
-		Extend: 8, Delivery: "batched", Version: FormatVersion}
+		Delivery: "batched", Version: FormatVersion}
 }
 
 // TestUnitRoundtrip: encode/decode preserves the IR and the compiled form,
@@ -59,7 +61,7 @@ func TestUnitRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.Addr != u.Addr || got.Seams != u.Seams || got.Pretranslated != u.Pretranslated {
+	if got.Addr != u.Addr {
 		t.Fatalf("header mismatch: %+v vs %+v", got, u)
 	}
 	if len(got.SB.Stmts) != len(u.SB.Stmts) || got.SB.NTemps != u.SB.NTemps ||
@@ -117,7 +119,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 func TestStoreMerge(t *testing.T) {
 	st := NewStore(testKey())
 	u := sampleUnit(t, 0x2000)
-	st.Put(&Unit{Addr: u.Addr, SB: u.SB, Seams: 1})
+	st.Put(&Unit{Addr: u.Addr, SB: u.SB})
 	if got := st.Get(u.Addr); got == nil || got.Code != nil {
 		t.Fatalf("want SB-only unit, got %+v", got)
 	}
@@ -126,8 +128,8 @@ func TestStoreMerge(t *testing.T) {
 		t.Fatalf("PutCode did not attach")
 	}
 	// A racing duplicate Put must not replace the merged unit.
-	st.Put(&Unit{Addr: u.Addr, SB: sampleSB(u.Addr), Seams: 9})
-	if got := st.Get(u.Addr); got.Seams != 1 || got.Code == nil {
+	st.Put(&Unit{Addr: u.Addr, SB: sampleSB(u.Addr)})
+	if got := st.Get(u.Addr); got.SB != u.SB || got.Code == nil {
 		t.Fatalf("duplicate Put replaced the unit: %+v", got)
 	}
 	s := st.Stats()
@@ -153,7 +155,7 @@ func TestDiskRoundtrip(t *testing.T) {
 		t.Fatalf("reloaded %d units, want 8", st2.Len())
 	}
 	u := st2.Get(0x1000)
-	if u == nil || u.Code == nil || u.Seams != 2 || !u.Pretranslated {
+	if u == nil || u.Code == nil {
 		t.Fatalf("reloaded unit mismatch: %+v", u)
 	}
 	// Dirty helpers must come back unbound (the adopting core rebinds).
@@ -186,9 +188,6 @@ func TestInvalidation(t *testing.T) {
 	k.Engine = "ir"
 	cases = append(cases, k)
 	k = testKey()
-	k.Extend = 0
-	cases = append(cases, k)
-	k = testKey()
 	k.Delivery = "per-event"
 	cases = append(cases, k)
 	k = testKey()
@@ -202,6 +201,40 @@ func TestInvalidation(t *testing.T) {
 	// And the original key still loads.
 	if got := NewCache(dir).Open(testKey()).Len(); got != 1 {
 		t.Fatalf("original key lost its tier: %d units", got)
+	}
+
+	// A version-1 tier (key carried extend=, units a seam count and a
+	// pretranslated flag), even when found under the current key's file
+	// name, is a structural miss: the store starts cold, counts no corrupt
+	// frames, and the next save replaces the file with a current tier.
+	v1dir := t.TempDir()
+	u := sampleUnit(t, 0x1000)
+	e := &enc{buf: append([]byte{}, fileMagic...)}
+	e.str("v1/img=abc123/tool=taskgrind/engine=compiled/extend=0/delivery=batched")
+	var ue enc
+	ue.u64(u.Addr)
+	ue.u64(0) // seams
+	ue.u64(2) // flags: compiled form present
+	encSB(&ue, u.SB)
+	encCompiled(&ue, u.Code)
+	e.u64(uint64(len(ue.buf)))
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(ue.buf))
+	e.buf = append(append(e.buf, crc[:]...), ue.buf...)
+	if err := os.WriteFile(fileName(v1dir, testKey()), e.buf, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	c1 := NewCache(v1dir)
+	st1 := c1.Open(testKey())
+	if s := st1.Stats(); s.Units != 0 || s.CorruptFrames != 0 || s.IOFaults != 0 {
+		t.Fatalf("v1 tier not a clean miss: %+v", s)
+	}
+	st1.Put(sampleUnit(t, 0x2000))
+	if err := c1.Save(); err != nil {
+		t.Fatalf("save over v1 tier: %v", err)
+	}
+	if got := NewCache(v1dir).Open(testKey()).Len(); got != 1 {
+		t.Fatalf("v1 tier not replaced: %d units", got)
 	}
 }
 
@@ -313,7 +346,7 @@ func TestConcurrentStore(t *testing.T) {
 					return
 				}
 				sb := sampleSB(addr)
-				st.Put(&Unit{Addr: addr, SB: sb, Seams: 1})
+				st.Put(&Unit{Addr: addr, SB: sb})
 				if w%2 == 0 {
 					if code, err := vex.Compile(sb); err == nil {
 						st.PutCode(addr, code)

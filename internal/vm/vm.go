@@ -670,8 +670,7 @@ func (m *Machine) RunOpts(opts RunOpts) error {
 // ended voluntarily. The observability gates are resolved once per slice —
 // the per-block cost of disabled observability is two predictable branches —
 // and profiler samples are weighted by each dispatched block's retired
-// instruction count, so extended superblocks weigh as much as the basic
-// blocks they fuse and -extend profiles agree with unextended ones.
+// instruction count (see obs.Profiler).
 func (m *Machine) runSlice(t *Thread, slice int) (voluntary bool, err error) {
 	var prof *obs.Profiler
 	blockEvents := false

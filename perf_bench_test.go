@@ -1,9 +1,9 @@
 package repro
 
 // Engine throughput benchmark: the measurement behind the compiled-engine
-// work (pre-lowered micro-ops + block chaining + optional superblock
-// extension). Each arm runs the whole Table I microbenchmark suite under the
-// nop tool and reports guest blocks/sec and instrs/sec; `make bench-perf`
+// work (pre-lowered micro-ops + block chaining). Each arm runs the whole
+// Table I microbenchmark suite under the nop tool and reports guest
+// blocks/sec and instrs/sec; `make bench-perf`
 // writes the comparison (with speedups over the IR interpreter) to
 // $PERF_BENCH_OUT as BENCH_perf.json.
 //
@@ -50,14 +50,10 @@ import (
 type perfArm struct {
 	Name   string `json:"name"`
 	Engine string `json:"engine"`
-	Extend int    `json:"extend"`
 	// Warm runs every measured pass against a translation store primed by
 	// one untimed pass: the steady state of a long-lived daemon or a
 	// multi-seed sweep, where translation cost is already amortized.
 	Warm bool `json:"warm,omitempty"`
-	// Pretranslate starts each run cold but with the ahead-of-execution
-	// pipeline filling the store on spare cores while the guest executes.
-	Pretranslate bool `json:"pretranslate,omitempty"`
 
 	Blocks           uint64  `json:"blocks"`
 	Instrs           uint64  `json:"instrs"`
@@ -80,10 +76,8 @@ type perfArm struct {
 	E2ESpeedupVsIR  float64 `json:"e2e_speedup_vs_ir"`
 
 	ChainHitRate  float64 `json:"chain_hit_rate"`
-	ExtendSeams   uint64  `json:"extend_seams"`
 	Translations  uint64  `json:"translations"`
 	SharedHits    uint64  `json:"shared_hits,omitempty"`
-	Pretranslated uint64  `json:"pretranslated_blocks,omitempty"`
 	CacheFootKiB  float64 `json:"cache_footprint_kib"`
 	SuiteRepeats  int     `json:"suite_repeats"`
 	SuitePrograms int     `json:"suite_programs"`
@@ -196,9 +190,7 @@ func BenchmarkPerfEngines(b *testing.B) {
 	arms := []*perfArm{
 		{Name: "ir", Engine: dbi.EngineIR},
 		{Name: "compiled", Engine: dbi.EngineCompiled},
-		{Name: "compiled-ext", Engine: dbi.EngineCompiled, Extend: 128},
 		{Name: "compiled-warm", Engine: dbi.EngineCompiled, Warm: true},
-		{Name: "compiled-pretranslate", Engine: dbi.EngineCompiled, Pretranslate: true},
 	}
 	done := 0
 	for _, arm := range arms {
@@ -212,7 +204,7 @@ func BenchmarkPerfEngines(b *testing.B) {
 				for _, im := range images {
 					inst, err := harness.New(harness.Setup{
 						Image: im, Tool: dbi.NopTool{}, Seed: 1, Threads: 4,
-						Stdout: io.Discard, Engine: arm.Engine, Extend: arm.Extend,
+						Stdout: io.Discard, Engine: arm.Engine,
 						TStore: warmCache,
 					})
 					if err != nil {
@@ -237,16 +229,10 @@ func BenchmarkPerfEngines(b *testing.B) {
 						runtime.GC()
 						s := harness.Setup{
 							Image: im, Tool: dbi.NopTool{}, Seed: 1, Threads: 4,
-							Stdout: io.Discard, Engine: arm.Engine, Extend: arm.Extend,
+							Stdout: io.Discard, Engine: arm.Engine,
 						}
 						if arm.Warm {
 							s.TStore = warmCache
-						} else if arm.Pretranslate {
-							// Fresh store per run: the pipeline races the
-							// guest on spare cores, cold every time.
-							s.TStore = tstore.NewCache("")
-							s.Pretranslate = true
-							s.NewTool = func() dbi.Tool { return dbi.NopTool{} }
 						}
 						inst, err := harness.New(s)
 						if err != nil {
@@ -256,11 +242,7 @@ func BenchmarkPerfEngines(b *testing.B) {
 						if res.Err != nil {
 							b.Fatal(res.Err)
 						}
-						if inst.Pretrans != nil {
-							inst.Pretrans.Wait() // settle outside the run wall
-						}
 						arm.SharedHits += inst.Core.SharedHits
-						arm.Pretranslated += inst.Core.PretranslatedBlocks
 						arm.Blocks += inst.M.BlocksExecuted
 						arm.Instrs += inst.M.InstrsExecuted
 						arm.WallSeconds += res.Wall.Seconds()
@@ -268,7 +250,6 @@ func BenchmarkPerfEngines(b *testing.B) {
 						arm.CompileSeconds += float64(inst.Core.CompileNanos) / 1e9
 						chainHits += inst.Core.ChainHits
 						chainMisses += inst.Core.ChainMisses
-						arm.ExtendSeams += inst.Core.ExtendSeams
 						arm.Translations += inst.Core.Translations
 						cacheFoot += inst.Core.CacheFootprint()
 
@@ -323,11 +304,7 @@ func BenchmarkPerfEngines(b *testing.B) {
 			"wall clock (translation-dominated on this suite). The " +
 			"compiled-warm arm resolves translations from a primed " +
 			"shared store — the daemon/sweep steady state — and must " +
-			"beat ir end to end (gated by TestWarmStoreE2ERegression). " +
-			"compiled-pretranslate starts cold with the pipeline " +
-			"racing the guest; on these ~1ms programs the guest " +
-			"usually wins, so its value shows on long-running guests, " +
-			"not here.",
+			"beat ir end to end (gated by TestWarmStoreE2ERegression).",
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 		Arms:      arms,
 	})

@@ -1,10 +1,9 @@
 package repro
 
 // Cache-equivalence differential suite for the translation store: a run
-// that resolves its translations from the shared store — warm in memory,
-// warm from the persistent tier, or filled by the ahead-of-execution
-// pipeline — must be bit-identical to a cold run that translates
-// everything itself. "Bit-identical" is the checkpoint-fuzz oracle: the
+// that resolves its translations from the shared store — warm in memory or
+// warm from the persistent tier — must be bit-identical to a cold run that
+// translates everything itself. "Bit-identical" is the checkpoint-fuzz oracle: the
 // rendered tool report, guest stdout, the full guest memory hash, the
 // machine state digest, exit code and the deterministic work counters.
 // Translation-side counters (Translations, SharedHits, translate/compile
@@ -53,26 +52,22 @@ type runPrint struct {
 	exit   uint64
 	dirty  uint64
 	acc    uint64
-	seams  uint64
 }
 
 // tcRun executes one drb benchmark under taskgrind with the given store
 // configuration and fingerprints the outcome.
-func tcRun(t *testing.T, bm drb.Benchmark, engine string, extend int, s harness.Setup) (runPrint, *harness.Instance) {
+func tcRun(t *testing.T, bm drb.Benchmark, engine string, s harness.Setup) (runPrint, *harness.Instance) {
 	t.Helper()
 	tl := core.New(core.Options{})
 	out := &bytes.Buffer{}
 	s.Tool, s.Stdout, s.Seed, s.Threads = tl, out, 1, 4
-	s.Engine, s.Extend = engine, extend
+	s.Engine = engine
 	res, inst, err := harness.BuildAndRun(bm.Build(), s)
 	if err != nil {
 		t.Fatalf("%s %s: %v", bm.Name, engine, err)
 	}
 	if res.Err != nil {
 		t.Fatalf("%s %s: run failed: %v", bm.Name, engine, res.Err)
-	}
-	if inst.Pretrans != nil {
-		inst.Pretrans.Wait()
 	}
 	return runPrint{
 		report: tl.Reports.String(),
@@ -84,7 +79,6 @@ func tcRun(t *testing.T, bm drb.Benchmark, engine string, extend int, s harness.
 		exit:   inst.M.ExitCode(),
 		dirty:  inst.Core.DirtyCalls,
 		acc:    inst.Core.AccessesDelivered,
-		seams:  inst.Core.ExtendSeams,
 	}, inst
 }
 
@@ -111,11 +105,11 @@ func TestStoreEquivalence(t *testing.T) {
 	}
 	for _, eng := range []string{dbi.EngineIR, dbi.EngineCompiled} {
 		for _, bm := range benches {
-			cold, _ := tcRun(t, bm, eng, 0, harness.Setup{})
+			cold, _ := tcRun(t, bm, eng, harness.Setup{})
 
 			// Shared-cold: a fresh store changes nothing but gets filled.
 			cache := tstore.NewCache(t.TempDir())
-			fill, fillInst := tcRun(t, bm, eng, 0, harness.Setup{TStore: cache})
+			fill, fillInst := tcRun(t, bm, eng, harness.Setup{TStore: cache})
 			diffPrints(t, bm.Name+"/"+eng+"/shared-cold", cold, fill)
 			if fillInst.Core.SharedHits != 0 {
 				t.Fatalf("%s %s: cold run adopted %d shared blocks from an empty store",
@@ -123,7 +117,7 @@ func TestStoreEquivalence(t *testing.T) {
 			}
 
 			// Warm: same in-memory store, new core — all translations adopted.
-			warm, warmInst := tcRun(t, bm, eng, 0, harness.Setup{TStore: cache})
+			warm, warmInst := tcRun(t, bm, eng, harness.Setup{TStore: cache})
 			diffPrints(t, bm.Name+"/"+eng+"/warm", cold, warm)
 			if warmInst.Core.Translations != 0 {
 				t.Fatalf("%s %s: warm run still translated %d blocks",
@@ -137,47 +131,13 @@ func TestStoreEquivalence(t *testing.T) {
 			if err := cache.Save(); err != nil {
 				t.Fatalf("%s %s: save: %v", bm.Name, eng, err)
 			}
-			disk, diskInst := tcRun(t, bm, eng, 0,
+			disk, diskInst := tcRun(t, bm, eng,
 				harness.Setup{TStore: tstore.NewCache(cache.Dir())})
 			diffPrints(t, bm.Name+"/"+eng+"/disk-warm", cold, disk)
 			if diskInst.Core.Translations != 0 {
 				t.Fatalf("%s %s: disk-warm run still translated %d blocks",
 					bm.Name, eng, diskInst.Core.Translations)
 			}
-
-			// Pretranslated: the pipeline races the guest; whoever wins a
-			// block, the outcome is the cold outcome.
-			pre, _ := tcRun(t, bm, eng, 0, harness.Setup{
-				TStore:       tstore.NewCache(""),
-				Pretranslate: true,
-				NewTool:      func() dbi.Tool { return core.New(core.Options{}) },
-			})
-			diffPrints(t, bm.Name+"/"+eng+"/pretranslated", cold, pre)
-		}
-	}
-}
-
-// TestStoreEquivalenceExtended: superblock extension changes block
-// granularity and the store key; warm extended runs replay the seam
-// bookkeeping and stay bit-identical.
-func TestStoreEquivalenceExtended(t *testing.T) {
-	bm, ok := drb.ByName("072-taskdep1-orig")
-	if !ok {
-		t.Fatal("missing benchmark")
-	}
-	for _, eng := range []string{dbi.EngineIR, dbi.EngineCompiled} {
-		cold, coldInst := tcRun(t, bm, eng, 128, harness.Setup{})
-		cache := tstore.NewCache("")
-		fill, _ := tcRun(t, bm, eng, 128, harness.Setup{TStore: cache})
-		diffPrints(t, bm.Name+"/"+eng+"/ext-fill", cold, fill)
-		warm, warmInst := tcRun(t, bm, eng, 128, harness.Setup{TStore: cache})
-		diffPrints(t, bm.Name+"/"+eng+"/ext-warm", cold, warm)
-		if warmInst.Core.Translations != 0 {
-			t.Fatalf("%s: warm extended run translated %d blocks", eng, warmInst.Core.Translations)
-		}
-		if coldInst.Core.ExtendSeams == 0 || warmInst.Core.ExtendSeams != coldInst.Core.ExtendSeams {
-			t.Fatalf("%s: seam accounting not replayed: cold %d warm %d",
-				eng, coldInst.Core.ExtendSeams, warmInst.Core.ExtendSeams)
 		}
 	}
 }
@@ -231,12 +191,12 @@ func TestStoreInvalidationHarness(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cache := tstore.NewCache(dir)
-	_, _ = tcRun(t, a, dbi.EngineCompiled, 0, harness.Setup{TStore: cache})
+	_, _ = tcRun(t, a, dbi.EngineCompiled, harness.Setup{TStore: cache})
 	if err := cache.Save(); err != nil {
 		t.Fatal(err)
 	}
 	// Program B against A's directory: nothing adopted, everything fresh.
-	_, bInst := tcRun(t, b, dbi.EngineCompiled, 0,
+	_, bInst := tcRun(t, b, dbi.EngineCompiled,
 		harness.Setup{TStore: tstore.NewCache(dir)})
 	if bInst.Core.SharedHits != 0 {
 		t.Fatalf("program B adopted %d of program A's translations", bInst.Core.SharedHits)
@@ -245,7 +205,7 @@ func TestStoreInvalidationHarness(t *testing.T) {
 		t.Fatalf("program B translated nothing")
 	}
 	// And A's tier still serves A.
-	_, aInst := tcRun(t, a, dbi.EngineCompiled, 0,
+	_, aInst := tcRun(t, a, dbi.EngineCompiled,
 		harness.Setup{TStore: tstore.NewCache(dir)})
 	if aInst.Core.Translations != 0 {
 		t.Fatalf("program A's tier went cold: %d translations", aInst.Core.Translations)
@@ -261,7 +221,7 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 	if !ok {
 		t.Fatal("missing benchmark")
 	}
-	cold, coldInst := tcRun(t, bm, dbi.EngineCompiled, 0, harness.Setup{})
+	cold, coldInst := tcRun(t, bm, dbi.EngineCompiled, harness.Setup{})
 	solo := coldInst.Core.Translations
 
 	cache := tstore.NewCache("")
@@ -272,7 +232,7 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			prints[w], _ = tcRun(t, bm, dbi.EngineCompiled, 0, harness.Setup{TStore: cache})
+			prints[w], _ = tcRun(t, bm, dbi.EngineCompiled, harness.Setup{TStore: cache})
 		}(w)
 	}
 	wg.Wait()
@@ -292,8 +252,8 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 }
 
 // TestStoreEquivalenceStorageFaults: every injected storage fault kind,
-// firing on every opportunity, across {cold, disk-warm, pretranslated}
-// store shapes and both engines, yields results bit-identical to the clean
+// firing on every opportunity, across {cold, disk-warm} store shapes and
+// both engines, yields results bit-identical to the clean
 // cold run. This is the degradation invariant end to end: a broken disk,
 // a full disk, bit rot or a starved lock can slow a run down (it
 // translates cold), but can never change what it computes or reports.
@@ -318,7 +278,7 @@ func TestStoreEquivalenceStorageFaults(t *testing.T) {
 		engines = engines[1:]
 	}
 	for _, eng := range engines {
-		cold, _ := tcRun(t, bm, eng, 0, harness.Setup{})
+		cold, _ := tcRun(t, bm, eng, harness.Setup{})
 		for _, k := range kinds {
 			faultCache := func(dir string) *tstore.Cache {
 				in := faultinject.New(11)
@@ -331,7 +291,7 @@ func TestStoreEquivalenceStorageFaults(t *testing.T) {
 
 			// Cold against a faulty directory-backed cache: every disk op
 			// fails, the run translates everything itself.
-			coldFault, _ := tcRun(t, bm, eng, 0,
+			coldFault, _ := tcRun(t, bm, eng,
 				harness.Setup{TStore: faultCache(t.TempDir())})
 			diffPrints(t, bm.Name+"/"+eng+"/"+k.name+"/cold", cold, coldFault)
 
@@ -340,25 +300,16 @@ func TestStoreEquivalenceStorageFaults(t *testing.T) {
 			// run must land cold-or-warm but always identical.
 			dir := t.TempDir()
 			seedCache := tstore.NewCache(dir)
-			_, _ = tcRun(t, bm, eng, 0, harness.Setup{TStore: seedCache})
+			_, _ = tcRun(t, bm, eng, harness.Setup{TStore: seedCache})
 			if err := seedCache.Save(); err != nil {
 				t.Fatalf("seed save: %v", err)
 			}
-			warmFault, warmInst := tcRun(t, bm, eng, 0,
+			warmFault, warmInst := tcRun(t, bm, eng,
 				harness.Setup{TStore: faultCache(dir)})
 			diffPrints(t, bm.Name+"/"+eng+"/"+k.name+"/disk-warm", cold, warmFault)
 			if warmInst.Core.Translations == 0 && warmInst.Core.SharedHits == 0 {
 				t.Fatalf("%s/%s: run neither translated nor adopted", eng, k.name)
 			}
-
-			// Pretranslated: the pipeline races the guest while the disk
-			// tier misbehaves underneath both.
-			preFault, _ := tcRun(t, bm, eng, 0, harness.Setup{
-				TStore:       faultCache(t.TempDir()),
-				Pretranslate: true,
-				NewTool:      func() dbi.Tool { return core.New(core.Options{}) },
-			})
-			diffPrints(t, bm.Name+"/"+eng+"/"+k.name+"/pretranslated", cold, preFault)
 		}
 	}
 }
@@ -371,7 +322,7 @@ func TestSweepAmortization(t *testing.T) {
 	if !ok {
 		t.Fatal("missing benchmark")
 	}
-	_, coldInst := tcRun(t, bm, dbi.EngineCompiled, 0, harness.Setup{})
+	_, coldInst := tcRun(t, bm, dbi.EngineCompiled, harness.Setup{})
 	solo := coldInst.Core.Translations
 
 	cache := tstore.NewCache("")
