@@ -27,10 +27,12 @@ race:
 
 # Focused -race pass over the batched-delivery surface: the delivery
 # differential suite, the delivery/scheduler allocation guards and the
-# golden reports. Fresh run (-count=1) so the gate never passes on a cached
-# result.
+# golden reports, plus the parallel analysis pass against the sequential one
+# (its workers read the access slices Fini freezes before the fan-out).
+# Fresh run (-count=1) so the gate never passes on a cached result.
 race-batch:
 	$(GO) test -race -count=1 -run 'TestDelivery|TestGoldenReports|TestPick|TestSoleRunnable|TestSliceLoop' ./internal/dbi ./internal/vm ./internal/tools/golden
+	$(GO) test -race -count=1 -run 'TestParallelAnalysisMatchesSequential' ./internal/core
 
 # Replay-determinism gate: checkpoint/resume fuzz over the Table I programs
 # on both engines, the supervisor's crash-reproduction and fallback paths,

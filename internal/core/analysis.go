@@ -21,16 +21,11 @@ import (
 // Opt.AnalysisWorkers > 1 runs it with a worker pool (the paper's
 // future-work item), with a deterministic merge.
 func (tg *Taskgrind) Fini(c *dbi.Core) {
+	tg.flushThreads()
 	tg.graph.Close()
 	tg.buildLifetimeIndex(c)
 
-	// Only segments with any recorded access participate.
-	active := make([]*Segment, 0, len(tg.segs))
-	for _, s := range tg.segs {
-		if !s.Reads.Empty() || !s.Writes.Empty() {
-			active = append(active, s)
-		}
-	}
+	active := tg.freeze()
 
 	workers := tg.Opt.AnalysisWorkers
 	if workers <= 1 {
@@ -69,8 +64,39 @@ func (tg *Taskgrind) Fini(c *dbi.Core) {
 	tg.Reports.Sort()
 }
 
+// frozen is a segment with its access trees flattened for the analysis
+// pass; the slices live only as long as Fini.
+type frozen struct {
+	*Segment
+	reads, writes []itree.Interval
+}
+
+// freeze returns the segments with any recorded access — the only ones
+// Algorithm 1 compares — with their trees flattened into sorted slices of
+// one shared backing array. It runs once, serially, so every pair (and
+// every parallel worker) intersects plain arrays without touching a tree.
+func (tg *Taskgrind) freeze() []frozen {
+	n := 0
+	for _, s := range tg.segs {
+		n += s.Reads.Len() + s.Writes.Len()
+	}
+	flat := make([]itree.Interval, 0, n)
+	active := make([]frozen, 0, len(tg.segs))
+	for _, s := range tg.segs {
+		if s.Reads.Empty() && s.Writes.Empty() {
+			continue
+		}
+		r := len(flat)
+		flat = s.Reads.AppendIntervals(flat)
+		w := len(flat)
+		flat = s.Writes.AppendIntervals(flat)
+		active = append(active, frozen{s, flat[r:w:w], flat[w:]})
+	}
+	return active
+}
+
 // analyzeSlice compares active[lo:hi] against every later active segment.
-func (tg *Taskgrind) analyzeSlice(active []*Segment, lo, hi int, out *report.Set, st *Stats) {
+func (tg *Taskgrind) analyzeSlice(active []frozen, lo, hi int, out *report.Set, st *Stats) {
 	for i := lo; i < hi; i++ {
 		s1 := active[i]
 		for j := i + 1; j < len(active); j++ {
@@ -86,23 +112,28 @@ func (tg *Taskgrind) analyzeSlice(active []*Segment, lo, hi int, out *report.Set
 
 // checkPair implements the body of Algorithm 1 for one unordered pair:
 // s1.w ∩ (s2.r ∪ s2.w), plus the symmetric s2.w ∩ s1.r.
-func (tg *Taskgrind) checkPair(s1, s2 *Segment, out *report.Set, st *Stats) {
+func (tg *Taskgrind) checkPair(f1, f2 frozen, out *report.Set, st *Stats) {
+	s1, s2 := f1.Segment, f2.Segment
 	if tg.believed != nil && s1.TaskID != s2.TaskID &&
 		(tg.believed[[2]uint64{s1.TaskID, s2.TaskID}] ||
 			tg.believed[[2]uint64{s2.TaskID, s1.TaskID}]) {
 		return
 	}
-	conf := itree.New()
+	// conf is built only once a pair conflicts: most unordered pairs
+	// share nothing.
+	var conf *itree.Tree
 	kinds := ""
-	collect := func(a, b *itree.Tree, kind string) {
+	collect := func(a, b []itree.Interval, kind string) {
 		found := false
-		itree.ForEachIntersection(a, b, func(lo, hi uint64) bool {
+		itree.Intersect(a, b, func(lo, hi uint64) {
 			if tg.suppressed(s1, s2, lo, st) {
-				return true
+				return
+			}
+			if conf == nil {
+				conf = itree.New()
 			}
 			conf.Insert(lo, hi)
 			found = true
-			return true
 		})
 		if found {
 			if kinds != "" {
@@ -111,10 +142,10 @@ func (tg *Taskgrind) checkPair(s1, s2 *Segment, out *report.Set, st *Stats) {
 			kinds += kind
 		}
 	}
-	collect(s1.Writes, s2.Writes, "w/w")
-	collect(s1.Writes, s2.Reads, "w/r")
-	collect(s2.Writes, s1.Reads, "r/w")
-	if conf.Empty() {
+	collect(f1.writes, f2.writes, "w/w")
+	collect(f1.writes, f2.reads, "w/r")
+	collect(f2.writes, f1.reads, "r/w")
+	if conf == nil {
 		return
 	}
 	st.ConflictPairs++

@@ -187,6 +187,9 @@ type regionInfo struct {
 type threadState struct {
 	cur   *Segment
 	stack []*Segment
+	// reads and writes write-combine the accesses bound for cur's trees;
+	// setCur drains them before cur changes.
+	reads, writes combiner
 }
 
 // globalSlot backs the GlobalDepNamespace mis-modelling option.
@@ -223,6 +226,9 @@ type Taskgrind struct {
 	c     *dbi.Core
 	graph *seggraph.Graph
 	segs  []*Segment
+	// threads lists every thread's state, so whole-tool readers of the
+	// trees (Fini, ShadowFootprint) can drain the combining buffers first.
+	threads []*threadState
 
 	tasks       map[uint64]*taskInfo
 	taskSeq     int
@@ -320,14 +326,17 @@ func (tg *Taskgrind) record(t *vm.Thread, addr uint64, w uint8, write bool) {
 	}
 	tg.Stats.AccessesRecorded++
 	if write {
-		ts.cur.Writes.InsertPoint(addr, w)
+		ts.writes.add(ts.cur.Writes, addr, addr+uint64(w))
 	} else {
-		ts.cur.Reads.InsertPoint(addr, w)
+		ts.reads.add(ts.cur.Reads, addr, addr+uint64(w))
 	}
 }
 
-// ShadowFootprint approximates the tool's shadow-structure memory.
+// ShadowFootprint approximates the tool's shadow-structure memory. It drains
+// the combining buffers first, so a run that ends without Fini (a guest
+// fault) still counts every recorded access.
 func (tg *Taskgrind) ShadowFootprint() uint64 {
+	tg.flushThreads()
 	var f uint64
 	if tg.Opt.FlatShadow {
 		// 24 bytes per recorded access (addr, width, kind, task tag).
@@ -452,15 +461,34 @@ func (tg *Taskgrind) locate(addr uint64) string {
 // ThreadStart implements dbi.Tool: the main thread gets the root segment;
 // workers get segments at their first implicit task.
 func (tg *Taskgrind) ThreadStart(t *vm.Thread) {
-	ts := &threadState{}
-	t.Tool = ts
+	ts := tg.newThreadState(t)
 	if t.ID == 0 {
-		ts.cur = tg.newSegment(t, "main", 0)
+		ts.setCur(tg.newSegment(t, "main", 0))
 	}
 }
 
-// ThreadExit implements dbi.Tool.
-func (tg *Taskgrind) ThreadExit(t *vm.Thread) {}
+// ThreadExit implements dbi.Tool: the thread records nothing more, so its
+// pending runs go to their segment now.
+func (tg *Taskgrind) ThreadExit(t *vm.Thread) {
+	if ts, ok := t.Tool.(*threadState); ok {
+		ts.flush()
+	}
+}
+
+// newThreadState attaches fresh tool state to t.
+func (tg *Taskgrind) newThreadState(t *vm.Thread) *threadState {
+	ts := &threadState{}
+	t.Tool = ts
+	tg.threads = append(tg.threads, ts)
+	return ts
+}
+
+// flushThreads drains every thread's combining buffers into their segments.
+func (tg *Taskgrind) flushThreads() {
+	for _, ts := range tg.threads {
+		ts.flush()
+	}
+}
 
 func itoa(n int) string {
 	if n == 0 {

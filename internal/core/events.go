@@ -12,8 +12,7 @@ import (
 func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uint64 {
 	ts, _ := t.Tool.(*threadState)
 	if ts == nil {
-		ts = &threadState{}
-		t.Tool = ts
+		ts = tg.newThreadState(t)
 	}
 	switch code {
 	case ompt.CRParallelBegin:
@@ -37,12 +36,12 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 			tg.graph.AddEdge(ri.forkSeg.Node, s.Node)
 		}
 		ts.stack = append(ts.stack, ts.cur)
-		ts.cur = s
+		ts.setCur(s)
 
 	case ompt.CRImplicitEnd:
 		ri := tg.regions[args[0]]
 		ri.lasts = append(ri.lasts, ts.cur)
-		ts.cur = ts.stack[len(ts.stack)-1]
+		ts.setCur(ts.stack[len(ts.stack)-1])
 		ts.stack = ts.stack[:len(ts.stack)-1]
 
 	case ompt.CRParallelEnd:
@@ -56,7 +55,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 		for _, last := range ri.lasts {
 			tg.graph.AddEdge(last.Node, s.Node)
 		}
-		ts.cur = s
+		ts.setCur(s)
 
 	case ompt.CRTaskCreate:
 		tg.taskSeq++
@@ -76,7 +75,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 		if ts.cur != nil {
 			cont := tg.newSegment(t, ts.cur.Label, ts.cur.TaskID)
 			tg.graph.AddEdge(ts.cur.Node, cont.Node)
-			ts.cur = cont
+			ts.setCur(cont)
 		}
 
 	case ompt.CRTaskDependence:
@@ -117,7 +116,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 			}
 		}
 		ts.stack = append(ts.stack, ts.cur)
-		ts.cur = s
+		ts.setCur(s)
 
 	case ompt.CRTaskEnd:
 		ti := tg.tasks[args[0]]
@@ -126,7 +125,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 		}
 		ti.lastSeg = ts.cur
 		ti.completed = true
-		ts.cur = ts.stack[len(ts.stack)-1]
+		ts.setCur(ts.stack[len(ts.stack)-1])
 		ts.stack = ts.stack[:len(ts.stack)-1]
 		// Undeferred tasks executed inline are *included* in the parent:
 		// LLVM fully orders them (§V-A footnote). Unless the program
@@ -141,7 +140,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 			cont := tg.newSegment(t, ts.cur.Label, ts.cur.TaskID)
 			tg.graph.AddEdge(ts.cur.Node, cont.Node)
 			tg.graph.AddEdge(ti.lastSeg.Node, cont.Node)
-			ts.cur = cont
+			ts.setCur(cont)
 		}
 
 	case ompt.CRTaskWaitDepPred:
@@ -165,7 +164,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 			}
 		}
 		wti.waitDepPreds = nil
-		ts.cur = cont
+		ts.setCur(cont)
 
 	case ompt.CRTaskWaitEnd:
 		wti := tg.tasks[args[0]]
@@ -181,7 +180,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 				}
 			}
 		}
-		ts.cur = cont
+		ts.setCur(cont)
 
 	case ompt.CRTaskGroupBegin:
 		if ti := tg.ensureTask(args[0], ts); ti != nil {
@@ -206,7 +205,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 				}
 			}
 		}
-		ts.cur = cont
+		ts.setCur(cont)
 
 	case ompt.CRBarrierBegin:
 		ri := tg.regions[args[0]]
@@ -227,7 +226,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 		for _, a := range ri.arrivals[gen] {
 			tg.graph.AddEdge(a.Node, cont.Node)
 		}
-		ts.cur = cont
+		ts.setCur(cont)
 
 	case ompt.CRCriticalAcquire:
 		// Taskgrind: mutual exclusion does not order segments for
@@ -243,7 +242,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 			if rel := tg.critRel[args[0]]; rel != nil {
 				tg.graph.AddEdge(rel.Node, cont.Node)
 			}
-			ts.cur = cont
+			ts.setCur(cont)
 		}
 
 	case ompt.CRCriticalRelease:
@@ -253,7 +252,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 			// the lock edge.
 			cont := tg.newSegment(t, ts.cur.Label, ts.cur.TaskID)
 			tg.graph.AddEdge(ts.cur.Node, cont.Node)
-			ts.cur = cont
+			ts.setCur(cont)
 		}
 
 	case ompt.CRMutexAcquire:
@@ -269,7 +268,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 			if rel := tg.critRel[args[0]]; rel != nil {
 				tg.graph.AddEdge(rel.Node, cont.Node)
 			}
-			ts.cur = cont
+			ts.setCur(cont)
 		}
 
 	case ompt.CRMutexRelease:
@@ -280,7 +279,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 			tg.critRel[args[0]] = ts.cur
 			cont := tg.newSegment(t, ts.cur.Label, ts.cur.TaskID)
 			tg.graph.AddEdge(ts.cur.Node, cont.Node)
-			ts.cur = cont
+			ts.setCur(cont)
 		}
 
 	case ompt.CRRelease, ompt.CRCondSignal, ompt.CRCondBroadcast:
@@ -294,7 +293,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 			tg.relSeg[args[0]] = ts.cur
 			cont := tg.newSegment(t, ts.cur.Label, ts.cur.TaskID)
 			tg.graph.AddEdge(ts.cur.Node, cont.Node)
-			ts.cur = cont
+			ts.setCur(cont)
 		}
 
 	case ompt.CRAcquire, ompt.CRCondWait:
@@ -304,7 +303,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 			if rel := tg.relSeg[args[0]]; rel != nil {
 				tg.graph.AddEdge(rel.Node, cont.Node)
 			}
-			ts.cur = cont
+			ts.setCur(cont)
 		}
 
 	case ompt.CRAssumeDeferrable:
@@ -319,7 +318,7 @@ func (tg *Taskgrind) ClientRequest(t *vm.Thread, code int32, args [6]uint64) uin
 			// on a fresh segment so the §IV-C check sees it.
 			cont := tg.newSegment(t, ts.cur.Label, ts.cur.TaskID)
 			tg.graph.AddEdge(ts.cur.Node, cont.Node)
-			ts.cur = cont
+			ts.setCur(cont)
 		}
 	}
 	return 1

@@ -91,7 +91,7 @@ func TestMetricsDeterminism(t *testing.T) {
 }
 
 func TestCapturedMetricsCoverSubsystems(t *testing.T) {
-	jsonSnap, tr, ring := observedRun(t, 1)
+	jsonSnap, _, ring := observedRun(t, 1)
 	var snap obs.Snapshot
 	if err := json.Unmarshal([]byte(jsonSnap), &snap); err != nil {
 		t.Fatalf("snapshot not valid JSON: %v", err)
@@ -118,9 +118,6 @@ func TestCapturedMetricsCoverSubsystems(t *testing.T) {
 	if snap.Counter("omp_task_begin_total") != snap.Counter("omp_task_end_total") {
 		t.Errorf("task begin/end unbalanced: %d vs %d",
 			snap.Counter("omp_task_begin_total"), snap.Counter("omp_task_end_total"))
-	}
-	if tr.Diagnostics() != 0 {
-		t.Errorf("clean run emitted %d diagnostics", tr.Diagnostics())
 	}
 	// The event stream carries every category the hooks cover.
 	cats := map[string]bool{}

@@ -19,8 +19,6 @@ type node struct {
 	iv          Interval
 	prio        uint64
 	left, right *node
-	// maxHi is the subtree maximum of iv.Hi, for stabbing queries.
-	maxHi uint64
 }
 
 // Tree is a set of disjoint, non-adjacent half-open intervals.
@@ -47,20 +45,6 @@ func prio(lo uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func upd(n *node) *node {
-	if n == nil {
-		return nil
-	}
-	n.maxHi = n.iv.Hi
-	if n.left != nil && n.left.maxHi > n.maxHi {
-		n.maxHi = n.left.maxHi
-	}
-	if n.right != nil && n.right.maxHi > n.maxHi {
-		n.maxHi = n.right.maxHi
-	}
-	return n
-}
-
 // split partitions by interval start: left holds nodes with iv.Lo < key.
 func split(n *node, key uint64) (l, r *node) {
 	if n == nil {
@@ -69,11 +53,11 @@ func split(n *node, key uint64) (l, r *node) {
 	if n.iv.Lo < key {
 		a, b := split(n.right, key)
 		n.right = a
-		return upd(n), b
+		return n, b
 	}
 	a, b := split(n.left, key)
 	n.left = b
-	return a, upd(n)
+	return a, n
 }
 
 // merge joins two treaps where every key in l precedes every key in r.
@@ -85,10 +69,10 @@ func merge(l, r *node) *node {
 		return l
 	case l.prio > r.prio:
 		l.right = merge(l.right, r)
-		return upd(l)
+		return l
 	default:
 		r.left = merge(l, r.left)
-		return upd(r)
+		return r
 	}
 }
 
@@ -99,7 +83,7 @@ func popMin(n *node) (rest, min *node) {
 	}
 	rest, min = popMin(n.left)
 	n.left = rest
-	return upd(n), min
+	return n, min
 }
 
 // Insert adds [lo, hi), merging with overlapping and adjacent intervals.
@@ -155,7 +139,6 @@ func (t *Tree) Insert(lo, hi uint64) {
 		n.iv = Interval{lo, hi}
 		n.left, n.right = nil, nil
 	}
-	upd(n)
 	t.count++
 	t.root = merge(merge(left, n), right)
 }
@@ -167,7 +150,7 @@ func splitOffMax(n *node) (rest, max *node) {
 	}
 	rest, max = splitOffMax(n.right)
 	n.right = rest
-	return upd(n), max
+	return n, max
 }
 
 // InsertPoint records an access of width bytes at addr.
@@ -204,9 +187,17 @@ func visit(n *node, fn func(Interval) bool) bool {
 
 // Intervals returns all intervals in ascending order.
 func (t *Tree) Intervals() []Interval {
-	out := make([]Interval, 0, t.count)
-	t.Visit(func(iv Interval) bool { out = append(out, iv); return true })
-	return out
+	return t.AppendIntervals(make([]Interval, 0, t.count))
+}
+
+// AppendIntervals appends all intervals in ascending order to dst.
+func (t *Tree) AppendIntervals(dst []Interval) []Interval { return appendNodes(t.root, dst) }
+
+func appendNodes(n *node, dst []Interval) []Interval {
+	for ; n != nil; n = n.right {
+		dst = append(appendNodes(n.left, dst), n.iv)
+	}
+	return dst
 }
 
 // Bytes returns the total number of covered bytes.
@@ -216,75 +207,62 @@ func (t *Tree) Bytes() uint64 {
 	return n
 }
 
-// overlap walks nodes of n intersecting [lo,hi), using maxHi pruning.
-func overlap(n *node, lo, hi uint64, fn func(Interval) bool) bool {
-	if n == nil || n.maxHi <= lo {
-		return true
-	}
-	if !overlap(n.left, lo, hi, fn) {
-		return false
-	}
-	if n.iv.Lo < hi && n.iv.Hi > lo {
-		if !fn(n.iv) {
-			return false
+// Intersect calls fn with every maximal byte range covered by both a and b,
+// in ascending order. a and b must be sorted, disjoint and non-adjacent, as
+// Intervals returns them. This is the s1.w ∩ (s2.r ∪ s2.w) primitive of the
+// determinacy-race analysis: a two-pointer merge that gallops over runs of
+// one list lying wholly inside a gap of the other, so a short list against a
+// long one costs O(short · log long) rather than O(long).
+func Intersect(a, b []Interval, fn func(lo, hi uint64)) {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		switch {
+		case x.Hi <= y.Lo:
+			i = seek(a, i+1, y.Lo)
+		case y.Hi <= x.Lo:
+			j = seek(b, j+1, x.Lo)
+		default:
+			fn(max(x.Lo, y.Lo), min(x.Hi, y.Hi))
+			if x.Hi <= y.Hi {
+				i++
+			}
+			if y.Hi <= x.Hi {
+				j++
+			}
 		}
 	}
-	if n.iv.Lo >= hi {
-		// Everything right of n starts even later.
-		return true
-	}
-	return overlap(n.right, lo, hi, fn)
 }
 
-// VisitOverlap calls fn for every stored interval intersecting [lo, hi).
-func (t *Tree) VisitOverlap(lo, hi uint64, fn func(Interval) bool) {
-	if lo < hi {
-		overlap(t.root, lo, hi, fn)
+// seek returns the first index k >= i with s[k].Hi > lo, or len(s). It
+// gallops from i, so a skip of d intervals costs O(log d).
+func seek(s []Interval, i int, lo uint64) int {
+	if i >= len(s) || s[i].Hi > lo {
+		return i
 	}
-}
-
-// IntersectsRange reports whether any stored interval intersects [lo, hi).
-func (t *Tree) IntersectsRange(lo, hi uint64) bool {
-	found := false
-	t.VisitOverlap(lo, hi, func(Interval) bool { found = true; return false })
-	return found
-}
-
-// ForEachIntersection calls fn with every maximal byte range covered by both
-// a and b, in ascending order; fn returning false stops. This is the
-// s1.w ∩ (s2.r ∪ s2.w) primitive of the determinacy-race analysis.
-func ForEachIntersection(a, b *Tree, fn func(lo, hi uint64) bool) {
-	if a == nil || b == nil || a.root == nil || b.root == nil {
-		return
+	// Invariant: s[prev].Hi <= lo; the answer lies in (prev, end].
+	prev, end := i, len(s)
+	for step := 1; ; step *= 2 {
+		next := prev + step
+		if next >= len(s) {
+			break
+		}
+		if s[next].Hi > lo {
+			end = next
+			break
+		}
+		prev = next
 	}
-	// Iterate the smaller tree, range-query the larger.
-	if a.count > b.count {
-		a, b = b, a
+	k := prev + 1
+	for k < end {
+		m := int(uint(k+end) >> 1)
+		if s[m].Hi > lo {
+			end = m
+		} else {
+			k = m + 1
+		}
 	}
-	stop := false
-	a.Visit(func(ia Interval) bool {
-		b.VisitOverlap(ia.Lo, ia.Hi, func(ib Interval) bool {
-			lo, hi := ia.Lo, ia.Hi
-			if ib.Lo > lo {
-				lo = ib.Lo
-			}
-			if ib.Hi < hi {
-				hi = ib.Hi
-			}
-			if !fn(lo, hi) {
-				stop = true
-			}
-			return !stop
-		})
-		return !stop
-	})
-}
-
-// Intersects reports whether a and b share any byte.
-func Intersects(a, b *Tree) bool {
-	out := false
-	ForEachIntersection(a, b, func(lo, hi uint64) bool { out = true; return false })
-	return out
+	return k
 }
 
 // NodeFootprintBytes approximates per-node host memory, used for the tool

@@ -99,30 +99,17 @@ func TestDenseAccumulationStaysCompact(t *testing.T) {
 	}
 }
 
-func TestVisitOverlapAndIntersections(t *testing.T) {
+func TestIntersectRanges(t *testing.T) {
 	a := New()
 	a.Insert(0, 10)
 	a.Insert(20, 30)
 	a.Insert(40, 50)
-	var got []Interval
-	a.VisitOverlap(25, 45, func(iv Interval) bool { got = append(got, iv); return true })
-	if len(got) != 2 || got[0] != (Interval{20, 30}) || got[1] != (Interval{40, 50}) {
-		t.Fatalf("overlap visit = %v", got)
-	}
-	if a.IntersectsRange(10, 20) {
-		t.Error("gap reported as intersecting")
-	}
-	if !a.IntersectsRange(9, 10) {
-		t.Error("edge byte missed")
-	}
-
 	b := New()
 	b.Insert(5, 22)
 	b.Insert(48, 60)
 	var hits [][2]uint64
-	ForEachIntersection(a, b, func(lo, hi uint64) bool {
+	Intersect(a.Intervals(), b.Intervals(), func(lo, hi uint64) {
 		hits = append(hits, [2]uint64{lo, hi})
-		return true
 	})
 	want := [][2]uint64{{5, 10}, {20, 22}, {48, 50}}
 	if len(hits) != len(want) {
@@ -132,9 +119,6 @@ func TestVisitOverlapAndIntersections(t *testing.T) {
 		if hits[i] != want[i] {
 			t.Fatalf("intersections = %v, want %v", hits, want)
 		}
-	}
-	if !Intersects(a, b) || Intersects(New(), a) {
-		t.Error("Intersects wrong")
 	}
 }
 
@@ -188,7 +172,7 @@ func TestQuickTreeMatchesModel(t *testing.T) {
 	}
 }
 
-// TestQuickIntersectionMatchesModel cross-checks ForEachIntersection.
+// TestQuickIntersectionMatchesModel cross-checks Intersect.
 func TestQuickIntersectionMatchesModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -205,21 +189,99 @@ func TestQuickIntersectionMatchesModel(t *testing.T) {
 				mb.insert(lo, hi)
 			}
 		}
-		got := naiveSet{}
-		ForEachIntersection(a, b, func(lo, hi uint64) bool {
-			got.insert(lo, hi)
-			return true
-		})
-		for x := uint64(0); x < 170; x++ {
-			want := ma[x] && mb[x]
-			if got[x] != want {
-				return false
-			}
-		}
-		return true
+		return intersectMatchesOracle(a.Intervals(), b.Intervals(), ma, mb)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// setOf is the byte-set model of an interval list.
+func setOf(ivs []Interval) naiveSet {
+	s := naiveSet{}
+	for _, iv := range ivs {
+		s.insert(iv.Lo, iv.Hi)
+	}
+	return s
+}
+
+// intersectMatchesOracle checks that Intersect(a, b) yields exactly the bytes
+// of ma ∩ mb as ascending, non-empty, non-adjacent (so maximal) ranges.
+func intersectMatchesOracle(a, b []Interval, ma, mb naiveSet) bool {
+	got := naiveSet{}
+	var prev *Interval
+	ok := true
+	Intersect(a, b, func(lo, hi uint64) {
+		if lo >= hi || (prev != nil && prev.Hi >= lo) {
+			ok = false
+		}
+		prev = &Interval{lo, hi}
+		got.insert(lo, hi)
+	})
+	want := 0
+	for x := range ma {
+		if mb[x] {
+			want++
+			if !got[x] {
+				return false
+			}
+		}
+	}
+	return ok && len(got) == want
+}
+
+// TestIntersectEdgeCases pins Intersect against the byte-set oracle on the
+// shapes the galloping merge must get right: empty inputs, a single interval
+// against 10k (both ways round), intervals that touch without overlapping,
+// and identical lists.
+func TestIntersectEdgeCases(t *testing.T) {
+	var many []Interval
+	for i := uint64(0); i < 10000; i++ {
+		many = append(many, Interval{i * 10, i*10 + 5})
+	}
+	cases := []struct {
+		name string
+		a, b []Interval
+	}{
+		{"both empty", nil, nil},
+		{"left empty", nil, many},
+		{"right empty", many, nil},
+		{"one vs many", []Interval{{50003, 50012}}, many},
+		{"many vs one", many, []Interval{{50003, 50012}}},
+		{"one before many", []Interval{{0, 3}}, many[1:]},
+		{"one past many", many, []Interval{{200000, 200008}}},
+		{"one spanning many", []Interval{{7, 99997}}, many},
+		{"adjacent", []Interval{{0, 4}, {8, 12}, {20, 24}}, []Interval{{4, 8}, {12, 20}, {24, 30}}},
+		{"identical", many, many},
+	}
+	for _, c := range cases {
+		if !intersectMatchesOracle(c.a, c.b, setOf(c.a), setOf(c.b)) {
+			t.Errorf("%s: Intersect disagrees with the byte-set oracle", c.name)
+		}
+	}
+	var hits []Interval
+	Intersect(many[:3], many[:3], func(lo, hi uint64) { hits = append(hits, Interval{lo, hi}) })
+	if len(hits) != 3 || hits[0] != many[0] || hits[2] != many[2] {
+		t.Errorf("identical lists intersect to %v, want %v", hits, many[:3])
+	}
+}
+
+// TestIntersectDoesNotAllocate: the Algorithm 1 inner loop runs once per
+// unordered segment pair, so the merge itself must not allocate.
+func TestIntersectDoesNotAllocate(t *testing.T) {
+	a := []Interval{{0, 10}, {20, 30}, {5000, 5100}}
+	var b []Interval
+	for i := uint64(0); i < 1000; i++ {
+		b = append(b, Interval{i * 8, i*8 + 3})
+	}
+	var n uint64
+	if allocs := testing.AllocsPerRun(100, func() {
+		Intersect(a, b, func(lo, hi uint64) { n += hi - lo })
+	}); allocs != 0 {
+		t.Fatalf("Intersect allocates %.1f times per call, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("no intersection found")
 	}
 }
 

@@ -117,12 +117,12 @@ type Span struct {
 }
 
 // Instant is one recorded point event: a steal, a preemption (scheduler
-// switch), a fault-injection firing, a diagnostic.
+// switch), a fault-injection firing.
 type Instant struct {
 	Run    uint64 `json:"run"`
 	TS     uint64 `json:"ts"`
 	Thread int    `json:"thread"`
-	// Kind is the event category ("sched", "omp", "dbi", "inject", "diag").
+	// Kind is the event category ("sched", "omp", "dbi", "inject").
 	Kind string `json:"kind"`
 	Name string `json:"name"`
 	// Arg carries the event's primary numeric payload (task id, address),

@@ -1,8 +1,7 @@
 package obs
 
 // Phase classifies a trace event, mirroring the Chrome trace_event `ph`
-// field: duration Begin/End pairs, Instant markers, and Diagnostic events
-// (anomalies the tracer itself flags, rendered as instants).
+// field: duration Begin/End pairs and Instant markers.
 type Phase byte
 
 // Phases.
@@ -19,7 +18,7 @@ type Event struct {
 	TS     uint64
 	Thread int
 	Phase  Phase
-	// Cat groups events by subsystem: "dbi", "sched", "omp", "core", "diag".
+	// Cat groups events by subsystem: "dbi", "sched", "omp", "core".
 	Cat  string
 	Name string
 	// Args carries event payload; values should be JSON-encodable.
@@ -50,7 +49,6 @@ type Tracer struct {
 	BlockEvents bool
 
 	events uint64
-	diags  uint64
 }
 
 // NewTracer creates a tracer writing to the given sinks.
@@ -87,30 +85,12 @@ func (tr *Tracer) Instant(ts uint64, thread int, cat, name string, args map[stri
 	tr.Emit(Event{TS: ts, Thread: thread, Phase: PhaseInstant, Cat: cat, Name: name, Args: args})
 }
 
-// Diagnostic emits an anomaly event under the "diag" category and counts it.
-// Consumers (tests, the CLI) can assert Diagnostics() == 0 on clean runs.
-func (tr *Tracer) Diagnostic(ts uint64, thread int, name string, args map[string]any) {
-	if tr == nil {
-		return
-	}
-	tr.diags++
-	tr.Emit(Event{TS: ts, Thread: thread, Phase: PhaseInstant, Cat: "diag", Name: name, Args: args})
-}
-
 // Events returns the number of events emitted.
 func (tr *Tracer) Events() uint64 {
 	if tr == nil {
 		return 0
 	}
 	return tr.events
-}
-
-// Diagnostics returns the number of diagnostic events emitted.
-func (tr *Tracer) Diagnostics() uint64 {
-	if tr == nil {
-		return 0
-	}
-	return tr.diags
 }
 
 // PublishMetrics copies tracer and sink accounting (events emitted, ring
@@ -120,7 +100,6 @@ func (tr *Tracer) PublishMetrics(reg *Registry) {
 		return
 	}
 	reg.Counter("trace_events_total").Set(tr.events)
-	reg.Counter("trace_diagnostics_total").Set(tr.diags)
 	for _, s := range tr.sinks {
 		if sm, ok := s.(SinkMetrics); ok {
 			sm.SinkMetrics(func(name string, v uint64) {

@@ -119,16 +119,3 @@ func TestChromeSinkEmptyTrace(t *testing.T) {
 		t.Fatalf("empty trace decoded to %d events", len(evs))
 	}
 }
-
-func TestDiagnosticsCounted(t *testing.T) {
-	ring := NewRingSink(8)
-	tr := NewTracer(ring)
-	tr.Diagnostic(3, 1, "unbalanced-task-end", map[string]any{"task": uint64(9)})
-	if tr.Diagnostics() != 1 {
-		t.Fatalf("diags = %d", tr.Diagnostics())
-	}
-	evs := ring.Events()
-	if len(evs) != 1 || evs[0].Cat != "diag" || evs[0].Phase != PhaseInstant {
-		t.Fatalf("diag event = %+v", evs)
-	}
-}

@@ -421,10 +421,12 @@ func locksetsIntersect(a, b []uint64) bool {
 func (lg *Lockgrind) Fini(c *dbi.Core) {
 	lg.graph.Close()
 
-	active := make([]*seg, 0, len(lg.segs))
+	// Segments with accesses take part, their trees frozen into sorted
+	// slices once rather than walked per pair.
+	active := make([]frozen, 0, len(lg.segs))
 	for _, s := range lg.segs {
 		if !s.reads.Empty() || !s.writes.Empty() {
-			active = append(active, s)
+			active = append(active, frozen{s, s.reads.Intervals(), s.writes.Intervals()})
 		}
 	}
 	for i := 0; i < len(active); i++ {
@@ -447,16 +449,21 @@ func (lg *Lockgrind) Fini(c *dbi.Core) {
 	lg.findCycles()
 }
 
+// frozen is a segment with its access trees flattened for Fini.
+type frozen struct {
+	*seg
+	r, w []itree.Interval
+}
+
 // checkPair intersects the two segments' access sets (at least one write).
-func (lg *Lockgrind) checkPair(s1, s2 *seg) {
+func (lg *Lockgrind) checkPair(s1, s2 frozen) {
 	conf := itree.New()
 	kinds := ""
-	collect := func(a, b *itree.Tree, kind string) {
+	collect := func(a, b []itree.Interval, kind string) {
 		found := false
-		itree.ForEachIntersection(a, b, func(lo, hi uint64) bool {
+		itree.Intersect(a, b, func(lo, hi uint64) {
 			conf.Insert(lo, hi)
 			found = true
-			return true
 		})
 		if found {
 			if kinds != "" {
@@ -465,9 +472,9 @@ func (lg *Lockgrind) checkPair(s1, s2 *seg) {
 			kinds += kind
 		}
 	}
-	collect(s1.writes, s2.writes, "w/w")
-	collect(s1.writes, s2.reads, "w/r")
-	collect(s2.writes, s1.reads, "r/w")
+	collect(s1.w, s2.w, "w/w")
+	collect(s1.w, s2.r, "w/r")
+	collect(s2.w, s1.r, "r/w")
 	if conf.Empty() {
 		return
 	}
