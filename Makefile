@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race race-batch replay-determinism tstore-equiv store-chaos lock-matrix bench-obs bench-perf bench-perf-smoke bench-rec bench-serve bench-smoke loadtest perf-guard query-smoke fuzz clean
+.PHONY: check vet build test race replay-determinism tstore-equiv store-chaos lock-matrix bench-obs bench-perf bench-perf-smoke bench-rec bench-serve bench-smoke loadtest perf-guard query-smoke fuzz clean
 
-# The full gate: vet, build, tests under the race detector (including the
-# focused batched-delivery pass), the replay-determinism gate, the
+# The full gate: vet, build, tests under the race detector, the
+# replay-determinism gate, the
 # translation-store equivalence gate, the multi-process store chaos soak,
 # the fuzzer smoke run, both benchmark smoke runs (BENCH_obs.json;
 # bench-perf-smoke does not overwrite the recorded BENCH_perf.json), the
@@ -11,7 +11,7 @@ GO ?= go
 # lock verdict-matrix gate, the benchmark-module smoke, and the hot-path +
 # checkpoint-overhead + recording-overhead + serve-throughput + warm-store +
 # cross-process-warm regression guards against the recorded baseline.
-check: vet build race race-batch replay-determinism tstore-equiv store-chaos lock-matrix fuzz bench-obs bench-perf-smoke bench-smoke query-smoke loadtest perf-guard
+check: vet build race replay-determinism tstore-equiv store-chaos lock-matrix fuzz bench-obs bench-perf-smoke bench-smoke query-smoke loadtest perf-guard
 
 vet:
 	$(GO) vet ./...
@@ -24,15 +24,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Focused -race pass over the batched-delivery surface: the delivery
-# differential suite, the delivery/scheduler allocation guards and the
-# golden reports, plus the parallel analysis pass against the sequential one
-# (its workers read the access slices Fini freezes before the fan-out).
-# Fresh run (-count=1) so the gate never passes on a cached result.
-race-batch:
-	$(GO) test -race -count=1 -run 'TestDelivery|TestGoldenReports|TestPick|TestSoleRunnable|TestSliceLoop' ./internal/dbi ./internal/vm ./internal/tools/golden
-	$(GO) test -race -count=1 -run 'TestParallelAnalysisMatchesSequential' ./internal/core
 
 # Replay-determinism gate: checkpoint/resume fuzz over the Table I programs
 # on both engines, the supervisor's crash-reproduction and fallback paths,
@@ -67,7 +58,7 @@ store-chaos:
 # Lock verdict-matrix gate: the six-tool x lock-scenario acceptance matrix
 # (expected verdict per cell on every default seed, byte-identical reports
 # across engines, replay-token reproduction of every reporting cell), the
-# lock-scenario goldens under both delivery modes and engines, the
+# lock-scenario goldens on both engines, the
 # scheduler-neutrality pin for lock-free programs, and the lock-fault
 # injection determinism/journal/sweep suite. Fresh run (-count=1) so the
 # gate never passes on a cached result.
@@ -90,19 +81,18 @@ bench-obs:
 
 # Engine comparison on the Table I suite (IR interpreter vs compiled
 # micro-op engine, cold and warm from a primed translation store), the
-# tool-delivery comparison (per-event vs batched under memcheck), the
 # checkpoint/journal overhead arms, the lock-contention comparison, and
 # the translation-store contention comparison (cold vs warm-in-memory vs
 # warm-across-process vs warm under flock contention); writes the
-# "engines", "tool_delivery", "robustness", "locks" and "tstore" sections
-# of BENCH_perf.json. Longer -benchtime
-# accumulates more samples and tightens the numbers.
+# "engines", "robustness", "locks" and "tstore" sections of
+# BENCH_perf.json. Longer -benchtime accumulates more samples and tightens
+# the numbers.
 bench-perf:
-	PERF_BENCH_OUT=BENCH_perf.json $(GO) test -run '^$$' -bench 'BenchmarkPerfEngines|BenchmarkToolDelivery|BenchmarkRobustness|BenchmarkLockContention|BenchmarkTStoreContention' -benchtime 10x .
+	PERF_BENCH_OUT=BENCH_perf.json $(GO) test -run '^$$' -bench 'BenchmarkPerfEngines|BenchmarkRobustness|BenchmarkLockContention|BenchmarkTStoreContention' -benchtime 10x .
 
 # Smoke run for the gate: exercises every arm once, no JSON output.
 bench-perf-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPerfEngines|BenchmarkToolDelivery|BenchmarkRobustness|BenchmarkRecording|BenchmarkLockContention|BenchmarkTStoreContention' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkPerfEngines|BenchmarkRobustness|BenchmarkRecording|BenchmarkLockContention|BenchmarkTStoreContention' -benchtime 1x .
 
 # The repository benchmark (bench/) is its own Go module built against this
 # one through a replace directive, so root `go test ./...` never compiles

@@ -63,7 +63,6 @@ func runSubmit(args []string, w io.Writer) int {
 		seeds      = fs.Int("seeds", 1, "seed-range sweep: submit seeds seed..seed+N-1 as one group")
 		threads    = fs.Int("threads", 4, "OMP_NUM_THREADS")
 		engine     = fs.String("engine", "", "execution engine (compiled, ir)")
-		delivery   = fs.String("delivery", "batched", "tool access delivery")
 		inject     = fs.String("inject", "", "fault injection spec")
 		injectSeed = fs.Uint64("inject-seed", 1, "fault injection seed")
 		lenient    = fs.Bool("lenient-mem", false, "lenient guest memory model")
@@ -88,7 +87,7 @@ func runSubmit(args []string, w io.Writer) int {
 	} else {
 		sp := serve.JobSpec{
 			Prog: *prog, Tool: *tool, Seed: *seed, Seeds: *seeds,
-			Threads: *threads, Engine: *engine, Delivery: *delivery,
+			Threads: *threads, Engine: *engine,
 			Inject: *inject, Lenient: *lenient,
 			MaxBlocks: *maxBlocks, MaxInstrs: *maxInstrs,
 			TimeoutMS:  int64(*timeout / time.Millisecond),

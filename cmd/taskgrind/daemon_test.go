@@ -129,13 +129,16 @@ func TestDaemonSubmitWaitParity(t *testing.T) {
 }
 
 // TestSubmitTokenRejectsExtend: `submit -token` with a token that carries
-// extend= is refused by the daemon and exits with the usage code.
+// extend= or delivery=per-event is refused by the daemon and exits with the
+// usage code.
 func TestSubmitTokenRejectsExtend(t *testing.T) {
 	cli := buildCLI(t)
 	_, base := startDaemon(t, buildDaemon(t))
-	out, code := runCLI(t, cli, "submit", "-addr", base, "-token", extendToken(), "-wait")
-	if code != 2 || !strings.Contains(out, "extend=64") {
-		t.Fatalf("submit -token extend: exit %d, want 2 naming extend\n%s", code, out)
+	for setting, tok := range retiredTokens() {
+		out, code := runCLI(t, cli, "submit", "-addr", base, "-token", tok, "-wait")
+		if code != 2 || !strings.Contains(out, setting) {
+			t.Fatalf("submit -token %s: exit %d, want 2 naming it\n%s", setting, code, out)
+		}
 	}
 }
 

@@ -63,13 +63,12 @@ func main() {
 		}
 	}
 	var (
-		prog     = flag.String("prog", "task.c", "program to run (-list to enumerate)")
-		asmFile  = flag.String("asm", "", "assemble and run a guest .s file instead of -prog")
-		tool     = flag.String("tool", "taskgrind", fmt.Sprintf("analysis tool %v", toolreg.Names()))
-		engine   = flag.String("engine", "", "execution engine: compiled (micro-ops + block chaining), ir (reference interpreter), \"\" = default")
-		delivery = flag.String("delivery", "batched", "tool access delivery: batched (one flush per superblock segment), per-event (one callback per access)")
+		prog    = flag.String("prog", "task.c", "program to run (-list to enumerate)")
+		asmFile = flag.String("asm", "", "assemble and run a guest .s file instead of -prog")
+		tool    = flag.String("tool", "taskgrind", fmt.Sprintf("analysis tool %v", toolreg.Names()))
+		engine  = flag.String("engine", "", "execution engine: compiled (micro-ops + block chaining), ir (reference interpreter), \"\" = default")
 
-		tcacheDir      = flag.String("tcache-dir", "", "persistent translation store directory, shared safely by concurrent processes: instrumented+compiled translations are saved per (image,tool,engine,delivery) and reused across runs")
+		tcacheDir      = flag.String("tcache-dir", "", "persistent translation store directory, shared safely by concurrent processes: instrumented+compiled translations are saved per (image,tool,engine) and reused across runs")
 		tcacheMaxMB    = flag.Int64("tcache-max-mb", 0, "translation store byte cap in MiB (0 = unbounded); clock eviction keeps the cache under it")
 		tcacheMaxUnits = flag.Int64("tcache-max-units", 0, "translation store unit cap (0 = unbounded); clock eviction keeps the cache under it")
 		threads        = flag.Int("threads", 4, "OMP_NUM_THREADS")
@@ -142,9 +141,6 @@ func main() {
 		if cfg.Threads != 0 {
 			*threads = cfg.Threads
 		}
-		if cfg.Delivery != "" {
-			*delivery = cfg.Delivery
-		}
 		*engine = cfg.Engine
 		*inject, *injectSeed = cfg.Inject, cfg.InjectSeed
 		*lenientMem = cfg.Lenient
@@ -172,10 +168,6 @@ func main() {
 	if _, _, terr := toolreg.Make(*tool); terr != nil {
 		fatal(terr)
 	}
-	deliv, ok := dbi.ParseDelivery(*delivery)
-	if !ok {
-		fatal(fmt.Errorf("unknown -delivery %q (batched, per-event)", *delivery))
-	}
 	if _, perr := faultinject.ParseSpec(*inject, *injectSeed); perr != nil {
 		fatal(perr)
 	}
@@ -187,8 +179,7 @@ func main() {
 	if *asmFile == "" {
 		cfg := snapshot.Config{
 			Prog: *prog, Tool: *tool, Seed: *seed, Threads: *threads, Slice: sliceLen,
-			Engine: *engine, Delivery: *delivery,
-			Inject: *inject, Lenient: *lenientMem,
+			Engine: *engine, Inject: *inject, Lenient: *lenientMem,
 		}
 		if *inject != "" {
 			cfg.InjectSeed = *injectSeed
@@ -294,7 +285,7 @@ func main() {
 				}
 				srw = storeW.Begin(store.RunHeader{
 					Prog: progLabel, Tool: *tool, Engine: *engine,
-					Delivery: deliv.String(), Seed: *seed, Threads: *threads,
+					Seed: *seed, Threads: *threads,
 				})
 				ssink := store.NewStoreSink(srw)
 				ssink.SymFn = symOf
@@ -324,7 +315,6 @@ func main() {
 			Inject:      inj,
 			LenientMem:  *lenientMem,
 			Engine:      *engine,
-			Delivery:    deliv,
 			CkptEvery:   *ckptInterval,
 			ReplayToken: token,
 			RunOpts:     vm.RunOpts{MaxBlocks: *maxBlocks, MaxInstrs: *maxInstrs, Timeout: *timeout},

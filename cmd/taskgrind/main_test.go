@@ -84,12 +84,17 @@ func TestReplayTokenReproducesCrash(t *testing.T) {
 	if m == nil {
 		t.Fatalf("crash report carries no replay token:\n%s", orig)
 	}
-	replayed, code := runCLI(t, bin, "-replay", m[1])
-	if code != 3 {
-		t.Fatalf("replay exit %d, want 3\n%s", code, replayed)
-	}
-	if replayed != orig {
-		t.Fatalf("replay is not byte-identical:\n--- original\n%s\n--- replay\n%s", orig, replayed)
+	// The second token is the one builds with a delivery option printed
+	// for this run: the same configuration plus delivery=batched.
+	const olderToken = "tg1:ZGVsaXZlcnk9YmF0Y2hlZCZwcm9nPXdpbGRzdG9yZSZzZWVkPTEmdGhyZWFkcz0yJnRvb2w9dGFza2dyaW5k"
+	for _, tok := range []string{m[1], olderToken} {
+		replayed, code := runCLI(t, bin, "-replay", tok)
+		if code != 3 {
+			t.Fatalf("replay %s: exit %d, want 3\n%s", tok, code, replayed)
+		}
+		if replayed != orig {
+			t.Fatalf("replay %s is not byte-identical:\n--- original\n%s\n--- replay\n%s", tok, orig, replayed)
+		}
 	}
 }
 
@@ -112,19 +117,26 @@ func TestReplayTokenRoundTripsInjection(t *testing.T) {
 	}
 }
 
-// extendToken is a replay token recorded with superblock extension, a mode
-// this build no longer has.
-func extendToken() string {
-	return "tg1:" + base64.RawURLEncoding.EncodeToString([]byte("extend=64&prog=task.c&seed=1"))
+// retiredTokens are replay tokens recorded under modes this build no longer
+// has, keyed by the setting each carries: superblock extension and
+// per-event access delivery.
+func retiredTokens() map[string]string {
+	out := map[string]string{}
+	for _, setting := range []string{"extend=64", "delivery=per-event"} {
+		out[setting] = "tg1:" + base64.RawURLEncoding.EncodeToString([]byte(setting+"&prog=task.c&seed=1"))
+	}
+	return out
 }
 
-// TestReplayTokenRejectsExtend: -replay refuses a token that names a block
-// granularity this build cannot reproduce, with the usage exit code.
+// TestReplayTokenRejectsExtend: -replay refuses a token that names a mode
+// this build cannot reproduce, with the usage exit code.
 func TestReplayTokenRejectsExtend(t *testing.T) {
 	bin := buildCLI(t)
-	out, code := runCLI(t, bin, "-replay", extendToken())
-	if code != 2 || !strings.Contains(out, "extend=64") {
-		t.Fatalf("-replay extend token: exit %d, want 2 naming extend\n%s", code, out)
+	for setting, tok := range retiredTokens() {
+		out, code := runCLI(t, bin, "-replay", tok)
+		if code != 2 || !strings.Contains(out, setting) {
+			t.Fatalf("-replay %s token: exit %d, want 2 naming it\n%s", setting, code, out)
+		}
 	}
 }
 

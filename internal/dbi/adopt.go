@@ -24,16 +24,9 @@ import (
 	"repro/internal/vex"
 )
 
-// storeActive reports whether this core participates in the shared tier.
-// NoOptimize cores (a debug mode) are excluded: their IR differs from the
-// canonical pipeline output and would poison the store.
-func (c *Core) storeActive() bool {
-	return c.Shared != nil && !c.NoOptimize
-}
-
 // sharedGet probes the shared store.
 func (c *Core) sharedGet(addr uint64) *tstore.Unit {
-	if !c.storeActive() {
+	if c.Shared == nil {
 		return nil
 	}
 	return c.Shared.Get(addr)
@@ -41,7 +34,7 @@ func (c *Core) sharedGet(addr uint64) *tstore.Unit {
 
 // sharedPut publishes a freshly translated block, if portable.
 func (c *Core) sharedPut(addr uint64, sb *vex.SuperBlock) {
-	if !c.storeActive() || !portableSB(sb) {
+	if c.Shared == nil || !portableSB(sb) {
 		return
 	}
 	c.Shared.Put(&tstore.Unit{Addr: addr, SB: sb})
@@ -50,7 +43,7 @@ func (c *Core) sharedPut(addr uint64, sb *vex.SuperBlock) {
 // sharedPutCode attaches a locally compiled form to the block's published
 // unit (no-op when the block was not published).
 func (c *Core) sharedPutCode(addr uint64, code *vex.Compiled) {
-	if !c.storeActive() {
+	if c.Shared == nil {
 		return
 	}
 	c.Shared.PutCode(addr, code)

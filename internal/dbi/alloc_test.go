@@ -6,6 +6,7 @@ import (
 	"repro/internal/dbi"
 	"repro/internal/gbuild"
 	"repro/internal/guest"
+	"repro/internal/vex"
 	"repro/internal/vm"
 )
 
@@ -30,15 +31,16 @@ func buildSelfLoop(t testing.TB) (*guest.Image, uint64) {
 	return im, arr
 }
 
-// engineAllocs measures steady-state heap allocations per dispatched block.
-func engineAllocs(t *testing.T, engine string) float64 {
+// engineAllocs measures steady-state heap allocations per dispatched block
+// with the given tool loaded.
+func engineAllocs(t *testing.T, engine string, tool dbi.Tool) float64 {
 	t.Helper()
 	im, arr := buildSelfLoop(t)
 	m, err := vm.New(im, vm.NewHostRegistry(), vm.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	core := dbi.New(m, &countTool{})
+	core := dbi.New(m, tool)
 	if err := core.SelectEngine(engine); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,44 @@ func engineAllocs(t *testing.T, engine string) float64 {
 // regression here is the paper's 100x overhead quietly getting worse.
 func TestRunBlockDoesNotAllocate(t *testing.T) {
 	for _, engine := range []string{dbi.EngineIR, dbi.EngineCompiled} {
-		if n := engineAllocs(t, engine); n != 0 {
+		if n := engineAllocs(t, engine, &countTool{}); n != 0 {
+			t.Errorf("%s engine: %.1f allocs per block, want 0", engine, n)
+		}
+	}
+}
+
+// countSink instruments through InstrumentAccesses and only counts what it
+// is handed — no retention, so any steady-state allocation measured below
+// belongs to the delivery machinery itself.
+type countSink struct {
+	dbi.NopTool
+	loads, stores uint64
+}
+
+func (cs *countSink) Name() string { return "countsink" }
+
+func (cs *countSink) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
+	out, _, _ := c.InstrumentAccesses(sb, cs)
+	return out
+}
+
+// FlushAccesses implements dbi.AccessSink.
+func (cs *countSink) FlushAccesses(t *vm.Thread, batch []dbi.Access) {
+	for i := range batch {
+		if batch[i].Store {
+			cs.stores++
+		} else {
+			cs.loads++
+		}
+	}
+}
+
+// TestDeliveryDoesNotAllocate extends the guard to the access-delivery
+// path: flushing a batch into a sink must not allocate in steady state —
+// the batch buffer is reused.
+func TestDeliveryDoesNotAllocate(t *testing.T) {
+	for _, engine := range []string{dbi.EngineIR, dbi.EngineCompiled} {
+		if n := engineAllocs(t, engine, &countSink{}); n != 0 {
 			t.Errorf("%s engine: %.1f allocs per block, want 0", engine, n)
 		}
 	}

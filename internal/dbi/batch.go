@@ -21,11 +21,12 @@ package dbi
 //     them into fresh temps at the access point.
 //
 // A batch is flushed before every conditional exit (an exit taken mid-block
-// must not swallow the accesses that preceded it) and at the block end. The
-// per-event reference mode emits one flush per access, immediately before
-// the access statement — byte-for-byte the classic Valgrind helper-per-access
-// semantics — and the differential suite proves the two modes produce
-// identical tool output.
+// must not swallow the accesses that preceded it) and at the block end. A
+// guest fault ends the block before its next flush, so the tool never sees
+// the accesses of the segment that faulted. The differential suite
+// (diff_test.go) proves the batched stream equals the per-access reference
+// in dbitest, one dirty call per access as classic Valgrind helpers make
+// them, on both engines.
 
 import (
 	"repro/internal/vex"
@@ -49,39 +50,6 @@ type Access struct {
 // must not retain it.
 type AccessSink interface {
 	FlushAccesses(t *vm.Thread, batch []Access)
-}
-
-// Delivery selects how InstrumentAccesses delivers the access stream.
-type Delivery uint8
-
-// Delivery modes.
-const (
-	// DeliverBatched queues a superblock segment's accesses and delivers
-	// them in one flush callback (the default, and the fast path).
-	DeliverBatched Delivery = iota
-	// DeliverPerEvent emits one flush per access, before the access
-	// executes — the reference semantics the differential suite oracles
-	// batched delivery against.
-	DeliverPerEvent
-)
-
-// String names the mode (flag parsing, reports).
-func (d Delivery) String() string {
-	if d == DeliverPerEvent {
-		return "per-event"
-	}
-	return "batched"
-}
-
-// ParseDelivery maps a flag value to a Delivery mode.
-func ParseDelivery(s string) (Delivery, bool) {
-	switch s {
-	case "", "batched":
-		return DeliverBatched, true
-	case "per-event", "perevent", "per_event":
-		return DeliverPerEvent, true
-	}
-	return DeliverBatched, false
 }
 
 // accessPoint is the compile-time half of one queued access: everything known
@@ -137,7 +105,7 @@ func (f *flushSite) flush(ctx any, args []uint64) uint64 {
 }
 
 // InstrumentAccesses rewrites a superblock so every guest load and store is
-// delivered to sink according to the core's Delivery mode, returning the
+// delivered to sink, one flush per superblock segment, returning the
 // instrumented block and the number of load/store sites instrumented. Tools
 // call it from their Instrument hook instead of inserting one dirty call per
 // access; the result is cached like any instrumented translation.
@@ -147,7 +115,6 @@ func (c *Core) InstrumentAccesses(sb *vex.SuperBlock, sink AccessSink) (out *vex
 		Next: sb.Next, NextJK: sb.NextJK, Aux: sb.Aux,
 		Stmts: make([]vex.Stmt, 0, len(sb.Stmts)+1),
 	}
-	perEvent := c.Delivery == DeliverPerEvent
 	var pending []accessPoint
 	flush := func() {
 		if len(pending) == 0 {
@@ -191,11 +158,6 @@ func (c *Core) InstrumentAccesses(sb *vex.SuperBlock, sink AccessSink) (out *vex
 				loads++
 			} else {
 				stores++
-			}
-			if perEvent {
-				// Reference semantics: the tool observes the access
-				// before it executes.
-				flush()
 			}
 		}
 		out.Stmts = append(out.Stmts, s)

@@ -97,7 +97,7 @@ type Core struct {
 	// consulted between the local caches and fresh translation: local miss
 	// -> adopt a published unit (copy-on-attach, dirty helpers re-bound to
 	// this core) -> translate fresh and publish. The store must be keyed
-	// for exactly this core's (image, tool, engine, delivery) universe —
+	// for exactly this core's (image, tool, engine) universe —
 	// the harness derives the key; see internal/tstore.
 	Shared *tstore.Store
 
@@ -132,16 +132,11 @@ type Core struct {
 	// cacheStmts counts IR statements held in the translation cache.
 	cacheStmts uint64
 
-	// Delivery selects how InstrumentAccesses-based tools receive the
-	// access stream: batched per superblock segment (the default) or one
-	// callback per access (the differential reference). Set before the
-	// first translation.
-	Delivery Delivery
 	// batchBuf is the reusable access-batch buffer shared by every
 	// flushSite (the scheduler is single-threaded by construction).
 	batchBuf []Access
-	// DirtyCalls counts tool dirty-call executions (both engines) —
-	// the callback-granularity metric batched delivery improves.
+	// DirtyCalls counts tool dirty-call executions (both engines): the
+	// callback granularity, one per flush for InstrumentAccesses tools.
 	DirtyCalls uint64
 	// AccessesDelivered counts guest accesses delivered through
 	// InstrumentAccesses flush callbacks.
@@ -167,9 +162,6 @@ type Core struct {
 	// Validate makes the engine validate every instrumented block
 	// (debug mode).
 	Validate bool
-	// NoOptimize disables the VEX-style IR cleanup pass that normally
-	// runs between translation and tool instrumentation.
-	NoOptimize bool
 }
 
 // Attacher is implemented by tools that need the core before the run starts
@@ -423,11 +415,9 @@ func (c *Core) translateFresh(addr uint64, tid int) (*vex.SuperBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !c.NoOptimize {
-		// The VEX optimization pass: tools instrument cleaned-up IR,
-		// exactly like Valgrind plugins do.
-		sb = vex.Optimize(sb)
-	}
+	// The VEX optimization pass: tools instrument cleaned-up IR, exactly
+	// like Valgrind plugins do.
+	sb = vex.Optimize(sb)
 	if c.tool != nil {
 		sb = c.tool.Instrument(c, sb)
 		if c.Validate {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dbi"
+	"repro/internal/dbi/dbitest"
 	"repro/internal/drb"
 	"repro/internal/gbuild"
 	"repro/internal/guest"
@@ -29,41 +30,36 @@ type accessRec struct {
 	Wd    uint8
 }
 
-// logTool records every guest load and store through injected dirty calls.
+// logTool records the access stream it is handed. The per-access form gets
+// one dirty call per guest load and store, before the access executes (the
+// reference delivery, dbitest.PerAccess); the batched form gets the same
+// stream through the core's InstrumentAccesses path, one flush per
+// superblock segment.
 type logTool struct {
 	dbi.NopTool
-	log []accessRec
+	batched bool
+	log     []accessRec
 }
 
 func (lt *logTool) Name() string { return "log" }
 
-func (lt *logTool) Instrument(_ *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
-	out := &vex.SuperBlock{GuestAddr: sb.GuestAddr, NTemps: sb.NTemps, Next: sb.Next, NextJK: sb.NextJK, Aux: sb.Aux}
-	pc := sb.GuestAddr
-	for _, s := range sb.Stmts {
-		switch s.Kind {
-		case vex.SIMark:
-			pc = s.Addr
-		case vex.SWrTmpLoad:
-			out.Dirty("log_load", lt.record(pc, false, uint8(s.Wd)), s.E1)
-		case vex.SStore:
-			out.Dirty("log_store", lt.record(pc, true, uint8(s.Wd)), s.E1)
-		}
-		out.Stmts = append(out.Stmts, s)
+func (lt *logTool) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
+	if lt.batched {
+		out, _, _ := c.InstrumentAccesses(sb, lt)
+		return out
 	}
-	return out
+	return dbitest.PerAccess(sb, lt)
 }
 
-func (lt *logTool) record(pc uint64, store bool, wd uint8) vex.DirtyFn {
-	return func(ctx any, args []uint64) uint64 {
-		t := ctx.(*vm.Thread)
-		lt.log = append(lt.log, accessRec{TID: t.ID, PC: pc, Store: store, Addr: args[0], Wd: wd})
-		return 0
+// FlushAccesses implements dbi.AccessSink.
+func (lt *logTool) FlushAccesses(t *vm.Thread, batch []dbi.Access) {
+	for _, a := range batch {
+		lt.log = append(lt.log, accessRec{TID: t.ID, PC: a.PC, Store: a.Store, Addr: a.Addr, Wd: a.Wd})
 	}
 }
 
 // engineState is the full observable outcome of a run: guest-architectural
-// state plus the tool's view of it.
+// state plus the tool's view of it, and the core's delivery counters.
 type engineState struct {
 	Exit   uint64
 	Instrs uint64
@@ -71,13 +67,14 @@ type engineState struct {
 	Regs   map[int][guest.NumRegs]uint64
 	Mem    uint64
 	Log    []accessRec
+
+	DirtyCalls, Delivered uint64
 }
 
-// runEngine executes the program built by mk under the given engine and
-// returns its observable state.
-func runEngine(t *testing.T, mk func() *gbuild.Builder, engine string, threads int, seed uint64) engineState {
+// runEngine executes the program built by mk with tool on the given engine
+// and returns its observable state.
+func runEngine(t *testing.T, mk func() *gbuild.Builder, engine string, tool *logTool, threads int, seed uint64) engineState {
 	t.Helper()
-	tool := &logTool{}
 	res, inst, err := harness.BuildAndRun(mk(), harness.Setup{
 		Tool: tool, Seed: seed, Threads: threads, Stdout: io.Discard,
 		Engine: engine,
@@ -89,12 +86,14 @@ func runEngine(t *testing.T, mk func() *gbuild.Builder, engine string, threads i
 		t.Fatalf("%s: run: %v", engine, res.Err)
 	}
 	st := engineState{
-		Exit:   res.ExitCode,
-		Instrs: inst.M.InstrsExecuted,
-		Blocks: inst.M.BlocksExecuted,
-		Regs:   map[int][guest.NumRegs]uint64{},
-		Mem:    inst.M.Mem.Hash(),
-		Log:    tool.log,
+		Exit:       res.ExitCode,
+		Instrs:     inst.M.InstrsExecuted,
+		Blocks:     inst.M.BlocksExecuted,
+		Regs:       map[int][guest.NumRegs]uint64{},
+		Mem:        inst.M.Mem.Hash(),
+		Log:        tool.log,
+		DirtyCalls: inst.Core.DirtyCalls,
+		Delivered:  inst.Core.AccessesDelivered,
 	}
 	for _, th := range inst.M.Threads() {
 		st.Regs[th.ID] = th.Regs
@@ -102,31 +101,66 @@ func runEngine(t *testing.T, mk func() *gbuild.Builder, engine string, threads i
 	return st
 }
 
-// diffEngines runs mk under the IR oracle and the compiled engine and
-// asserts bit-identical observable state.
-func diffEngines(t *testing.T, name string, mk func() *gbuild.Builder, threads int, seed uint64) {
+// arm is one way of running a program that diffEngines holds to the oracle:
+// an engine, and the per-access or the batched logTool.
+type arm struct {
+	engine  string
+	batched bool
+}
+
+func (a arm) String() string {
+	if a.batched {
+		return a.engine + "/batched"
+	}
+	return a.engine + "/per-access"
+}
+
+var (
+	// compiledArm is the engine differential: the compiled engine against
+	// the IR interpreter, same per-access tool.
+	compiledArm = arm{engine: dbi.EngineCompiled}
+	// batchedArms are the delivery differential: the batched path on each
+	// engine against per-access delivery.
+	batchedArms = []arm{{dbi.EngineIR, true}, {dbi.EngineCompiled, true}}
+)
+
+// diffEngines runs mk under the oracle (the IR interpreter with the
+// per-access logTool) and under each arm, and asserts every arm reproduces
+// the oracle's exit code, counts, registers, memory and access log bit for
+// bit. A batched arm must also have delivered every logged access through
+// its flushes and entered the tool at most once per access.
+func diffEngines(t *testing.T, name string, mk func() *gbuild.Builder, threads int, seed uint64, arms ...arm) {
 	t.Helper()
-	ir := runEngine(t, mk, dbi.EngineIR, threads, seed)
-	co := runEngine(t, mk, dbi.EngineCompiled, threads, seed)
-	if ir.Exit != co.Exit {
-		t.Fatalf("%s: exit: ir=%d compiled=%d", name, ir.Exit, co.Exit)
-	}
-	if ir.Instrs != co.Instrs || ir.Blocks != co.Blocks {
-		t.Fatalf("%s: counts: ir instrs=%d blocks=%d, compiled instrs=%d blocks=%d",
-			name, ir.Instrs, ir.Blocks, co.Instrs, co.Blocks)
-	}
-	if !reflect.DeepEqual(ir.Regs, co.Regs) {
-		t.Fatalf("%s: final registers diverge", name)
-	}
-	if ir.Mem != co.Mem {
-		t.Fatalf("%s: memory hash: ir=%#x compiled=%#x", name, ir.Mem, co.Mem)
-	}
-	if len(ir.Log) != len(co.Log) {
-		t.Fatalf("%s: access log length: ir=%d compiled=%d", name, len(ir.Log), len(co.Log))
-	}
-	for i := range ir.Log {
-		if ir.Log[i] != co.Log[i] {
-			t.Fatalf("%s: access %d: ir=%+v compiled=%+v", name, i, ir.Log[i], co.Log[i])
+	want := runEngine(t, mk, dbi.EngineIR, &logTool{}, threads, seed)
+	for _, a := range arms {
+		got := runEngine(t, mk, a.engine, &logTool{batched: a.batched}, threads, seed)
+		if got.Exit != want.Exit {
+			t.Fatalf("%s: %v: exit %d, oracle %d", name, a, got.Exit, want.Exit)
+		}
+		if got.Instrs != want.Instrs || got.Blocks != want.Blocks {
+			t.Fatalf("%s: %v: instrs=%d blocks=%d, oracle instrs=%d blocks=%d",
+				name, a, got.Instrs, got.Blocks, want.Instrs, want.Blocks)
+		}
+		if !reflect.DeepEqual(got.Regs, want.Regs) {
+			t.Fatalf("%s: %v: final registers diverge from the oracle", name, a)
+		}
+		if got.Mem != want.Mem {
+			t.Fatalf("%s: %v: memory hash %#x, oracle %#x", name, a, got.Mem, want.Mem)
+		}
+		if len(got.Log) != len(want.Log) {
+			t.Fatalf("%s: %v: access log length %d, oracle %d", name, a, len(got.Log), len(want.Log))
+		}
+		for i := range want.Log {
+			if got.Log[i] != want.Log[i] {
+				t.Fatalf("%s: %v: access %d = %+v, oracle %+v", name, a, i, got.Log[i], want.Log[i])
+			}
+		}
+		if !a.batched {
+			continue
+		}
+		if n := uint64(len(got.Log)); got.Delivered != n || got.DirtyCalls > n {
+			t.Fatalf("%s: %v: delivered %d accesses in %d dirty calls for %d logged",
+				name, a, got.Delivered, got.DirtyCalls, n)
 		}
 	}
 }
@@ -137,13 +171,27 @@ func TestDifferentialDRB(t *testing.T) {
 	for _, b := range drb.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			diffEngines(t, b.Name, b.Build, 4, 1)
+			diffEngines(t, b.Name, b.Build, 4, 1, compiledArm)
 		})
 	}
 }
 
+// TestDeliveryDifferentialDRB holds batched delivery on each engine to the
+// per-access oracle on the same suite.
+func TestDeliveryDifferentialDRB(t *testing.T) {
+	for _, a := range batchedArms {
+		a := a
+		for _, b := range drb.All() {
+			b := b
+			t.Run(a.engine+"/"+b.Name, func(t *testing.T) {
+				diffEngines(t, b.Name, b.Build, 4, 1, a)
+			})
+		}
+	}
+}
+
 // TestDifferentialLulesh covers the proxy application (nested parallelism,
-// task dependences, reductions, heavy host-call traffic).
+// task dependences, reductions, heavy host-call traffic) on every arm.
 func TestDifferentialLulesh(t *testing.T) {
 	mk := func() *gbuild.Builder {
 		b, err := lulesh.Build(lulesh.Params{S: 4, TEL: 2, TNL: 2, Iters: 1})
@@ -152,12 +200,18 @@ func TestDifferentialLulesh(t *testing.T) {
 		}
 		return b
 	}
-	diffEngines(t, "lulesh", mk, 4, 1)
+	diffEngines(t, "lulesh", mk, 4, 1, append([]arm{compiledArm}, batchedArms...)...)
 }
 
 // TestDifferentialListing4 covers the paper's running example (OMP tasks).
 func TestDifferentialListing4(t *testing.T) {
-	diffEngines(t, "task.c", buildListing4, 4, 1)
+	diffEngines(t, "task.c", buildListing4, 4, 1, compiledArm)
+}
+
+// TestDeliveryDifferentialListing4 holds batched delivery to the oracle on
+// the running example.
+func TestDeliveryDifferentialListing4(t *testing.T) {
+	diffEngines(t, "task.c", buildListing4, 4, 1, batchedArms...)
 }
 
 func buildListing4() *gbuild.Builder {
@@ -263,11 +317,21 @@ func fuzzProgram(seed int64) *gbuild.Builder {
 
 // TestDifferentialFuzz runs generated programs under both engines.
 func TestDifferentialFuzz(t *testing.T) {
+	fuzzDiff(t, compiledArm)
+}
+
+// TestDeliveryDifferentialFuzz holds batched delivery to the oracle on the
+// generated programs.
+func TestDeliveryDifferentialFuzz(t *testing.T) {
+	fuzzDiff(t, batchedArms...)
+}
+
+func fuzzDiff(t *testing.T, arms ...arm) {
 	for seed := int64(1); seed <= 25; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			mk := func() *gbuild.Builder { return fuzzProgram(seed) }
-			diffEngines(t, fmt.Sprintf("fuzz%d", seed), mk, 1, uint64(seed))
+			diffEngines(t, fmt.Sprintf("fuzz%d", seed), mk, 1, uint64(seed), arms...)
 		})
 	}
 }

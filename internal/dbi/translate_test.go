@@ -185,26 +185,17 @@ func TestCacheFootprintGrows(t *testing.T) {
 	}
 }
 
-// BenchmarkIREngine measures the heavyweight engine on fib with and without
-// the VEX optimization pass.
+// BenchmarkIREngine measures the heavyweight engine on fib.
 func BenchmarkIREngine(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		opt  bool
-	}{{"optimized", true}, {"unoptimized", false}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				im := buildFib(b, 14)
-				m, core, _ := newMachine(b, im, &countTool{}, 1)
-				core.NoOptimize = !cfg.opt
-				if err := core.Run(); err != nil {
-					b.Fatal(err)
-				}
-				if m.ExitCode() != 377 {
-					b.Fatal("wrong result")
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		im := buildFib(b, 14)
+		m, core, _ := newMachine(b, im, &countTool{}, 1)
+		if err := core.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if m.ExitCode() != 377 {
+			b.Fatal("wrong result")
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dbi"
+	"repro/internal/dbi/dbitest"
 	"repro/internal/faultinject"
 	"repro/internal/gbuild"
 	"repro/internal/guest"
@@ -103,8 +104,9 @@ func TestLenientMemCompatFlag(t *testing.T) {
 func TestFaultInjectionGracefulDegradation(t *testing.T) {
 	kinds := append([]faultinject.Kind(nil), faultinject.Kinds...)
 	type variant struct{ engine, delivery string }
-	// The instrumented leg runs the full engine × delivery matrix; the
-	// direct (uninstrumented) leg has no tool and therefore no matrix.
+	// The instrumented leg runs each engine with batched delivery and with
+	// the per-access reference (dbitest.PerAccessTool, named per-event);
+	// the direct (uninstrumented) leg has no tool and therefore no matrix.
 	variants := []variant{
 		{dbi.EngineIR, "per-event"},
 		{dbi.EngineIR, "batched"},
@@ -113,7 +115,7 @@ func TestFaultInjectionGracefulDegradation(t *testing.T) {
 	}
 	// outcome renders everything observable about a run: the structured
 	// error, the symbolized crash report, and the tool's reports.
-	outcome := func(res harness.Result, inst *harness.Instance) string {
+	outcome := func(res harness.Result, inst *harness.Instance, tg *core.Taskgrind) string {
 		var sb strings.Builder
 		if res.Err != nil {
 			sb.WriteString(res.Err.Error())
@@ -123,9 +125,7 @@ func TestFaultInjectionGracefulDegradation(t *testing.T) {
 			sb.WriteString(res.Crash.Render(inst.M.Image))
 		}
 		sb.WriteString("|")
-		if tg, ok := inst.Core.Tool().(*core.Taskgrind); ok {
-			sb.WriteString(tg.Reports.String())
-		}
+		sb.WriteString(tg.Reports.String())
 		return sb.String()
 	}
 	for _, kind := range kinds {
@@ -157,13 +157,14 @@ func TestFaultInjectionGracefulDegradation(t *testing.T) {
 				t.Run(fmt.Sprintf("%s-every%d-%s-%s", kind, every, v.engine, v.delivery), func(t *testing.T) {
 					in := faultinject.New(7)
 					in.Enable(kind, every)
-					deliv, ok := dbi.ParseDelivery(v.delivery)
-					if !ok {
-						t.Fatalf("bad delivery %q", v.delivery)
+					tg := core.New(core.Options{})
+					var tool dbi.Tool = tg
+					if v.delivery == "per-event" {
+						tool = dbitest.PerAccessTool{Tool: tg}
 					}
 					res, inst, err := harness.BuildAndRun(randTaskProgram(11), harness.Setup{
 						Seed: 2, Threads: 4, Inject: in,
-						Tool: core.New(core.Options{}), Engine: v.engine, Delivery: deliv,
+						Tool: tool, Engine: v.engine,
 						RunOpts: vm.RunOpts{MaxBlocks: 2_000_000},
 					})
 					if err != nil {
@@ -186,10 +187,10 @@ func TestFaultInjectionGracefulDegradation(t *testing.T) {
 							t.Fatal("compiled engine never consulted the panic stream")
 						}
 					}
-					sigs[v] = outcome(res, inst)
+					sigs[v] = outcome(res, inst, tg)
 				})
 			}
-			// Reports are bit-identical across delivery modes for every
+			// Reports are bit-identical across delivery paths for every
 			// kind, and across engines for every kind except EnginePanic
 			// (which by design only fires on the compiled engine).
 			for _, eng := range []string{dbi.EngineIR, dbi.EngineCompiled} {

@@ -58,11 +58,6 @@ type Setup struct {
 	// translations with block chaining), dbi.EngineIR (the reference IR
 	// interpreter), or "" to keep the default for the tool.
 	Engine string
-	// Delivery selects how access-stream tools receive memory accesses:
-	// dbi.DeliverBatched (one flush per superblock segment, the default) or
-	// dbi.DeliverPerEvent (one callback per access, the differential
-	// reference).
-	Delivery dbi.Delivery
 	// Journal, when set, is attached to the machine and the injector: in
 	// record mode every scheduler pick and injection draw is logged; in
 	// verify mode the run is checked decision-by-decision against a prior
@@ -82,7 +77,7 @@ type Setup struct {
 	ReplayToken string
 	// TStore, when set, attaches the content-addressed translation store:
 	// the core resolves translations from (and publishes to) the cache's
-	// store for this run's (image hash, tool, engine, delivery) key, so
+	// store for this run's (image hash, tool, engine) key, so
 	// translation happens once per image rather than once per run. Blocks
 	// enter the store on demand, as the guest reaches them; an
 	// ahead-of-execution pretranslation mode was removed because it never
@@ -145,7 +140,6 @@ func New(s Setup) (*Instance, error) {
 	inst.M = m
 	inst.RunOpts = s.RunOpts
 	inst.Core = dbi.New(m, s.Tool)
-	inst.Core.Delivery = s.Delivery
 	if s.Engine != "" {
 		if err := inst.Core.SelectEngine(s.Engine); err != nil {
 			return nil, err
@@ -168,10 +162,9 @@ func New(s Setup) (*Instance, error) {
 			}
 		}
 		st := s.TStore.Open(tstore.Key{
-			Image:    tstore.ImageHash(s.Image),
-			Tool:     toolID,
-			Engine:   engine,
-			Delivery: s.Delivery.String(),
+			Image:  tstore.ImageHash(s.Image),
+			Tool:   toolID,
+			Engine: engine,
 		})
 		inst.Core.Shared = st
 		inst.TStore = s.TStore

@@ -30,14 +30,13 @@ type RunHeader struct {
 	// ID is the store-assigned run identity (unique within a store,
 	// monotonically increasing across append sessions).
 	ID uint64 `json:"id"`
-	// Prog/Tool/Engine/Delivery/Seed/Threads are the run configuration —
-	// the same fields a replay token encodes.
-	Prog     string `json:"prog,omitempty"`
-	Tool     string `json:"tool,omitempty"`
-	Engine   string `json:"engine,omitempty"`
-	Delivery string `json:"delivery,omitempty"`
-	Seed     uint64 `json:"seed,omitempty"`
-	Threads  int    `json:"threads,omitempty"`
+	// Prog/Tool/Engine/Seed/Threads are the run configuration — the same
+	// fields a replay token encodes.
+	Prog    string `json:"prog,omitempty"`
+	Tool    string `json:"tool,omitempty"`
+	Engine  string `json:"engine,omitempty"`
+	Seed    uint64 `json:"seed,omitempty"`
+	Threads int    `json:"threads,omitempty"`
 	// Verdict is VerdictOK or the failure taxonomy kind.
 	Verdict string `json:"verdict"`
 	// Reports is the tool's report count (the Table I/II currency).

@@ -18,7 +18,7 @@ func writeRun(t *testing.T, w *Writer, seed uint64) RunHeader {
 	t.Helper()
 	rw := w.Begin(RunHeader{
 		Prog: "task.c", Tool: "taskgrind", Engine: "compiled",
-		Delivery: "batched", Seed: seed, Threads: 4,
+		Seed: seed, Threads: 4,
 	})
 	base := seed * 100
 	for th := 0; th < 4; th++ {
@@ -154,27 +154,32 @@ func TestGoldenSegment(t *testing.T) {
 	}
 }
 
+// TestGoldenStillDecodes opens the checked-in golden segment and the one
+// written before run headers lost their delivery field, so stores recorded
+// by that build still open.
 func TestGoldenStillDecodes(t *testing.T) {
-	// Decode the checked-in golden segment through a copy (OpenReader globs
-	// the directory, and testdata may grow other files).
-	src, err := os.ReadFile(filepath.Join("testdata", "golden.tgseg"))
-	if err != nil {
-		t.Skipf("no golden yet: %v", err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "seg-00001.tgseg"), src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs, err := r.Runs(Q{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 || runs[0].Seed != 1 || runs[1].Seed != 2 {
-		t.Fatalf("golden decode mismatch: %+v", runs)
+	for _, name := range []string{"golden.tgseg", "golden-parent.tgseg"} {
+		// Decode through a copy (OpenReader globs the directory, and
+		// testdata holds more than one segment).
+		src, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "seg-00001.tgseg"), src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenReader(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runs, err := r.Runs(Q{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(runs) != 2 || runs[0].Seed != 1 || runs[1].Seed != 2 || runs[0].Engine != "compiled" {
+			t.Fatalf("%s: decode mismatch: %+v", name, runs)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package serve is the analysis-as-a-service layer: a fault-contained,
 // long-running daemon core that accepts analysis jobs (program + tool +
-// engine/delivery config + seed range + budgets), runs them on a bounded
+// engine config + seed range + budgets), runs them on a bounded
 // worker pool, and is robust by construction — per-job isolation through
 // the harness supervisor, bounded-queue admission control that sheds load
 // instead of growing without bound, automatic retry with exponential
@@ -38,7 +38,6 @@ type JobSpec struct {
 	Seed       uint64 `json:"seed,omitempty"`
 	Threads    int    `json:"threads,omitempty"`
 	Engine     string `json:"engine,omitempty"`
-	Delivery   string `json:"delivery,omitempty"`
 	Inject     string `json:"inject,omitempty"`
 	InjectSeed uint64 `json:"inject_seed,omitempty"`
 	Lenient    bool   `json:"lenient,omitempty"`
@@ -88,9 +87,6 @@ func (sp *JobSpec) Normalize() {
 	if sp.Threads == 0 {
 		sp.Threads = 4
 	}
-	if sp.Delivery == "" {
-		sp.Delivery = dbi.DeliverBatched.String()
-	}
 	if sp.Seeds <= 0 {
 		sp.Seeds = 1
 	}
@@ -111,16 +107,13 @@ func (sp *JobSpec) Normalize() {
 }
 
 // Validate rejects specs that could never run: unknown program, tool,
-// delivery mode or injection spec. Called after Normalize.
+// engine or injection spec. Called after Normalize.
 func (sp *JobSpec) Validate() error {
 	if _, err := progs.Build(sp.Prog, sp.Lulesh()); err != nil {
 		return err
 	}
 	if _, _, err := toolreg.Make(sp.Tool); err != nil {
 		return err
-	}
-	if _, ok := dbi.ParseDelivery(sp.Delivery); !ok {
-		return fmt.Errorf("serve: unknown delivery %q (batched, per-event)", sp.Delivery)
 	}
 	if sp.Engine != "" && sp.Engine != dbi.EngineCompiled && sp.Engine != dbi.EngineIR {
 		return fmt.Errorf("serve: unknown engine %q (compiled, ir)", sp.Engine)
@@ -147,8 +140,7 @@ func (sp *JobSpec) Lulesh() lulesh.Params {
 func (sp *JobSpec) Config() snapshot.Config {
 	cfg := snapshot.Config{
 		Prog: sp.Prog, Tool: sp.Tool, Seed: sp.Seed, Threads: sp.Threads,
-		Engine: sp.Engine, Delivery: sp.Delivery,
-		Inject: sp.Inject, Lenient: sp.Lenient,
+		Engine: sp.Engine, Inject: sp.Inject, Lenient: sp.Lenient,
 	}
 	if sp.Inject != "" {
 		cfg.InjectSeed = sp.InjectSeed
@@ -170,10 +162,9 @@ func SpecFromToken(tok string) (JobSpec, error) {
 	}
 	sp := JobSpec{
 		Prog: cfg.Prog, Tool: cfg.Tool, Seed: cfg.Seed, Threads: cfg.Threads,
-		Engine: cfg.Engine, Delivery: cfg.Delivery,
-		Inject: cfg.Inject, InjectSeed: cfg.InjectSeed, Lenient: cfg.Lenient,
-		LSize: cfg.LSize, LIters: cfg.LIters, LTasksEl: cfg.LTasksEl,
-		LTasksNd: cfg.LTasksNd, LRacy: cfg.LRacy,
+		Engine: cfg.Engine, Inject: cfg.Inject, InjectSeed: cfg.InjectSeed,
+		Lenient: cfg.Lenient, LSize: cfg.LSize, LIters: cfg.LIters,
+		LTasksEl: cfg.LTasksEl, LTasksNd: cfg.LTasksNd, LRacy: cfg.LRacy,
 	}
 	sp.Normalize()
 	return sp, nil

@@ -219,7 +219,6 @@ func (s *Server) runAttempt(ctx context.Context, j *Job) JobResult {
 		out.Err = err.Error()
 		return out
 	}
-	deliv, _ := dbi.ParseDelivery(sp.Delivery)
 	timeout := time.Duration(sp.TimeoutMS) * time.Millisecond
 	if timeout <= 0 {
 		timeout = s.opts.JobTimeout
@@ -237,7 +236,7 @@ func (s *Server) runAttempt(ctx context.Context, j *Job) JobResult {
 		rr = &runRecord{reg: obs.NewRegistry()}
 		rr.rw = s.opts.Record.Begin(store.RunHeader{
 			Prog: sp.Prog, Tool: sp.Tool, Engine: sp.Engine,
-			Delivery: deliv.String(), Seed: sp.Seed, Threads: sp.Threads,
+			Seed: sp.Seed, Threads: sp.Threads,
 		})
 	}
 
@@ -256,8 +255,7 @@ func (s *Server) runAttempt(ctx context.Context, j *Job) JobResult {
 		st := harness.Setup{
 			Image: im, Tool: tl, Seed: sp.Seed, Threads: sp.Threads,
 			Stdout: outBuf, Inject: inj, LenientMem: sp.Lenient,
-			Engine: sp.Engine, Delivery: deliv,
-			TStore: s.opts.TCache,
+			Engine: sp.Engine, TStore: s.opts.TCache,
 			RunOpts: vm.RunOpts{
 				MaxBlocks: sp.MaxBlocks, MaxInstrs: sp.MaxInstrs, Timeout: timeout,
 				ProgressEvery: s.opts.ProgressEvery,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -357,6 +358,15 @@ func TestDrainPersistsAndResumes(t *testing.T) {
 	if got := s.MetricsSnapshot().Gauge("serve_drain_seconds"); got <= 0 {
 		t.Fatal("drain duration gauge not recorded")
 	}
+	// Builds whose job specs had a delivery field parked every job with
+	// "delivery": "batched"; such a file must resume all the same.
+	data = bytes.ReplaceAll(data, []byte(`"prog": `), []byte(`"delivery": "batched", "prog": `))
+	if n := bytes.Count(data, []byte(`"delivery"`)); n != 3 {
+		t.Fatalf("older park file carries %d delivery fields, want 3:\n%s", n, data)
+	}
+	if err := os.WriteFile(state, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s2 := newTestServer(t, Options{Workers: 2, StatePath: state})
 	if got := s2.MetricsSnapshot().Counter("serve_jobs_resumed_total"); got != 3 {
@@ -518,23 +528,31 @@ func TestHTTPSurface(t *testing.T) {
 	}
 }
 
-// TestHTTPRejectsExtend: superblock extension was removed, so a submission
-// that still asks for it — as a spec field or inside a replay token — is a
-// 400 naming the field, never a job run at another block granularity.
+// TestHTTPRejectsExtend: superblock extension and the delivery option were
+// removed, so a submission that still asks for either — as a spec field or
+// inside a replay token — is a 400 naming the field, never a job run under
+// another configuration.
 func TestHTTPRejectsExtend(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	tok := "tg1:" + base64.RawURLEncoding.EncodeToString([]byte("extend=64&prog=task.c&seed=1"))
-	for _, body := range []string{`{"prog":"task.c","extend":64}`, `{"token":"` + tok + `"}`} {
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	token := func(setting string) string {
+		return `{"token":"tg1:` + base64.RawURLEncoding.EncodeToString([]byte(setting+"&prog=task.c&seed=1")) + `"}`
+	}
+	for _, c := range []struct{ body, field string }{
+		{`{"prog":"task.c","extend":64}`, "extend"},
+		{token("extend=64"), "extend"},
+		{`{"prog":"task.c","delivery":"batched"}`, "delivery"},
+		{token("delivery=per-event"), "delivery=per-event"},
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "extend") {
-			t.Fatalf("POST %s: %d %s, want 400 naming extend", body, resp.StatusCode, msg)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.field) {
+			t.Fatalf("POST %s: %d %s, want 400 naming %s", c.body, resp.StatusCode, msg, c.field)
 		}
 	}
 }

@@ -221,7 +221,7 @@ func TestJournalFirePrefixSemantics(t *testing.T) {
 func TestTokenRoundTrip(t *testing.T) {
 	cfg := Config{
 		Prog: "fib", Tool: "memcheck", Seed: 99, Threads: 4, Slice: 7,
-		Engine: "compiled", Delivery: "batched",
+		Engine: "compiled",
 		Inject: "panic:every=3", InjectSeed: 1234, Lenient: true,
 		LSize: 10, LIters: 8, LTasksEl: 4, LTasksNd: 2, LRacy: true,
 	}
@@ -241,12 +241,23 @@ func TestTokenRoundTrip(t *testing.T) {
 
 // TestTokenRejectsExtend: a token recorded with superblock extension names
 // a block granularity this build no longer has; replaying it at basic-block
-// granularity would run a different schedule, so it must not parse.
+// granularity would run a different schedule, so it must not parse. Nor
+// may a per-event delivery token: that mode handed a faulting block's
+// accesses to the tool before they ran. The batched pair every older token
+// carries is the kept path and parses as if absent.
 func TestTokenRejectsExtend(t *testing.T) {
-	tok := "tg1:" + base64.RawURLEncoding.EncodeToString([]byte("extend=64&prog=task.c&seed=1"))
-	_, err := ParseToken(tok)
-	if err == nil || !strings.Contains(err.Error(), "extend=64") {
-		t.Fatalf("ParseToken(extend token) = %v, want an extend error", err)
+	token := func(payload string) string {
+		return "tg1:" + base64.RawURLEncoding.EncodeToString([]byte(payload))
+	}
+	for _, retired := range []string{"extend=64", "delivery=per-event"} {
+		_, err := ParseToken(token(retired + "&prog=task.c&seed=1"))
+		if err == nil || !strings.Contains(err.Error(), retired) {
+			t.Fatalf("ParseToken(%s token) = %v, want an error naming it", retired, err)
+		}
+	}
+	got, err := ParseToken(token("delivery=batched&prog=task.c&seed=1"))
+	if want := (Config{Prog: "task.c", Seed: 1}); err != nil || got != want {
+		t.Fatalf("ParseToken(delivery=batched token) = %+v, %v; want %+v", got, err, want)
 	}
 }
 

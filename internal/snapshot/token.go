@@ -27,7 +27,6 @@ type Config struct {
 	Threads    int
 	Slice      int
 	Engine     string
-	Delivery   string
 	Inject     string
 	InjectSeed uint64
 	Lenient    bool
@@ -65,7 +64,6 @@ func (c Config) Token() string {
 	setInt("threads", c.Threads)
 	setInt("slice", c.Slice)
 	set("engine", c.Engine)
-	set("delivery", c.Delivery)
 	set("inject", c.Inject)
 	setU64("iseed", c.InjectSeed)
 	if c.Lenient {
@@ -101,6 +99,15 @@ func ParseToken(tok string) (Config, error) {
 		// run a different schedule.
 		return c, fmt.Errorf("snapshot: replay token carries extend=%s; superblock extension was removed, so the run cannot be reproduced", v.Get("extend"))
 	}
+	// Tokens printed before the delivery mode was removed all carry
+	// delivery=batched, the one path that remains; it is ignored.
+	if d := v.Get("delivery"); v.Has("delivery") && d != "batched" {
+		// Per-event delivery handed the tool every access before it
+		// executed; batched delivery hands a block's accesses over at its
+		// end, so a run that faults mid-block gives the tool fewer. A
+		// per-event crash cannot be promised to replay byte for byte.
+		return c, fmt.Errorf("snapshot: replay token carries delivery=%s; per-event delivery was removed, so the run cannot be reproduced", d)
+	}
 	geti := func(k string) (int, error) {
 		if !v.Has(k) {
 			return 0, nil
@@ -116,7 +123,6 @@ func ParseToken(tok string) (Config, error) {
 	c.Prog = v.Get("prog")
 	c.Tool = v.Get("tool")
 	c.Engine = v.Get("engine")
-	c.Delivery = v.Get("delivery")
 	c.Inject = v.Get("inject")
 	c.Lenient = v.Get("lenient") == "1"
 	c.LRacy = v.Get("lracy") == "1"

@@ -235,26 +235,10 @@ func (a *Archer) AccessHooks(im *guest.Image) (vm.AccessHook, vm.AccessHook, []b
 	return load, store, filter
 }
 
-// Instrument implements dbi.Tool (IR-engine fallback; unused when the
-// compile-time hooks are installed, kept for the countgrind-style use of
-// Archer as a plain plugin).
-func (a *Archer) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
-	if sym := c.M.Image.SymbolFor(sb.GuestAddr); sym != nil {
-		if strings.HasPrefix(sym.Name, "__kmp") || strings.HasPrefix(sym.Name, "omp_") {
-			return sb
-		}
-	}
-	out, _, _ := c.InstrumentAccesses(sb, a)
-	return out
-}
-
-// FlushAccesses implements dbi.AccessSink: shadow-check a batch of accesses.
-func (a *Archer) FlushAccesses(t *vm.Thread, batch []dbi.Access) {
-	for i := range batch {
-		x := &batch[i]
-		a.check(t, x.Addr, uint64(x.Wd), x.PC, x.Store)
-	}
-}
+// Instrument implements dbi.Tool. AccessHooks always installs the
+// compile-time checks, which fixes Archer to the direct engine, so no block
+// is ever translated for it.
+func (a *Archer) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock { return sb }
 
 // tracked reports whether an address is in scope (user data; the runtime
 // pool is invisible to compile-time instrumentation).

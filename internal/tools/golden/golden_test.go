@@ -1,6 +1,6 @@
 // Package golden snapshots each tool's rendered, user-visible report on a
-// fixed set of example programs. The delivery differential suite proves the
-// batched and per-event paths hand tools identical access streams; these
+// fixed set of example programs. The dbi differential suite proves batched
+// delivery hands tools the same access stream as one call per access; these
 // goldens additionally pin the *rendered output* byte-for-byte, so a
 // delivery-path or engine refactor cannot silently reword, reorder, or drop
 // reports. Regenerate with:
@@ -20,7 +20,6 @@ import (
 	"repro/internal/gbuild"
 	"repro/internal/guest"
 	"repro/internal/harness"
-	"repro/internal/lulesh"
 	"repro/internal/omp"
 	"repro/internal/progs"
 	"repro/internal/tools/toolreg"
@@ -66,13 +65,16 @@ func buildListing4() *gbuild.Builder {
 	return b
 }
 
+// goldenProg is one example program.
+type goldenProg struct {
+	name string
+	mk   func() *gbuild.Builder
+}
+
 // goldenPrograms is the example set: the paper's Listing 4 plus a
 // representative slice of Table I — racy and race-free task-dependency
 // benchmarks and one TMB stack case.
-func goldenPrograms(t *testing.T) []struct {
-	name string
-	mk   func() *gbuild.Builder
-} {
+func goldenPrograms(t *testing.T) []goldenProg {
 	t.Helper()
 	want := []string{
 		"027-taskdependmissing-orig",
@@ -81,27 +83,29 @@ func goldenPrograms(t *testing.T) []struct {
 		"131-taskdep4-orig-omp45",
 		"1001-stack_1",
 	}
-	progs := []struct {
-		name string
-		mk   func() *gbuild.Builder
-	}{{"task.c", buildListing4}}
+	out := []goldenProg{{"task.c", buildListing4}}
 	for _, name := range want {
-		found := false
-		for _, b := range drb.All() {
-			if b.Name == name {
-				progs = append(progs, struct {
-					name string
-					mk   func() *gbuild.Builder
-				}{b.Name, b.Build})
-				found = true
-				break
-			}
-		}
-		if !found {
+		b, ok := drb.ByName(name)
+		if !ok {
 			t.Fatalf("golden program %q not in drb suite", name)
 		}
+		out = append(out, goldenProg{b.Name, b.Build})
 	}
-	return progs
+	return out
+}
+
+// lockPrograms is the lock-scenario example set: Listing 4 with its task
+// bodies in a critical section plus every row of the drb lock suite.
+func lockPrograms(t *testing.T) []goldenProg {
+	t.Helper()
+	out := []goldenProg{{"task.c-critical", progs.Listing4Critical}}
+	for _, b := range drb.LockSuite() {
+		if b.Name == "lock-106-trylock-crash" {
+			continue // only meaningful under fault injection; covered by the explore sweep test
+		}
+		out = append(out, goldenProg{b.Name, b.Build})
+	}
+	return out
 }
 
 // render is cmd/taskgrind's report-printing switch (toolreg.Render): the
@@ -115,16 +119,16 @@ func render(t *testing.T, tool dbi.Tool) string {
 	return text
 }
 
-// runTool executes prog under the named tool with the given delivery mode
-// and engine, and returns the rendered report.
-func runTool(t *testing.T, mk func() *gbuild.Builder, toolName string, d dbi.Delivery, engine string) string {
+// runTool executes prog under the named tool and engine ("" = the tool's
+// default) and returns the rendered report.
+func runTool(t *testing.T, mk func() *gbuild.Builder, toolName, engine string) string {
 	t.Helper()
 	tool, _, err := toolreg.Make(toolName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, _, err := harness.BuildAndRun(mk(), harness.Setup{
-		Tool: tool, Seed: 1, Threads: 4, Stdout: io.Discard, Delivery: d, Engine: engine,
+		Tool: tool, Seed: 1, Threads: 4, Stdout: io.Discard, Engine: engine,
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", toolName, err)
@@ -133,67 +137,6 @@ func runTool(t *testing.T, mk func() *gbuild.Builder, toolName string, d dbi.Del
 		t.Fatalf("%s: run: %v", toolName, res.Err)
 	}
 	return render(t, tool)
-}
-
-// TestGoldenReports locks each tool's rendered output on the example
-// programs against checked-in snapshots, under both delivery modes: the
-// batched fast path must produce the exact bytes the per-event reference
-// produced when the goldens were recorded.
-func TestGoldenReports(t *testing.T) {
-	tools := []string{"taskgrind", "tasksan", "romp", "archer", "memcheck"}
-	for _, p := range goldenPrograms(t) {
-		p := p
-		for _, toolName := range tools {
-			toolName := toolName
-			t.Run(toolName+"/"+p.name, func(t *testing.T) {
-				got := runTool(t, p.mk, toolName, dbi.DeliverBatched, "")
-				path := filepath.Join("testdata", toolName+"__"+p.name+".golden")
-				if *update {
-					if err := os.MkdirAll("testdata", 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden (run with -update to record): %v", err)
-				}
-				if got != string(want) {
-					t.Errorf("batched output diverges from golden %s:\n--- want ---\n%s--- got ---\n%s",
-						path, want, got)
-				}
-				if pe := runTool(t, p.mk, toolName, dbi.DeliverPerEvent, ""); pe != string(want) {
-					t.Errorf("per-event output diverges from golden %s:\n--- want ---\n%s--- got ---\n%s",
-						path, want, pe)
-				}
-			})
-		}
-	}
-}
-
-// lockPrograms is the lock-scenario example set: Listing 4 with its task
-// bodies in a critical section plus every row of the drb lock suite.
-func lockPrograms(t *testing.T) []struct {
-	name string
-	mk   func() *gbuild.Builder
-} {
-	t.Helper()
-	out := []struct {
-		name string
-		mk   func() *gbuild.Builder
-	}{{"task.c-critical", progs.Listing4Critical}}
-	for _, b := range drb.LockSuite() {
-		if b.Name == "lock-106-trylock-crash" {
-			continue // only meaningful under fault injection; covered by the explore sweep test
-		}
-		out = append(out, struct {
-			name string
-			mk   func() *gbuild.Builder
-		}{b.Name, b.Build})
-	}
-	return out
 }
 
 // engineSelectable reports whether the named tool runs under both execution
@@ -207,20 +150,17 @@ func engineSelectable(toolName string) bool {
 	return true
 }
 
-// TestGoldenLockReports locks all six tools' rendered output on the lock
-// scenarios. Each golden is recorded from the batched/default-engine run;
-// the per-event delivery path and (where the tool supports engine
-// selection) both execution engines must reproduce it byte-for-byte, so a
-// lock-handoff or seggraph change that perturbs any tool's verdict on a
-// lock program fails loudly.
-func TestGoldenLockReports(t *testing.T) {
-	tools := []string{"taskgrind", "tasksan", "romp", "archer", "memcheck", "lockgrind"}
-	for _, p := range lockPrograms(t) {
+// testGoldens locks every tool's rendered output on every program against
+// its checked-in snapshot, recorded from the default-engine run. With
+// engines set, both execution engines must also reproduce the snapshot
+// byte-for-byte wherever the tool supports engine selection.
+func testGoldens(t *testing.T, tools []string, programs []goldenProg, engines bool) {
+	for _, p := range programs {
 		p := p
 		for _, toolName := range tools {
 			toolName := toolName
 			t.Run(toolName+"/"+p.name, func(t *testing.T) {
-				got := runTool(t, p.mk, toolName, dbi.DeliverBatched, "")
+				got := runTool(t, p.mk, toolName, "")
 				path := filepath.Join("testdata", toolName+"__"+p.name+".golden")
 				if *update {
 					if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -235,18 +175,14 @@ func TestGoldenLockReports(t *testing.T) {
 					t.Fatalf("missing golden (run with -update to record): %v", err)
 				}
 				if got != string(want) {
-					t.Errorf("batched output diverges from golden %s:\n--- want ---\n%s--- got ---\n%s",
+					t.Errorf("output diverges from golden %s:\n--- want ---\n%s--- got ---\n%s",
 						path, want, got)
 				}
-				if pe := runTool(t, p.mk, toolName, dbi.DeliverPerEvent, ""); pe != string(want) {
-					t.Errorf("per-event output diverges from golden %s:\n--- want ---\n%s--- got ---\n%s",
-						path, want, pe)
-				}
-				if !engineSelectable(toolName) {
+				if !engines || !engineSelectable(toolName) {
 					return
 				}
 				for _, eng := range []string{"ir", "compiled"} {
-					if ee := runTool(t, p.mk, toolName, dbi.DeliverBatched, eng); ee != string(want) {
+					if ee := runTool(t, p.mk, toolName, eng); ee != string(want) {
 						t.Errorf("engine=%s output diverges from golden %s:\n--- want ---\n%s--- got ---\n%s",
 							eng, path, want, ee)
 					}
@@ -256,14 +192,15 @@ func TestGoldenLockReports(t *testing.T) {
 	}
 }
 
-// mkProg adapts a progs registry name to a builder thunk.
-func mkProg(t *testing.T, name string) func() *gbuild.Builder {
-	t.Helper()
-	return func() *gbuild.Builder {
-		b, err := progs.Build(name, lulesh.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
+// TestGoldenReports locks five tools' rendered output on the Table I
+// example programs.
+func TestGoldenReports(t *testing.T) {
+	testGoldens(t, []string{"taskgrind", "tasksan", "romp", "archer", "memcheck"}, goldenPrograms(t), false)
+}
+
+// TestGoldenLockReports locks all six tools' rendered output on the lock
+// scenarios, on both engines, so a lock-handoff or seggraph change that
+// perturbs any tool's verdict on a lock program fails loudly.
+func TestGoldenLockReports(t *testing.T) {
+	testGoldens(t, []string{"taskgrind", "tasksan", "romp", "archer", "memcheck", "lockgrind"}, lockPrograms(t), true)
 }

@@ -15,8 +15,8 @@
 // order graph is a potential deadlock even if this schedule never hung.
 //
 // Like the other translating tools it receives accesses through the batched
-// flush_accesses dirty-call path, so it runs under both engines and either
-// delivery mode with bit-identical reports.
+// flush_accesses dirty-call path, so it runs under both engines with
+// bit-identical reports.
 package lockgrind
 
 import (

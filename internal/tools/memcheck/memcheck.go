@@ -185,8 +185,7 @@ func (mc *Memcheck) report(f Finding) {
 }
 
 // Instrument routes every load and store through the core's access-delivery
-// path (batched per superblock segment by default, one callback per access
-// in the differential reference mode).
+// path, batched per superblock segment.
 func (mc *Memcheck) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
 	out, _, _ := c.InstrumentAccesses(sb, mc)
 	return out

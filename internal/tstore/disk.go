@@ -4,9 +4,8 @@ package tstore
 // a hash of the canonical key string, shared by any number of concurrent
 // processes. The full key string is written into the file header and must
 // match exactly on load — a file that disagrees (different image content,
-// tool, engine, delivery mode or format version) is ignored
-// wholesale, so a stale tier can never serve a translation for the wrong
-// universe.
+// tool, engine or format version) is ignored wholesale, so a stale tier can
+// never serve a translation for the wrong universe.
 //
 // Cross-process protocol. The data file is append-only between
 // compactions; mutual exclusion is an advisory flock on a companion

@@ -3,7 +3,7 @@
 // caches so translation happens once per program image, not once per run.
 //
 // Translation in this system is deterministic: the same (image, tool,
-// engine, delivery mode) always produces the same instrumented superblock
+// engine) always produces the same instrumented superblock
 // and the same compiled micro-op array. That makes translations
 // content-addressable — a Key is the full set of inputs the
 // translator consumes, with the image reduced to a content hash — and
@@ -51,6 +51,8 @@ import (
 //
 // Version 2 dropped the superblock-extension budget from the key and the
 // extension-seam count and pretranslated flag from the unit encoding.
+// Dropping the delivery mode from the key changed the key string, and with
+// it every file name, but not the unit encoding, so the version stayed.
 const FormatVersion = 2
 
 // Key identifies one translation universe: every input that can change the
@@ -66,8 +68,6 @@ type Key struct {
 	Tool string
 	// Engine is the execution engine ("ir" or "compiled").
 	Engine string
-	// Delivery is the access-delivery mode ("batched" or "per-event").
-	Delivery string
 	// Version pins the store format; NewKey sets it to FormatVersion.
 	Version int
 }
@@ -75,8 +75,8 @@ type Key struct {
 // String renders the canonical form hashed into the on-disk file name and
 // written into the file header.
 func (k Key) String() string {
-	return fmt.Sprintf("v%d/img=%s/tool=%s/engine=%s/delivery=%s",
-		k.Version, k.Image, k.Tool, k.Engine, k.Delivery)
+	return fmt.Sprintf("v%d/img=%s/tool=%s/engine=%s",
+		k.Version, k.Image, k.Tool, k.Engine)
 }
 
 // ImageHash computes the content hash of a guest image: text, data, entry,

@@ -47,7 +47,7 @@ func sampleUnit(t *testing.T, addr uint64) *Unit {
 
 func testKey() Key {
 	return Key{Image: "abc123", Tool: "taskgrind", Engine: "compiled",
-		Delivery: "batched", Version: FormatVersion}
+		Version: FormatVersion}
 }
 
 // TestUnitRoundtrip: encode/decode preserves the IR and the compiled form,
@@ -186,9 +186,6 @@ func TestInvalidation(t *testing.T) {
 	cases = append(cases, k)
 	k = testKey()
 	k.Engine = "ir"
-	cases = append(cases, k)
-	k = testKey()
-	k.Delivery = "per-event"
 	cases = append(cases, k)
 	k = testKey()
 	k.Version = FormatVersion + 1

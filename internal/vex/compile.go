@@ -19,9 +19,9 @@ package vex
 //     EvalBinop switch on every execution;
 //   - dirty-call arguments: helper arguments are pre-resolved into CArg
 //     descriptors and the helper func pointer is carried on the op;
-//   - constant folding of anything Optimize left behind (NoOptimize mode,
-//     tool-inserted IR): const⊕const binops, const unops and never-taken
-//     exits disappear here;
+//   - constant folding of anything Optimize left behind (tool-inserted
+//     IR): const⊕const binops, const unops and never-taken exits
+//     disappear here;
 //   - the temp arena size is fixed per block (NFrame), including any
 //     scratch temps the lowering itself synthesizes.
 //

@@ -310,6 +310,94 @@ func BenchmarkPerfEngines(b *testing.B) {
 	})
 }
 
+// TestHotPerfRegression is the bench smoke for `make check`: gated behind
+// PERF_GUARD=1, it re-measures the compiled engine's hot ns/block on the
+// Table I suite and fails if it regressed more than 20% against the baseline
+// recorded in BENCH_perf.json by `make bench-perf`. Three fresh measurements
+// are taken and the best kept, so transient machine noise cannot fail the
+// gate — only a real slowdown of the hot dispatch path can.
+func TestHotPerfRegression(t *testing.T) {
+	if os.Getenv("PERF_GUARD") != "1" {
+		t.Skip("set PERF_GUARD=1 to run the hot-path regression gate")
+	}
+	path := os.Getenv("PERF_BENCH_OUT")
+	if path == "" {
+		path = "BENCH_perf.json"
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no baseline (run `make bench-perf` first): %v", err)
+	}
+	var doc struct {
+		Engines struct {
+			Arms []struct {
+				Name            string  `json:"name"`
+				HotBlocksPerSec float64 `json:"hot_blocks_per_sec"`
+			} `json:"arms"`
+		} `json:"engines"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("parse %s: %v", path, err)
+	}
+	var baselineNsPerBlock float64
+	for _, arm := range doc.Engines.Arms {
+		if arm.Name == "compiled" && arm.HotBlocksPerSec > 0 {
+			baselineNsPerBlock = 1e9 / arm.HotBlocksPerSec
+		}
+	}
+	if baselineNsPerBlock == 0 {
+		t.Fatalf("no compiled-arm baseline in %s (run `make bench-perf`)", path)
+	}
+
+	benches := drb.All()
+	images := make([]*guest.Image, len(benches))
+	for i, bench := range benches {
+		im, err := bench.Build().Link()
+		if err != nil {
+			t.Fatal(err)
+		}
+		images[i] = im
+	}
+	const hotReps = 200
+	measure := func() float64 {
+		var blocks uint64
+		var wall time.Duration
+		for _, im := range images {
+			runtime.GC()
+			inst, err := harness.New(harness.Setup{
+				Image: im, Tool: dbi.NopTool{}, Seed: 1, Threads: 4,
+				Stdout: io.Discard, Engine: dbi.EngineCompiled,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := inst.Run(); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			hb, _, hw := hotReplay(inst, hotReps)
+			blocks += hb
+			wall += hw
+		}
+		if blocks == 0 {
+			t.Fatal("hot replay executed no blocks")
+		}
+		return float64(wall.Nanoseconds()) / float64(blocks)
+	}
+	best := measure()
+	for i := 0; i < 2; i++ {
+		if m := measure(); m < best {
+			best = m
+		}
+	}
+	const tolerance = 1.20
+	t.Logf("hot compiled: %.1f ns/block fresh vs %.1f ns/block baseline (limit %.1f)",
+		best, baselineNsPerBlock, baselineNsPerBlock*tolerance)
+	if best > baselineNsPerBlock*tolerance {
+		t.Errorf("hot compiled dispatch regressed: %.1f ns/block, baseline %.1f ns/block (+%.0f%% > 20%% budget)",
+			best, baselineNsPerBlock, 100*(best/baselineNsPerBlock-1))
+	}
+}
+
 // TestWarmStoreE2ERegression is the translation-store gate for `make
 // check`: gated behind PERF_GUARD=1, it requires the recorded compiled-warm
 // arm to beat the IR interpreter end to end (e2e_speedup_vs_ir > 1 — the
@@ -621,12 +709,12 @@ func TestWarmCrossProcessRegression(t *testing.T) {
 }
 
 // perfSections are the top-level keys of $PERF_BENCH_OUT. The file is shared
-// by BenchmarkPerfEngines ("engines"), BenchmarkToolDelivery
-// ("tool_delivery"), BenchmarkRobustness ("robustness"), BenchmarkRecording
-// ("recording"), BenchmarkServe ("serve"), BenchmarkLockContention
-// ("locks") and BenchmarkTStoreContention ("tstore"); each benchmark
-// rewrites only its own section so they can be (re)recorded independently.
-var perfSections = []string{"engines", "tool_delivery", "robustness", "recording", "serve", "locks", "tstore"}
+// by BenchmarkPerfEngines ("engines"), BenchmarkRobustness ("robustness"),
+// BenchmarkRecording ("recording"), BenchmarkServe ("serve"),
+// BenchmarkLockContention ("locks") and BenchmarkTStoreContention
+// ("tstore"); each benchmark rewrites only its own section so they can be
+// (re)recorded independently.
+var perfSections = []string{"engines", "robustness", "recording", "serve", "locks", "tstore"}
 
 // writePerfSection read-modify-writes one section of $PERF_BENCH_OUT,
 // preserving the other sections. A legacy flat-format file (pre-sections) is
