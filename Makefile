@@ -5,7 +5,7 @@ GO ?= go
 # The full gate: vet, build, tests under the race detector, the
 # replay-determinism gate, the
 # translation-store equivalence gate, the multi-process store chaos soak,
-# the fuzzer smoke run, both benchmark smoke runs (BENCH_obs.json;
+# the fuzzer smoke runs, both benchmark smoke runs (BENCH_obs.json;
 # bench-perf-smoke does not overwrite the recorded BENCH_perf.json), the
 # record-and-query smoke, the daemon load + chaos-soak tests, the six-tool
 # lock verdict-matrix gate, the benchmark-module smoke, and the hot-path +
@@ -67,12 +67,15 @@ lock-matrix:
 
 # Short fuzzing smoke runs over the untrusted-input surfaces: the
 # assembler, the instruction decoder, and the translation-store frame
-# protocol (the scan that untrusted cache files pass through). Go runs one
-# -fuzz package at a time, hence three invocations.
+# protocol (the scan that untrusted cache files pass through); plus the
+# guest-memory model (strict loads and stores through the software TLB
+# against a byte map and region list). Go runs one -fuzz package at a
+# time, hence four invocations.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzAssemble' -fuzztime 5s ./internal/gasm
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 5s ./internal/guest
 	$(GO) test -run '^$$' -fuzz 'FuzzFrameScan' -fuzztime 5s ./internal/tstore
+	$(GO) test -run '^$$' -fuzz 'FuzzMemoryModel' -fuzztime 5s ./internal/gmem
 
 # One short iteration of the observability benchmark; the metrics snapshot
 # of the full-stack variant lands in BENCH_obs.json.

@@ -95,12 +95,13 @@ func (m *Memory) DirtyPageCount() int {
 }
 
 // WritePages restores page contents from dumps (host-privileged, like
-// WriteBytes). Restored pages are marked dirty when tracking is on: after a
-// rewind they differ from whatever the abandoned timeline left behind, so
-// the next cut must carry them.
+// WriteBytes), refreshing the TLB entries of the pages it writes. Restored
+// pages are marked dirty when tracking is on: after a rewind they differ
+// from whatever the abandoned timeline left behind, so the next cut must
+// carry them.
 func (m *Memory) WritePages(pages []PageDump) {
 	for _, pd := range pages {
-		p := m.pageSlow(pd.Idx)
+		p := m.page(pd.Addr())
 		copy(p[:], pd.Data)
 		if m.trackGen != 0 {
 			m.markDirty(pd.Idx)
@@ -127,5 +128,5 @@ func (m *Memory) AllPages() []PageDump {
 // Regions.
 func (m *Memory) SetRegions(regions []Region) {
 	m.regions = append(m.regions[:0:0], regions...)
-	m.lastRegion = -1
+	m.dropSpans()
 }

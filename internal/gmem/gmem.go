@@ -31,25 +31,18 @@ const (
 // only: any access allocates pages on first touch. With Strict set, Load,
 // Store and Copy — the guest-visible accessors — raise a *Fault (via panic,
 // recovered by the VM at the block boundary) for bytes outside a mapped
-// region or lacking the needed permission. WriteBytes, ReadBytes, Zero and
-// ReadCString are host-privileged (loaders, debuggers) and never fault.
+// region or lacking the needed permission, and so does ReadCString, which
+// reads through Load. WriteBytes, ReadBytes and Zero are host-privileged
+// (loaders, debuggers) and never fault.
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
-
-	// lastPageIdx/lastPage cache the most recently touched page, bypassing
-	// the page-map lookup for the common run of same-page accesses. Pages
-	// are never deallocated, so the cache cannot go stale.
-	lastPageIdx uint64
-	lastPage    *[PageSize]byte
 
 	// Strict enables permission checking on guest accessors.
 	Strict bool
 
 	// regions is the permission map: sorted by Lo, non-overlapping,
-	// non-empty. lastRegion caches the index that satisfied the previous
-	// check (single-threaded access only, like the rest of Memory).
-	regions    []Region
-	lastRegion int
+	// non-empty.
+	regions []Region
 
 	// Dirty tracking (see dirty.go). trackGen is the current generation (0
 	// = tracking off); pageGen stamps each page with the generation of its
@@ -59,32 +52,19 @@ type Memory struct {
 	pageGen  map[uint64]uint64
 	dirtyIdx uint64
 	dirtyGen uint64
+
+	// tlb caches pages and their permission spans for Load and Store (see
+	// tlb.go). It is host-side state, not counted in Footprint.
+	tlb [tlbSize]tlbEntry
 }
 
 // New creates an empty address space (lenient: no regions, Strict off).
 func New() *Memory {
-	return &Memory{pages: make(map[uint64]*[PageSize]byte), lastRegion: -1}
-}
-
-// page returns the page containing addr, allocating it on first touch.
-func (m *Memory) page(addr uint64) *[PageSize]byte {
-	idx := addr >> pageShift
-	if p := m.lastPage; p != nil && idx == m.lastPageIdx {
-		return p
+	m := &Memory{pages: make(map[uint64]*[PageSize]byte)}
+	for i := range m.tlb {
+		m.tlb[i].idx = noPage
 	}
-	return m.pageSlow(idx)
-}
-
-// pageSlow is the page-cache miss path: map lookup, first-touch allocation,
-// cache refill. Kept out of page so the hit path stays inlinable.
-func (m *Memory) pageSlow(idx uint64) *[PageSize]byte {
-	p := m.pages[idx]
-	if p == nil {
-		p = new([PageSize]byte)
-		m.pages[idx] = p
-	}
-	m.lastPageIdx, m.lastPage = idx, p
-	return p
+	return m
 }
 
 // Footprint returns the number of resident bytes (touched pages times page
@@ -100,21 +80,32 @@ func (m *Memory) ResidentPages() int { return len(m.pages) }
 // zero-extended to 64 bits. In strict mode an unmapped or read-protected
 // access raises a *Fault.
 func (m *Memory) Load(addr uint64, width uint8) uint64 {
+	idx, off := addr>>pageShift, addr&pageMask
+	e := &m.tlb[tlbSlot(idx)]
+	// A TLB hit needs the access inside the entry's readable span under
+	// Strict, and inside the page otherwise.
+	lo, hi := uint64(0), uint64(PageSize)
+	if m.Strict {
+		lo, hi = uint64(e.lo), uint64(e.rhi)
+	}
+	if e.idx == idx && lo <= off && off+uint64(width) <= hi {
+		if v, ok := load(e.page, off, width); ok {
+			return v
+		}
+	}
+	return m.loadSlow(addr, width)
+}
+
+// loadSlow is Load's TLB-miss path. The check comes first, so a faulting
+// access allocates no page.
+func (m *Memory) loadSlow(addr uint64, width uint8) uint64 {
 	if m.Strict {
 		m.check(addr, width, AccessRead)
 	}
 	off := addr & pageMask
 	if off+uint64(width) <= PageSize {
-		p := m.page(addr)
-		switch width {
-		case 1:
-			return uint64(p[off])
-		case 2:
-			return uint64(binary.LittleEndian.Uint16(p[off:]))
-		case 4:
-			return uint64(binary.LittleEndian.Uint32(p[off:]))
-		case 8:
-			return binary.LittleEndian.Uint64(p[off:])
+		if v, ok := load(m.fill(addr), off, width); ok {
+			return v
 		}
 		panic(fmt.Sprintf("gmem: bad load width %d", width))
 	}
@@ -126,9 +117,43 @@ func (m *Memory) Load(addr uint64, width uint8) uint64 {
 	return v
 }
 
+// load reads a width-byte value at off in p; ok is false for a bad width.
+func load(p *[PageSize]byte, off uint64, width uint8) (v uint64, ok bool) {
+	switch width {
+	case 8:
+		return binary.LittleEndian.Uint64(p[off:]), true
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(p[off:])), true
+	case 1:
+		return uint64(p[off]), true
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(p[off:])), true
+	}
+	return 0, false
+}
+
 // Store writes a little-endian value of the given width. In strict mode an
 // unmapped or write-protected access raises a *Fault.
 func (m *Memory) Store(addr uint64, width uint8, val uint64) {
+	idx, off := addr>>pageShift, addr&pageMask
+	e := &m.tlb[tlbSlot(idx)]
+	lo, hi := uint64(0), uint64(PageSize) // as in Load, with the writable span
+	if m.Strict {
+		lo, hi = uint64(e.lo), uint64(e.whi)
+	}
+	if e.idx == idx && lo <= off && off+uint64(width) <= hi {
+		if m.trackGen != 0 {
+			m.markDirty(idx)
+		}
+		if store(e.page, off, width, val) {
+			return
+		}
+	}
+	m.storeSlow(addr, width, val)
+}
+
+// storeSlow is Store's TLB-miss path, ordered like loadSlow.
+func (m *Memory) storeSlow(addr uint64, width uint8, val uint64) {
 	if m.Strict {
 		m.check(addr, width, AccessWrite)
 	}
@@ -137,17 +162,7 @@ func (m *Memory) Store(addr uint64, width uint8, val uint64) {
 	}
 	off := addr & pageMask
 	if off+uint64(width) <= PageSize {
-		p := m.page(addr)
-		switch width {
-		case 1:
-			p[off] = byte(val)
-		case 2:
-			binary.LittleEndian.PutUint16(p[off:], uint16(val))
-		case 4:
-			binary.LittleEndian.PutUint32(p[off:], uint32(val))
-		case 8:
-			binary.LittleEndian.PutUint64(p[off:], val)
-		default:
+		if !store(m.fill(addr), off, width, val) {
 			panic(fmt.Sprintf("gmem: bad store width %d", width))
 		}
 		return
@@ -159,6 +174,24 @@ func (m *Memory) Store(addr uint64, width uint8, val uint64) {
 	for i := uint8(0); i < width; i++ {
 		m.page(addr + uint64(i))[(addr+uint64(i))&pageMask] = byte(val >> (8 * i))
 	}
+}
+
+// store writes a width-byte value at off in p; it reports false, writing
+// nothing, for a bad width.
+func store(p *[PageSize]byte, off uint64, width uint8, val uint64) bool {
+	switch width {
+	case 8:
+		binary.LittleEndian.PutUint64(p[off:], val)
+	case 4:
+		binary.LittleEndian.PutUint32(p[off:], uint32(val))
+	case 1:
+		p[off] = byte(val)
+	case 2:
+		binary.LittleEndian.PutUint16(p[off:], uint16(val))
+	default:
+		return false
+	}
+	return true
 }
 
 // WriteBytes copies a host byte slice into guest memory.

@@ -89,7 +89,7 @@ func (m *Memory) Map(addr, n uint64, perm Perm) {
 	copy(m.regions[i+1:], m.regions[i:])
 	m.regions[i] = Region{Lo: addr, Hi: addr + n, Perm: perm}
 	m.coalesce(i)
-	m.lastRegion = -1
+	m.dropSpans()
 }
 
 // Unmap revokes all permissions over [addr, addr+n).
@@ -98,7 +98,7 @@ func (m *Memory) Unmap(addr, n uint64) {
 		return
 	}
 	m.carve(addr, addr+n)
-	m.lastRegion = -1
+	m.dropSpans()
 }
 
 // Protect is Map under its POSIX name (mprotect semantics).
@@ -206,13 +206,6 @@ func (m *Memory) CheckRange(addr, n uint64, acc Access) *Fault {
 		// Address-space wrap: no region spans the top of the space.
 		return &Fault{Addr: addr, Width: width, Access: acc, Perm: PermNone}
 	}
-	// Fast path: the last region that satisfied a check covers this access
-	// too (the overwhelmingly common case: consecutive stack/heap accesses).
-	if li := m.lastRegion; li >= 0 && li < len(m.regions) {
-		if r := m.regions[li]; r.Lo <= addr && end <= r.Hi && r.Perm&need == need {
-			return nil
-		}
-	}
 	for a := addr; ; {
 		i := m.regionIndex(a)
 		if i >= len(m.regions) || m.regions[i].Lo > a {
@@ -223,7 +216,6 @@ func (m *Memory) CheckRange(addr, n uint64, acc Access) *Fault {
 			return &Fault{Addr: a, Width: width, Access: acc, Perm: r.Perm}
 		}
 		if end <= r.Hi {
-			m.lastRegion = i
 			return nil
 		}
 		a = r.Hi

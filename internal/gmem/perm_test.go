@@ -207,6 +207,19 @@ func TestHostAccessorsNeverFault(t *testing.T) {
 	m.Zero(0x5000, 3)
 }
 
+func TestStrictReadCStringFaults(t *testing.T) {
+	// ReadCString reads through Load, so an unterminated string running off
+	// its region is a guest fault at the first unmapped byte.
+	m := New()
+	m.Map(0x1000, 0x10, PermRW)
+	m.WriteBytes(0x1008, []byte("overrun!"))
+	m.Strict = true
+	f := faultOf(func() { m.ReadCString(0x1008) })
+	if want := (Fault{Addr: 0x1010, Width: 1, Access: AccessRead}); f == nil || *f != want {
+		t.Fatalf("fault = %+v, want %+v", f, want)
+	}
+}
+
 func TestLastRegionCacheInvalidation(t *testing.T) {
 	m := New()
 	m.Map(0x1000, 0x100, PermRW)
@@ -217,5 +230,56 @@ func TestLastRegionCacheInvalidation(t *testing.T) {
 	m.Unmap(0x1000, 0x100)
 	if f := m.CheckRange(0x1000, 8, AccessRead); f == nil {
 		t.Fatal("stale cache allowed an unmapped access")
+	}
+
+	// The same through the TLB: prime it with a Store and a Load, change
+	// the region list, and the next access must see the change.
+	for _, tc := range []struct {
+		name   string
+		change func(m *Memory)
+		load   *Fault // nil: the load still succeeds
+		store  Fault
+	}{
+		{"unmap", func(m *Memory) { m.Unmap(0x1000, 0x100) },
+			&Fault{Addr: 0x1008, Width: 8, Access: AccessRead}, Fault{Addr: 0x1008, Width: 8, Access: AccessWrite}},
+		{"protect-r", func(m *Memory) { m.Protect(0x1000, 0x100, PermR) },
+			nil, Fault{Addr: 0x1008, Width: 8, Access: AccessWrite, Perm: PermR}},
+		{"setregions", func(m *Memory) { m.SetRegions(nil) },
+			&Fault{Addr: 0x1008, Width: 8, Access: AccessRead}, Fault{Addr: 0x1008, Width: 8, Access: AccessWrite}},
+	} {
+		m := New()
+		m.Map(0x1000, 0x100, PermRW)
+		m.Strict = true
+		m.Store(0x1008, 8, 42)
+		if got := m.Load(0x1008, 8); got != 42 {
+			t.Fatalf("%s: primed load = %d", tc.name, got)
+		}
+		tc.change(m)
+		f := faultOf(func() { m.Load(0x1008, 8) })
+		if !sameFault(f, tc.load) {
+			t.Errorf("%s: load fault = %+v, want %+v", tc.name, f, tc.load)
+		}
+		if f := faultOf(func() { m.Store(0x1008, 8, 7) }); f == nil || *f != tc.store {
+			t.Errorf("%s: store fault = %+v, want %+v", tc.name, f, tc.store)
+		}
+		if got := m.ReadBytes(0x1008, 1)[0]; got != 42 {
+			t.Errorf("%s: faulting store wrote %d", tc.name, got)
+		}
+	}
+
+	// A faulting Store allocates nothing, on a page already in the TLB or
+	// on an unmapped page sharing its slot.
+	m = New()
+	m.Map(0x1000, 0x100, PermRW)
+	m.Strict = true
+	m.Store(0x1000, 8, 1)
+	mate := slotMate(0x1000)
+	for _, addr := range []uint64{0x1200, mate} {
+		if f := faultOf(func() { m.Store(addr, 8, 1) }); f == nil || f.Addr != addr {
+			t.Fatalf("store at %#x: fault = %+v", addr, f)
+		}
+		if n := m.ResidentPages(); n != 1 {
+			t.Fatalf("store at %#x: %d resident pages, want 1", addr, n)
+		}
 	}
 }
