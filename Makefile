@@ -13,8 +13,11 @@ GO ?= go
 # cross-process-warm regression guards against the recorded baseline.
 check: vet build race replay-determinism tstore-equiv store-chaos lock-matrix fuzz bench-obs bench-perf-smoke bench-smoke query-smoke loadtest perf-guard
 
+# vet also fails when gofmt would rewrite any tracked Go file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -69,13 +72,15 @@ lock-matrix:
 # assembler, the instruction decoder, and the translation-store frame
 # protocol (the scan that untrusted cache files pass through); plus the
 # guest-memory model (strict loads and stores through the software TLB
-# against a byte map and region list). Go runs one -fuzz package at a
-# time, hence four invocations.
+# against a byte map and region list); plus Algorithm 1's candidate sweep
+# against the all-pairs loop on synthetic segments. Go runs one -fuzz
+# package at a time, hence five invocations.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzAssemble' -fuzztime 5s ./internal/gasm
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 5s ./internal/guest
 	$(GO) test -run '^$$' -fuzz 'FuzzFrameScan' -fuzztime 5s ./internal/tstore
 	$(GO) test -run '^$$' -fuzz 'FuzzMemoryModel' -fuzztime 5s ./internal/gmem
+	$(GO) test -run '^$$' -fuzz 'FuzzAnalysisSweep' -fuzztime 5s ./internal/core
 
 # One short iteration of the observability benchmark; the metrics snapshot
 # of the full-stack variant lands in BENCH_obs.json.

@@ -206,49 +206,6 @@ func BenchmarkItreeVsFlat(b *testing.B) {
 	})
 }
 
-// --- Ablation A2: sequential vs parallel analysis pass --------------------
-
-// BenchmarkAnalysisParallel isolates the Fini pass (the paper's
-// embarrassingly-parallel future-work item) on racy LULESH recordings:
-// the recording phase runs outside the timer; only the analysis is timed.
-func BenchmarkAnalysisParallel(b *testing.B) {
-	p := lulesh.Params{S: 8, TEL: 16, TNL: 16, Iters: 6, Racy: true}
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{{"sequential", 1}, {"workers-4", 4}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var races int
-			b.StopTimer()
-			for i := 0; i < b.N; i++ {
-				bb, err := lulesh.Build(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				opt := core.DefaultOptions()
-				opt.AnalysisWorkers = cfg.workers
-				tg := core.New(opt)
-				im, err := bb.Link()
-				if err != nil {
-					b.Fatal(err)
-				}
-				inst, err := harness.New(harness.Setup{Image: im, Tool: tg, Seed: 2, Threads: 4})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := inst.M.Run(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				tg.Fini(inst.Core) // the measured region
-				b.StopTimer()
-				races = tg.RaceCount
-			}
-			b.ReportMetric(float64(races), "races")
-		})
-	}
-}
-
 // --- Ablation A3: suppression passes -------------------------------------
 
 // BenchmarkSuppressionAblation toggles each §IV suppression independently on
@@ -367,7 +324,7 @@ func BenchmarkObservability(b *testing.B) {
 func BenchmarkEngines(b *testing.B) {
 	p := lulesh.Params{S: 8, TEL: 4, TNL: 4, Iters: 2}
 	for _, tool := range toolreg.Names() {
-		if tool == "taskgrind-par" || tool == "taskgrind-naive" {
+		if tool == "taskgrind-naive" {
 			continue
 		}
 		b.Run(tool, func(b *testing.B) {

@@ -129,8 +129,8 @@ func TestDaemonSubmitWaitParity(t *testing.T) {
 }
 
 // TestSubmitTokenRejectsExtend: `submit -token` with a token that carries
-// extend= or delivery=per-event is refused by the daemon and exits with the
-// usage code.
+// extend=, delivery=per-event or tool=taskgrind-par is refused by the daemon
+// and exits with the usage code.
 func TestSubmitTokenRejectsExtend(t *testing.T) {
 	cli := buildCLI(t)
 	_, base := startDaemon(t, buildDaemon(t))

@@ -118,12 +118,16 @@ func TestReplayTokenRoundTripsInjection(t *testing.T) {
 }
 
 // retiredTokens are replay tokens recorded under modes this build no longer
-// has, keyed by the setting each carries: superblock extension and
-// per-event access delivery.
+// has, keyed by what the refusal must name: superblock extension, per-event
+// access delivery, and the parallel analysis pass's taskgrind-par tool.
 func retiredTokens() map[string]string {
 	out := map[string]string{}
-	for _, setting := range []string{"extend=64", "delivery=per-event"} {
-		out[setting] = "tg1:" + base64.RawURLEncoding.EncodeToString([]byte(setting+"&prog=task.c&seed=1"))
+	for name, setting := range map[string]string{
+		"extend=64":          "extend=64",
+		"delivery=per-event": "delivery=per-event",
+		"taskgrind-par":      "tool=taskgrind-par",
+	} {
+		out[name] = "tg1:" + base64.RawURLEncoding.EncodeToString([]byte(setting+"&prog=task.c&seed=1"))
 	}
 	return out
 }

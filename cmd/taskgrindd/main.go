@@ -34,14 +34,14 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 4, "concurrent analysis workers")
-		queue        = flag.Int("queue", 64, "admission queue depth (submissions beyond it are shed with 429)")
-		retries      = flag.Int("retries", 2, "default automatic retries for transient (panic/timeout) failures")
-		jobTimeout   = flag.Duration("job-timeout", 30*time.Second, "default per-job wall budget")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain wait for in-flight jobs")
-		statePath    = flag.String("state", "", "persist still-queued jobs here at drain; resume them on start")
-		recordDir    = flag.String("record", "", "append every job's run to this run-store directory (query with `taskgrind query`)")
+		addr           = flag.String("addr", ":8080", "listen address")
+		workers        = flag.Int("workers", 4, "concurrent analysis workers")
+		queue          = flag.Int("queue", 64, "admission queue depth (submissions beyond it are shed with 429)")
+		retries        = flag.Int("retries", 2, "default automatic retries for transient (panic/timeout) failures")
+		jobTimeout     = flag.Duration("job-timeout", 30*time.Second, "default per-job wall budget")
+		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain wait for in-flight jobs")
+		statePath      = flag.String("state", "", "persist still-queued jobs here at drain; resume them on start")
+		recordDir      = flag.String("record", "", "append every job's run to this run-store directory (query with `taskgrind query`)")
 		tcacheDir      = flag.String("tcache-dir", "", "persistent translation store directory shared by every job and safely by concurrent daemons; saved periodically and at drain so restarts (and cold peers) start warm")
 		tcacheMaxMB    = flag.Int64("tcache-max-mb", 0, "translation store byte cap in MiB (0 = unbounded); clock eviction keeps the cache under it")
 		tcacheMaxUnits = flag.Int64("tcache-max-units", 0, "translation store unit cap (0 = unbounded); clock eviction keeps the cache under it")

@@ -70,6 +70,6 @@ func main() {
 
 	// --- 3. Read the report (paper Listing 6).
 	fmt.Print(tg.Reports.String())
-	fmt.Printf("(%d segments, %d accesses recorded, %d segment pairs compared)\n",
+	fmt.Printf("(%d segments, %d accesses recorded, %d candidate segment pairs checked)\n",
 		tg.Stats.SegmentsCreated, tg.Stats.AccessesRecorded, tg.Stats.PairsChecked)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"sort"
-	"sync"
 
 	"repro/internal/dbi"
 	"repro/internal/guest"
@@ -13,53 +12,17 @@ import (
 )
 
 // Fini implements dbi.Tool: the post-mortem determinacy-race analysis —
-// Algorithm 1 of the paper. It closes the segment graph, compares every
-// unordered pair of segments, intersects write sets against read∪write sets,
-// applies the TLS and stack-frame suppressions, and renders reports.
-//
-// The pass is embarrassingly parallel over the first segment of each pair;
-// Opt.AnalysisWorkers > 1 runs it with a worker pool (the paper's
-// future-work item), with a deterministic merge.
+// Algorithm 1 of the paper. It closes the segment graph, finds the segment
+// pairs that share a byte where a report is possible, and on each unordered
+// one intersects write sets against read∪write sets, applies the TLS and
+// stack-frame suppressions, and renders reports.
 func (tg *Taskgrind) Fini(c *dbi.Core) {
 	tg.flushThreads()
 	tg.graph.Close()
 	tg.buildLifetimeIndex(c)
 
 	active := tg.freeze()
-
-	workers := tg.Opt.AnalysisWorkers
-	if workers <= 1 {
-		tg.analyzeSlice(active, 0, len(active), &tg.Reports, &tg.Stats)
-		tg.RaceCount = tg.Stats.ConflictPairs
-		tg.Reports.Sort()
-		return
-	}
-
-	// Parallel pass: disjoint slices of the outer loop, merged in order.
-	type part struct {
-		set   report.Set
-		stats Stats
-	}
-	parts := make([]part, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := len(active) * w / workers
-		hi := len(active) * (w + 1) / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			tg.analyzeSlice(active, lo, hi, &parts[w].set, &parts[w].stats)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for i := range parts {
-		tg.Stats.PairsChecked += parts[i].stats.PairsChecked
-		tg.Stats.ConflictPairs += parts[i].stats.ConflictPairs
-		tg.Stats.SuppressedTLS += parts[i].stats.SuppressedTLS
-		tg.Stats.SuppressedStack += parts[i].stats.SuppressedStack
-		tg.Stats.ReportsTotal += parts[i].stats.ReportsTotal
-		tg.Reports.Races = append(tg.Reports.Races, parts[i].set.Races...)
-	}
+	tg.analyze(active, itree.Pairs(tg.pieces(active), len(active)), &tg.Reports, &tg.Stats)
 	tg.RaceCount = tg.Stats.ConflictPairs
 	tg.Reports.Sort()
 }
@@ -73,8 +36,8 @@ type frozen struct {
 
 // freeze returns the segments with any recorded access — the only ones
 // Algorithm 1 compares — with their trees flattened into sorted slices of
-// one shared backing array. It runs once, serially, so every pair (and
-// every parallel worker) intersects plain arrays without touching a tree.
+// one shared backing array, so every pair intersects plain arrays without
+// touching a tree.
 func (tg *Taskgrind) freeze() []frozen {
 	n := 0
 	for _, s := range tg.segs {
@@ -95,18 +58,55 @@ func (tg *Taskgrind) freeze() []frozen {
 	return active
 }
 
-// analyzeSlice compares active[lo:hi] against every later active segment.
-func (tg *Taskgrind) analyzeSlice(active []frozen, lo, hi int, out *report.Set, st *Stats) {
-	for i := lo; i < hi; i++ {
-		s1 := active[i]
-		for j := i + 1; j < len(active); j++ {
-			s2 := active[j]
-			st.PairsChecked++
-			if tg.graph.Ordered(s1.Node, s2.Node) {
-				continue
-			}
-			tg.checkPair(s1, s2, out, st)
+// pieces tags every frozen interval for the candidate join. With the §IV-D
+// frame rule on, the part of a segment's stack accesses that the rule
+// covers on its side is cold; everything else — globals, heap, pool, TLS,
+// and stack at or above the frame — is hot. A conflicting range that
+// starts inside both segments' cold spans is always suppressed, so two
+// cold pieces never need a pair.
+func (tg *Taskgrind) pieces(active []frozen) []itree.Piece {
+	n := 0
+	for _, f := range active {
+		// A cold span's two ends split at most one read and one write
+		// interval each.
+		n += len(f.reads) + len(f.writes) + 4
+	}
+	ps := make([]itree.Piece, 0, n)
+	for i, f := range active {
+		lo, hi := tg.coldSpan(f.Segment)
+		ps = itree.AppendPieces(ps, f.reads, uint32(i), false, lo, hi)
+		ps = itree.AppendPieces(ps, f.writes, uint32(i), true, lo, hi)
+	}
+	return ps
+}
+
+// coldSpan returns the stack span [lo, hi) in which suppressed's frame rule
+// holds on s's side: [Frame − StackSuppressWindow, Frame), or [TLSLimit,
+// Frame) with no window, and never below TLSLimit, where classify stops
+// calling an address stack.
+func (tg *Taskgrind) coldSpan(s *Segment) (lo, hi uint64) {
+	if !tg.Opt.StackSuppression || s.Frame <= guest.TLSLimit {
+		return 0, 0
+	}
+	lo = guest.TLSLimit
+	if w := tg.Opt.StackSuppressWindow; w != 0 && w < s.Frame-lo {
+		lo = s.Frame - w
+	}
+	return lo, s.Frame
+}
+
+// analyze runs Algorithm 1's pair body on each candidate pair i<<32 | j of
+// active segments. Candidates come in ascending order, the order of the
+// paper's all-pairs loop, so the reports and which of them keep details
+// under MaxReports are that loop's.
+func (tg *Taskgrind) analyze(active []frozen, pairs []uint64, out *report.Set, st *Stats) {
+	for _, p := range pairs {
+		s1, s2 := active[p>>32], active[uint32(p)]
+		st.PairsChecked++
+		if tg.graph.Ordered(s1.Node, s2.Node) {
+			continue
 		}
+		tg.checkPair(s1, s2, out, st)
 	}
 }
 
@@ -321,10 +321,4 @@ func classify(addr uint64) report.MemRegion {
 	default:
 		return report.RegionStack
 	}
-}
-
-// nodeFilter is a helper for tests: segments with accesses.
-func (tg *Taskgrind) nodeFilter(id seggraph.NodeID) bool {
-	s := tg.segs[id]
-	return !s.Reads.Empty() || !s.Writes.Empty()
 }

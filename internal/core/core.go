@@ -42,9 +42,6 @@ type Options struct {
 	// (the §V-B annotation); also toggled by the CRAssumeDeferrable
 	// client request.
 	AssumeDeferrable bool
-	// AnalysisWorkers parallelizes the post-mortem analysis pass (the
-	// paper's future-work item). 0 or 1 runs it sequentially.
-	AnalysisWorkers int
 	// MaxReports caps how many reports keep full details (the count is
 	// always exact). Default 1024.
 	MaxReports int
@@ -202,11 +199,16 @@ type globalSlot struct {
 type Stats struct {
 	AccessesRecorded uint64
 	SegmentsCreated  int
-	PairsChecked     uint64
-	ConflictPairs    int
-	SuppressedTLS    uint64
-	SuppressedStack  uint64
-	ReportsTotal     int
+	// PairsChecked counts the candidate segment pairs Algorithm 1
+	// checked: the pairs sharing a byte where a report is possible (see
+	// Taskgrind.pieces), not every pair of segments.
+	PairsChecked  uint64
+	ConflictPairs int
+	SuppressedTLS uint64
+	// SuppressedStack counts the stack ranges the frame and
+	// stack-lifetime rules suppressed inside candidate pairs.
+	SuppressedStack uint64
+	ReportsTotal    int
 	// InstrumentedLoads/Stores count the access hooks inserted at
 	// instrumentation time (per cached block, not per execution).
 	InstrumentedLoads  uint64

@@ -8,7 +8,6 @@ import (
 	"repro/internal/gbuild"
 	"repro/internal/guest"
 	"repro/internal/harness"
-	"repro/internal/lulesh"
 	"repro/internal/omp"
 	"repro/internal/ompt"
 	"repro/internal/report"
@@ -264,45 +263,6 @@ func TestInstrumentList(t *testing.T) {
 	tg := runTG(t, missingDep(), opt, 3, 4)
 	if tg.RaceCount != 0 {
 		t.Fatalf("races = %d, want 0 (only one side instrumented)", tg.RaceCount)
-	}
-}
-
-// TestParallelAnalysisMatchesSequential: the parallelized Fini pass (the
-// paper's future-work item) must find exactly the sequential result.
-func TestParallelAnalysisMatchesSequential(t *testing.T) {
-	seqOpt := core.DefaultOptions()
-	seq := runTG(t, listing4(true), seqOpt, 4, 4)
-	parOpt := core.DefaultOptions()
-	parOpt.AnalysisWorkers = 4
-	par := runTG(t, listing4(true), parOpt, 4, 4)
-	if seq.RaceCount != par.RaceCount {
-		t.Fatalf("parallel analysis diverged: %d vs %d", seq.RaceCount, par.RaceCount)
-	}
-	if seq.Reports.String() != par.Reports.String() {
-		t.Fatal("parallel analysis reports differ from sequential")
-	}
-
-	// A racy LULESH with many small task segments, under the taskgrind-par
-	// configuration: the workers share the frozen access slices, so this
-	// also pins (under -race) that freezing happens before the fan-out.
-	p := lulesh.Params{S: 4, TEL: 16, TNL: 16, Iters: 2, Racy: true}
-	build := func() *gbuild.Builder {
-		b, err := lulesh.Build(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	seq = runTG(t, build(), seqOpt, 3, 4)
-	par = runTG(t, build(), parOpt, 3, 4)
-	if seq.RaceCount == 0 {
-		t.Fatal("racy LULESH reported nothing")
-	}
-	if seq.Stats != par.Stats {
-		t.Fatalf("racy LULESH: parallel stats %+v, sequential %+v", par.Stats, seq.Stats)
-	}
-	if seq.Reports.String() != par.Reports.String() {
-		t.Fatal("racy LULESH: parallel analysis reports differ from sequential")
 	}
 }
 

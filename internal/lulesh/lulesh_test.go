@@ -1,7 +1,12 @@
 package lulesh
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/harness"
 )
 
 var small = Params{S: 8, TEL: 4, TNL: 4, Iters: 2}
@@ -147,18 +152,6 @@ func TestOverheadOrdering(t *testing.T) {
 	}
 }
 
-// TestParallelAnalysisSameReports: the parallel analysis pass finds the same
-// race count on racy LULESH.
-func TestParallelAnalysisSameReports(t *testing.T) {
-	racy := small
-	racy.Racy = true
-	seq := mustRun(t, racy, "taskgrind", 4, 5)
-	par := mustRun(t, racy, "taskgrind-par", 4, 5)
-	if seq.Reports != par.Reports {
-		t.Errorf("parallel analysis reports %d != sequential %d", par.Reports, seq.Reports)
-	}
-}
-
 // TestTableIIAndFig4Generate exercises the experiment drivers end to end on
 // a reduced configuration.
 func TestTableIIAndFig4Generate(t *testing.T) {
@@ -200,5 +193,33 @@ func TestTableIIAndFig4Generate(t *testing.T) {
 func TestBadParams(t *testing.T) {
 	if _, err := Build(Params{}); err == nil {
 		t.Fatal("zero params accepted")
+	}
+}
+
+// TestTasksReportTextPinned pins Fig 4's Taskgrind configuration (racy, 64
+// tasks per loop, 1 thread) to the values the repository benchmark checks
+// for its lulesh-tasks workload: the exit checksum, the 128 reports, and
+// the SHA-256 of their rendered text.
+func TestTasksReportTextPinned(t *testing.T) {
+	const (
+		checksum = 65647
+		reports  = 128
+		sum      = "86ed80f7a341918d8178cf697c261f3388af296804f231fdaf254648e27a7657"
+	)
+	b, err := Build(Params{S: 16, TEL: 64, TNL: 64, Iters: 2, Racy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := core.New(core.DefaultOptions())
+	res, _, err := harness.BuildAndRun(b, harness.Setup{Tool: tg, Seed: 1, Threads: 1})
+	if err != nil || res.Err != nil {
+		t.Fatal(err, res.Err)
+	}
+	text := tg.Reports.String()
+	if res.ExitCode != checksum || tg.RaceCount != reports {
+		t.Fatalf("exit %d, %d reports; want %d, %d", res.ExitCode, tg.RaceCount, checksum, reports)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); got != sum {
+		t.Fatalf("report text SHA-256 %s, want %s", got, sum)
 	}
 }

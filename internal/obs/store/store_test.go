@@ -415,9 +415,9 @@ func TestPruningEquivalence(t *testing.T) {
 		{Q{}, false},
 		{Q{Seed: &three}, true},
 		{Q{MinTS: 500, MaxTS: 700}, true},
-		{Q{Thread: &th2}, false},       // every run touches threads 0..3
-		{Q{Sym: "task_a"}, false},      // every run records task_a
-		{Q{Kind: "task"}, false},       // kinds are in every block's dict
+		{Q{Thread: &th2}, false},  // every run touches threads 0..3
+		{Q{Sym: "task_a"}, false}, // every run records task_a
+		{Q{Kind: "task"}, false},  // kinds are in every block's dict
 		{Q{Kind: "sched"}, false},
 		{Q{Sym: "no-such-symbol"}, true},
 		{Q{MinTS: 1e9}, true},

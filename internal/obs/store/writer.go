@@ -221,14 +221,14 @@ type rec struct {
 
 // cols is the columnar (struct-of-arrays) builder a batch flushes into.
 type cols struct {
-	spanStart, spanEnd, spanPC    []uint64
-	spanThread                    []int32
-	spanKind, spanName, spanSym   []uint32
-	instTS, instArg               []uint64
-	instThread                    []int32
-	instKind, instName            []uint32
-	samplePC, sampleW             []uint64
-	sampleSym                     []uint32
+	spanStart, spanEnd, spanPC  []uint64
+	spanThread                  []int32
+	spanKind, spanName, spanSym []uint32
+	instTS, instArg             []uint64
+	instThread                  []int32
+	instKind, instName          []uint32
+	samplePC, sampleW           []uint64
+	sampleSym                   []uint32
 }
 
 // RunWriter accumulates one run's records. Adds go to a fixed-size batch (a

@@ -115,8 +115,8 @@ type barrier struct {
 
 // Region is a parallel region instance.
 type Region struct {
-	ID      uint64
-	Desc    uint64
+	ID   uint64
+	Desc uint64
 	// Fn is the outlined parallel-region body's guest address.
 	Fn      uint64
 	Members []*ThreadState

@@ -113,28 +113,6 @@ func (g *Graph) Concurrent(u, v NodeID) bool {
 	return u != v && !g.Ordered(u, v)
 }
 
-// ConcurrentPairs calls fn for every unordered pair (u < v) of concurrent
-// nodes for which both filter(u) and filter(v) hold; fn returning false
-// stops the walk. filter == nil means all nodes.
-func (g *Graph) ConcurrentPairs(filter func(NodeID) bool, fn func(u, v NodeID) bool) {
-	n := NodeID(len(g.succ))
-	for u := NodeID(0); u < n; u++ {
-		if filter != nil && !filter(u) {
-			continue
-		}
-		for v := u + 1; v < n; v++ {
-			if filter != nil && !filter(v) {
-				continue
-			}
-			if g.Concurrent(u, v) {
-				if !fn(u, v) {
-					return
-				}
-			}
-		}
-	}
-}
-
 // Footprint approximates host memory used by the closure bitsets.
 func (g *Graph) Footprint() uint64 {
 	n := uint64(len(g.succ))

@@ -42,27 +42,6 @@ func TestDiamondHappensBefore(t *testing.T) {
 	}
 }
 
-func TestConcurrentPairs(t *testing.T) {
-	g, s := diamond()
-	var pairs [][2]NodeID
-	g.ConcurrentPairs(nil, func(u, v NodeID) bool {
-		pairs = append(pairs, [2]NodeID{u, v})
-		return true
-	})
-	if len(pairs) != 1 || pairs[0] != [2]NodeID{s[1], s[2]} {
-		t.Fatalf("pairs = %v", pairs)
-	}
-	// Filter hiding s1 leaves nothing.
-	var n int
-	g.ConcurrentPairs(func(id NodeID) bool { return id != s[1] }, func(u, v NodeID) bool {
-		n++
-		return true
-	})
-	if n != 0 {
-		t.Fatalf("filtered pairs = %d", n)
-	}
-}
-
 func TestParallelRegionRule(t *testing.T) {
 	// Two parallel regions chained serially: fork1 -> {a,b} -> join1 ->
 	// serial -> fork2 -> {c,d} -> join2. Eq. 1 demands every segment of

@@ -528,10 +528,10 @@ func TestHTTPSurface(t *testing.T) {
 	}
 }
 
-// TestHTTPRejectsExtend: superblock extension and the delivery option were
-// removed, so a submission that still asks for either — as a spec field or
-// inside a replay token — is a 400 naming the field, never a job run under
-// another configuration.
+// TestHTTPRejectsExtend: superblock extension, the delivery option and the
+// taskgrind-par tool were removed, so a submission that still asks for any
+// of them — as a spec field or inside a replay token — is a 400 naming it,
+// never a job run under another configuration.
 func TestHTTPRejectsExtend(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -544,6 +544,8 @@ func TestHTTPRejectsExtend(t *testing.T) {
 		{token("extend=64"), "extend"},
 		{`{"prog":"task.c","delivery":"batched"}`, "delivery"},
 		{token("delivery=per-event"), "delivery=per-event"},
+		{`{"prog":"task.c","tool":"taskgrind-par"}`, "taskgrind-par"},
+		{token("tool=taskgrind-par"), "taskgrind-par"},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {

@@ -416,35 +416,17 @@ func locksetsIntersect(a, b []uint64) bool {
 }
 
 // Fini implements dbi.Tool: close the graph, run the lockset-intersection
-// race check over unordered segment pairs, then detect cycles in the
-// lock-order graph.
+// race check over the unordered segment pairs that share a byte with at
+// least one write, then detect cycles in the lock-order graph.
 func (lg *Lockgrind) Fini(c *dbi.Core) {
 	lg.graph.Close()
-
-	// Segments with accesses take part, their trees frozen into sorted
-	// slices once rather than walked per pair.
-	active := make([]frozen, 0, len(lg.segs))
-	for _, s := range lg.segs {
-		if !s.reads.Empty() || !s.writes.Empty() {
-			active = append(active, frozen{s, s.reads.Intervals(), s.writes.Intervals()})
-		}
+	active := lg.freeze()
+	var ps []itree.Piece
+	for i, f := range active {
+		ps = itree.AppendPieces(ps, f.r, uint32(i), false, 0, 0)
+		ps = itree.AppendPieces(ps, f.w, uint32(i), true, 0, 0)
 	}
-	for i := 0; i < len(active); i++ {
-		s1 := active[i]
-		for j := i + 1; j < len(active); j++ {
-			s2 := active[j]
-			if s1.thread == s2.thread {
-				continue // one thread is program-ordered by construction
-			}
-			if lg.graph.Ordered(s1.node, s2.node) {
-				continue
-			}
-			if locksetsIntersect(s1.lockset, s2.lockset) {
-				continue // a common lock protects the overlap
-			}
-			lg.checkPair(s1, s2)
-		}
-	}
+	lg.check(active, itree.Pairs(ps, len(active)))
 	lg.sortRaces()
 	lg.findCycles()
 }
@@ -453,6 +435,37 @@ func (lg *Lockgrind) Fini(c *dbi.Core) {
 type frozen struct {
 	*seg
 	r, w []itree.Interval
+}
+
+// freeze returns the segments with accesses, the only ones that take part,
+// their trees flattened into sorted slices once rather than walked per
+// pair.
+func (lg *Lockgrind) freeze() []frozen {
+	active := make([]frozen, 0, len(lg.segs))
+	for _, s := range lg.segs {
+		if !s.reads.Empty() || !s.writes.Empty() {
+			active = append(active, frozen{s, s.reads.Intervals(), s.writes.Intervals()})
+		}
+	}
+	return active
+}
+
+// check runs the race check on each candidate pair i<<32 | j of active
+// segments, in ascending order.
+func (lg *Lockgrind) check(active []frozen, pairs []uint64) {
+	for _, p := range pairs {
+		s1, s2 := active[p>>32], active[uint32(p)]
+		if s1.thread == s2.thread {
+			continue // one thread is program-ordered by construction
+		}
+		if lg.graph.Ordered(s1.node, s2.node) {
+			continue
+		}
+		if locksetsIntersect(s1.lockset, s2.lockset) {
+			continue // a common lock protects the overlap
+		}
+		lg.checkPair(s1, s2)
+	}
 }
 
 // checkPair intersects the two segments' access sets (at least one write).

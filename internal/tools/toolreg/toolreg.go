@@ -17,13 +17,14 @@ import (
 
 // Names lists the available tools.
 func Names() []string {
-	return []string{"none", "taskgrind", "taskgrind-naive", "taskgrind-par", "archer", "tasksan", "romp", "memcheck", "lockgrind"}
+	return []string{"none", "taskgrind", "taskgrind-naive", "archer", "tasksan", "romp", "memcheck", "lockgrind"}
 }
 
 // Make instantiates a tool. "none" returns a nil tool (uninstrumented
 // reference run). "taskgrind-naive" disables every §IV suppression (the
-// ~400k-reports configuration); "taskgrind-par" runs the analysis pass with
-// a worker pool (the paper's future-work item).
+// ~400k-reports configuration). Every Taskgrind variant runs Algorithm 1
+// as one sequential address-ordered sweep that checks only the segment
+// pairs sharing a byte where a report is possible (core.Taskgrind.Fini).
 func Make(name string) (dbi.Tool, func() int, error) {
 	switch name {
 	case "none", "":
@@ -34,12 +35,6 @@ func Make(name string) (dbi.Tool, func() int, error) {
 		return tg, func() int { return tg.RaceCount }, nil
 	case "taskgrind-naive":
 		tg := core.New(core.NaiveOptions())
-		tg.Variant = name
-		return tg, func() int { return tg.RaceCount }, nil
-	case "taskgrind-par":
-		opt := core.DefaultOptions()
-		opt.AnalysisWorkers = 4
-		tg := core.New(opt)
 		tg.Variant = name
 		return tg, func() int { return tg.RaceCount }, nil
 	case "archer":
