@@ -30,11 +30,14 @@ race:
 
 # Replay-determinism gate: checkpoint/resume fuzz over the Table I programs
 # on both engines, the supervisor's crash-reproduction and fallback paths,
-# and the CLI's byte-for-byte -replay round trip. Fresh run (-count=1) so
-# the gate never passes on a cached result.
+# the CLI's byte-for-byte -replay round trip, one replay token per
+# configuration across the CLI, the daemon and explore sweeps, and daemon
+# job output byte-identical to an independent run's. Fresh run (-count=1)
+# so the gate never passes on a cached result.
 replay-determinism:
 	$(GO) test -count=1 -run 'TestCheckpointResume|TestSupervisor|TestBisect|TestSupervisedReplay|TestJournal' ./internal/harness ./internal/vm ./internal/snapshot
-	$(GO) test -count=1 -run 'TestReplayToken|TestOnPanicFallback' ./cmd/taskgrind
+	$(GO) test -count=1 -run 'TestReplayToken|TestOnPanicFallback|TestTokenIdentity' ./cmd/taskgrind
+	$(GO) test -count=1 -run 'TestFrontEndParity' ./internal/serve
 
 # Translation-store equivalence gate: the tstore unit suite (encode
 # roundtrips, persistent-tier invalidation, torn-tail recovery) under -race,

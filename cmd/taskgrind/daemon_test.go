@@ -15,6 +15,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/explore"
+	"repro/internal/obs/store"
 )
 
 // TestExitCodeTaxonomy pins the documented exit-code table: each failure
@@ -97,22 +100,29 @@ func TestDaemonSubmitWaitParity(t *testing.T) {
 	daemon := buildDaemon(t)
 	_, base := startDaemon(t, daemon)
 
-	// A clean-with-reports run: exit 1, race report rendered.
+	// A clean-with-reports run: exit 1, and the local run's report bytes.
+	local, lcode := runCLI(t, cli, "-prog", "task.c", "-seed", "2")
 	out, code := runCLI(t, cli, "submit", "-addr", base, "-prog", "task.c", "-seed", "2", "-wait")
-	if code != 1 {
-		t.Fatalf("submit -wait exit %d, want 1\n%s", code, out)
+	if code != 1 || lcode != 1 {
+		t.Fatalf("submit -wait exit %d, local exit %d, want 1\n%s", code, lcode, out)
 	}
-	if !strings.Contains(out, "race") && !strings.Contains(out, "report") {
-		t.Fatalf("no rendered report in submit -wait output:\n%s", out)
+	if got, want := waited(t, out), local+"j000001 done\n"; got != want {
+		t.Fatalf("submit -wait output differs from the local run's:\n--- submit\n%s--- want\n%s", got, want)
 	}
 
-	// A guest fault: exit 3, crash report + replay token surfaced.
+	// A guest fault: exit 3, and the local run's crash report, replay token
+	// included.
+	local, lcode = runCLI(t, cli, "-prog", "wildstore")
 	out, code = runCLI(t, cli, "submit", "-addr", base, "-prog", "wildstore", "-wait")
-	if code != 3 {
-		t.Fatalf("wildstore submit -wait exit %d, want 3\n%s", code, out)
+	if code != 3 || lcode != 3 {
+		t.Fatalf("wildstore submit -wait exit %d, local exit %d, want 3\n%s", code, lcode, out)
 	}
-	if !strings.Contains(out, "tg1:") {
-		t.Fatalf("no replay token in failed job output:\n%s", out)
+	m := tokenRE.FindStringSubmatch(local)
+	if m == nil {
+		t.Fatalf("local crash report carries no replay token:\n%s", local)
+	}
+	if got, want := waited(t, out), local+"j000002 failed verdict=fault replay="+m[1]+"\n"; got != want {
+		t.Fatalf("submit -wait output differs from the local run's:\n--- submit\n%s--- want\n%s", got, want)
 	}
 
 	// status lists both jobs.
@@ -128,9 +138,21 @@ func TestDaemonSubmitWaitParity(t *testing.T) {
 	}
 }
 
+// waited drops `submit -wait` output's first line, the admission
+// acknowledgement (job id, status, replay token), and returns what the wait
+// printed.
+func waited(t *testing.T, out string) string {
+	t.Helper()
+	ack, rest, _ := strings.Cut(out, "\n")
+	if f := strings.Fields(ack); len(f) != 3 || !strings.HasPrefix(f[2], "tg1:") {
+		t.Fatalf("submit acknowledgement %q is not `id status token`", ack)
+	}
+	return rest
+}
+
 // TestSubmitTokenRejectsExtend: `submit -token` with a token that carries
-// extend=, delivery=per-event or tool=taskgrind-par is refused by the daemon
-// and exits with the usage code.
+// extend=, delivery=per-event, tool=taskgrind-par or slice= is refused by
+// the daemon and exits with the usage code.
 func TestSubmitTokenRejectsExtend(t *testing.T) {
 	cli := buildCLI(t)
 	_, base := startDaemon(t, buildDaemon(t))
@@ -138,6 +160,53 @@ func TestSubmitTokenRejectsExtend(t *testing.T) {
 		out, code := runCLI(t, cli, "submit", "-addr", base, "-token", tok, "-wait")
 		if code != 2 || !strings.Contains(out, setting) {
 			t.Fatalf("submit -token %s: exit %d, want 2 naming it\n%s", setting, code, out)
+		}
+	}
+}
+
+// TestTokenIdentity: one configuration has one replay token whichever front
+// end ran it — the CLI's recorded run, the daemon's job, the seed an
+// explore sweep records — and decoding and re-encoding it changes nothing.
+func TestTokenIdentity(t *testing.T) {
+	cli := buildCLI(t)
+	_, base := startDaemon(t, buildDaemon(t))
+	// Every configuration runs seed 1, the default of all three front ends
+	// and the first seed of a sweep.
+	for _, args := range [][]string{
+		{"-prog", "wildstore", "-threads", "2"},
+		{"-prog", "lulesh", "-s", "4", "-racy"},
+		{"-prog", "task.c", "-inject", "pool=3", "-inject-seed", "5"},
+	} {
+		name := strings.Join(args, " ")
+		recorded := func(cmd ...string) string {
+			t.Helper()
+			dir := t.TempDir()
+			runCLI(t, cli, append(append(cmd, args...), "-record", dir)...)
+			r, err := store.OpenReader(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs, err := r.Runs(store.Q{})
+			if err != nil || len(runs) != 1 {
+				t.Fatalf("%s %s: recorded %d run(s), %v", cmd, name, len(runs), err)
+			}
+			return runs[0].ReplayToken
+		}
+		local := recorded()
+		swept := recorded("explore", "-seeds", "1")
+		out, code := runCLI(t, cli, append([]string{"submit", "-addr", base}, args...)...)
+		fields := strings.Fields(out)
+		if code != 0 || len(fields) != 3 {
+			t.Fatalf("submit %s: exit %d\n%s", name, code, out)
+		}
+		job := fields[2]
+		sp, err := explore.ParseToken(local)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if local == "" || swept != local || job != local || sp.Token() != local {
+			t.Errorf("%s: tokens differ\n cli     %s\n explore %s\n daemon  %s\n decoded %s",
+				name, local, swept, job, sp.Token())
 		}
 	}
 }

@@ -18,28 +18,24 @@
 package main
 
 import (
-	"bytes"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dbi"
 	"repro/internal/drb"
+	"repro/internal/explore"
 	"repro/internal/faultinject"
 	"repro/internal/gasm"
 	"repro/internal/gbuild"
 	"repro/internal/harness"
-	"repro/internal/lulesh"
 	"repro/internal/obs"
 	"repro/internal/obs/store"
 	"repro/internal/progs"
-	"repro/internal/snapshot"
 	"repro/internal/tools/toolreg"
 	"repro/internal/tstore"
-	"repro/internal/vm"
 )
 
 func main() {
@@ -91,10 +87,9 @@ func main() {
 		lenientMem = flag.Bool("lenient-mem", false, "disable the strict guest memory model (wild accesses allocate silently)")
 		inject     = flag.String("inject", "", "fault injection spec, e.g. \"pool=7,steal=3\" (kinds: heap, pool, steal, sched, panic, spurious, handoff, trylock; storage: tsread, tswrite, tsnospc, tsshort, tsflip, tslock)")
 		injectSeed = flag.Uint64("inject-seed", 1, "fault injection seed (phases the -inject firing patterns)")
-		// Recovery knobs: replay tokens, checkpointing, panic fallback.
-		replayTok    = flag.String("replay", "", "re-run the configuration encoded in a crash report's replay token (tg1:...); overrides the program/tool/seed flags")
-		onPanic      = flag.String("on-panic", "report", "host panic reaction: report (contain + render), fallback (rewind and re-execute under the IR oracle)")
-		ckptInterval = flag.Int("ckpt-interval", 0, "capture a guest checkpoint every N timeslices (0 = off; -on-panic=fallback defaults to 16)")
+		// Recovery knobs: replay tokens, panic fallback.
+		replayTok = flag.String("replay", "", "re-run the configuration encoded in a crash report's replay token (tg1:...) in place of the program, tool, seed and other configuration flags")
+		onPanic   = flag.String("on-panic", "report", "host panic reaction: report (contain + render), fallback (verify a crash by replay; rewind a host panic and re-execute under the IR oracle)")
 		// LULESH knobs.
 		s    = flag.Int("s", 8, "lulesh: mesh size")
 		tel  = flag.Int("tel", 4, "lulesh: tasks per element loop")
@@ -121,35 +116,24 @@ func main() {
 	if *onPanic != "report" && *onPanic != "fallback" {
 		fatal(fmt.Errorf("unknown -on-panic %q (report, fallback)", *onPanic))
 	}
-	// A replay token is the complete run configuration; decoding it turns
-	// this invocation into a byte-for-byte re-run of the crashed one.
-	sliceLen := 0
+	// The flags spell out a run recipe. A replay token is a complete one;
+	// decoding it turns this invocation into a byte-for-byte re-run of the
+	// crashed one.
+	sp := explore.Spec{
+		Prog: *prog, Tool: *tool, Seed: *seed, Threads: *threads, Engine: *engine,
+		Inject: *inject, InjectSeed: *injectSeed, Lenient: *lenientMem,
+		LSize: *s, LIters: *iter, LTasksEl: *tel, LTasksNd: *tnl, LRacy: *racy,
+	}
 	if *replayTok != "" {
-		cfg, perr := snapshot.ParseToken(*replayTok)
-		if perr != nil {
-			fatal(perr)
-		}
-		if cfg.Prog != "" {
-			*prog = cfg.Prog
-		}
-		if cfg.Tool != "" {
-			*tool = cfg.Tool
-		}
-		if cfg.Seed != 0 {
-			*seed = cfg.Seed
-		}
-		if cfg.Threads != 0 {
-			*threads = cfg.Threads
-		}
-		*engine = cfg.Engine
-		*inject, *injectSeed = cfg.Inject, cfg.InjectSeed
-		*lenientMem = cfg.Lenient
-		sliceLen = cfg.Slice
-		if cfg.Prog == "lulesh" {
-			*s, *iter, *tel, *tnl, *racy = cfg.LSize, cfg.LIters, cfg.LTasksEl, cfg.LTasksNd, cfg.LRacy
+		var err error
+		if sp, err = explore.ParseToken(*replayTok); err != nil {
+			fatal(err)
 		}
 		*asmFile = ""
 	}
+	sp.Normalize()
+	sp.MaxBlocks, sp.MaxInstrs, sp.Supervised = *maxBlocks, *maxInstrs, *onPanic == "fallback"
+	env := explore.Env{Timeout: *timeout, Metrics: *verbose || *metricsFile != "", TraceBlocks: *traceBlocks}
 
 	var b *gbuild.Builder
 	var err error
@@ -159,45 +143,18 @@ func main() {
 			fatal(rerr)
 		}
 		b, err = gasm.Assemble(string(src))
+		// An assembled source has no program name to encode, so -asm runs
+		// carry no replay token.
+		sp.Prog, env.Label = "", *asmFile
 	} else {
-		b, err = buildProgram(*prog, lulesh.Params{S: *s, TEL: *tel, TNL: *tnl, Iters: *iter, Racy: *racy})
+		b, err = progs.Build(sp.Prog, sp.Lulesh())
 	}
 	if err != nil {
 		fatal(err)
-	}
-	if _, _, terr := toolreg.Make(*tool); terr != nil {
-		fatal(terr)
-	}
-	if _, perr := faultinject.ParseSpec(*inject, *injectSeed); perr != nil {
-		fatal(perr)
-	}
-	// Every run carries its replay token: the configuration is the recipe,
-	// and the run is a pure function of it. Crash reports print the token so
-	// `taskgrind -replay <token>` reproduces them byte for byte. Assembled
-	// sources have no program name to encode, so -asm runs carry none.
-	var token string
-	if *asmFile == "" {
-		cfg := snapshot.Config{
-			Prog: *prog, Tool: *tool, Seed: *seed, Threads: *threads, Slice: sliceLen,
-			Engine: *engine, Inject: *inject, Lenient: *lenientMem,
-		}
-		if *inject != "" {
-			cfg.InjectSeed = *injectSeed
-		}
-		if *prog == "lulesh" {
-			cfg.LSize, cfg.LIters, cfg.LTasksEl, cfg.LTasksNd, cfg.LRacy = *s, *iter, *tel, *tnl, *racy
-		}
-		token = cfg.Token()
 	}
 	im, err := b.Link()
 	if err != nil {
 		fatal(err)
-	}
-	symOf := func(pc uint64) string {
-		if sym := im.SymbolFor(pc); sym != nil {
-			return sym.Name
-		}
-		return ""
 	}
 	// -trace renders the task schedule from the run's recorded spans, so it
 	// needs a run store: the -record one, or a temporary one removed on exit.
@@ -208,14 +165,21 @@ func main() {
 		}
 		scratchDir = storeDir
 	}
-	var storeW *store.Writer
 	if storeDir != "" {
-		storeW, err = store.Create(storeDir)
-		if err != nil {
+		if env.Record, err = store.Create(storeDir); err != nil {
 			fatal(err)
 		}
 	}
-	var tcache *tstore.Cache
+	if *profileFile != "" || env.Record != nil {
+		env.ProfileEvery = *profileEvery
+	}
+	var traceF *os.File
+	if *traceOut != "" {
+		if traceF, err = os.Create(*traceOut); err != nil {
+			fatal(err)
+		}
+		env.Sinks = []obs.Sink{obs.NewChromeSink(traceF)}
+	}
 	if *tcacheDir != "" {
 		opts := tstore.Options{
 			Dir:      *tcacheDir,
@@ -227,202 +191,57 @@ func main() {
 		// final save) spans attempts. Same seed, same deterministic streams
 		// — the storage kinds just never alias an attempt's guest-visible
 		// draws.
-		if *inject != "" {
-			sin, _ := faultinject.ParseSpec(*inject, *injectSeed)
+		if sp.Inject != "" {
+			sin, _ := faultinject.ParseSpec(sp.Inject, sp.InjectSeed)
 			opts.FS = &tstore.FaultFS{In: sin}
 		}
-		tcache = tstore.NewCacheOpts(opts)
-	}
-	// makeSetup assembles one attempt's configuration. Under
-	// -on-panic=fallback the supervisor may build several attempts (record,
-	// replay, IR fallback); tool, injector and observability sinks are all
-	// stateful, so each attempt gets fresh ones and the captured variables
-	// track the latest — the attempt whose results survive.
-	var (
-		tl     dbi.Tool
-		count  func() int
-		hooks  *obs.Hooks
-		reg    *obs.Registry
-		tracer *obs.Tracer
-		prof   *obs.Profiler
-		traceF *os.File
-		inj    *faultinject.Injector
-		outBuf *bytes.Buffer
-		srw    *store.RunWriter
-	)
-	makeSetup := func() harness.Setup {
-		tl, count, err = toolreg.Make(*tool)
-		if err != nil {
-			fatal(err)
-		}
-		// Assemble the observability hooks. Nil hooks keep every
-		// instrumented hot path on its one-pointer-compare fast path.
-		hooks, reg, tracer, prof = nil, nil, nil, nil
-		if *verbose || *metricsFile != "" || *traceOut != "" || *profileFile != "" || storeW != nil {
-			hooks = &obs.Hooks{}
-			if *verbose || *metricsFile != "" || storeW != nil {
-				reg = obs.NewRegistry()
-				hooks.Metrics = reg
-			}
-			var sinks []obs.Sink
-			if *traceOut != "" {
-				f, cerr := os.Create(*traceOut)
-				if cerr != nil {
-					fatal(cerr)
-				}
-				traceF = f
-				sinks = append(sinks, obs.NewChromeSink(f))
-			}
-			if storeW != nil {
-				// Fresh run writer per attempt; a superseded attempt's
-				// writer is abandoned (never appended) below.
-				if srw != nil {
-					srw.Abort()
-				}
-				progLabel := *prog
-				if *asmFile != "" {
-					progLabel = *asmFile
-				}
-				srw = storeW.Begin(store.RunHeader{
-					Prog: progLabel, Tool: *tool, Engine: *engine,
-					Seed: *seed, Threads: *threads,
-				})
-				ssink := store.NewStoreSink(srw)
-				ssink.SymFn = symOf
-				sinks = append(sinks, ssink)
-			}
-			if len(sinks) > 0 {
-				tracer = obs.NewTracer(sinks...)
-				tracer.BlockEvents = *traceBlocks
-				hooks.Tracer = tracer
-			}
-			if *profileFile != "" || storeW != nil {
-				prof = obs.NewProfiler(*profileEvery)
-				hooks.Prof = prof
-			}
-		}
-		inj, _ = faultinject.ParseSpec(*inject, *injectSeed)
-		var w io.Writer = os.Stdout
-		if *onPanic == "fallback" {
-			// Buffer guest output per attempt so a rewound re-execution
-			// does not print the pre-panic prefix twice.
-			outBuf = &bytes.Buffer{}
-			w = outBuf
-		}
-		return harness.Setup{
-			Image: im, Tool: tl, Seed: *seed, Threads: *threads, Stdout: w, Obs: hooks,
-			Slice:       sliceLen,
-			Inject:      inj,
-			LenientMem:  *lenientMem,
-			Engine:      *engine,
-			CkptEvery:   *ckptInterval,
-			ReplayToken: token,
-			RunOpts:     vm.RunOpts{MaxBlocks: *maxBlocks, MaxInstrs: *maxInstrs, Timeout: *timeout},
-			TStore:      tcache,
-		}
+		env.TStore = tstore.NewCacheOpts(opts)
 	}
 	start := time.Now()
-	var res harness.Result
-	var inst *harness.Instance
-	if *onPanic == "fallback" {
-		sup, serr := harness.Supervise(makeSetup, harness.SuperviseOpts{
-			OnPanic: harness.OnPanicFallback, CkptEvery: *ckptInterval, Token: token,
-		})
-		if serr != nil {
-			fatal(serr)
-		}
-		res, inst = sup.Result, sup.Inst
-		os.Stdout.Write(outBuf.Bytes())
-		if sup.FellBack {
-			fmt.Fprintf(os.Stderr, "==taskgrind== host panic contained at slice window [%d,%d]: re-executed under the IR oracle\n",
-				sup.Window[0], sup.Window[1])
-		}
-		if sup.Taxonomy == harness.TaxDivergence {
-			fmt.Fprintf(os.Stderr, "==taskgrind== engine divergence in slice window [%d,%d] (journal-verified)\n",
-				sup.Window[0], sup.Window[1])
-		}
-	} else {
-		inst, err = harness.New(makeSetup())
-		if err != nil {
-			fatal(err)
-		}
-		res = inst.Run()
-	}
-	if tcache != nil {
-		// Write the warm start for the next run. Runs on every exit path
-		// below (none return early before this point).
-		if serr := tcache.Save(); serr != nil {
+	run, err := explore.Execute(nil, im, sp, env)
+	if env.TStore != nil && run.Inst != nil {
+		// Write the warm start for the next run.
+		if serr := env.TStore.Save(); serr != nil {
 			fmt.Fprintf(os.Stderr, "==taskgrind== tcache save: %v\n", serr)
 		}
 	}
-	injector := inj
-	tracerClosed := false
-	closeTracer := func() {
-		if tracer == nil || tracerClosed {
-			return
-		}
-		tracerClosed = true
-		if cerr := tracer.Close(); cerr != nil {
-			fatal(cerr)
-		}
-		if traceF != nil {
-			traceF.Close()
-		}
+	if env.Record != nil {
+		err = errors.Join(err, env.Record.Close())
 	}
-	// finishRecord completes the run-store block: final counters, profile
-	// samples, race rows, verdict and replay token. Called on every exit
-	// path so crashes are recorded too.
-	finishRecord := func(verdict string, reports int) {
-		if srw == nil {
-			return
-		}
-		closeTracer() // settles still-open spans through the store sink
-		inst.CaptureMetrics(reg)
-		srw.SetCounters(reg.Snapshot().Counters)
-		srw.SetWork(res.GuestInstrs, inst.M.BlocksExecuted, uint64(res.Wall))
-		srw.SetReplayToken(token)
-		if tg, ok := tl.(*core.Taskgrind); ok {
-			for _, row := range store.RacesFromSet(&tg.Reports) {
-				srw.AddRace(row)
-			}
-		}
-		prof.Each(func(pc, n uint64) { srw.Sample(pc, symOf(pc), n) })
-		errStr := ""
-		if res.Err != nil {
-			errStr = res.Err.Error()
-		}
-		srw.SetResult(verdict, reports, errStr)
-		if ferr := srw.Finish(); ferr != nil {
-			fatal(ferr)
-		}
-		if ferr := storeW.Close(); ferr != nil {
-			fatal(ferr)
-		}
+	if traceF != nil {
+		traceF.Close()
+	}
+	if err != nil {
+		fatal(err)
+	}
+	res := run.Result
+	os.Stdout.WriteString(run.Stdout)
+	if run.FellBack {
+		fmt.Fprintf(os.Stderr, "==taskgrind== host panic contained at slice window [%d,%d]: re-executed under the IR oracle\n",
+			run.Window[0], run.Window[1])
+	}
+	if run.Verdict == harness.TaxDivergence && res.Err == nil {
+		fmt.Fprintf(os.Stderr, "==taskgrind== %s\n", run.Err)
 	}
 	if res.Crash != nil {
 		// A contained failure: render the Valgrind-style report, symbolized
 		// through the image, and exit with the failure taxonomy's documented
 		// code (fault=3, panic=4, timeout=5, deadlock=6, divergence=7,
 		// canceled=8; see README).
-		finishRecord(harness.Classify(res.Err), 0)
 		os.RemoveAll(scratchDir)
-		fmt.Fprint(os.Stderr, res.Crash.Render(inst.M.Image))
-		if injector.Enabled() {
-			fmt.Fprintf(os.Stderr, "==taskgrind== fault injection: %s\n", injector.Summary())
+		fmt.Fprint(os.Stderr, run.Crash)
+		if in := run.Inst.Inject; in.Enabled() {
+			fmt.Fprintf(os.Stderr, "==taskgrind== fault injection: %s\n", in.Summary())
 		}
-		os.Exit(harness.ExitCodeFor(harness.Classify(res.Err)))
+		os.Exit(harness.ExitCodeFor(run.Verdict))
 	}
 	if res.Err != nil {
-		finishRecord(harness.Classify(res.Err), 0)
 		fatal(res.Err)
 	}
-	finishRecord(store.VerdictOK, count())
-	closeTracer()
-	if reg != nil {
+	if reg := run.Metrics; reg != nil {
 		// One snapshot feeds both the -v text dump and the -metrics JSON
 		// file, so the two views cannot disagree. Wall time stays out of
 		// the registry: the snapshot is deterministic for a given seed.
-		inst.CaptureMetrics(reg)
 		reg.Gauge("run_exit_code").Set(float64(res.ExitCode))
 		snap := reg.Snapshot()
 		if *verbose {
@@ -443,12 +262,12 @@ func main() {
 			mf.Close()
 		}
 	}
-	if prof != nil && *profileFile != "" {
+	if *profileFile != "" {
 		pf, cerr := os.Create(*profileFile)
 		if cerr != nil {
 			fatal(cerr)
 		}
-		if werr := prof.Report(pf, inst.M.Image, 25); werr != nil {
+		if werr := run.Profile.Report(pf, im, 25); werr != nil {
 			fatal(werr)
 		}
 		pf.Close()
@@ -459,13 +278,12 @@ func main() {
 			fatal(rerr)
 		}
 		fmt.Println("== task schedule (block time) ==")
-		if err := renderGantt(os.Stdout, r, store.Q{Run: srw.Header().ID}, 72); err != nil {
+		if err := renderGantt(os.Stdout, r, store.Q{Run: run.RunID}, 72); err != nil {
 			fatal(err)
 		}
 		os.RemoveAll(scratchDir)
 	}
-	// Render tool reports.
-	if tt, ok := tl.(*core.Taskgrind); ok && *dotFile != "" {
+	if tt, ok := run.Inst.Core.Tool().(*core.Taskgrind); ok && *dotFile != "" {
 		df, derr := os.Create(*dotFile)
 		if derr != nil {
 			fatal(derr)
@@ -476,31 +294,14 @@ func main() {
 		df.Close()
 		fmt.Fprintf(os.Stderr, "segment graph written to %s\n", *dotFile)
 	}
-	if text, ok := toolreg.Render(tl); ok {
-		fmt.Print(text)
-	} else {
-		fmt.Printf("== %d report(s)\n", count())
+	fmt.Print(run.Report)
+	if run.Verdict != store.VerdictOK {
+		os.Exit(harness.ExitCodeFor(run.Verdict))
 	}
-	if count() > 0 {
+	if run.Reports > 0 {
 		os.Exit(1)
 	}
 }
-
-// buildProgram, listing4 and wildstore delegate to the shared program
-// registry (internal/progs), which the daemon's job specs resolve through
-// as well — one namespace for CLI flags, replay tokens and HTTP jobs.
-func buildProgram(name string, lp lulesh.Params) (*gbuild.Builder, error) {
-	return progs.Build(name, lp)
-}
-
-// listing4 is the paper's erroneous example program (Listing 4).
-func listing4() *gbuild.Builder { return progs.Listing4() }
-
-// wildstore is the fault-model demo: a task dereferences an uninitialized
-// "pointer" and stores into unmapped memory, which the strict memory model
-// turns into a symbolized CrashReport (exit code 3) instead of silent page
-// allocation.
-func wildstore() *gbuild.Builder { return progs.Wildstore() }
 
 // scratchDir is the temporary run store behind -trace without -record;
 // every exit path removes it.

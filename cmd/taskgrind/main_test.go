@@ -11,23 +11,24 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/lulesh"
+	"repro/internal/progs"
 )
 
 func TestBuildProgramResolvesNames(t *testing.T) {
 	lp := lulesh.Params{S: 4, TEL: 2, TNL: 2, Iters: 1}
 	for _, name := range []string{"task.c", "lulesh", "027-taskdependmissing-orig", "1001-stack_1"} {
-		if _, err := buildProgram(name, lp); err != nil {
+		if _, err := progs.Build(name, lp); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if _, err := buildProgram("nonesuch", lp); err == nil {
+	if _, err := progs.Build("nonesuch", lp); err == nil {
 		t.Error("unknown program accepted")
 	}
 }
 
 func TestListing4ReproducesThePaperExample(t *testing.T) {
 	tg := core.New(core.DefaultOptions())
-	res, _, err := harness.BuildAndRun(listing4(), harness.Setup{Tool: tg, Seed: 1, Threads: 4})
+	res, _, err := harness.BuildAndRun(progs.Listing4(), harness.Setup{Tool: tg, Seed: 1, Threads: 4})
 	if err != nil || res.Err != nil {
 		t.Fatal(err, res.Err)
 	}
@@ -119,13 +120,15 @@ func TestReplayTokenRoundTripsInjection(t *testing.T) {
 
 // retiredTokens are replay tokens recorded under modes this build no longer
 // has, keyed by what the refusal must name: superblock extension, per-event
-// access delivery, and the parallel analysis pass's taskgrind-par tool.
+// access delivery, the parallel analysis pass's taskgrind-par tool, and a
+// fixed timeslice.
 func retiredTokens() map[string]string {
 	out := map[string]string{}
 	for name, setting := range map[string]string{
 		"extend=64":          "extend=64",
 		"delivery=per-event": "delivery=per-event",
 		"taskgrind-par":      "tool=taskgrind-par",
+		"slice=7":            "slice=7",
 	} {
 		out[name] = "tg1:" + base64.RawURLEncoding.EncodeToString([]byte(setting+"&prog=task.c&seed=1"))
 	}

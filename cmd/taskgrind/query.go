@@ -17,10 +17,8 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/gbuild"
-	"repro/internal/harness"
-	"repro/internal/lulesh"
 	"repro/internal/obs/store"
-	"repro/internal/snapshot"
+	"repro/internal/progs"
 	"repro/internal/tools/toolreg"
 	"repro/internal/trace"
 )
@@ -269,26 +267,16 @@ func runExplore(args []string, stdout io.Writer) {
 		racy       = fs.Bool("racy", false, "lulesh: drop a task dependence")
 	)
 	fs.Parse(args)
-	lp := lulesh.Params{S: *s, TEL: *tel, TNL: *tnl, Iters: *iter, Racy: *racy}
-	if _, err := buildProgram(*prog, lp); err != nil {
+	sp := explore.Spec{
+		Prog: *prog, Tool: *tool, Threads: *threads, Engine: *engine,
+		Inject: *inject, InjectSeed: *injectSeed, Supervised: *supervised,
+		LSize: *s, LIters: *iter, LTasksEl: *tel, LTasksNd: *tnl, LRacy: *racy,
+	}
+	sp.Normalize()
+	if _, err := progs.Build(sp.Prog, sp.Lulesh()); err != nil {
 		fatal(err)
 	}
-	opts := explore.Opts{
-		Workers: *workers, Prog: *prog, Engine: *engine,
-		Inject: *inject, InjectSeed: *injectSeed,
-		TokenFor: func(seed int) string {
-			cfg := snapshot.Config{
-				Prog: *prog, Tool: *tool, Seed: uint64(seed),
-				Threads: *threads, Engine: *engine,
-				Inject: *inject, InjectSeed: *injectSeed,
-			}
-			if *prog == "lulesh" {
-				cfg.LSize, cfg.LIters, cfg.LTasksEl, cfg.LTasksNd, cfg.LRacy =
-					*s, *iter, *tel, *tnl, *racy
-			}
-			return cfg.Token()
-		},
-	}
+	opts := explore.Opts{Workers: *workers}
 	if *recordDir != "" {
 		w, err := store.Create(*recordDir)
 		if err != nil {
@@ -298,20 +286,13 @@ func runExplore(args []string, stdout io.Writer) {
 		opts.Record = w
 	}
 	mk := func() *gbuild.Builder {
-		b, err := buildProgram(*prog, lp)
+		b, err := progs.Build(sp.Prog, sp.Lulesh())
 		if err != nil {
 			fatal(err)
 		}
 		return b
 	}
-	var out explore.Outcome
-	var err error
-	if *supervised {
-		out, err = explore.RunSupervisedOpts(mk, *tool, *threads, *seeds, opts,
-			harness.SuperviseOpts{OnPanic: harness.OnPanicFallback})
-	} else {
-		out, err = explore.RunOpts(mk, *tool, *threads, *seeds, opts)
-	}
+	out, err := explore.RunOpts(mk, sp, *seeds, opts)
 	if err != nil {
 		fatal(err)
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/gbuild"
 	"repro/internal/lulesh"
 	"repro/internal/obs/store"
+	"repro/internal/progs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -141,31 +141,28 @@ func TestExploreRecordAggBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp := lulesh.Params{S: 4, TEL: 2, TNL: 2, Iters: 1}
 	mk := func(prog string) func() *gbuild.Builder {
 		return func() *gbuild.Builder {
-			b, err := buildProgram(prog, lp)
+			b, err := progs.Build(prog, lulesh.Params{})
 			if err != nil {
 				t.Error(err)
 			}
 			return b
 		}
 	}
-	tokenFor := func(prog string) func(int) string {
-		return func(seed int) string { return fmt.Sprintf("tg1:%s-%d", prog, seed) }
+	spec := func(prog string, threads int) explore.Spec {
+		return explore.Spec{Prog: prog, Tool: "taskgrind", Threads: threads}
 	}
 
 	// Sweep 1: 100 clean seeds of the Listing-4 microbenchmark.
-	okOut, err := explore.RunOpts(mk("task.c"), "taskgrind", 4, 100, explore.Opts{
-		Workers: 8, Prog: "task.c", Record: w, TokenFor: tokenFor("task.c"),
-	})
+	okOut, err := explore.RunOpts(mk("task.c"), spec("task.c", 4), 100,
+		explore.Opts{Workers: 8, Record: w})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Sweep 2: a crashing guest — every seed quarantined, still recorded.
-	badOut, err := explore.RunOpts(mk("wildstore"), "taskgrind", 2, 6, explore.Opts{
-		Workers: 4, Prog: "wildstore", Record: w, TokenFor: tokenFor("wildstore"),
-	})
+	badOut, err := explore.RunOpts(mk("wildstore"), spec("wildstore", 2), 6,
+		explore.Opts{Workers: 4, Record: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +204,9 @@ func TestExploreRecordAggBitIdentical(t *testing.T) {
 		if h.Verdict == store.VerdictOK {
 			t.Fatalf("wildstore seed %d recorded as ok", h.Seed)
 		}
-		if h.ReplayToken != fmt.Sprintf("tg1:wildstore-%d", h.Seed) {
+		want := spec("wildstore", 2)
+		want.Seed = h.Seed
+		if h.ReplayToken != want.Token() {
 			t.Fatalf("seed %d replay token = %q", h.Seed, h.ReplayToken)
 		}
 		if h.Err == "" {

@@ -9,13 +9,9 @@ package drb
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/dbi"
 	"repro/internal/gbuild"
 	"repro/internal/harness"
-	"repro/internal/tools/archer"
-	"repro/internal/tools/romp"
-	"repro/internal/tools/tasksan"
+	"repro/internal/tools/toolreg"
 )
 
 // Verdict classifies a tool's answer against the ground truth.
@@ -136,30 +132,18 @@ func ByName(name string) (Benchmark, bool) {
 // under; a race is "detected" if any seed reports.
 var DefaultSeeds = []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 
-// newTool instantiates a fresh tool plugin and its report counter.
-func newTool(id Tool) (dbi.Tool, func() int) {
-	switch id {
-	case ToolTaskgrind:
-		tg := core.New(core.DefaultOptions())
-		return tg, func() int { return tg.RaceCount }
-	case ToolTaskSanitizer:
-		ts := tasksan.New()
-		return ts, func() int { return ts.RaceCount }
-	case ToolROMP:
-		r := romp.New()
-		return r, func() int { return r.RaceCount }
-	case ToolArcher:
-		a := archer.New()
-		return a, a.RaceCount
-	}
-	panic("drb: unknown tool")
-}
+// registryNames are the tools' names in the tool registry (toolreg), in
+// the paper's column order.
+var registryNames = [NumTools]string{"tasksan", "archer", "romp", "taskgrind"}
 
 // Detect runs a benchmark under a tool across seeds and reports whether any
 // run found a race.
 func Detect(b Benchmark, tool Tool, threads int, seeds []uint64) (bool, error) {
 	for _, seed := range seeds {
-		t, count := newTool(tool)
+		t, count, err := toolreg.Make(registryNames[tool])
+		if err != nil {
+			return false, err
+		}
 		res, _, err := harness.BuildAndRun(b.Build(), harness.Setup{
 			Tool: t, Seed: seed, Threads: threads,
 		})

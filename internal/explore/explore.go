@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"repro/internal/gbuild"
-	"repro/internal/harness"
 )
 
 // Failure describes one quarantined seed: a schedule whose run crashed,
@@ -29,7 +28,7 @@ type Failure struct {
 	// Err is the failure's rendered error.
 	Err string
 	// Reproduced reports that a supervised sweep replayed the crash
-	// bit-identically before reporting it as real (RunSupervised only).
+	// bit-identically before reporting it as real (Spec.Supervised only).
 	Reproduced bool
 }
 
@@ -70,13 +69,10 @@ func (o Outcome) String() string {
 	return s
 }
 
-// Run explores nseeds schedules (seeds 1..n) with up to workers concurrent
-// machines. build must return a fresh builder per call (builders are
-// single-link). Crashing, hung or otherwise failing seeds are quarantined
-// into Outcome.Failed/Failures rather than aborting the sweep; only setup
-// errors (unknown tool, unbuildable program) fail the whole call.
+// Run explores nseeds schedules (seeds 1..n) of an unnamed program under
+// tool with up to workers concurrent machines; RunOpts is the general form.
 func Run(build func() *gbuild.Builder, tool string, threads, nseeds, workers int) (Outcome, error) {
-	return RunOpts(build, tool, threads, nseeds, Opts{Workers: workers})
+	return RunOpts(build, Spec{Tool: tool, Threads: threads}, nseeds, Opts{Workers: workers})
 }
 
 // finish folds per-seed failures into the outcome and computes the summary
@@ -107,14 +103,4 @@ func (o *Outcome) finish(fails []*Failure) {
 	}
 	o.Distinct = len(distinct)
 	o.DetectionRate = float64(detecting) / float64(len(survivors))
-}
-
-// RunSupervised explores like Run but drives every seed through the recovery
-// supervisor: each run records a decision journal, crashes must reproduce
-// once under journal-verified replay before they are reported as real
-// (Failure.Reproduced), and — with opts.OnPanic set to OnPanicFallback —
-// host-side engine defects degrade to the IR oracle instead of costing the
-// data point. opts.VerifyCrash is forced on.
-func RunSupervised(build func() *gbuild.Builder, tool string, threads, nseeds, workers int, opts harness.SuperviseOpts) (Outcome, error) {
-	return RunSupervisedOpts(build, tool, threads, nseeds, Opts{Workers: workers}, opts)
 }

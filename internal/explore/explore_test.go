@@ -112,7 +112,8 @@ func TestBadToolPropagates(t *testing.T) {
 	if _, err := explore.Run(racyLulesh, "nonesuch", 4, 2, 2); err == nil {
 		t.Fatal("unknown tool accepted")
 	}
-	if _, err := explore.RunSupervised(racyLulesh, "nonesuch", 4, 2, 2, harness.SuperviseOpts{}); err == nil {
+	supervised := explore.Spec{Tool: "nonesuch", Threads: 4, Supervised: true}
+	if _, err := explore.RunOpts(racyLulesh, supervised, 2, explore.Opts{Workers: 2}); err == nil {
 		t.Fatal("unknown tool accepted by supervised sweep")
 	}
 }
@@ -188,11 +189,12 @@ func TestQuarantineKeepsSweepAlive(t *testing.T) {
 	}
 }
 
-// TestSupervisedSweepVerifiesCrashes: under RunSupervised every quarantined
-// crash must have reproduced bit-identically before being reported, and the
-// surviving seeds must agree with the plain sweep.
+// TestSupervisedSweepVerifiesCrashes: in a supervised sweep every
+// quarantined crash must have reproduced bit-identically before being
+// reported, and the surviving seeds must agree with the plain sweep.
 func TestSupervisedSweepVerifiesCrashes(t *testing.T) {
-	sup, err := explore.RunSupervised(crasherProgram, "taskgrind", 4, 8, 4, harness.SuperviseOpts{})
+	sup, err := explore.RunOpts(crasherProgram,
+		explore.Spec{Tool: "taskgrind", Threads: 4, Supervised: true}, 8, explore.Opts{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

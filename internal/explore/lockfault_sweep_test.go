@@ -14,7 +14,7 @@ import (
 	"repro/internal/explore"
 	"repro/internal/faultinject"
 	"repro/internal/harness"
-	"repro/internal/snapshot"
+	"repro/internal/obs/store"
 )
 
 func TestLockFaultSweepQuarantine(t *testing.T) {
@@ -29,17 +29,18 @@ func TestLockFaultSweepQuarantine(t *testing.T) {
 	if !ok {
 		t.Fatalf("unknown scenario %q", prog)
 	}
-	tokenFor := func(seed int) string {
-		return snapshot.Config{
-			Prog: prog, Tool: tool, Seed: uint64(seed), Threads: threads,
-			Inject: spec, InjectSeed: 1,
-		}.Token()
-	}
-	out, err := explore.RunSupervisedOpts(bench.Build, tool, threads, nseeds, explore.Opts{
-		Inject:   spec,
-		TokenFor: tokenFor,
-	}, harness.SuperviseOpts{})
+	dir := t.TempDir()
+	w, err := store.Create(dir)
 	if err != nil {
+		t.Fatal(err)
+	}
+	sp := explore.Spec{Prog: prog, Tool: tool, Threads: threads,
+		Inject: spec, InjectSeed: 1, Supervised: true}
+	out, err := explore.RunOpts(bench.Build, sp, nseeds, explore.Opts{Record: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,10 +62,19 @@ func TestLockFaultSweepQuarantine(t *testing.T) {
 		}
 	}
 
-	// Standalone token reproduction: decode one quarantined seed's token
-	// and re-run it from the decoded configuration alone — the same crash
-	// must come back.
-	cfg, err := snapshot.ParseToken(tokenFor(out.Failed[0]))
+	// Standalone token reproduction: decode the token the sweep recorded
+	// for one quarantined seed and re-run it from the decoded
+	// configuration alone — the same crash must come back.
+	r, err := store.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := uint64(out.Failed[0])
+	runs, err := r.Runs(store.Q{Seed: &failed})
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("recorded runs of seed %d: %d, %v", out.Failed[0], len(runs), err)
+	}
+	cfg, err := explore.ParseToken(runs[0].ReplayToken)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,237 +10,42 @@ package explore
 import (
 	"sort"
 
-	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/gbuild"
-	"repro/internal/guest"
-	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/obs/store"
-	"repro/internal/tools/toolreg"
 	"repro/internal/tstore"
 )
 
-// Opts extends a sweep beyond the positional basics.
+// Opts are a sweep's resources beyond its recipe.
 type Opts struct {
 	// Workers bounds concurrent machines (0 = 4).
 	Workers int
-	// Prog labels recorded runs (the run-store header's program field).
-	Prog string
-	// Engine selects the DBI engine for every seed ("" = tool default);
-	// also recorded in run headers.
-	Engine string
 	// Record, when non-nil, records every seed's run — including
 	// quarantined crashes — into the store.
 	Record *store.Writer
-	// TokenFor builds seed's replay token (stamped into recorded headers
-	// and onto supervised crash reports). Optional.
-	TokenFor func(seed int) string
 	// TStore shares translations across the sweep's seeds: every seed
 	// runs the same image under the same tool, so the whole sweep costs
 	// roughly one seed's worth of translation work. Nil builds a
 	// sweep-private in-memory cache (amortization on by default); pass an
 	// explicit cache to share with a daemon or a persistent tier.
 	TStore *tstore.Cache
-	// Inject is a fault-injection spec ("trylock=3,spurious=7") applied to
-	// every seed; each attempt gets a fresh injector so firing patterns are
-	// a pure function of (spec, InjectSeed), independent of sweep order.
-	Inject string
-	// InjectSeed phases the Inject firing patterns (0 = 1).
-	InjectSeed uint64
 }
 
-// injector builds the per-attempt injector from the sweep spec ("" = nil).
-func (o Opts) injector() (*faultinject.Injector, error) {
-	if o.Inject == "" {
-		return nil, nil
-	}
-	seed := o.InjectSeed
-	if seed == 0 {
-		seed = 1
-	}
-	return faultinject.ParseSpec(o.Inject, seed)
-}
-
-// recording bundles one seed's observability attachments while it records.
-type recording struct {
-	rw   *store.RunWriter
-	reg  *obs.Registry
-	tr   *obs.Tracer
-	prof *obs.Profiler
-}
-
-// beginRecording opens a run in the store and builds the hooks that feed it.
-func beginRecording(o Opts, tool string, threads, seed int, im *guest.Image) *recording {
-	if o.Record == nil {
-		return nil
-	}
-	rr := &recording{
-		reg:  obs.NewRegistry(),
-		prof: obs.NewProfiler(1),
-	}
-	rr.rw = o.Record.Begin(store.RunHeader{
-		Prog: o.Prog, Tool: tool, Engine: o.Engine,
-		Seed: uint64(seed), Threads: threads,
-	})
-	sink := store.NewStoreSink(rr.rw)
-	if im != nil {
-		sink.SymFn = func(pc uint64) string {
-			if sym := im.SymbolFor(pc); sym != nil {
-				return sym.Name
-			}
-			return ""
-		}
-	}
-	rr.tr = obs.NewTracer(sink)
-	return rr
-}
-
-// hooks returns the obs attachment for the recorded attempt.
-func (rr *recording) hooks() *obs.Hooks {
-	if rr == nil {
-		return nil
-	}
-	return &obs.Hooks{Metrics: rr.reg, Tracer: rr.tr, Prof: rr.prof}
-}
-
-// finish captures the run's final state into the store. inst is the
-// surviving instance (fallback when the run degraded); token/verdict/
-// reports/reproduced describe the outcome.
-func (rr *recording) finish(inst *harness.Instance, res harness.Result,
-	verdict string, reports int, reproduced bool, token string) error {
-	if rr == nil {
-		return nil
-	}
-	_ = rr.tr.Close() // settles still-open spans in the store sink
-	if inst != nil {
-		inst.CaptureMetrics(rr.reg)
-		rr.rw.SetWork(res.GuestInstrs, inst.M.BlocksExecuted, uint64(res.Wall))
-		if tg, ok := inst.Core.Tool().(*core.Taskgrind); ok {
-			for _, row := range store.RacesFromSet(&tg.Reports) {
-				rr.rw.AddRace(row)
-			}
-		}
-	}
-	rr.rw.SetCounters(rr.reg.Snapshot().Counters)
-	rr.rw.SetReplayToken(token)
-	rr.rw.SetReproduced(reproduced)
-	if verdict == "" {
-		verdict = store.VerdictOK
-	}
-	errStr := ""
-	if res.Err != nil {
-		errStr = res.Err.Error()
-	}
-	rr.rw.SetResult(verdict, reports, errStr)
-	var im *guest.Image
-	if inst != nil {
-		im = inst.M.Image
-	}
-	rr.prof.Each(func(pc, count uint64) {
-		sym := ""
-		if im != nil {
-			if s := im.SymbolFor(pc); s != nil {
-				sym = s.Name
-			}
-		}
-		rr.rw.Sample(pc, sym, count)
-	})
-	return rr.rw.Finish()
-}
-
-// RunOpts explores nseeds schedules (seeds 1..n) like Run, with recording
-// and engine selection from o.
-func RunOpts(build func() *gbuild.Builder, tool string, threads, nseeds int, o Opts) (Outcome, error) {
+// RunOpts explores seeds 1..nseeds of sp's configuration (sp.Seed is
+// replaced by each seed) on fresh images from build, which must return a
+// new builder per call (builders are single-link). Every seed is one
+// Execute. Crashing, hung or otherwise failing seeds are quarantined into
+// Outcome.Failed/Failures rather than aborting the sweep; only setup errors
+// (unknown tool, unbuildable program, a failed recording) fail the call.
+func RunOpts(build func() *gbuild.Builder, sp Spec, nseeds int, o Opts) (Outcome, error) {
 	workers := o.Workers
 	if workers <= 0 {
 		workers = 4
 	}
-	tc := o.TStore
-	if tc == nil {
-		tc = tstore.NewCache("")
+	env := Env{TStore: o.TStore, Record: o.Record}
+	if env.TStore == nil {
+		env.TStore = tstore.NewCache("")
 	}
-	out := Outcome{Tool: tool, Seeds: nseeds, Counts: make([]int, nseeds)}
-	errs := make([]error, nseeds)
-	fails := make([]*Failure, nseeds)
-	done := make(chan int, workers)
-	sem := make(chan struct{}, workers)
-	for i := 0; i < nseeds; i++ {
-		go func(i int) {
-			defer func() { done <- i }()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			tl, count, err := toolreg.Make(tool)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			im, err := build().Link()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rr := beginRecording(o, tool, threads, i+1, im)
-			in, err := o.injector()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			inst, err := harness.New(harness.Setup{
-				Image: im, Tool: tl, Seed: uint64(i + 1), Threads: threads,
-				Engine: o.Engine, Obs: rr.hooks(), TStore: tc, Inject: in,
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			res := inst.Run()
-			token := ""
-			if o.TokenFor != nil {
-				token = o.TokenFor(i + 1)
-			}
-			if res.Err != nil {
-				fails[i] = &Failure{Seed: i + 1, Kind: harness.Classify(res.Err), Err: res.Err.Error()}
-				errs[i] = rr.finish(inst, res, fails[i].Kind, 0, false, token)
-				return
-			}
-			out.Counts[i] = count()
-			errs[i] = rr.finish(inst, res, store.VerdictOK, out.Counts[i], false, token)
-		}(i)
-	}
-	for n := 0; n < nseeds; n++ {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	out.finish(fails)
-	return out, nil
-}
-
-// RunSupervisedOpts explores like RunSupervised, with recording and engine
-// selection from o. Only the first attempt of each seed is traced (replay
-// and fallback attempts re-execute the recorded timeline); the surviving
-// attempt's counters, reports and verdict complete the recorded header.
-func RunSupervisedOpts(build func() *gbuild.Builder, tool string, threads, nseeds int, o Opts, sopts harness.SuperviseOpts) (Outcome, error) {
-	workers := o.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	if _, _, err := toolreg.Make(tool); err != nil {
-		return Outcome{Tool: tool, Seeds: nseeds}, err
-	}
-	if _, err := o.injector(); err != nil {
-		return Outcome{Tool: tool, Seeds: nseeds}, err
-	}
-	tc := o.TStore
-	if tc == nil {
-		tc = tstore.NewCache("")
-	}
-	sopts.VerifyCrash = true
-	out := Outcome{Tool: tool, Seeds: nseeds, Counts: make([]int, nseeds)}
+	out := Outcome{Tool: sp.Tool, Seeds: nseeds, Counts: make([]int, nseeds)}
 	errs := make([]error, nseeds)
 	fails := make([]*Failure, nseeds)
 	done := make(chan int, workers)
@@ -255,44 +60,18 @@ func RunSupervisedOpts(build func() *gbuild.Builder, tool string, threads, nseed
 				errs[i] = err
 				return
 			}
-			rr := beginRecording(o, tool, threads, i+1, im)
-			seedOpts := sopts
-			if o.TokenFor != nil && seedOpts.Token == "" {
-				seedOpts.Token = o.TokenFor(i + 1)
-			}
-			var count func() int
-			attempts := 0
-			factory := func() harness.Setup {
-				tl, c, _ := toolreg.Make(tool)
-				count = c
-				s := harness.Setup{
-					Image: im, Tool: tl, Seed: uint64(i + 1),
-					Threads: threads, Engine: o.Engine, TStore: tc,
-				}
-				// A fresh injector per attempt: replay/fallback attempts
-				// re-draw the identical firing pattern.
-				s.Inject, _ = o.injector()
-				if attempts == 0 {
-					s.Obs = rr.hooks()
-				}
-				attempts++
-				return s
-			}
-			sup, err := harness.Supervise(factory, seedOpts)
-			if err != nil {
+			seed := sp
+			seed.Seed = uint64(i + 1)
+			run, err := Execute(nil, im, seed, env)
+			switch {
+			case err != nil:
 				errs[i] = err
-				return
+			case run.Verdict != store.VerdictOK:
+				fails[i] = &Failure{Seed: i + 1, Kind: run.Verdict,
+					Err: run.Err, Reproduced: run.Reproduced}
+			default:
+				out.Counts[i] = run.Reports
 			}
-			if sup.Err != nil {
-				fails[i] = &Failure{Seed: i + 1, Kind: sup.Taxonomy,
-					Err: sup.Err.Error(), Reproduced: sup.Reproduced}
-				errs[i] = rr.finish(sup.Inst, sup.Result, sup.Taxonomy, 0,
-					sup.Reproduced, seedOpts.Token)
-				return
-			}
-			out.Counts[i] = count()
-			errs[i] = rr.finish(sup.Inst, sup.Result, store.VerdictOK,
-				out.Counts[i], sup.Reproduced, seedOpts.Token)
 		}(i)
 	}
 	for n := 0; n < nseeds; n++ {

@@ -68,9 +68,6 @@ type Setup struct {
 	// into Instance.Ckpts every CkptEvery timeslices (with journal state
 	// marks when Journal is set).
 	CkptEvery int
-	// CkptRetain bounds the retained checkpoint history (0 = default 4);
-	// older checkpoints fold into the manager's base image.
-	CkptRetain int
 	// ReplayToken, when non-empty, is stamped onto any CrashReport this
 	// run produces, so the rendered report tells the user how to reproduce
 	// it (`taskgrind -replay <token>`).
@@ -197,7 +194,7 @@ func New(s Setup) (*Instance, error) {
 		}
 	}
 	if s.CkptEvery > 0 {
-		inst.Ckpts = snapshot.NewManager(s.CkptRetain)
+		inst.Ckpts = snapshot.NewManager(0)
 		m.Mem.EnableDirtyTracking()
 		inst.RunOpts.CkptEvery = s.CkptEvery
 		inst.RunOpts.OnCkpt = func(m *vm.Machine) error {

@@ -25,20 +25,9 @@ import (
 // SetupFactory builds a fresh Setup for each (re-)execution attempt. It must
 // return an equivalent configuration every call (same image, seed, tool
 // construction, injection spec): the supervisor's recovery guarantees assume
-// attempt N replays attempt 0's timeline. Journal/checkpoint/replay-token
-// fields are overwritten by the supervisor.
+// attempt N replays attempt 0's timeline. Journal and checkpoint fields are
+// overwritten by the supervisor.
 type SetupFactory func() Setup
-
-// OnPanic selects the supervisor's reaction to a contained HostPanic.
-type OnPanic int
-
-const (
-	// OnPanicReport keeps the PR 2 behaviour: contain, render, report.
-	OnPanicReport OnPanic = iota
-	// OnPanicFallback rewinds and re-executes under the IR oracle (the
-	// trusted reference engine), degrading gracefully instead of dying.
-	OnPanicFallback
-)
 
 // Failure taxonomy values (SupResult.Taxonomy, explore quarantine, daemon
 // job status).
@@ -104,20 +93,10 @@ func ExitCodeFor(taxonomy string) int {
 	}
 }
 
-// SuperviseOpts configures a supervised run.
-type SuperviseOpts struct {
-	// OnPanic selects report vs IR-oracle fallback for host panics.
-	OnPanic OnPanic
-	// CkptEvery is the checkpoint cadence in timeslices (default 16).
-	CkptEvery int
-	// Retain bounds retained checkpoint history (0 = manager default).
-	Retain int
-	// VerifyCrash requires a crash to reproduce once, bit-identically,
-	// under journal-verified replay before it is reported as real.
-	VerifyCrash bool
-	// Token, when non-empty, is stamped onto crash reports.
-	Token string
-}
+// ckptEvery is the supervisor's checkpoint cadence in timeslices: each
+// checkpoint is a journal state mark, so it bounds how far back a failure
+// window reaches.
+const ckptEvery = 16
 
 // SupResult is a supervised run's outcome.
 type SupResult struct {
@@ -130,8 +109,8 @@ type SupResult struct {
 	// Taxonomy classifies the original failure ("" when the first attempt
 	// succeeded); see the Tax* constants.
 	Taxonomy string
-	// Reproduced reports that VerifyCrash replayed the crash and the
-	// rendered report came back bit-identical.
+	// Reproduced reports that the crash replayed and the rendered report
+	// came back bit-identical.
 	Reproduced bool
 	// Window is the [last-verified-slice, failing-slice] interval the
 	// failure was narrowed to (zero when the run succeeded).
@@ -146,44 +125,31 @@ type SupResult struct {
 // buildSupervised constructs one attempt's instance with the supervisor's
 // journal/checkpoint wiring. engine overrides the factory's engine choice
 // when non-empty.
-func buildSupervised(factory SetupFactory, opts SuperviseOpts, j *snapshot.Journal, ckptEvery int, engine string) (*Instance, error) {
+func buildSupervised(factory SetupFactory, j *snapshot.Journal, every int, engine string) (*Instance, error) {
 	s := factory()
 	s.Journal = j
-	s.CkptEvery = ckptEvery
-	s.CkptRetain = opts.Retain
-	if opts.Token != "" {
-		s.ReplayToken = opts.Token
-	}
+	s.CkptEvery = every
 	if engine != "" {
 		s.Engine = engine
 	}
 	return New(s)
 }
 
-// Supervise runs the configured program under the recovery supervisor:
-// the first attempt records a full decision journal with periodic state
-// marks; on a crash, the journal verifies the reproduction (VerifyCrash) and
-// — for host panics under OnPanicFallback — drives a rewound re-execution
-// under the IR oracle that must walk the recorded timeline up to the panic
-// point before continuing past it.
-func Supervise(factory SetupFactory, opts SuperviseOpts) (SupResult, error) {
-	return SuperviseCtx(nil, factory, opts)
-}
-
-// SuperviseCtx supervises like Supervise under a cancellation context: a
-// cancel interrupts whichever attempt is in flight (first run, verification
-// replay, or fallback) within one timeslice, and the canceled attempt is
-// classified TaxCanceled rather than treated as a reproducible failure —
-// a canceled run proves nothing, so neither VerifyCrash nor the fallback
-// re-execution is attempted after one.
-func SuperviseCtx(ctx context.Context, factory SetupFactory, opts SuperviseOpts) (SupResult, error) {
-	if opts.CkptEvery <= 0 {
-		opts.CkptEvery = 16
-	}
+// Supervise runs the configured program under the recovery supervisor,
+// under ctx (nil: not cancelable). The first attempt records a full
+// decision journal with a state mark every ckptEvery slices. A crash must
+// reproduce once, bit-identically, under journal-verified replay before it
+// counts as real; a host panic then drives a rewound re-execution under the
+// IR oracle that must walk the recorded timeline up to the panic point
+// before continuing past it. A cancel interrupts whichever attempt is in
+// flight within one timeslice, and the canceled attempt is classified
+// TaxCanceled: a canceled run proves nothing, so neither the replay nor the
+// fallback follows one.
+func Supervise(ctx context.Context, factory SetupFactory) (SupResult, error) {
 	var sup SupResult
 
 	journal := snapshot.NewJournal()
-	inst, err := buildSupervised(factory, opts, journal, opts.CkptEvery, "")
+	inst, err := buildSupervised(factory, journal, ckptEvery, "")
 	if err != nil {
 		return sup, fmt.Errorf("harness: supervise: %w", err)
 	}
@@ -214,9 +180,9 @@ func SuperviseCtx(ctx context.Context, factory SetupFactory, opts SuperviseOpts)
 
 	// Replay-verify: a crash must reproduce once, bit-identically, before
 	// it is reported as real (quarantine semantics for explore).
-	if opts.VerifyCrash && sup.Crash != nil {
+	if sup.Crash != nil {
 		v := journal.Verifier(false)
-		replay, err := buildSupervised(factory, opts, v, opts.CkptEvery, "")
+		replay, err := buildSupervised(factory, v, ckptEvery, "")
 		if err != nil {
 			return sup, fmt.Errorf("harness: supervise replay: %w", err)
 		}
@@ -226,16 +192,16 @@ func SuperviseCtx(ctx context.Context, factory SetupFactory, opts SuperviseOpts)
 			rres.Crash.Render(replay.M.Image) == sup.Crash.Render(inst.M.Image)
 	}
 
-	// Graceful degradation: a host panic under OnPanicFallback rewinds and
-	// re-executes under the IR oracle. The soft verifier cross-checks the
-	// fallback against the recorded timeline (picks, injection draws,
-	// state marks); a divergence *before* the panic point means the
-	// configured engine was corrupting state earlier than it crashed, and
-	// is surfaced as TaxDivergence with a narrowed window.
+	// Graceful degradation: a host panic rewinds and re-executes under the
+	// IR oracle. The soft verifier cross-checks the fallback against the
+	// recorded timeline (picks, injection draws, state marks); a divergence
+	// *before* the panic point means the configured engine was corrupting
+	// state earlier than it crashed, and is surfaced as TaxDivergence with
+	// a narrowed window.
 	var hp *vm.HostPanic
-	if opts.OnPanic == OnPanicFallback && errors.As(sup.Err, &hp) {
+	if errors.As(sup.Err, &hp) {
 		v := journal.Verifier(true)
-		fb, err := buildSupervised(factory, opts, v, opts.CkptEvery, dbi.EngineIR)
+		fb, err := buildSupervised(factory, v, ckptEvery, dbi.EngineIR)
 		if err != nil {
 			return sup, fmt.Errorf("harness: supervise fallback: %w", err)
 		}
@@ -274,18 +240,18 @@ func markWindow(rec *snapshot.Journal, v *snapshot.Journal, failSlice uint64) [2
 // single-slice checkpoint cadence, returning the minimal
 // [last-agreeing-slice, first-diverging-slice] window (ok=false when the two
 // engines agree everywhere, i.e. the failure is not a divergence). It is the
-// slow, precise follow-up to the CkptEvery-granular window Supervise
+// slow, precise follow-up to the ckptEvery-granular window Supervise
 // reports.
-func BisectDivergence(factory SetupFactory, opts SuperviseOpts) (window [2]uint64, ok bool, err error) {
+func BisectDivergence(factory SetupFactory) (window [2]uint64, ok bool, err error) {
 	ref := snapshot.NewJournal()
-	inst, err := buildSupervised(factory, opts, ref, 1, "")
+	inst, err := buildSupervised(factory, ref, 1, "")
 	if err != nil {
 		return window, false, err
 	}
 	refRes := inst.Run()
 
 	v := ref.Verifier(true)
-	oracle, err := buildSupervised(factory, opts, v, 1, dbi.EngineIR)
+	oracle, err := buildSupervised(factory, v, 1, dbi.EngineIR)
 	if err != nil {
 		return window, false, err
 	}

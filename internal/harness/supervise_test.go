@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/explore"
 	"repro/internal/faultinject"
 	"repro/internal/guest"
 	"repro/internal/harness"
@@ -39,7 +40,7 @@ func linkOrFatal(t *testing.T, seed int64) *guest.Image {
 
 func TestSupervisorCleanRunPassesThrough(t *testing.T) {
 	im := linkOrFatal(t, 11)
-	sup, err := harness.Supervise(taskFactory(im, nil), harness.SuperviseOpts{})
+	sup, err := harness.Supervise(nil, taskFactory(im, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +53,14 @@ func TestSupervisorCleanRunPassesThrough(t *testing.T) {
 }
 
 // TestSupervisorFallbackMatchesUninjectedReport is the acceptance criterion:
-// an injected compiled-engine panic under OnPanicFallback completes the run
-// under the IR oracle, and the tool report is bit-identical to an uninjected
-// run's.
+// an injected compiled-engine panic kills an unsupervised run, while the
+// supervisor completes it under the IR oracle with a tool report
+// bit-identical to an uninjected run's.
 func TestSupervisorFallbackMatchesUninjectedReport(t *testing.T) {
 	im := linkOrFatal(t, 11)
 
 	// Uninjected baseline.
-	base, err := harness.Supervise(taskFactory(im, nil), harness.SuperviseOpts{})
+	base, err := harness.Supervise(nil, taskFactory(im, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,25 +77,26 @@ func TestSupervisorFallbackMatchesUninjectedReport(t *testing.T) {
 		return in
 	}
 
-	// Without fallback, the injected engine defect kills the run.
-	dead, err := harness.Supervise(taskFactory(im, inject),
-		harness.SuperviseOpts{OnPanic: harness.OnPanicReport})
+	// Unsupervised, the injected engine defect kills the run.
+	dead, err := harness.New(taskFactory(im, inject)())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dead.Taxonomy != harness.TaxPanic || dead.Crash == nil || dead.FellBack {
-		t.Fatalf("report mode: taxonomy=%q crash=%v fellback=%v",
-			dead.Taxonomy, dead.Crash, dead.FellBack)
-	}
-	if dead.Window[1] < dead.Window[0] {
-		t.Fatalf("bad failure window %v", dead.Window)
+	if res := dead.Run(); harness.Classify(res.Err) != harness.TaxPanic || res.Crash == nil {
+		t.Fatalf("unsupervised: taxonomy=%q crash=%v", harness.Classify(res.Err), res.Crash)
 	}
 
-	// With fallback, the IR oracle completes the run.
-	sup, err := harness.Supervise(taskFactory(im, inject),
-		harness.SuperviseOpts{OnPanic: harness.OnPanicFallback})
+	// Supervised, the crash replays and the IR oracle completes the run.
+	sup, err := harness.Supervise(nil, taskFactory(im, inject))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !sup.Reproduced || sup.Attempts != 3 {
+		t.Fatalf("panic not replay-verified before the fallback: reproduced=%v attempts=%d",
+			sup.Reproduced, sup.Attempts)
+	}
+	if sup.Window[1] < sup.Window[0] {
+		t.Fatalf("bad failure window %v", sup.Window)
 	}
 	if !sup.FellBack || sup.Err != nil {
 		t.Fatalf("fallback did not complete: fellback=%v err=%v", sup.FellBack, sup.Err)
@@ -120,13 +122,12 @@ func TestSupervisorVerifyCrashReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	token := snapshot.Config{Prog: "wildstore", Tool: "taskgrind", Seed: 1, Threads: 2}.Token()
+	token := explore.Spec{Prog: "wildstore", Tool: "taskgrind", Seed: 1, Threads: 2}.Token()
 	factory := func() harness.Setup {
-		return harness.Setup{Image: im, Tool: core.New(core.Options{}), Seed: 1, Threads: 2}
+		return harness.Setup{Image: im, Tool: core.New(core.Options{}), Seed: 1, Threads: 2,
+			ReplayToken: token}
 	}
-	sup, err := harness.Supervise(factory, harness.SuperviseOpts{
-		VerifyCrash: true, Token: token,
-	})
+	sup, err := harness.Supervise(nil, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestBisectDivergence(t *testing.T) {
 		in.Enable(faultinject.EnginePanic, 40)
 		return in
 	}
-	window, ok, err := harness.BisectDivergence(taskFactory(im, inject), harness.SuperviseOpts{})
+	window, ok, err := harness.BisectDivergence(taskFactory(im, inject))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestBisectDivergence(t *testing.T) {
 	}
 
 	// Two agreeing engines: no divergence to find.
-	_, ok, err = harness.BisectDivergence(taskFactory(im, nil), harness.SuperviseOpts{})
+	_, ok, err = harness.BisectDivergence(taskFactory(im, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -353,9 +353,14 @@ func (rw *RunWriter) Stats() (flushedBatches, droppedEvents uint64) {
 	return rw.flushed, rw.dropped
 }
 
-// Abort discards the run without writing anything (a superseded supervision
-// attempt). The store-assigned run ID is not reused.
-func (rw *RunWriter) Abort() { rw.done = true }
+// Abort discards the run without writing anything (a run that never
+// started). The store-assigned run ID is not reused. A nil RunWriter's
+// Abort is a no-op.
+func (rw *RunWriter) Abort() {
+	if rw != nil {
+		rw.done = true
+	}
+}
 
 // Finish encodes the run block and appends it to the store. The RunWriter
 // is unusable afterwards.

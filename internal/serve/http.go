@@ -88,7 +88,7 @@ func (s *Server) Handler() http.Handler {
 		spec := req.JobSpec
 		if req.ReplayTok != "" {
 			var err error
-			spec, err = SpecFromToken(req.ReplayTok)
+			spec, err = explore.ParseToken(req.ReplayTok)
 			if err != nil {
 				http.Error(w, "bad token: "+err.Error(), http.StatusBadRequest)
 				return

@@ -16,159 +16,18 @@
 package serve
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dbi"
-	"repro/internal/faultinject"
-	"repro/internal/lulesh"
-	"repro/internal/progs"
-	"repro/internal/snapshot"
-	"repro/internal/tools/toolreg"
+	"repro/internal/explore"
 )
 
-// JobSpec is one analysis job's complete configuration — the same fields a
-// `tg1:` replay token carries, plus run budgets and daemon behavior. The
-// zero value of every field is a sensible default (Normalize fills them),
-// so `{"prog":"task.c"}` is a valid submission.
-type JobSpec struct {
-	Prog       string `json:"prog"`
-	Tool       string `json:"tool,omitempty"`
-	Seed       uint64 `json:"seed,omitempty"`
-	Threads    int    `json:"threads,omitempty"`
-	Engine     string `json:"engine,omitempty"`
-	Inject     string `json:"inject,omitempty"`
-	InjectSeed uint64 `json:"inject_seed,omitempty"`
-	Lenient    bool   `json:"lenient,omitempty"`
-
-	// Seeds > 1 turns the submission into a seed-range sweep: the server
-	// expands it into Seeds jobs (seeds Seed..Seed+Seeds-1) sharing one
-	// group, all riding the same worker pool; GET /groups/{id} aggregates
-	// them into an explore.Outcome.
-	Seeds int `json:"seeds,omitempty"`
-
-	// LULESH proxy-app parameters (prog=lulesh only).
-	LSize    int  `json:"ls,omitempty"`
-	LIters   int  `json:"li,omitempty"`
-	LTasksEl int  `json:"lte,omitempty"`
-	LTasksNd int  `json:"ltn,omitempty"`
-	LRacy    bool `json:"lracy,omitempty"`
-
-	// Budgets. TimeoutMS falls back to the server's default job deadline
-	// when zero; MaxBlocks/MaxInstrs are unlimited when zero.
-	MaxBlocks uint64 `json:"max_blocks,omitempty"`
-	MaxInstrs uint64 `json:"max_instrs,omitempty"`
-	TimeoutMS int64  `json:"timeout_ms,omitempty"`
-
-	// Supervised drives the job through harness.Supervise: crashes must
-	// reproduce under journal-verified replay before they are reported
-	// (Result.Reproduced), and a host panic degrades to the IR oracle
-	// instead of failing the job.
-	Supervised bool `json:"supervised,omitempty"`
-	// MaxRetries bounds automatic retries of transient failures for this
-	// job; -1 disables retries, 0 uses the server default.
-	MaxRetries int `json:"max_retries,omitempty"`
-}
-
-// Normalize fills defaulted fields in place, mirroring the CLI defaults so
-// a job's replay token matches the token an equivalent `taskgrind`
-// invocation prints.
-func (sp *JobSpec) Normalize() {
-	if sp.Prog == "" {
-		sp.Prog = "task.c"
-	}
-	if sp.Tool == "" {
-		sp.Tool = "taskgrind"
-	}
-	if sp.Seed == 0 {
-		sp.Seed = 1
-	}
-	if sp.Threads == 0 {
-		sp.Threads = 4
-	}
-	if sp.Seeds <= 0 {
-		sp.Seeds = 1
-	}
-	if sp.Prog == "lulesh" {
-		if sp.LSize == 0 {
-			sp.LSize = 8
-		}
-		if sp.LIters == 0 {
-			sp.LIters = 2
-		}
-		if sp.LTasksEl == 0 {
-			sp.LTasksEl = 4
-		}
-		if sp.LTasksNd == 0 {
-			sp.LTasksNd = 4
-		}
-	}
-}
-
-// Validate rejects specs that could never run: unknown program, tool,
-// engine or injection spec. Called after Normalize.
-func (sp *JobSpec) Validate() error {
-	if _, err := progs.Build(sp.Prog, sp.Lulesh()); err != nil {
-		return err
-	}
-	if _, _, err := toolreg.Make(sp.Tool); err != nil {
-		return err
-	}
-	if sp.Engine != "" && sp.Engine != dbi.EngineCompiled && sp.Engine != dbi.EngineIR {
-		return fmt.Errorf("serve: unknown engine %q (compiled, ir)", sp.Engine)
-	}
-	if _, err := faultinject.ParseSpec(sp.Inject, sp.InjectSeed); err != nil {
-		return err
-	}
-	if sp.MaxRetries < -1 {
-		return fmt.Errorf("serve: max_retries %d out of range (-1 disables)", sp.MaxRetries)
-	}
-	return nil
-}
-
-// Lulesh bundles the spec's proxy-app parameters.
-func (sp *JobSpec) Lulesh() lulesh.Params {
-	return lulesh.Params{S: sp.LSize, TEL: sp.LTasksEl, TNL: sp.LTasksNd,
-		Iters: sp.LIters, Racy: sp.LRacy}
-}
-
-// Config maps the spec onto the replay-token configuration. Equal specs
-// produce equal tokens, and the token of a job equals the token the CLI
-// would stamp on the same single run — the stable result currency shared
-// by both front ends.
-func (sp *JobSpec) Config() snapshot.Config {
-	cfg := snapshot.Config{
-		Prog: sp.Prog, Tool: sp.Tool, Seed: sp.Seed, Threads: sp.Threads,
-		Engine: sp.Engine, Inject: sp.Inject, Lenient: sp.Lenient,
-	}
-	if sp.Inject != "" {
-		cfg.InjectSeed = sp.InjectSeed
-	}
-	if sp.Prog == "lulesh" {
-		cfg.LSize, cfg.LIters, cfg.LTasksEl, cfg.LTasksNd, cfg.LRacy =
-			sp.LSize, sp.LIters, sp.LTasksEl, sp.LTasksNd, sp.LRacy
-	}
-	return cfg
-}
-
-// SpecFromToken decodes a replay token into a job spec — submitting a
-// crash report's token re-runs (and byte-for-byte reproduces) the crash
-// as a daemon job.
-func SpecFromToken(tok string) (JobSpec, error) {
-	cfg, err := snapshot.ParseToken(tok)
-	if err != nil {
-		return JobSpec{}, err
-	}
-	sp := JobSpec{
-		Prog: cfg.Prog, Tool: cfg.Tool, Seed: cfg.Seed, Threads: cfg.Threads,
-		Engine: cfg.Engine, Inject: cfg.Inject, InjectSeed: cfg.InjectSeed,
-		Lenient: cfg.Lenient, LSize: cfg.LSize, LIters: cfg.LIters,
-		LTasksEl: cfg.LTasksEl, LTasksNd: cfg.LTasksNd, LRacy: cfg.LRacy,
-	}
-	sp.Normalize()
-	return sp, nil
-}
+// JobSpec is one analysis job's complete configuration: the run recipe
+// every front end shares, so a job's replay token, rendered output and
+// crash report equal those of the equivalent `taskgrind` invocation. The
+// zero value of every field is a sensible default, so `{"prog":"task.c"}`
+// is a valid submission.
+type JobSpec = explore.Spec
 
 // Status is a job's lifecycle state.
 type Status string

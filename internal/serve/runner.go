@@ -1,29 +1,20 @@
 package serve
 
 // Per-job execution: each admitted job runs one attempt at a time on a
-// worker, under its own cancellation context and wall budget. Failures are
+// worker, under its own cancellation context and wall budget, through
+// explore.Execute — the run path the CLI and seed sweeps use. Failures are
 // contained by the harness (supervised jobs additionally verify crashes by
 // replay and degrade host panics to the IR oracle) and become the job's
 // result; transient taxonomies re-enter the queue after backoff.
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/dbi"
-	"repro/internal/faultinject"
+	"repro/internal/explore"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/obs/store"
 	"repro/internal/progs"
-	"repro/internal/tools/archer"
-	"repro/internal/tools/memcheck"
-	"repro/internal/tools/romp"
-	"repro/internal/tools/toolreg"
-	"repro/internal/vm"
 )
 
 // transient reports whether a failure taxonomy is worth retrying: a host
@@ -175,176 +166,47 @@ func (s *Server) requeue(j *Job) {
 	}
 }
 
-// runRecord is an optional per-job run-store recording (Options.Record).
-type runRecord struct {
-	rw  *store.RunWriter
-	reg *obs.Registry
-}
-
-func (rr *runRecord) abort() {
-	if rr != nil {
-		rr.rw.Abort()
-	}
-}
-
-// finish completes the recorded run with the surviving attempt's state.
-func (rr *runRecord) finish(inst *harness.Instance, res harness.Result, out JobResult) {
-	if rr == nil {
-		return
-	}
-	if inst != nil {
-		inst.CaptureMetrics(rr.reg)
-		rr.rw.SetWork(res.GuestInstrs, inst.M.BlocksExecuted, uint64(res.Wall))
-		if tg, ok := inst.Core.Tool().(*core.Taskgrind); ok {
-			for _, row := range store.RacesFromSet(&tg.Reports) {
-				rr.rw.AddRace(row)
-			}
-		}
-	}
-	rr.rw.SetCounters(rr.reg.Snapshot().Counters)
-	rr.rw.SetReplayToken(out.ReplayToken)
-	rr.rw.SetReproduced(out.Reproduced)
-	rr.rw.SetResult(out.Verdict, out.Reports, out.Err)
-	_ = rr.rw.Finish()
-}
-
 // runAttempt executes one attempt of j under ctx, fully contained: every
 // failure mode comes back as a classified JobResult, never as a panic or a
 // daemon exit.
 func (s *Server) runAttempt(ctx context.Context, j *Job) JobResult {
 	sp := j.Spec
 	out := JobResult{ReplayToken: j.Token}
-	fail := func(tax string, err error) JobResult {
-		out.Verdict = tax
-		out.Err = err.Error()
-		return out
-	}
-	timeout := time.Duration(sp.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = s.opts.JobTimeout
-	}
 	b, err := progs.Build(sp.Prog, sp.Lulesh())
 	if err != nil {
-		return fail(harness.TaxError, err)
+		return out.fail(err)
 	}
 	im, err := b.Link()
 	if err != nil {
-		return fail(harness.TaxError, err)
+		return out.fail(err)
 	}
-	var rr *runRecord
-	if s.opts.Record != nil {
-		rr = &runRecord{reg: obs.NewRegistry()}
-		rr.rw = s.opts.Record.Begin(store.RunHeader{
-			Prog: sp.Prog, Tool: sp.Tool, Engine: sp.Engine,
-			Seed: sp.Seed, Threads: sp.Threads,
-		})
+	run, err := explore.Execute(ctx, im, sp, explore.Env{
+		TStore: s.opts.TCache, Record: s.opts.Record, Timeout: s.opts.JobTimeout,
+		ProgressEvery: s.opts.ProgressEvery,
+		OnProgress: func(blocks, instrs uint64) {
+			j.progBlocks.Store(blocks)
+			j.progInstrs.Store(instrs)
+		},
+	})
+	if err != nil {
+		return out.fail(err)
 	}
-
-	// The attempt factory: fresh tool, injector and output buffer per
-	// (re-)execution, mirroring the CLI's makeSetup — supervised runs may
-	// build record, replay and fallback instances from it. Only the first
-	// build attaches the recording registry, so replays don't double-count.
-	outBuf := &bytes.Buffer{}
-	var countFn func() int
-	builds := 0
-	factory := func() harness.Setup {
-		tl, count, _ := toolreg.Make(sp.Tool)
-		countFn = count
-		inj, _ := faultinject.ParseSpec(sp.Inject, sp.InjectSeed)
-		outBuf.Reset()
-		st := harness.Setup{
-			Image: im, Tool: tl, Seed: sp.Seed, Threads: sp.Threads,
-			Stdout: outBuf, Inject: inj, LenientMem: sp.Lenient,
-			Engine: sp.Engine, TStore: s.opts.TCache,
-			RunOpts: vm.RunOpts{
-				MaxBlocks: sp.MaxBlocks, MaxInstrs: sp.MaxInstrs, Timeout: timeout,
-				ProgressEvery: s.opts.ProgressEvery,
-				OnProgress: func(blocks, instrs uint64) {
-					j.progBlocks.Store(blocks)
-					j.progInstrs.Store(instrs)
-				},
-			},
-		}
-		if rr != nil && builds == 0 {
-			st.Obs = &obs.Hooks{Metrics: rr.reg}
-		}
-		builds++
-		return st
-	}
-
-	var res harness.Result
-	var inst *harness.Instance
-	if sp.Supervised {
-		sup, serr := harness.SuperviseCtx(ctx, factory, harness.SuperviseOpts{
-			OnPanic: harness.OnPanicFallback, VerifyCrash: true, Token: j.Token,
-		})
-		if serr != nil {
-			rr.abort()
-			return fail(harness.TaxError, serr)
-		}
-		res, inst = sup.Result, sup.Inst
-		out.Reproduced, out.FellBack = sup.Reproduced, sup.FellBack
-		switch {
-		case res.Err != nil:
-			out.Verdict = sup.Taxonomy
-		case sup.Taxonomy == harness.TaxDivergence:
-			// The run completed under the oracle, but the configured engine
-			// departed from the recorded timeline first: that is a finding,
-			// not a success.
-			out.Verdict = harness.TaxDivergence
-			out.Err = fmt.Sprintf("engine divergence in slice window [%d,%d] (journal-verified)",
-				sup.Window[0], sup.Window[1])
-		default:
-			out.Verdict = store.VerdictOK
-		}
-	} else {
-		inst, err = harness.New(factory())
-		if err != nil {
-			rr.abort()
-			return fail(harness.TaxError, err)
-		}
-		res = inst.RunCtx(ctx)
-		if res.Err != nil {
-			out.Verdict = harness.Classify(res.Err)
-		} else {
-			out.Verdict = store.VerdictOK
-		}
-	}
-
 	// Settle the live progress counters to the attempt's final numbers (a
 	// short run can finish before its first ProgressEvery tick).
-	j.progBlocks.Store(inst.M.BlocksExecuted)
-	j.progInstrs.Store(res.GuestInstrs)
-	out.GuestInstrs = res.GuestInstrs
-	out.WallMS = float64(res.Wall) / float64(time.Millisecond)
-	if res.Err != nil && out.Err == "" {
-		out.Err = res.Err.Error()
+	j.progBlocks.Store(run.Inst.M.BlocksExecuted)
+	j.progInstrs.Store(run.Result.GuestInstrs)
+	out.Verdict, out.Err, out.Reports, out.Crash = run.Verdict, run.Err, run.Reports, run.Crash
+	out.Reproduced, out.FellBack = run.Reproduced, run.FellBack
+	out.GuestInstrs = run.Result.GuestInstrs
+	out.WallMS = float64(run.Result.Wall) / float64(time.Millisecond)
+	if run.Verdict == store.VerdictOK {
+		out.Output = run.Stdout + run.Report
 	}
-	if res.Crash != nil {
-		out.Crash = res.Crash.Render(inst.M.Image)
-	}
-	if out.Verdict == store.VerdictOK {
-		out.Reports = countFn()
-		out.Output = outBuf.String() + renderReports(inst.Core.Tool(), out.Reports)
-	}
-	rr.finish(inst, res, out)
 	return out
 }
 
-// renderReports renders a surviving tool's findings — the same per-tool
-// switch the CLI prints, so a job's Output matches the equivalent
-// `taskgrind` invocation.
-func renderReports(tl dbi.Tool, count int) string {
-	switch tt := tl.(type) {
-	case *core.Taskgrind:
-		if tt.Opt.IgnoreMutexinoutsetDeps { // the ROMP configuration
-			return romp.Format(&tt.Reports)
-		}
-		return tt.Reports.String()
-	case *archer.Archer:
-		return tt.String()
-	case *memcheck.Memcheck:
-		return tt.String()
-	}
-	return fmt.Sprintf("== %d report(s)\n", count)
+// fail classifies a job that could not run at all.
+func (out JobResult) fail(err error) JobResult {
+	out.Verdict, out.Err = harness.TaxError, err.Error()
+	return out
 }

@@ -240,7 +240,7 @@ func (s *Server) Submit(spec JobSpec) ([]*Job, error) {
 			ID:        fmt.Sprintf("j%06d", s.jobSeq),
 			Group:     group,
 			Spec:      js,
-			Token:     js.Config().Token(),
+			Token:     js.Token(),
 			status:    StatusQueued,
 			submitted: time.Now(),
 		}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/explore"
 	"repro/internal/harness"
 	"repro/internal/obs/store"
 )
@@ -126,7 +127,7 @@ func TestTokenResubmissionReproduces(t *testing.T) {
 	if v1.Status != StatusFailed {
 		t.Fatalf("status %s, want failed", v1.Status)
 	}
-	spec, err := SpecFromToken(v1.Result.ReplayToken)
+	spec, err := explore.ParseToken(v1.Result.ReplayToken)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,10 +529,11 @@ func TestHTTPSurface(t *testing.T) {
 	}
 }
 
-// TestHTTPRejectsExtend: superblock extension, the delivery option and the
-// taskgrind-par tool were removed, so a submission that still asks for any
-// of them — as a spec field or inside a replay token — is a 400 naming it,
-// never a job run under another configuration.
+// TestHTTPRejectsExtend: superblock extension, the delivery option, the
+// taskgrind-par tool and the timeslice setting were removed, so a
+// submission that still asks for any of them — as a spec field or inside a
+// replay token — is a 400 naming it, never a job run under another
+// configuration.
 func TestHTTPRejectsExtend(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -546,6 +548,8 @@ func TestHTTPRejectsExtend(t *testing.T) {
 		{token("delivery=per-event"), "delivery=per-event"},
 		{`{"prog":"task.c","tool":"taskgrind-par"}`, "taskgrind-par"},
 		{token("tool=taskgrind-par"), "taskgrind-par"},
+		{`{"prog":"task.c","slice":7}`, "slice"},
+		{token("slice=7"), "slice=7"},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {

@@ -1,10 +1,10 @@
 // Package snapshot is the checkpoint/replay substrate of the robustness
 // layer: serializable snapshots of guest machine state (registers, dirty
 // memory pages, scheduler bookkeeping, PRNG position), a bounded-history
-// checkpoint manager, a schedule journal that records — or verifies — every
-// scheduling decision and fault-injection draw, and compact replay tokens
-// that let any crashing run be reproduced bit-identically from its command
-// line.
+// checkpoint manager, and a schedule journal that records — or verifies —
+// every scheduling decision and fault-injection draw. The replay token that
+// names a run's configuration lives with that configuration, in
+// internal/explore.
 //
 // The design leans on the same property Valgrind's serialized scheduler
 // gives the paper's experiments: with one guest thread running at a time and

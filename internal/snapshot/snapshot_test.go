@@ -1,8 +1,6 @@
 package snapshot
 
 import (
-	"encoding/base64"
-	"strings"
 	"testing"
 
 	"repro/internal/gmem"
@@ -215,71 +213,5 @@ func TestJournalFirePrefixSemantics(t *testing.T) {
 	}
 	if v.Err() != nil {
 		t.Fatalf("unexpected divergence: %v", v.Err())
-	}
-}
-
-func TestTokenRoundTrip(t *testing.T) {
-	cfg := Config{
-		Prog: "fib", Tool: "memcheck", Seed: 99, Threads: 4, Slice: 7,
-		Engine: "compiled",
-		Inject: "panic:every=3", InjectSeed: 1234, Lenient: true,
-		LSize: 10, LIters: 8, LTasksEl: 4, LTasksNd: 2, LRacy: true,
-	}
-	tok := cfg.Token()
-	got, err := ParseToken(tok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != cfg {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, cfg)
-	}
-	// Canonical: same config, same token.
-	if cfg.Token() != tok {
-		t.Fatal("token not deterministic")
-	}
-}
-
-// TestTokenRejectsExtend: a token recorded with superblock extension names
-// a block granularity this build no longer has; replaying it at basic-block
-// granularity would run a different schedule, so it must not parse. Nor
-// may a per-event delivery token: that mode handed a faulting block's
-// accesses to the tool before they ran. The batched pair every older token
-// carries is the kept path and parses as if absent.
-func TestTokenRejectsExtend(t *testing.T) {
-	token := func(payload string) string {
-		return "tg1:" + base64.RawURLEncoding.EncodeToString([]byte(payload))
-	}
-	for _, retired := range []string{"extend=64", "delivery=per-event"} {
-		_, err := ParseToken(token(retired + "&prog=task.c&seed=1"))
-		if err == nil || !strings.Contains(err.Error(), retired) {
-			t.Fatalf("ParseToken(%s token) = %v, want an error naming it", retired, err)
-		}
-	}
-	got, err := ParseToken(token("delivery=batched&prog=task.c&seed=1"))
-	if want := (Config{Prog: "task.c", Seed: 1}); err != nil || got != want {
-		t.Fatalf("ParseToken(delivery=batched token) = %+v, %v; want %+v", got, err, want)
-	}
-}
-
-func TestTokenDefaultsOmitted(t *testing.T) {
-	short := Config{Prog: "fib", Tool: "core", Seed: 1}.Token()
-	long := Config{Prog: "fib", Tool: "core", Seed: 1, Threads: 8,
-		Inject: "heap:every=2;pool:every=3", InjectSeed: 42}.Token()
-	if len(short) >= len(long) {
-		t.Fatal("zero fields not omitted from encoding")
-	}
-}
-
-func TestTokenRejectsGarbage(t *testing.T) {
-	for _, tok := range []string{"", "nope", "tg1:%%%", "tg2:AAAA"} {
-		if _, err := ParseToken(tok); err == nil {
-			t.Fatalf("ParseToken(%q) accepted", tok)
-		}
-	}
-	// Bad numeric field.
-	bad := Config{Prog: "x"}.Token()
-	_ = bad
-	if _, err := ParseToken("tg1:c2VlZD1ub3BlJnByb2c9eA"); err == nil { // seed=nope&prog=x
-		t.Fatal("non-numeric seed accepted")
 	}
 }

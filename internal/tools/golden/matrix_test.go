@@ -21,10 +21,10 @@ import (
 	"testing"
 
 	"repro/internal/drb"
+	"repro/internal/explore"
 	"repro/internal/harness"
 	"repro/internal/lulesh"
 	"repro/internal/progs"
-	"repro/internal/snapshot"
 	"repro/internal/tools/lockgrind"
 	"repro/internal/tools/memcheck"
 	"repro/internal/tools/toolreg"
@@ -182,10 +182,10 @@ func TestVerdictMatrix(t *testing.T) {
 				if exp == vClean {
 					return
 				}
-				tok := snapshot.Config{
+				tok := explore.Spec{
 					Prog: prog, Tool: toolName, Seed: 1, Threads: 4,
 				}.Token()
-				cfg, err := snapshot.ParseToken(tok)
+				cfg, err := explore.ParseToken(tok)
 				if err != nil {
 					t.Fatalf("replay token: %v", err)
 				}

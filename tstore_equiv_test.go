@@ -326,9 +326,9 @@ func TestSweepAmortization(t *testing.T) {
 	solo := coldInst.Core.Translations
 
 	cache := tstore.NewCache("")
-	out, err := explore.RunOpts(bm.Build, "taskgrind", 4, 100, explore.Opts{
-		Workers: 8, Engine: dbi.EngineCompiled, TStore: cache,
-	})
+	out, err := explore.RunOpts(bm.Build,
+		explore.Spec{Tool: "taskgrind", Threads: 4, Engine: dbi.EngineCompiled}, 100,
+		explore.Opts{Workers: 8, TStore: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
