@@ -44,11 +44,12 @@ replay-determinism:
 # plus the store-equivalence differential smoke — cold vs shared-cold vs
 # warm vs disk-warm runs bit-identical on both engines, the crash-report and
 # invalidation cases, the 16-worker shared-store race test and the sweep
-# amortization counter check. Fresh run (-count=1) so the gate never passes
-# on a cached result.
+# amortization counter check — and the pinned digest of every unit the
+# Table I suite and racy LULESH publish (TestTranslationEncodingPinned).
+# Fresh run (-count=1) so the gate never passes on a cached result.
 tstore-equiv:
 	$(GO) test -race -count=1 ./internal/tstore
-	$(GO) test -race -count=1 -run 'TestStoreEquivalence|TestStoreInvalidation|TestStoreConcurrentWorkers|TestSweepAmortization|TestJobsShareTranslationStore' . ./internal/serve
+	$(GO) test -race -count=1 -run 'TestStoreEquivalence|TestStoreInvalidation|TestStoreConcurrentWorkers|TestSweepAmortization|TestJobsShareTranslationStore|TestTranslationEncodingPinned' . ./internal/serve ./internal/tstore
 
 # Multi-process store chaos soak, race-enabled: N taskgrind processes plus
 # an in-process daemon share one -tcache-dir while victims are SIGKILLed

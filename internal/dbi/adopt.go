@@ -74,15 +74,7 @@ func (c *Core) bindFlush(meta []uint64, nargs int) (vex.DirtyFn, error) {
 	if len(meta) != 2*nargs {
 		return nil, fmt.Errorf("dbi: adopt: flush_accesses meta %d words for %d args", len(meta), nargs)
 	}
-	pts := make([]accessPoint, nargs)
-	for i := range pts {
-		pts[i] = accessPoint{
-			pc:    meta[2*i],
-			wd:    uint8(meta[2*i+1]),
-			store: meta[2*i+1]&accessMetaStore != 0,
-		}
-	}
-	site := &flushSite{c: c, sink: sink, pts: pts}
+	site := &flushSite{c: c, sink: sink, meta: meta}
 	return site.flush, nil
 }
 

@@ -1,6 +1,7 @@
 package dbi_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/dbi"
@@ -105,5 +106,44 @@ func TestDeliveryDoesNotAllocate(t *testing.T) {
 		if n := engineAllocs(t, engine, &countSink{}); n != 0 {
 			t.Errorf("%s engine: %.1f allocs per block, want 0", engine, n)
 		}
+	}
+}
+
+// TestColdTranslationAllocs bounds what one cold translation allocates:
+// every iteration drops the caches and runs the self-loop block once, so it
+// translates, instruments through InstrumentAccesses and compiles the block
+// from scratch. The pipeline's intermediates live in the core's arena; what
+// remains is the copied-out block, its compiled code, the flush site and
+// the cache entries, plus the two maps ClearCache makes.
+func TestColdTranslationAllocs(t *testing.T) {
+	im, arr := buildSelfLoop(t)
+	m, err := vm.New(im, vm.NewHostRegistry(), vm.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := dbi.New(m, &countSink{})
+	th := m.Threads()[0]
+	th.Regs[guest.R6] = arr
+	cold := func() {
+		core.ClearCache()
+		if _, err := m.Eng.RunBlock(m, th); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cold()
+	}
+	const iters = 2000
+	allocs := testing.AllocsPerRun(iters, cold)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < iters; i++ {
+		cold()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / iters
+	t.Logf("cold translation: %.1f allocs, %.0f bytes", allocs, bytes)
+	if allocs > 20 || bytes > 4096 {
+		t.Errorf("cold translation: %.1f allocs and %.0f bytes, want <= 20 and <= 4096", allocs, bytes)
 	}
 }

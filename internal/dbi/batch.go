@@ -54,7 +54,7 @@ type AccessSink interface {
 
 // accessPoint is the compile-time half of one queued access: everything known
 // at instrumentation time plus the expression yielding the address at run
-// time (a constant or an SSA temp; registers are snapshotted — see flush).
+// time (a constant or an SSA temp; InstrumentAccesses snapshots registers).
 type accessPoint struct {
 	pc    uint64
 	wd    uint8
@@ -83,20 +83,21 @@ func flushMeta(pts []accessPoint) []uint64 {
 
 // flushSite is one flush callback baked into an instrumented block. Its dirty
 // statement's arguments are the address expressions of the queued accesses in
-// program order; flush marries them with the compile-time descriptors into
-// the core's reusable batch buffer and hands the batch to the sink.
+// program order, and meta is the statement's Meta: the PC and packed
+// width|direction of each access. flush marries the two into the core's
+// reusable batch buffer and hands the batch to the sink.
 type flushSite struct {
 	c    *Core
 	sink AccessSink
-	pts  []accessPoint
+	meta []uint64
 }
 
 // flush is the DirtyFn delivering the site's batch.
 func (f *flushSite) flush(ctx any, args []uint64) uint64 {
 	buf := f.c.batchBuf[:0]
-	for i := range f.pts {
-		p := &f.pts[i]
-		buf = append(buf, Access{PC: p.pc, Addr: args[i], Wd: p.wd, Store: p.store})
+	for i, addr := range args {
+		w := f.meta[2*i+1]
+		buf = append(buf, Access{PC: f.meta[2*i], Addr: addr, Wd: uint8(w), Store: w&accessMetaStore != 0})
 	}
 	f.c.batchBuf = buf
 	f.c.AccessesDelivered += uint64(len(buf))
@@ -108,39 +109,28 @@ func (f *flushSite) flush(ctx any, args []uint64) uint64 {
 // delivered to sink, one flush per superblock segment, returning the
 // instrumented block and the number of load/store sites instrumented. Tools
 // call it from their Instrument hook instead of inserting one dirty call per
-// access; the result is cached like any instrumented translation.
+// access.
+//
+// The returned block borrows the core's translation arena, like the block
+// Instrument receives: it is valid only until Instrument returns. The core
+// copies whatever block Instrument returns before caching it, so a tool
+// returns this block as is and keeps no pointer into it.
 func (c *Core) InstrumentAccesses(sb *vex.SuperBlock, sink AccessSink) (out *vex.SuperBlock, loads, stores uint64) {
-	out = &vex.SuperBlock{
-		GuestAddr: sb.GuestAddr, NTemps: sb.NTemps,
-		Next: sb.Next, NextJK: sb.NextJK, Aux: sb.Aux,
-		Stmts: make([]vex.Stmt, 0, len(sb.Stmts)+1),
-	}
-	var pending []accessPoint
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		site := &flushSite{c: c, sink: sink, pts: pending}
-		args := make([]vex.Expr, len(pending))
-		for i := range pending {
-			args[i] = pending[i].addr
-		}
-		out.Stmts = append(out.Stmts, vex.Stmt{
-			Kind: vex.SDirty, Tmp: vex.NoTemp,
-			Name: "flush_accesses", Fn: site.flush, Args: args,
-			Meta: flushMeta(pending),
-		})
-		pending = nil
-	}
+	a := &c.arena
+	out = a.block()
+	out.GuestAddr, out.NTemps = sb.GuestAddr, sb.NTemps
+	out.Next, out.NextJK, out.Aux = sb.Next, sb.NextJK, sb.Aux
+	pending := a.pts[:0]
 	pc := sb.GuestAddr
-	for _, s := range sb.Stmts {
+	for i := range sb.Stmts {
+		s := &sb.Stmts[i]
 		switch s.Kind {
 		case vex.SIMark:
 			pc = s.Addr
 		case vex.SExit:
 			// An exit taken here must have already delivered the
 			// accesses that preceded it.
-			flush()
+			pending = c.flushAccesses(out, pending, sink)
 		case vex.SWrTmpLoad, vex.SStore:
 			addr := s.E1
 			if addr.Kind == vex.KindGetReg {
@@ -160,8 +150,29 @@ func (c *Core) InstrumentAccesses(sb *vex.SuperBlock, sink AccessSink) (out *vex
 				stores++
 			}
 		}
-		out.Stmts = append(out.Stmts, s)
+		out.Append(*s)
 	}
-	flush()
+	a.pts = c.flushAccesses(out, pending, sink)
 	return out, loads, stores
+}
+
+// flushAccesses appends to out the flush call delivering the pending
+// accesses, taking its argument list from the arena, and returns the
+// emptied list.
+func (c *Core) flushAccesses(out *vex.SuperBlock, pending []accessPoint, sink AccessSink) []accessPoint {
+	if len(pending) == 0 {
+		return pending
+	}
+	a := &c.arena
+	k := len(a.exprs)
+	for i := range pending {
+		a.exprs = append(a.exprs, pending[i].addr)
+	}
+	site := &flushSite{c: c, sink: sink, meta: flushMeta(pending)}
+	out.Append(vex.Stmt{
+		Kind: vex.SDirty, Tmp: vex.NoTemp,
+		Name: "flush_accesses", Fn: site.flush,
+		Args: a.exprs[k:len(a.exprs):len(a.exprs)], Meta: site.meta,
+	})
+	return pending[:0]
 }

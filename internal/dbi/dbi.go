@@ -26,7 +26,11 @@ type Tool interface {
 	// Name identifies the tool in reports.
 	Name() string
 	// Instrument rewrites a freshly translated superblock. It runs once
-	// per guest block; the result is cached.
+	// per guest block. The input block, like a block InstrumentAccesses
+	// returns, lives in the core's translation arena and is valid only
+	// until Instrument returns; Instrument may return it, rewrite it or
+	// build a new block. The core copies whatever block Instrument
+	// returns and caches the copy.
 	Instrument(c *Core, sb *vex.SuperBlock) *vex.SuperBlock
 	// ClientRequest handles an OpCreq from guest code (or from host-side
 	// runtime bridges). The return value is delivered in R0.
@@ -132,6 +136,9 @@ type Core struct {
 	// cacheStmts counts IR statements held in the translation cache.
 	cacheStmts uint64
 
+	// arena is the translation scratch memory the pipeline stages write
+	// into; translateFresh copies each finished block out of it.
+	arena arena
 	// batchBuf is the reusable access-batch buffer shared by every
 	// flushSite (the scheduler is single-threaded by construction).
 	batchBuf []Access
@@ -403,7 +410,8 @@ func (c *Core) translate(addr uint64, tid int) (*vex.SuperBlock, error) {
 }
 
 // translateFresh runs the full translation pipeline — decode, optimize,
-// instrument — caches the result and publishes it to the shared store.
+// instrument — in the core's arena, caches a copy of the result and
+// publishes it to the shared store.
 func (c *Core) translateFresh(addr uint64, tid int) (*vex.SuperBlock, error) {
 	traced := c.Obs != nil && c.Obs.Tracer != nil
 	if traced {
@@ -411,19 +419,23 @@ func (c *Core) translateFresh(addr uint64, tid int) (*vex.SuperBlock, error) {
 			map[string]any{"addr": addr})
 	}
 	start := time.Now()
-	sb, err := Translate(c.M.Image, addr)
-	if err != nil {
+	a := &c.arena
+	a.reset()
+	raw := a.block()
+	if err := translateInto(raw, c.M.Image, addr); err != nil {
 		return nil, err
 	}
 	// The VEX optimization pass: tools instrument cleaned-up IR, exactly
 	// like Valgrind plugins do.
-	sb = vex.Optimize(sb)
+	sb := a.block()
+	a.vx.Optimize(sb, raw)
 	if c.tool != nil {
 		sb = c.tool.Instrument(c, sb)
-		if c.Validate {
-			if err := sb.Validate(); err != nil {
-				return nil, err
-			}
+	}
+	sb = detach(sb)
+	if c.tool != nil && c.Validate {
+		if err := sb.Validate(); err != nil {
+			return nil, err
 		}
 	}
 	c.TranslateNanos += uint64(time.Since(start))
@@ -477,7 +489,7 @@ func (c *Core) compiled(addr uint64, tid int) (*centry, error) {
 		// translation phase above.
 		start := time.Now()
 		var err error
-		code, err = vex.Compile(sb)
+		code, err = c.arena.vx.Compile(sb)
 		if err != nil {
 			return nil, err
 		}
@@ -516,9 +528,13 @@ func (c *Core) CachedBlocks() []uint64 {
 func (c *Core) BlockIR(addr uint64) *vex.SuperBlock { return c.cache[addr] }
 
 // CacheFootprint approximates the memory held by the translation cache —
-// instrumented IR is a real part of a DBI tool's footprint.
+// instrumented IR is a real part of a DBI tool's footprint. It is a model,
+// not a measurement of Go's heap: each cached statement costs stmtBytes and
+// each translation a fixed 64, whatever the layout of vex.Stmt, so the
+// footprint figures (Table II's memory column among them) stay comparable
+// across changes to the IR's Go representation.
 func (c *Core) CacheFootprint() uint64 {
-	const stmtBytes = 96 // sizeof(vex.Stmt) incl. args slices, amortized
+	const stmtBytes = 96 // modelled cost of one cached statement
 	return c.cacheStmts*stmtBytes + c.Translations*64
 }
 

@@ -22,12 +22,23 @@ func Translate(im *guest.Image, addr uint64) (*vex.SuperBlock, error) {
 	// Most guest instructions lower to 2-3 statements (IMark + compute +
 	// PutReg) and most blocks are a handful of instructions; start the list
 	// at a typical short block and let append grow the long tail.
-	sb := &vex.SuperBlock{GuestAddr: addr, Stmts: make([]vex.Stmt, 0, 16)}
+	sb := &vex.SuperBlock{Stmts: make([]vex.Stmt, 0, 16)}
+	if err := translateInto(sb, im, addr); err != nil {
+		return nil, err
+	}
+	return sb, nil
+}
+
+// translateInto is Translate writing into an empty block the caller
+// provides, appending to its statement array: a core passes a scratch block
+// from its arena.
+func translateInto(sb *vex.SuperBlock, im *guest.Image, addr uint64) error {
+	sb.GuestAddr = addr
 	pc := addr
 	for n := 0; n < MaxBlockInstrs; n++ {
 		in, err := im.FetchInstr(pc)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sb.IMark(pc, guest.InstrBytes)
 		next := pc + guest.InstrBytes
@@ -86,52 +97,52 @@ func Translate(im *guest.Image, addr uint64) (*vex.SuperBlock, error) {
 		case guest.OpJmp:
 			sb.Next = vex.ConstE(uint64(uint32(in.Imm)))
 			sb.NextJK = vex.JKBoring
-			return sb, nil
+			return nil
 		case guest.OpBeq, guest.OpBne, guest.OpBlt, guest.OpBge, guest.OpBltu, guest.OpBgeu:
 			g := sb.WrTmpBinop(branchOp(in.Op), reg(in.Rs1), reg(in.Rs2))
 			sb.Exit(vex.TmpE(g), uint64(uint32(in.Imm)), vex.JKBoring)
 			sb.Next = vex.ConstE(next)
 			sb.NextJK = vex.JKBoring
-			return sb, nil
+			return nil
 		case guest.OpJal:
 			sb.PutReg(guest.LR, vex.ConstE(next))
 			sb.Next = vex.ConstE(uint64(uint32(in.Imm)))
 			sb.NextJK = vex.JKCall
-			return sb, nil
+			return nil
 		case guest.OpJalr:
 			target := sb.WrTmpExpr(reg(in.Rs1))
 			sb.PutReg(guest.LR, vex.ConstE(next))
 			sb.Next = vex.TmpE(target)
 			sb.NextJK = vex.JKCall
-			return sb, nil
+			return nil
 		case guest.OpRet:
 			sb.Next = vex.RegE(guest.LR)
 			sb.NextJK = vex.JKRet
-			return sb, nil
+			return nil
 		case guest.OpHcall:
 			sb.Next = vex.ConstE(next)
 			sb.NextJK = vex.JKHostCall
 			sb.Aux = in.Imm
-			return sb, nil
+			return nil
 		case guest.OpCreq:
 			sb.Next = vex.ConstE(next)
 			sb.NextJK = vex.JKClientReq
 			sb.Aux = in.Imm
-			return sb, nil
+			return nil
 		case guest.OpHlt:
 			sb.PutReg(guest.R0, reg(in.Rs1))
 			sb.Next = vex.ConstE(next)
 			sb.NextJK = vex.JKExitThread
-			return sb, nil
+			return nil
 		default:
-			return nil, fmt.Errorf("dbi: cannot translate opcode %s at 0x%x", in.Op, pc)
+			return fmt.Errorf("dbi: cannot translate opcode %s at 0x%x", in.Op, pc)
 		}
 		pc = next
 	}
 	// Block cap reached: chain to the next address.
 	sb.Next = vex.ConstE(pc)
 	sb.NextJK = vex.JKBoring
-	return sb, nil
+	return nil
 }
 
 // addrExpr builds the effective-address expression rs1+imm for a memory op.

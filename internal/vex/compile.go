@@ -300,6 +300,11 @@ type compiler struct {
 	// dirty args and the block's Next). The peephole fuser only folds a
 	// temp away when it has exactly one reader.
 	uses []uint32
+	// ops, pcs and ics are the lowered micro-ops and their side tables,
+	// in scratch buffers until Compile copies them out.
+	ops []UOp
+	pcs []uint64
+	ics []uint32
 }
 
 // newChain allocates a chain site.
@@ -318,9 +323,9 @@ func (cc *compiler) scratch() uint32 {
 
 // emit appends a micro-op, recording its instruction PC and count.
 func (cc *compiler) emit(u UOp) {
-	cc.out.Ops = append(cc.out.Ops, u)
-	cc.out.PCs = append(cc.out.PCs, cc.pc)
-	cc.out.ICs = append(cc.out.ICs, cc.ic)
+	cc.ops = append(cc.ops, u)
+	cc.pcs = append(cc.pcs, cc.pc)
+	cc.ics = append(cc.ics, cc.ic)
 }
 
 // singleUse reports whether temp t has exactly one statement-level reader.
@@ -330,7 +335,6 @@ func (cc *compiler) singleUse(t uint32) bool {
 
 // countUses fills cc.uses from the statement list.
 func (cc *compiler) countUses(sb *SuperBlock) {
-	cc.uses = make([]uint32, sb.NTemps)
 	cnt := func(e Expr) {
 		if e.Kind == KindRdTmp && uint32(e.Tmp) < sb.NTemps {
 			cc.uses[e.Tmp]++
@@ -369,14 +373,20 @@ func src(e Expr) (k ExprKind, idx uint32, imm uint64) {
 
 // Compile lowers a superblock into micro-ops. The input must be well-formed
 // (Validate-clean); malformed statements produce an error, mirroring the
-// interpreter's runtime checks at compile time instead.
+// interpreter's runtime checks at compile time instead. It runs on a fresh
+// Scratch; a caller that compiles block after block keeps one Scratch and
+// calls its Compile method instead.
 func Compile(sb *SuperBlock) (*Compiled, error) {
+	return new(Scratch).Compile(sb)
+}
+
+// Compile lowers sb into micro-ops like the package-level Compile. Use
+// counts and the op buffers live in x; the result owns right-sized copies of
+// its ops and side tables, so it shares nothing with x.
+func (x *Scratch) Compile(sb *SuperBlock) (*Compiled, error) {
 	cc := &compiler{
 		out: &Compiled{
 			GuestAddr: sb.GuestAddr,
-			Ops:       make([]UOp, 0, len(sb.Stmts)),
-			PCs:       make([]uint64, 0, len(sb.Stmts)),
-			ICs:       make([]uint32, 0, len(sb.Stmts)),
 			NextJK:    sb.NextJK,
 			Aux:       sb.Aux,
 			NextChain: NoChain,
@@ -384,6 +394,10 @@ func Compile(sb *SuperBlock) (*Compiled, error) {
 		},
 		nframe: sb.NTemps,
 		pc:     sb.GuestAddr,
+		uses:   zeroed(x.uses, int(sb.NTemps)),
+		ops:    x.ops[:0],
+		pcs:    x.pcs[:0],
+		ics:    x.ics[:0],
 	}
 	cc.countUses(sb)
 	out := cc.out
@@ -482,7 +496,17 @@ func Compile(sb *SuperBlock) (*Compiled, error) {
 	cc.fuse()
 	out.NFrame = cc.nframe
 	out.NChains = cc.chains
+	out.Ops = copyOut(cc.ops)
+	out.PCs = copyOut(cc.pcs)
+	out.ICs = copyOut(cc.ics)
+	x.uses, x.ops, x.pcs, x.ics = cc.uses, cc.ops, cc.pcs, cc.ics
 	return out, nil
+}
+
+// copyOut returns a right-sized copy of a scratch buffer (non-nil even when
+// empty).
+func copyOut[T any](s []T) []T {
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // fuse is the peephole pass: it merges the adjacent micro-op sequences the
@@ -490,7 +514,7 @@ func Compile(sb *SuperBlock) (*Compiled, error) {
 // single-use temp immediately consumed by the next op — into one fused
 // micro-op. Runs in place (the output is never longer than the input).
 func (cc *compiler) fuse() {
-	ops, pcs, ics := cc.out.Ops, cc.out.PCs, cc.out.ICs
+	ops, pcs, ics := cc.ops, cc.pcs, cc.ics
 	j := 0
 	for i := 0; i < len(ops); {
 		u := &ops[i]
@@ -587,9 +611,9 @@ func (cc *compiler) fuse() {
 		j++
 		i += n
 	}
-	cc.out.Ops = ops[:j]
-	cc.out.PCs = pcs[:j]
-	cc.out.ICs = ics[:j]
+	cc.ops = ops[:j]
+	cc.pcs = pcs[:j]
+	cc.ics = ics[:j]
 }
 
 // compileMov lowers t = e.

@@ -1,6 +1,10 @@
 package vex
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestOptimizeFoldsConstants(t *testing.T) {
 	sb := &SuperBlock{GuestAddr: 0x1000}
@@ -113,5 +117,74 @@ func TestOptimizeCopyPropagation(t *testing.T) {
 	}
 	if len(opt.Stmts) != 1 {
 		t.Fatalf("dead copies survived: %d stmts", len(opt.Stmts))
+	}
+}
+
+// mixedBlock builds an n-instruction block of register copies, folds,
+// loads, stores, register writes, an exit and a dirty call. A leading load
+// for odd n shifts the temp numbers, so a temp folded in one block is read
+// as a load in another.
+func mixedBlock(n int) *SuperBlock {
+	sb := &SuperBlock{GuestAddr: 0x1000}
+	if n%2 == 1 {
+		sb.PutReg(7, TmpE(sb.WrTmpLoad(W8, RegE(6))))
+	}
+	for i := 0; i < n; i++ {
+		sb.IMark(0x1000+uint64(8*i), 8)
+		r := uint8(i % 8)
+		a := sb.WrTmpExpr(RegE(r))
+		k := sb.WrTmpBinop(OpMul, ConstE(uint64(i)), ConstE(3))
+		b := sb.WrTmpBinop(OpAdd, TmpE(a), TmpE(k))
+		v := sb.WrTmpLoad(W64, TmpE(b))
+		sb.Store(W32, TmpE(b), TmpE(v))
+		sb.PutReg(r, TmpE(v))
+		if i%5 == 4 {
+			sb.Exit(TmpE(a), 0x9000, JKBoring)
+			sb.Dirty("probe", func(any, []uint64) uint64 { return 0 }, TmpE(b), TmpE(k))
+		}
+	}
+	sb.Next = ConstE(0x1000 + uint64(8*n))
+	return sb
+}
+
+// opsString renders compiled code without its func values.
+func opsString(c *Compiled) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d %d %d %d\n", c.NFrame, c.NInstrs, c.NChains, c.NextChain)
+	for i, u := range c.Ops {
+		fmt.Fprintf(&b, "%d %d %d %d %d %d %d %d %d %d", u.Code, u.Wd, u.Op, u.Dst, u.A, u.B, u.ChainIdx, u.Imm, c.PCs[i], c.ICs[i])
+		if d := u.Dirty; d != nil {
+			fmt.Fprintf(&b, " %s %v %d", d.Name, d.Args, d.InstrsBefore)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestScratchReuseMatchesFresh runs blocks of different sizes, the largest
+// first, through one Scratch, and checks every result against a fresh
+// Optimize and Compile: nothing a block leaves in the Scratch may leak into
+// the next.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	var x Scratch
+	for _, n := range []int{40, 3, 17, 1, 64, 9} {
+		sb := mixedBlock(n)
+		want := Optimize(sb)
+		got := &SuperBlock{}
+		x.Optimize(got, sb)
+		if got.String() != want.String() || got.NTemps != want.NTemps {
+			t.Fatalf("%d instrs: reused Scratch optimized to\n%s\nwant\n%s", n, got, want)
+		}
+		wc, err := Compile(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc, err := x.Compile(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := opsString(gc), opsString(wc); g != w {
+			t.Fatalf("%d instrs: reused Scratch compiled to\n%s\nwant\n%s", n, g, w)
+		}
 	}
 }

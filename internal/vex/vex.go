@@ -96,11 +96,12 @@ func (o Op) IsUnary() bool {
 // register read. Compound expressions (Binop, Load...) appear only on the
 // right-hand side of WrTmp statements.
 type Expr struct {
-	Kind ExprKind
 	// Const value (KindConst), temp number (KindRdTmp) or guest register
-	// number (KindGetReg).
+	// number (KindGetReg). The wide fields come first so an Expr packs into
+	// 16 bytes.
 	Const uint64
 	Tmp   Temp
+	Kind  ExprKind
 	Reg   uint8
 }
 
@@ -163,30 +164,34 @@ const (
 	SDirty
 )
 
-// Stmt is one flattened IR statement.
+// Stmt is one flattened IR statement. Its byte-sized fields come first so a
+// Stmt packs into 136 bytes.
 type Stmt struct {
 	Kind StmtKind
 
-	// SIMark: guest address and length of the instruction.
-	Addr uint64
-	Len  uint8
-
-	// Destination temp for SWrTmp*.
-	Tmp Temp
+	// SIMark: length of the instruction (Addr holds its address).
+	Len uint8
 
 	// Operands. SWrTmpExpr uses E1. SWrTmpBinop uses Op, E1, E2.
 	// SWrTmpUnop uses Op, E1. SWrTmpLoad uses Wd, E1 (address).
 	// SStore uses Wd, E1 (address), E2 (data). SPutReg uses Reg, E1.
-	// SExit uses E1 (guard), Target. SDirty uses Fn, Args, and Tmp as
+	// SExit uses E1 (guard), Target, JK. SDirty uses Fn, Args, and Tmp as
 	// the optional result temp (NoTemp when unused).
-	Op     Op
-	Wd     Width
-	E1, E2 Expr
-	Reg    uint8
+	Op  Op
+	Wd  Width
+	Reg uint8
+	JK  JumpKind
 
-	// SExit: absolute guest target address and jump kind.
+	// Destination temp for SWrTmp*.
+	Tmp Temp
+
+	E1, E2 Expr
+
+	// SIMark: guest address of the instruction.
+	Addr uint64
+
+	// SExit: absolute guest target address.
 	Target uint64
-	JK     JumpKind
 
 	// SDirty: helper index into the machine's dirty-helper table plus
 	// argument expressions. Meta carries the helper's serializable

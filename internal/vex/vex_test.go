@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValidateAcceptsWellFormed(t *testing.T) {
@@ -180,5 +181,20 @@ func TestF2UandU2FRoundTrip(t *testing.T) {
 		if U2F(F2U(v)) != v {
 			t.Errorf("round trip %g", v)
 		}
+	}
+}
+
+// TestIRLayout pins the packed sizes of Expr and Stmt. A translation copies
+// its finished block out of the core's arena statement by statement, and
+// the cache keeps the copy, so padding costs once per statement.
+func TestIRLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit hosts")
+	}
+	if n := unsafe.Sizeof(Expr{}); n != 16 {
+		t.Errorf("sizeof(Expr) = %d, want 16", n)
+	}
+	if n := unsafe.Sizeof(Stmt{}); n != 136 {
+		t.Errorf("sizeof(Stmt) = %d, want 136", n)
 	}
 }
