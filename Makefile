@@ -29,7 +29,8 @@ race:
 	$(GO) test -race ./...
 
 # Replay-determinism gate: checkpoint/resume fuzz over the Table I programs
-# on both engines, the supervisor's crash-reproduction and fallback paths,
+# on the compiled engine and its IR oracle, the supervisor's
+# crash-reproduction and fallback paths,
 # the CLI's byte-for-byte -replay round trip, one replay token per
 # configuration across the CLI, the daemon and explore sweeps, and daemon
 # job output byte-identical to an independent run's. Fresh run (-count=1)
@@ -42,7 +43,8 @@ replay-determinism:
 # Translation-store equivalence gate: the tstore unit suite (encode
 # roundtrips, persistent-tier invalidation, torn-tail recovery) under -race,
 # plus the store-equivalence differential smoke — cold vs shared-cold vs
-# warm vs disk-warm runs bit-identical on both engines, the crash-report and
+# warm vs disk-warm compiled runs bit-identical, with the same footprint
+# model, and the IR oracle storeless beside them, the crash-report and
 # invalidation cases, the 16-worker shared-store race test and the sweep
 # amortization counter check — and the pinned digest of every unit the
 # Table I suite and racy LULESH publish (TestTranslationEncodingPinned).
@@ -64,8 +66,8 @@ store-chaos:
 
 # Lock verdict-matrix gate: the six-tool x lock-scenario acceptance matrix
 # (expected verdict per cell on every default seed, byte-identical reports
-# across engines, replay-token reproduction of every reporting cell), the
-# lock-scenario goldens on both engines, the
+# from the compiled engine and its IR oracle, replay-token reproduction of
+# every reporting cell), the lock-scenario goldens under both, the
 # scheduler-neutrality pin for lock-free programs, and the lock-fault
 # injection determinism/journal/sweep suite. Fresh run (-count=1) so the
 # gate never passes on a cached result.

@@ -59,12 +59,10 @@ func main() {
 		}
 	}
 	var (
-		prog    = flag.String("prog", "task.c", "program to run (-list to enumerate)")
-		asmFile = flag.String("asm", "", "assemble and run a guest .s file instead of -prog")
-		tool    = flag.String("tool", "taskgrind", fmt.Sprintf("analysis tool %v", toolreg.Names()))
-		engine  = flag.String("engine", "", "execution engine: compiled (micro-ops + block chaining), ir (reference interpreter), \"\" = default")
-
-		tcacheDir      = flag.String("tcache-dir", "", "persistent translation store directory, shared safely by concurrent processes: instrumented+compiled translations are saved per (image,tool,engine) and reused across runs")
+		prog           = flag.String("prog", "task.c", "program to run (-list to enumerate)")
+		asmFile        = flag.String("asm", "", "assemble and run a guest .s file instead of -prog")
+		tool           = flag.String("tool", "taskgrind", fmt.Sprintf("analysis tool %v", toolreg.Names()))
+		tcacheDir      = flag.String("tcache-dir", "", "persistent translation store directory, shared safely by concurrent processes: compiled translations are saved per (image,tool) and reused across runs")
 		tcacheMaxMB    = flag.Int64("tcache-max-mb", 0, "translation store byte cap in MiB (0 = unbounded); clock eviction keeps the cache under it")
 		tcacheMaxUnits = flag.Int64("tcache-max-units", 0, "translation store unit cap (0 = unbounded); clock eviction keeps the cache under it")
 		threads        = flag.Int("threads", 4, "OMP_NUM_THREADS")
@@ -120,7 +118,7 @@ func main() {
 	// decoding it turns this invocation into a byte-for-byte re-run of the
 	// crashed one.
 	sp := explore.Spec{
-		Prog: *prog, Tool: *tool, Seed: *seed, Threads: *threads, Engine: *engine,
+		Prog: *prog, Tool: *tool, Seed: *seed, Threads: *threads,
 		Inject: *inject, InjectSeed: *injectSeed, Lenient: *lenientMem,
 		LSize: *s, LIters: *iter, LTasksEl: *tel, LTasksNd: *tnl, LRacy: *racy,
 	}

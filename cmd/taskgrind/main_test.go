@@ -120,8 +120,8 @@ func TestReplayTokenRoundTripsInjection(t *testing.T) {
 
 // retiredTokens are replay tokens recorded under modes this build no longer
 // has, keyed by what the refusal must name: superblock extension, per-event
-// access delivery, the parallel analysis pass's taskgrind-par tool, and a
-// fixed timeslice.
+// access delivery, the parallel analysis pass's taskgrind-par tool, a fixed
+// timeslice, and the IR engine.
 func retiredTokens() map[string]string {
 	out := map[string]string{}
 	for name, setting := range map[string]string{
@@ -129,6 +129,7 @@ func retiredTokens() map[string]string {
 		"delivery=per-event": "delivery=per-event",
 		"taskgrind-par":      "tool=taskgrind-par",
 		"slice=7":            "slice=7",
+		"engine=ir":          "engine=ir",
 	} {
 		out[name] = "tg1:" + base64.RawURLEncoding.EncodeToString([]byte(setting+"&prog=task.c&seed=1"))
 	}

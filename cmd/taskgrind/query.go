@@ -252,7 +252,6 @@ func runExplore(args []string, stdout io.Writer) {
 	var (
 		prog       = fs.String("prog", "task.c", "program to sweep (-list on the main command)")
 		tool       = fs.String("tool", "taskgrind", fmt.Sprintf("analysis tool %v", toolreg.Names()))
-		engine     = fs.String("engine", "", "execution engine: compiled, ir, \"\" = default")
 		threads    = fs.Int("threads", 4, "OMP_NUM_THREADS")
 		seeds      = fs.Int("seeds", 16, "number of scheduler seeds (1..N)")
 		workers    = fs.Int("workers", 4, "concurrent machines")
@@ -268,7 +267,7 @@ func runExplore(args []string, stdout io.Writer) {
 	)
 	fs.Parse(args)
 	sp := explore.Spec{
-		Prog: *prog, Tool: *tool, Threads: *threads, Engine: *engine,
+		Prog: *prog, Tool: *tool, Threads: *threads,
 		Inject: *inject, InjectSeed: *injectSeed, Supervised: *supervised,
 		LSize: *s, LIters: *iter, LTasksEl: *tel, LTasksNd: *tnl, LRacy: *racy,
 	}

@@ -40,35 +40,24 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestQueryGolden is an acceptance criterion: a recorded run's query output
-// is byte-stable for a given (program, seed, engine) — for both engines.
+// is byte-stable for a given (program, seed).
 func TestQueryGolden(t *testing.T) {
 	bin := buildCLI(t)
-	for _, engine := range []string{"ir", "compiled"} {
-		t.Run(engine, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "runs")
-			out, code := runCLI(t, bin, "-prog", "task.c", "-tool", "taskgrind",
-				"-engine", engine, "-seed", "1", "-record", dir)
-			if code != 1 { // task.c has one deliberate race
-				t.Fatalf("record run exit %d, want 1\n%s", code, out)
-			}
-			top, code := runCLI(t, bin, "query", "top", "-store", dir, "-by", "span")
-			if code != 0 {
-				t.Fatalf("query top exit %d\n%s", code, top)
-			}
-			checkGolden(t, "query_top_"+engine, top)
-
-			races, code := runCLI(t, bin, "query", "races", "-store", dir)
-			if code != 0 {
-				t.Fatalf("query races exit %d\n%s", code, races)
-			}
-			checkGolden(t, "query_races_"+engine, races)
-
-			spans, code := runCLI(t, bin, "query", "spans", "-store", dir, "-kind", "task")
-			if code != 0 {
-				t.Fatalf("query spans exit %d\n%s", code, spans)
-			}
-			checkGolden(t, "query_spans_"+engine, spans)
-		})
+	dir := filepath.Join(t.TempDir(), "runs")
+	out, code := runCLI(t, bin, "-prog", "task.c", "-tool", "taskgrind", "-seed", "1", "-record", dir)
+	if code != 1 { // task.c has one deliberate race
+		t.Fatalf("record run exit %d, want 1\n%s", code, out)
+	}
+	for _, q := range [][]string{
+		{"top", "-by", "span"},
+		{"races"},
+		{"spans", "-kind", "task"},
+	} {
+		got, code := runCLI(t, bin, append([]string{"query", q[0], "-store", dir}, q[1:]...)...)
+		if code != 0 {
+			t.Fatalf("query %s exit %d\n%s", q[0], code, got)
+		}
+		checkGolden(t, "query_"+q[0], got)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command taskgrindd is the analysis daemon: a long-running HTTP/JSON
-// service that accepts analysis jobs (program + tool + engine config + seed
-// range + budgets), runs them on a bounded worker pool, and
+// service that accepts analysis jobs (program + tool + seed range + fault
+// injection + budgets), runs them on a bounded worker pool, and
 // survives anything a job does — guest faults, host panics, watchdog
 // trips and deadlocks are classified, optionally replay-verified, and
 // reported as that job's result.

@@ -1,19 +1,18 @@
 package dbi
 
-// Shared-store adoption: the copy-on-attach seam between a core's private
-// caches and the cross-core translation store (internal/tstore).
+// Shared-store adoption: the copy-on-attach seam between a core's compiled
+// cache and the cross-core translation store (internal/tstore).
 //
-// A published unit's IR may embed dirty-call closures bound to the core and
-// tool instance that translated it. Adoption therefore copies the statement
-// (or micro-op) list and re-binds every dirty call to an equivalent helper
-// of the adopting core, reconstructed from the statement's serializable
-// (Name, Meta, Args) triple. Blocks without dirty calls — every nop-tool
-// block, and any block the tool left uninstrumented — are shared by
-// reference: the IR is immutable after instrumentation, so reference
-// sharing is safe and free.
+// A published unit's code may embed dirty-call closures bound to the core
+// and tool instance that compiled it. Adoption therefore copies the
+// micro-op list and re-binds every dirty call to an equivalent helper of
+// the adopting core, reconstructed from the op's serializable (Name, Meta,
+// Args) triple. Code without dirty calls — every nop-tool block, and any
+// block the tool left uninstrumented — is shared by reference: it is
+// immutable once compiled, so reference sharing is safe and free.
 //
-// Publication is gated the other way: only blocks whose dirty calls all
-// carry a registered name and well-formed Meta are published. A tool that
+// Publication is gated the other way: only code whose dirty calls all
+// carry a registered name and well-formed Meta is published. A tool that
 // inserts an unregistered helper keeps its blocks core-private — correct,
 // just not amortized.
 
@@ -24,44 +23,18 @@ import (
 	"repro/internal/vex"
 )
 
-// sharedGet probes the shared store.
-func (c *Core) sharedGet(addr uint64) *tstore.Unit {
-	if c.Shared == nil {
-		return nil
-	}
-	return c.Shared.Get(addr)
-}
-
-// sharedPut publishes a freshly translated block, if portable.
-func (c *Core) sharedPut(addr uint64, sb *vex.SuperBlock) {
-	if c.Shared == nil || !portableSB(sb) {
-		return
-	}
-	c.Shared.Put(&tstore.Unit{Addr: addr, SB: sb})
-}
-
-// sharedPutCode attaches a locally compiled form to the block's published
-// unit (no-op when the block was not published).
-func (c *Core) sharedPutCode(addr uint64, code *vex.Compiled) {
+// publish shares freshly compiled code through the store, if every dirty
+// call in it can be re-bound by an adopting core.
+func (c *Core) publish(addr uint64, code *vex.Compiled) {
 	if c.Shared == nil {
 		return
 	}
-	c.Shared.PutCode(addr, code)
-}
-
-// portableSB reports whether every dirty call in sb can be re-bound by an
-// adopting core.
-func portableSB(sb *vex.SuperBlock) bool {
-	for i := range sb.Stmts {
-		s := &sb.Stmts[i]
-		if s.Kind != vex.SDirty {
-			continue
-		}
-		if s.Name != "flush_accesses" || len(s.Meta) != 2*len(s.Args) {
-			return false
+	for i := range code.Ops {
+		if d := code.Ops[i].Dirty; d != nil && (d.Name != "flush_accesses" || len(d.Meta) != 2*len(d.Args)) {
+			return
 		}
 	}
-	return true
+	c.Shared.Put(&tstore.Unit{Addr: addr, Code: code})
 }
 
 // bindFlush reconstructs a flush_accesses helper for this core from the
@@ -86,53 +59,32 @@ func (c *Core) bindDirty(name string, meta []uint64, nargs int) (vex.DirtyFn, er
 	return nil, fmt.Errorf("dbi: adopt: unknown dirty helper %q", name)
 }
 
-// adoptSB attaches a shared unit's IR to this core: re-binds dirty helpers
-// when present (copying the statement list first), installs the block in
-// the local cache and replays the translation-time bookkeeping — minus
-// Translations, which is the point.
-func (c *Core) adoptSB(u *tstore.Unit) (*vex.SuperBlock, error) {
-	sb := u.SB
-	dirty := false
-	for i := range sb.Stmts {
-		if sb.Stmts[i].Kind == vex.SDirty {
-			dirty = true
-			break
-		}
+// adopt attaches the shared store's code for the block at addr, or returns
+// nil when the store has none this core can bind. It replays the
+// translation-time bookkeeping — minus Translations, which is the point.
+func (c *Core) adopt(addr uint64) *vex.Compiled {
+	if c.Shared == nil {
+		return nil
 	}
-	if dirty {
-		cp := *sb
-		cp.Stmts = append([]vex.Stmt(nil), sb.Stmts...)
-		for i := range cp.Stmts {
-			s := &cp.Stmts[i]
-			if s.Kind != vex.SDirty {
-				continue
-			}
-			fn, err := c.bindDirty(s.Name, s.Meta, len(s.Args))
-			if err != nil {
-				return nil, err
-			}
-			s.Fn = fn
-		}
-		sb = &cp
+	u := c.Shared.Get(addr)
+	if u == nil {
+		return nil
 	}
-	if c.Validate {
-		if err := sb.Validate(); err != nil {
-			return nil, err
-		}
+	code, err := c.adoptCode(u.Code)
+	if err != nil {
+		return nil // unadoptable: fall back to the local pipeline
 	}
-	c.cache[u.Addr] = sb
 	c.SharedHits++
-	c.cacheStmts += uint64(len(sb.Stmts))
-	c.histBlockStmts.Observe(float64(len(sb.Stmts)))
-	return sb, nil
+	c.cacheStmts += uint64(code.NStmts)
+	c.histBlockStmts.Observe(float64(code.NStmts))
+	return code
 }
 
-// adoptCode attaches a shared unit's compiled form: micro-op arrays without
-// dirty calls are shared by reference; otherwise the op list is copied and
-// each dirty op re-bound. The side tables (PCs/ICs) are read-only and
-// always shared.
-func (c *Core) adoptCode(u *tstore.Unit) (*vex.Compiled, error) {
-	code := u.Code
+// adoptCode binds shared code to this core: micro-op arrays without dirty
+// calls are shared by reference; otherwise the op list is copied and each
+// dirty op re-bound. The side tables (PCs/ICs) are read-only and always
+// shared.
+func (c *Core) adoptCode(code *vex.Compiled) (*vex.Compiled, error) {
 	dirty := false
 	for i := range code.Ops {
 		if code.Ops[i].Code == vex.UDirty {

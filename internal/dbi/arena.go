@@ -7,9 +7,10 @@ import "repro/internal/vex"
 // each one. Translate, Optimize and InstrumentAccesses each write their
 // output into a scratch superblock handed out by block, flush calls take
 // their argument lists from exprs, and Optimize and Compile keep their
-// per-temp tables and op buffers in vx. translateFresh copies the finished
-// block out (detach) and Compile copies out its code, so nothing a cache, a
-// chain or the shared store keeps points into the arena.
+// per-temp tables and op buffers in vx. The compiled engine lowers the
+// finished block in place and Compile copies out only its code; the IR
+// engine copies the block itself out (detach). Nothing a cache, a chain or
+// the shared store keeps points into the arena.
 //
 // The arena belongs to one Core. A core translates one block at a time (its
 // scheduler runs one guest thread at a time), so it needs no locking, and
@@ -45,9 +46,9 @@ func (a *arena) block() *vex.SuperBlock {
 	return sb
 }
 
-// detach copies a finished block out of the arena into memory of its own:
-// the statements into one right-sized slice and the arguments of every
-// dirty call into another.
+// detach copies a finished block out of the arena into memory of its own,
+// for the IR engine's cache: the statements into one right-sized slice and
+// the arguments of every dirty call into another.
 func detach(sb *vex.SuperBlock) *vex.SuperBlock {
 	out := new(vex.SuperBlock)
 	*out = *sb

@@ -32,19 +32,6 @@ func (at *arenaTool) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock
 	return at.countSink.Instrument(c, sb)
 }
 
-// irSnapshot renders a block's IR with every dirty call's arguments and
-// Meta words.
-func irSnapshot(sb *vex.SuperBlock) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d temps\n%s", sb.NTemps, sb)
-	for _, s := range sb.Stmts {
-		if s.Kind == vex.SDirty {
-			fmt.Fprintf(&b, "%s %v %v\n", s.Name, s.Args, s.Meta)
-		}
-	}
-	return b.String()
-}
-
 // codeSnapshot renders a block's compiled ops and side tables.
 func codeSnapshot(code *vex.Compiled) string {
 	var b strings.Builder
@@ -63,8 +50,9 @@ func codeSnapshot(code *vex.Compiled) string {
 
 // TestCachedBlocksDoNotAliasArena translates block A, then 25 more blocks
 // through the same core's arena (instrumented, left alone by the tool, and
-// rebuilt by the per-access reference), and checks that A's cached IR, its
-// compiled code and its shared-store unit are exactly as they were.
+// rebuilt by the per-access reference), and checks that A's compiled code
+// and its shared-store unit are exactly as they were, and that the
+// compiled engine kept none of the IR.
 func TestCachedBlocksDoNotAliasArena(t *testing.T) {
 	const blocks = 20
 	b := gbuild.New()
@@ -98,7 +86,7 @@ func TestCachedBlocksDoNotAliasArena(t *testing.T) {
 	}
 	tool := &arenaTool{}
 	core := dbi.New(m, tool)
-	core.Shared = tstore.NewStore(tstore.Key{Image: tstore.ImageHash(im), Tool: "arena", Engine: dbi.EngineCompiled})
+	core.Shared = tstore.NewStore(tstore.Key{Image: tstore.ImageHash(im), Tool: "arena"})
 	th := m.Threads()[0]
 	th.Regs[guest.R6] = arr
 
@@ -111,13 +99,12 @@ func TestCachedBlocksDoNotAliasArena(t *testing.T) {
 	a := guest.TextBase
 	step()
 	u := core.Shared.Get(a)
-	if core.BlockIR(a) == nil || u == nil || u.Code == nil {
+	if core.BlockCode(a) == nil || u == nil {
 		t.Fatal("block A was not translated, compiled and published")
 	}
-	ir, code := irSnapshot(core.BlockIR(a)), codeSnapshot(u.Code)
-	unitIR := irSnapshot(u.SB)
-	if !strings.Contains(ir, "flush_accesses") {
-		t.Fatalf("block A is not instrumented:\n%s", ir)
+	code, unit := codeSnapshot(core.BlockCode(a)), codeSnapshot(u.Code)
+	if !strings.Contains(code, "flush_accesses") {
+		t.Fatalf("block A is not instrumented:\n%s", code)
 	}
 
 	for i := 0; core.Translations < 26 && i < 200; i++ {
@@ -130,14 +117,13 @@ func TestCachedBlocksDoNotAliasArena(t *testing.T) {
 		t.Fatalf("only %d blocks translated", core.Translations)
 	}
 
-	if got := irSnapshot(core.BlockIR(a)); got != ir {
-		t.Errorf("cached IR of A changed:\nbefore:\n%s\nafter:\n%s", ir, got)
-	}
-	u = core.Shared.Get(a)
-	if got := codeSnapshot(u.Code); got != code {
+	if got := codeSnapshot(core.BlockCode(a)); got != code {
 		t.Errorf("compiled code of A changed:\nbefore:\n%s\nafter:\n%s", code, got)
 	}
-	if got := irSnapshot(u.SB); got != unitIR {
-		t.Errorf("shared unit of A changed:\nbefore:\n%s\nafter:\n%s", unitIR, got)
+	if got := codeSnapshot(core.Shared.Get(a).Code); got != unit {
+		t.Errorf("shared unit of A changed:\nbefore:\n%s\nafter:\n%s", unit, got)
+	}
+	if n := core.IRBlocks(); n != 0 {
+		t.Errorf("the compiled engine cached the IR of %d blocks", n)
 	}
 }

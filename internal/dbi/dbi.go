@@ -79,6 +79,8 @@ type Core struct {
 	M    *vm.Machine
 	tool Tool
 
+	// cache is the IR engine's translation cache; the compiled engine
+	// keeps no IR.
 	cache map[uint64]*vex.SuperBlock
 	// ccache is the compiled-translation cache (micro-op code plus
 	// chaining metadata), used by the compiled engine.
@@ -98,11 +100,12 @@ type Core struct {
 	engineFixed bool
 
 	// Shared, when set, is the content-addressed translation store tier
-	// consulted between the local caches and fresh translation: local miss
-	// -> adopt a published unit (copy-on-attach, dirty helpers re-bound to
-	// this core) -> translate fresh and publish. The store must be keyed
-	// for exactly this core's (image, tool, engine) universe —
-	// the harness derives the key; see internal/tstore.
+	// the compiled engine consults between its cache and fresh
+	// translation: local miss -> adopt a published unit's code
+	// (copy-on-attach, dirty helpers re-bound to this core) -> translate
+	// and compile fresh and publish. The store must be keyed for exactly
+	// this core's (image, tool) universe — the harness derives the key;
+	// see internal/tstore. The IR engine ignores it.
 	Shared *tstore.Store
 
 	// Translations counts distinct blocks this core translated itself
@@ -133,11 +136,13 @@ type Core struct {
 	// dispatches that had to look the block up (via the fast dispatch
 	// table or the map: first visits and unchainable edges).
 	ChainHits, ChainMisses uint64
-	// cacheStmts counts IR statements held in the translation cache.
+	// cacheStmts counts the IR statements of the cached translations (for
+	// compiled ones, of the IR they were lowered from).
 	cacheStmts uint64
 
 	// arena is the translation scratch memory the pipeline stages write
-	// into; translateFresh copies each finished block out of it.
+	// into; only compiled code, or the IR engine's copy of a block, leaves
+	// it.
 	arena arena
 	// batchBuf is the reusable access-batch buffer shared by every
 	// flushSite (the scheduler is single-threaded by construction).
@@ -307,7 +312,8 @@ func (c *Core) SetObs(h *obs.Hooks) {
 	}
 }
 
-// CacheStmts returns the IR statement count held in the translation cache.
+// CacheStmts returns the IR statement count of the cached translations; a
+// compiled translation counts the statements it was lowered from.
 func (c *Core) CacheStmts() uint64 { return c.cacheStmts }
 
 // Run executes the program to completion and then runs the tool's Fini.
@@ -391,28 +397,29 @@ func (c *Core) Allocations() []*AllocBlock { return c.allocs }
 // AllocCount returns the number of registered allocations.
 func (c *Core) AllocCount() int { return len(c.allocs) }
 
-// translate produces the instrumented IR for the block at addr, consulting
-// the translation cache, then the shared store, then translating fresh. tid
-// attributes translation trace events to the thread whose dispatch
-// triggered them.
+// translate returns the instrumented IR the IR engine runs for the block
+// at addr, from the IR cache or translated fresh and copied out of the
+// arena. The IR engine is the compiled engine's private oracle: it never
+// consults the shared store.
 func (c *Core) translate(addr uint64, tid int) (*vex.SuperBlock, error) {
 	if sb, ok := c.cache[addr]; ok {
 		c.CacheHits++
 		return sb, nil
 	}
 	c.CacheMisses++
-	if u := c.sharedGet(addr); u != nil {
-		if sb, err := c.adoptSB(u); err == nil {
-			return sb, nil
-		}
+	sb, err := c.instrument(addr, tid)
+	if err != nil {
+		return nil, err
 	}
-	return c.translateFresh(addr, tid)
+	sb = detach(sb)
+	c.cache[addr] = sb
+	return sb, nil
 }
 
-// translateFresh runs the full translation pipeline — decode, optimize,
-// instrument — in the core's arena, caches a copy of the result and
-// publishes it to the shared store.
-func (c *Core) translateFresh(addr uint64, tid int) (*vex.SuperBlock, error) {
+// instrument runs the translation pipeline — decode, optimize, instrument
+// — in the core's arena. The block it returns lives in the arena and is
+// valid until the next translation.
+func (c *Core) instrument(addr uint64, tid int) (*vex.SuperBlock, error) {
 	traced := c.Obs != nil && c.Obs.Tracer != nil
 	if traced {
 		c.Obs.Tracer.Begin(c.M.BlocksExecuted, tid, "dbi", "translate",
@@ -431,15 +438,13 @@ func (c *Core) translateFresh(addr uint64, tid int) (*vex.SuperBlock, error) {
 	a.vx.Optimize(sb, raw)
 	if c.tool != nil {
 		sb = c.tool.Instrument(c, sb)
-	}
-	sb = detach(sb)
-	if c.tool != nil && c.Validate {
-		if err := sb.Validate(); err != nil {
-			return nil, err
+		if c.Validate {
+			if err := sb.Validate(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	c.TranslateNanos += uint64(time.Since(start))
-	c.cache[addr] = sb
 	c.Translations++
 	c.cacheStmts += uint64(len(sb.Stmts))
 	c.histBlockStmts.Observe(float64(len(sb.Stmts)))
@@ -447,55 +452,34 @@ func (c *Core) translateFresh(addr uint64, tid int) (*vex.SuperBlock, error) {
 		c.Obs.Tracer.End(c.M.BlocksExecuted, tid, "dbi", "translate",
 			map[string]any{"stmts": len(sb.Stmts)})
 	}
-	c.sharedPut(addr, sb)
 	return sb, nil
 }
 
 // compiled produces the micro-op translation for the block at addr,
 // consulting the compiled cache, then the shared store, then running the
-// full pipeline — translate, optimize, instrument, lower — once; every
-// later dispatch executes the pre-resolved form.
+// pipeline — translate, optimize, instrument, lower — once in the arena;
+// only the compiled code is kept, and every later dispatch executes it.
 func (c *Core) compiled(addr uint64, tid int) (*centry, error) {
 	if ent, ok := c.ccache[addr]; ok {
 		c.CacheHits++
 		return ent, nil
 	}
 	c.CacheMisses++
-	var unit *tstore.Unit
-	sb, haveSB := c.cache[addr]
-	if !haveSB {
-		if unit = c.sharedGet(addr); unit != nil {
-			if s, err := c.adoptSB(unit); err == nil {
-				sb, haveSB = s, true
-			} else {
-				unit = nil // unadoptable: fall back to the local pipeline
-			}
-		}
-	}
-	if !haveSB {
-		var err error
-		if sb, err = c.translateFresh(addr, tid); err != nil {
+	code := c.adopt(addr)
+	if code == nil {
+		sb, err := c.instrument(addr, tid)
+		if err != nil {
 			return nil, err
 		}
-	}
-	var code *vex.Compiled
-	if unit != nil && unit.Code != nil {
-		if adopted, err := c.adoptCode(unit); err == nil {
-			code = adopted
-		}
-	}
-	if code == nil {
 		// Compile cost is timed on its own clock, independent of the
 		// translation phase above.
 		start := time.Now()
-		var err error
-		code, err = c.arena.vx.Compile(sb)
-		if err != nil {
+		if code, err = c.arena.vx.Compile(sb); err != nil {
 			return nil, err
 		}
 		c.Compiles++
 		c.CompileNanos += uint64(time.Since(start))
-		c.sharedPutCode(addr, code)
+		c.publish(addr, code)
 	}
 	ent := &centry{code: code, gen: c.cacheGen, chains: make([]*centry, code.NChains)}
 	c.ccache[addr] = ent
@@ -510,29 +494,35 @@ func (c *Core) compiled(addr uint64, tid int) (*centry, error) {
 	return ent, nil
 }
 
-// CachedBlocks returns the guest addresses of every cached translation in
-// sorted order — the benchmark harness replays them to measure hot block
+// CachedBlocks returns the guest addresses of every compiled translation
+// in sorted order — the benchmark harness replays them to measure hot block
 // throughput on real translated code.
 func (c *Core) CachedBlocks() []uint64 {
-	out := make([]uint64, 0, len(c.cache))
-	for a := range c.cache {
+	out := make([]uint64, 0, len(c.ccache))
+	for a := range c.ccache {
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// BlockIR returns the cached instrumented IR for the block at addr, or nil
-// if the block has not been translated. Introspection only — callers must
-// not mutate the block.
-func (c *Core) BlockIR(addr uint64) *vex.SuperBlock { return c.cache[addr] }
+// BlockCode returns the compiled translation of the block at addr, or nil
+// if the block has not been compiled. Introspection only — callers must not
+// mutate it.
+func (c *Core) BlockCode(addr uint64) *vex.Compiled {
+	if ent := c.ccache[addr]; ent != nil {
+		return ent.code
+	}
+	return nil
+}
 
 // CacheFootprint approximates the memory held by the translation cache —
-// instrumented IR is a real part of a DBI tool's footprint. It is a model,
-// not a measurement of Go's heap: each cached statement costs stmtBytes and
-// each translation a fixed 64, whatever the layout of vex.Stmt, so the
-// footprint figures (Table II's memory column among them) stay comparable
-// across changes to the IR's Go representation.
+// instrumented code is a real part of a DBI tool's footprint. It is a
+// model, not a measurement of Go's heap: each statement of a cached
+// translation's instrumented IR costs stmtBytes, whether or not the IR is
+// kept, and each translation a fixed 64, so the footprint figures (Table
+// II's memory column among them) stay comparable across changes to the
+// Go representation of IR and code.
 func (c *Core) CacheFootprint() uint64 {
 	const stmtBytes = 96 // modelled cost of one cached statement
 	return c.cacheStmts*stmtBytes + c.Translations*64

@@ -89,7 +89,7 @@ type Execution struct {
 // Execute runs sp on a linked image under ctx (nil: not cancelable). Each
 // attempt gets a fresh tool, injector and output buffer; a supervised spec
 // verifies a crash once by replay and falls back to the IR oracle on a host
-// panic. The error reports a spec that cannot run (unknown tool, engine or
+// panic. The error reports a spec that cannot run (unknown tool or
 // injection spec) or a run that could not be recorded; every failure of the
 // guest or the engine is the Execution's verdict instead.
 func Execute(ctx context.Context, im *guest.Image, sp Spec, env Env) (Execution, error) {
@@ -116,8 +116,7 @@ func Execute(ctx context.Context, im *guest.Image, sp Spec, env Env) (Execution,
 			label = env.Label
 		}
 		rw = env.Record.Begin(store.RunHeader{
-			Prog: label, Tool: sp.Tool, Engine: sp.Engine,
-			Seed: sp.Seed, Threads: sp.Threads,
+			Prog: label, Tool: sp.Tool, Seed: sp.Seed, Threads: sp.Threads,
 		})
 		run.RunID = rw.Header().ID
 		ssink := store.NewStoreSink(rw)
@@ -154,7 +153,7 @@ func Execute(ctx context.Context, im *guest.Image, sp Spec, env Env) (Execution,
 		return harness.Setup{
 			Image: im, Tool: tl, Seed: sp.Seed, Threads: sp.Threads,
 			Stdout: &bytes.Buffer{}, Obs: hooks, Inject: in,
-			LenientMem: sp.Lenient, Engine: sp.Engine, TStore: env.TStore,
+			LenientMem: sp.Lenient, TStore: env.TStore,
 			ReplayToken: run.Token,
 			RunOpts: vm.RunOpts{
 				MaxBlocks: sp.MaxBlocks, MaxInstrs: sp.MaxInstrs, Timeout: timeout,

@@ -1,7 +1,7 @@
 package explore
 
 // The run recipe. A run of this system is a pure function of its
-// configuration (program, tool, seed, engine, injection spec, ...), so a
+// configuration (program, tool, seed, injection spec, ...), so a
 // crash is fully reproduced by re-running with the same configuration. Spec
 // is that configuration — the one struct behind `taskgrind` flags, daemon
 // job submissions and seed sweeps — and its replay token is the same
@@ -31,7 +31,6 @@ type Spec struct {
 	Tool       string `json:"tool,omitempty"`
 	Seed       uint64 `json:"seed,omitempty"`
 	Threads    int    `json:"threads,omitempty"`
-	Engine     string `json:"engine,omitempty"`
 	Inject     string `json:"inject,omitempty"`
 	InjectSeed uint64 `json:"inject_seed,omitempty"`
 	Lenient    bool   `json:"lenient,omitempty"`
@@ -100,17 +99,14 @@ func (sp *Spec) Normalize() {
 	}
 }
 
-// Validate rejects specs that could never run: unknown program, tool,
-// engine or injection spec. Called after Normalize.
+// Validate rejects specs that could never run: unknown program, tool or
+// injection spec. Called after Normalize.
 func (sp *Spec) Validate() error {
 	if _, err := progs.Build(sp.Prog, sp.Lulesh()); err != nil {
 		return err
 	}
 	if _, _, err := toolreg.Make(sp.Tool); err != nil {
 		return err
-	}
-	if sp.Engine != "" && sp.Engine != dbi.EngineCompiled && sp.Engine != dbi.EngineIR {
-		return fmt.Errorf("explore: unknown engine %q (compiled, ir)", sp.Engine)
 	}
 	if _, err := faultinject.ParseSpec(sp.Inject, sp.InjectSeed); err != nil {
 		return err
@@ -165,7 +161,6 @@ func (sp Spec) Token() string {
 	set("tool", sp.Tool)
 	setU64("seed", sp.Seed)
 	setInt("threads", sp.Threads)
-	set("engine", sp.Engine)
 	set("inject", sp.Inject)
 	if sp.Inject != "" {
 		setU64("iseed", sp.InjectSeed)
@@ -208,6 +203,14 @@ func ParseToken(tok string) (Spec, error) {
 		// a schedule the default slice would not reproduce.
 		return sp, fmt.Errorf("explore: replay token carries slice=%s; the timeslice is no longer configurable, so the run cannot be reproduced", v.Get("slice"))
 	}
+	// Tokens printed before the engine setting was removed may carry
+	// engine=compiled, the one engine that remains; it is ignored.
+	if e := v.Get("engine"); v.Has("engine") && e != dbi.EngineCompiled {
+		// The IR interpreter is now only the compiled engine's oracle, and
+		// it never consults the injected engine-panic stream, so its runs
+		// cannot be promised to replay under the compiled engine.
+		return sp, fmt.Errorf("explore: replay token carries engine=%s; only the compiled engine can be selected, so the run cannot be reproduced", e)
+	}
 	// Tokens printed before the delivery mode was removed all carry
 	// delivery=batched, the one path that remains; it is ignored.
 	if d := v.Get("delivery"); v.Has("delivery") && d != "batched" {
@@ -219,7 +222,6 @@ func ParseToken(tok string) (Spec, error) {
 	}
 	sp.Prog = v.Get("prog")
 	sp.Tool = v.Get("tool")
-	sp.Engine = v.Get("engine")
 	sp.Inject = v.Get("inject")
 	sp.Lenient = v.Get("lenient") == "1"
 	sp.LRacy = v.Get("lracy") == "1"

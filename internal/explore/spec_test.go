@@ -16,7 +16,6 @@ func token(payload string) string {
 func TestTokenRoundTrip(t *testing.T) {
 	sp := explore.Spec{
 		Prog: "lulesh", Tool: "memcheck", Seed: 99, Threads: 4,
-		Engine: "compiled",
 		Inject: "panic:every=3", InjectSeed: 1234, Lenient: true,
 		LSize: 10, LIters: 8, LTasksEl: 4, LTasksNd: 2, LRacy: true,
 	}
@@ -39,18 +38,23 @@ func TestTokenRoundTrip(t *testing.T) {
 // granularity would run a different schedule, so it must not parse. Nor
 // may a per-event delivery token: that mode handed a faulting block's
 // accesses to the tool before they ran. Nor a token that fixes the
-// timeslice, which no front end can set any more. The batched pair every
-// older token carries is the kept path and parses as if absent.
+// timeslice, which no front end can set any more, nor one that ran the IR
+// interpreter, which is now only the compiled engine's oracle. The batched
+// and compiled settings older tokens carry are the kept paths: they parse
+// as if absent, and the spec re-encodes without them.
 func TestTokenRejectsExtend(t *testing.T) {
-	for _, retired := range []string{"extend=64", "delivery=per-event", "slice=7"} {
+	for _, retired := range []string{"extend=64", "delivery=per-event", "slice=7", "engine=ir"} {
 		_, err := explore.ParseToken(token(retired + "&prog=task.c&seed=1"))
 		if err == nil || !strings.Contains(err.Error(), retired) {
 			t.Fatalf("ParseToken(%s token) = %v, want an error naming it", retired, err)
 		}
 	}
-	got, err := explore.ParseToken(token("delivery=batched&prog=task.c&seed=1"))
-	if want := (explore.Spec{Prog: "task.c", Seed: 1}); err != nil || got != want {
-		t.Fatalf("ParseToken(delivery=batched token) = %+v, %v; want %+v", got, err, want)
+	want := explore.Spec{Prog: "task.c", Seed: 1}
+	for _, kept := range []string{"delivery=batched", "engine=compiled"} {
+		got, err := explore.ParseToken(token(kept + "&prog=task.c&seed=1"))
+		if err != nil || got != want || got.Token() != want.Token() {
+			t.Fatalf("ParseToken(%s token) = %+v, %v; want %+v re-encoded as %s", kept, got, err, want, want.Token())
+		}
 	}
 }
 

@@ -56,7 +56,9 @@ type Setup struct {
 	LenientMem bool
 	// Engine selects the DBI execution engine: dbi.EngineCompiled (micro-op
 	// translations with block chaining), dbi.EngineIR (the reference IR
-	// interpreter), or "" to keep the default for the tool.
+	// interpreter, the compiled engine's differential oracle), or "" to
+	// keep the default for the tool. No front end exposes it: the
+	// supervisor's fallback and the differential tests set it.
 	Engine string
 	// Journal, when set, is attached to the machine and the injector: in
 	// record mode every scheduler pick and injection draw is logged; in
@@ -73,14 +75,13 @@ type Setup struct {
 	// it (`taskgrind -replay <token>`).
 	ReplayToken string
 	// TStore, when set, attaches the content-addressed translation store:
-	// the core resolves translations from (and publishes to) the cache's
-	// store for this run's (image hash, tool, engine) key, so
+	// the compiled engine resolves translations from (and publishes to)
+	// the cache's store for this run's (image hash, tool) key, so
 	// translation happens once per image rather than once per run. Blocks
 	// enter the store on demand, as the guest reaches them; an
 	// ahead-of-execution pretranslation mode was removed because it never
-	// beat cold translation end to end. Tools that fix the engine
-	// themselves (compile-time instrumentation) never translate and are
-	// unaffected.
+	// beat cold translation end to end. The IR engine and tools that fix
+	// the engine themselves (compile-time instrumentation) run without it.
 	TStore *tstore.Cache
 	// ToolID overrides the tool identity in the store key (default
 	// Tool.Name(), or "none" uninstrumented). Set it when the same tool
@@ -105,8 +106,9 @@ type Instance struct {
 	ReplayToken string
 	// Obs echoes Setup.Obs (nil when observability is off).
 	Obs *obs.Hooks
-	// TStore echoes Setup.TStore when the store was attached (nil when the
-	// tool fixes its own engine); CaptureMetrics snapshots its counters.
+	// TStore echoes Setup.TStore when the store was attached (nil under the
+	// IR engine or when the tool fixes its own engine); CaptureMetrics
+	// snapshots its counters.
 	TStore *tstore.Cache
 }
 
@@ -142,11 +144,7 @@ func New(s Setup) (*Instance, error) {
 			return nil, err
 		}
 	}
-	if s.TStore != nil && !inst.Core.EngineFixed() {
-		engine := s.Engine
-		if engine == "" {
-			engine = dbi.EngineCompiled
-		}
+	if s.TStore != nil && !inst.Core.EngineFixed() && s.Engine != dbi.EngineIR {
 		toolID := s.ToolID
 		if toolID == "" {
 			switch tl := s.Tool.(type) {
@@ -158,12 +156,7 @@ func New(s Setup) (*Instance, error) {
 				toolID = s.Tool.Name()
 			}
 		}
-		st := s.TStore.Open(tstore.Key{
-			Image:  tstore.ImageHash(s.Image),
-			Tool:   toolID,
-			Engine: engine,
-		})
-		inst.Core.Shared = st
+		inst.Core.Shared = s.TStore.Open(tstore.Key{Image: tstore.ImageHash(s.Image), Tool: toolID})
 		inst.TStore = s.TStore
 	}
 	inst.Lib.Bind(inst.Core)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -58,7 +57,7 @@ func (r *RingSink) SinkMetrics(put func(name string, v uint64)) {
 // Close implements Sink.
 func (r *RingSink) Close() error { return nil }
 
-// jsonEvent is the wire form shared by the JSONL and Chrome sinks.
+// jsonEvent is the Chrome sink's wire form.
 type jsonEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat"`
@@ -83,52 +82,6 @@ func toJSONEvent(ev Event) jsonEvent {
 		je.S = "t" // thread-scoped instant
 	}
 	return je
-}
-
-// JSONLSink writes one JSON object per line — the machine-readable stream
-// format for ad-hoc processing (jq, scripts). Writes are buffered off the
-// tracing fast path; the first encode/write error latches and is reported
-// by Close, matching ChromeSink.
-type JSONLSink struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	c   io.Closer
-	err error
-}
-
-// NewJSONLSink writes JSON lines to w; if w is an io.Closer it is closed by
-// Close.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{bw: bufio.NewWriter(w)}
-	s.enc = json.NewEncoder(s.bw)
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
-	return s
-}
-
-// Write implements Sink.
-func (s *JSONLSink) Write(ev Event) {
-	if s.err != nil {
-		return
-	}
-	s.err = s.enc.Encode(toJSONEvent(ev))
-}
-
-// Close flushes the buffer and reports the first error seen.
-func (s *JSONLSink) Close() error {
-	if ferr := s.bw.Flush(); ferr != nil && s.err == nil {
-		s.err = ferr
-	}
-	if s.c != nil {
-		if cerr := s.c.Close(); cerr != nil && s.err == nil {
-			s.err = cerr
-		}
-	}
-	if s.err != nil {
-		return fmt.Errorf("obs: jsonl sink: %w", s.err)
-	}
-	return nil
 }
 
 // ChromeSink streams the Chrome trace_event JSON-array format: the output

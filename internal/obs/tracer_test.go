@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -25,32 +24,6 @@ func TestRingSinkOrderAndWrap(t *testing.T) {
 	}
 	if tr.Events() != 5 {
 		t.Fatalf("tracer events = %d", tr.Events())
-	}
-}
-
-func TestJSONLSinkLines(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(NewJSONLSink(&buf))
-	tr.Begin(1, 2, "omp", "task", map[string]any{"id": uint64(7)})
-	tr.End(5, 2, "omp", "task", nil)
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	var ev struct {
-		Name string  `json:"name"`
-		Ph   string  `json:"ph"`
-		TS   float64 `json:"ts"`
-		TID  int     `json:"tid"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Name != "task" || ev.Ph != "B" || ev.TS != 1 || ev.TID != 2 {
-		t.Fatalf("event = %+v", ev)
 	}
 }
 

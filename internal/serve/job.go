@@ -1,6 +1,6 @@
 // Package serve is the analysis-as-a-service layer: a fault-contained,
 // long-running daemon core that accepts analysis jobs (program + tool +
-// engine config + seed range + budgets), runs them on a bounded
+// seed range + fault injection + budgets), runs them on a bounded
 // worker pool, and is robust by construction — per-job isolation through
 // the harness supervisor, bounded-queue admission control that sheds load
 // instead of growing without bound, automatic retry with exponential

@@ -154,8 +154,11 @@ func (s *Server) requeue(j *Job) {
 		return
 	}
 	j.status = StatusQueued
-	s.mu.Unlock()
+	// Claim the queue slot under s.mu, so Submit never counts it free:
+	// Submit sends while holding s.mu, and a send that found its slot
+	// taken would block with the lock every worker needs.
 	s.retriesBusy.Add(1)
+	s.mu.Unlock()
 	defer s.retriesBusy.Add(-1)
 	select {
 	case s.queue <- j:

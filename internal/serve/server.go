@@ -144,7 +144,7 @@ type Server struct {
 	running       atomic.Int64
 	drainNanos    atomic.Int64
 	queueWaitMax  atomic.Int64
-	retriesBusy   atomic.Int64 // retry goroutines blocked on a full queue
+	retriesBusy   atomic.Int64 // retries holding or waiting for a queue slot
 	parkedAtDrain atomic.Uint64
 	stateCorrupt  atomic.Uint64 // corrupt -state files quarantined at start
 }
@@ -221,7 +221,9 @@ func (s *Server) Submit(spec JobSpec) ([]*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := spec.Seeds
-	if free := cap(s.queue) - len(s.queue); free < n {
+	// Retries claim their slots under s.mu too (requeue), so every send
+	// below finds room.
+	if free := max(0, cap(s.queue)-len(s.queue)-int(s.retriesBusy.Load())); free < n {
 		s.shed.Add(uint64(n))
 		return nil, fmt.Errorf("%w: %d slot(s) free, %d needed", ErrQueueFull, free, n)
 	}

@@ -530,7 +530,8 @@ func TestHTTPSurface(t *testing.T) {
 }
 
 // TestHTTPRejectsExtend: superblock extension, the delivery option, the
-// taskgrind-par tool and the timeslice setting were removed, so a
+// taskgrind-par tool, the timeslice setting and the engine setting (the IR
+// engine in a token) were removed, so a
 // submission that still asks for any of them — as a spec field or inside a
 // replay token — is a 400 naming it, never a job run under another
 // configuration.
@@ -550,6 +551,8 @@ func TestHTTPRejectsExtend(t *testing.T) {
 		{token("tool=taskgrind-par"), "taskgrind-par"},
 		{`{"prog":"task.c","slice":7}`, "slice"},
 		{token("slice=7"), "slice=7"},
+		{`{"prog":"task.c","engine":"compiled"}`, "engine"},
+		{token("engine=ir"), "engine=ir"},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {

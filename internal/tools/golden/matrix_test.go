@@ -189,7 +189,7 @@ func TestVerdictMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("replay token: %v", err)
 				}
-				_, replayed := matrixCell(t, cfg.Prog, cfg.Tool, cfg.Seed, cfg.Engine)
+				_, replayed := matrixCell(t, cfg.Prog, cfg.Tool, cfg.Seed, "")
 				if replayed != ref {
 					t.Fatalf("replay of %s does not reproduce the report:\n--- live ---\n%s--- replay ---\n%s",
 						tok, ref, replayed)

@@ -246,8 +246,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				st := NewCache(dir).Open(testKey())
 				for _, u := range st.snapshot() {
-					if u.SB == nil {
-						t.Error("reader observed a unit without IR")
+					if u.Code == nil {
+						t.Error("reader observed a unit without code")
 					}
 				}
 				time.Sleep(time.Millisecond)
@@ -359,7 +359,7 @@ func TestStorageFaultsDegrade(t *testing.T) {
 				addr := 0x1000 + i*64
 				if u := st.Get(addr); u != nil {
 					// Whatever survived the fault must be the right unit.
-					if u.SB.GuestAddr != addr {
+					if u.Code.GuestAddr != addr {
 						t.Fatalf("wrong-universe unit served under %s", tc.spec)
 					}
 				} else {
@@ -387,8 +387,8 @@ func TestStorageFaultsDegrade(t *testing.T) {
 			// line, and they never let damage escalate past "fewer units".
 			recov := NewCache(dir).Open(testKey())
 			for _, u := range recov.snapshot() {
-				if u.SB == nil {
-					t.Error("recovered unit without IR")
+				if u.Code == nil {
+					t.Error("recovered unit without code")
 				}
 			}
 		})

@@ -9,6 +9,8 @@ package tstore
 // re-bound from the recorded vex.Op on decode; dirty-helper closures are
 // left nil and re-bound by the adopting core from (Name, Meta, Args) — a
 // decoded unit is inert until a core attaches it.
+//
+// A unit encodes as its address followed by its compiled code.
 
 import (
 	"encoding/binary"
@@ -122,47 +124,16 @@ func (d *dec) count() int {
 	return int(n)
 }
 
-func encExpr(e *enc, x vex.Expr) {
-	e.u64(uint64(x.Kind))
-	e.u64(x.Const)
-	e.u64(uint64(x.Tmp))
-	e.u64(uint64(x.Reg))
-}
-
-func decExpr(d *dec) vex.Expr {
-	return vex.Expr{
-		Kind:  vex.ExprKind(d.u64()),
-		Const: d.u64(),
-		Tmp:   vex.Temp(d.u64()),
-		Reg:   uint8(d.u64()),
-	}
-}
-
 // encodeUnit serializes a unit (without its frame).
 func encodeUnit(e *enc, u *Unit) {
 	e.u64(u.Addr)
-	hasCode := uint64(0)
-	if u.Code != nil {
-		hasCode = 1
-	}
-	e.u64(hasCode)
-	encSB(e, u.SB)
-	if u.Code != nil {
-		encCompiled(e, u.Code)
-	}
+	encCompiled(e, u.Code)
 }
 
 // decodeUnit reverses encodeUnit. Dirty helpers come back with nil Fn.
 func decodeUnit(d *dec) (*Unit, error) {
 	u := &Unit{Addr: d.u64()}
-	hasCode := d.u64()
-	if hasCode > 1 {
-		return nil, fmt.Errorf("tstore: decode: bad code flag %d", hasCode)
-	}
-	u.SB = decSB(d)
-	if hasCode == 1 {
-		u.Code = decCompiled(d)
-	}
+	u.Code = decCompiled(d)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -170,79 +141,6 @@ func decodeUnit(d *dec) (*Unit, error) {
 		return nil, fmt.Errorf("tstore: decode: %d trailing bytes in unit frame", len(d.buf)-d.off)
 	}
 	return u, nil
-}
-
-func encSB(e *enc, sb *vex.SuperBlock) {
-	e.u64(sb.GuestAddr)
-	e.u64(uint64(sb.NTemps))
-	encExpr(e, sb.Next)
-	e.u64(uint64(sb.NextJK))
-	e.i64(int64(sb.Aux))
-	e.u64(uint64(len(sb.Stmts)))
-	for i := range sb.Stmts {
-		s := &sb.Stmts[i]
-		e.u64(uint64(s.Kind))
-		e.u64(s.Addr)
-		e.u64(uint64(s.Len))
-		e.u64(uint64(s.Tmp))
-		e.u64(uint64(s.Op))
-		e.u64(uint64(s.Wd))
-		encExpr(e, s.E1)
-		encExpr(e, s.E2)
-		e.u64(uint64(s.Reg))
-		e.u64(s.Target)
-		e.u64(uint64(s.JK))
-		e.str(s.Name)
-		e.u64(uint64(len(s.Args)))
-		for _, a := range s.Args {
-			encExpr(e, a)
-		}
-		e.u64(uint64(len(s.Meta)))
-		for _, m := range s.Meta {
-			e.u64(m)
-		}
-	}
-}
-
-func decSB(d *dec) *vex.SuperBlock {
-	sb := &vex.SuperBlock{GuestAddr: d.u64()}
-	sb.NTemps = uint32(d.u64())
-	sb.Next = decExpr(d)
-	sb.NextJK = vex.JumpKind(d.u64())
-	sb.Aux = int32(d.i64())
-	n := d.count()
-	if d.err != nil {
-		return sb
-	}
-	sb.Stmts = make([]vex.Stmt, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		s := &sb.Stmts[i]
-		s.Kind = vex.StmtKind(d.u64())
-		s.Addr = d.u64()
-		s.Len = uint8(d.u64())
-		s.Tmp = vex.Temp(d.u64())
-		s.Op = vex.Op(d.u64())
-		s.Wd = vex.Width(d.u64())
-		s.E1 = decExpr(d)
-		s.E2 = decExpr(d)
-		s.Reg = uint8(d.u64())
-		s.Target = d.u64()
-		s.JK = vex.JumpKind(d.u64())
-		s.Name = d.str()
-		if na := d.count(); na > 0 {
-			s.Args = make([]vex.Expr, na)
-			for j := range s.Args {
-				s.Args[j] = decExpr(d)
-			}
-		}
-		if nm := d.count(); nm > 0 {
-			s.Meta = make([]uint64, nm)
-			for j := range s.Meta {
-				s.Meta[j] = d.u64()
-			}
-		}
-	}
-	return sb
 }
 
 func encCompiled(e *enc, c *vex.Compiled) {
@@ -257,6 +155,7 @@ func encCompiled(e *enc, c *vex.Compiled) {
 	e.i64(int64(c.Aux))
 	e.i64(int64(c.NextChain))
 	e.u64(uint64(c.NChains))
+	e.u64(uint64(c.NStmts))
 	e.u64(uint64(len(c.Ops)))
 	for i := range c.Ops {
 		u := &c.Ops[i]
@@ -317,6 +216,7 @@ func decCompiled(d *dec) *vex.Compiled {
 	c.Aux = int32(d.i64())
 	c.NextChain = int32(d.i64())
 	c.NChains = int(d.u64())
+	c.NStmts = int(d.u64())
 	n := d.count()
 	if d.err != nil {
 		return c

@@ -3,7 +3,7 @@ package tstore
 import "sort"
 
 // EncodeUnit returns the persistent-tier encoding of a unit (without its
-// frame): the IR and, when present, the compiled code.
+// frame): its address, then its compiled code.
 func EncodeUnit(u *Unit) []byte {
 	var e enc
 	encodeUnit(&e, u)

@@ -11,6 +11,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
+
+	"repro/internal/vex"
 )
 
 // scanFrames walks data (positioned after the header) exactly like the
@@ -40,7 +42,8 @@ func fuzzSeedFile() []byte {
 	e.str(testKey().String())
 	for _, addr := range []uint64{0x1000, 0x1040, 0x1080} {
 		var ue enc
-		encodeUnit(&ue, &Unit{Addr: addr, SB: sampleSB(addr)})
+		code, _ := vex.Compile(sampleSB(addr))
+		encodeUnit(&ue, &Unit{Addr: addr, Code: code})
 		e.u64(uint64(len(ue.buf)))
 		var crc [4]byte
 		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(ue.buf))

@@ -16,16 +16,17 @@ import (
 
 // pinnedDigest is the SHA-256 over the encoded units of the runs below. A
 // change to translation, optimization, instrumentation or lowering that
-// alters any published unit — IR or compiled code — changes it. Re-pin only
-// for a change that means to translate differently, and say why.
-const pinnedDigest = "cce38c1f36d5a59bcd9cbe0c069a9e6cac643a83d559d704e609b8a5b40d8bd0"
+// alters any published unit — its compiled code or the statement count of
+// the IR behind it — changes it. Re-pin only for a change that means to
+// translate differently, and say why.
+const pinnedDigest = "06c739b34a9908426cad2e52b56b1490d7ce5a9848360baeab6cf95d41635962"
 
 // TestTranslationEncodingPinned runs the Table I suite under the three
 // tools that instrument through InstrumentAccesses, and racy LULESH under
 // Taskgrind, each with a fresh in-memory translation store, and hashes the
-// encoding of every unit each run publishes, in address order. Every unit
-// carries its compiled form, so the digest covers the whole pipeline:
-// Translate, Optimize, InstrumentAccesses and Compile.
+// encoding of every unit each run publishes, in address order. A unit is
+// the compiled code, so the digest covers the whole pipeline: Translate,
+// Optimize, InstrumentAccesses and Compile.
 func TestTranslationEncodingPinned(t *testing.T) {
 	h := sha256.New()
 	var units, stmts int
@@ -48,16 +49,13 @@ func TestTranslationEncodingPinned(t *testing.T) {
 			t.Fatalf("%s %s: %v", name, tool, res.Err)
 		}
 		for _, u := range inst.Core.Shared.Units() {
-			if u.Code == nil {
-				t.Fatalf("%s %s: unit 0x%x published without compiled code", name, tool, u.Addr)
-			}
 			enc := tstore.EncodeUnit(u)
 			var n [8]byte
 			binary.LittleEndian.PutUint64(n[:], uint64(len(enc)))
 			h.Write(n[:])
 			h.Write(enc)
 			units++
-			stmts += len(u.SB.Stmts)
+			stmts += u.Code.NStmts
 		}
 	}
 	for _, bm := range drb.All() {

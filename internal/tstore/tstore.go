@@ -1,23 +1,25 @@
 // Package tstore is the content-addressed shared translation store: the
-// analog of Valgrind's tt/tc translation tiers lifted out of the per-core
-// caches so translation happens once per program image, not once per run.
+// analog of Valgrind's translation cache lifted out of the per-core caches
+// so translation happens once per program image, not once per run.
 //
-// Translation in this system is deterministic: the same (image, tool,
-// engine) always produces the same instrumented superblock
-// and the same compiled micro-op array. That makes translations
-// content-addressable — a Key is the full set of inputs the
-// translator consumes, with the image reduced to a content hash — and
-// therefore shareable across cores, across sweep workers, across daemon
-// jobs, and (via the on-disk tier) across concurrent processes and process
-// restarts.
+// Translation in this system is deterministic: the same (image, tool)
+// always produces the same compiled micro-op array. That makes translations
+// content-addressable — a Key is the full set of inputs the translator
+// consumes, with the image reduced to a content hash — and therefore
+// shareable across cores, across sweep workers, across daemon jobs, and
+// (via the on-disk tier) across concurrent processes and process restarts.
 //
-// A Unit carries the portable form of one translated superblock. Portable
-// means every embedded helper closure is represented by its (Name, Meta,
-// Args) triple rather than the closure itself: closures are bound to the
-// core and tool instance that produced them, so an adopting core re-binds
-// equivalent helpers of its own (copy-on-attach, implemented in
-// internal/dbi). Everything per-thread and mutable — chain predictions,
-// dispatch tables, generation counters — stays in the adopting core.
+// A Unit carries the portable form of one translated superblock: its
+// compiled code, and nothing of the IR it was lowered from, as Valgrind's
+// translation cache keeps only generated host code. Portable means every
+// embedded helper closure is represented by its (Name, Meta, Args) triple
+// rather than the closure itself: closures are bound to the core and tool
+// instance that produced them, so an adopting core re-binds equivalent
+// helpers of its own (copy-on-attach, implemented in internal/dbi).
+// Everything per-thread and mutable — chain predictions, dispatch tables,
+// generation counters — stays in the adopting core. Only the compiled
+// engine attaches a store; the IR interpreter, kept as the differential
+// oracle, always translates for itself.
 //
 // Units are published on demand, by the core that first translates a block.
 // An ahead-of-execution pretranslation pipeline was removed: it never beat
@@ -53,7 +55,10 @@ import (
 // extension-seam count and pretranslated flag from the unit encoding.
 // Dropping the delivery mode from the key changed the key string, and with
 // it every file name, but not the unit encoding, so the version stayed.
-const FormatVersion = 2
+// Version 3 dropped the engine from the key and the IR from the unit: a
+// unit is its address and compiled code, which records the IR's statement
+// count.
+const FormatVersion = 3
 
 // Key identifies one translation universe: every input that can change the
 // bytes a translation produces. Two runs with equal Keys may share
@@ -66,8 +71,6 @@ type Key struct {
 	// "memcheck", ...). Registry names, not Tool.Name(): variants like
 	// taskgrind-naive share a report name but may instrument differently.
 	Tool string
-	// Engine is the execution engine ("ir" or "compiled").
-	Engine string
 	// Version pins the store format; NewKey sets it to FormatVersion.
 	Version int
 }
@@ -75,8 +78,7 @@ type Key struct {
 // String renders the canonical form hashed into the on-disk file name and
 // written into the file header.
 func (k Key) String() string {
-	return fmt.Sprintf("v%d/img=%s/tool=%s/engine=%s",
-		k.Version, k.Image, k.Tool, k.Engine)
+	return fmt.Sprintf("v%d/img=%s/tool=%s", k.Version, k.Image, k.Tool)
 }
 
 // ImageHash computes the content hash of a guest image: text, data, entry,
@@ -125,16 +127,12 @@ func ImageHash(im *guest.Image) string {
 }
 
 // Unit is one translated superblock in portable form. Units are immutable
-// once published: attaching a compiled form replaces the published pointer
-// with a copy, so readers holding a Unit never observe mutation.
+// once published.
 type Unit struct {
 	// Addr is the guest entry address of the superblock.
 	Addr uint64
-	// SB is the instrumented (and optimized) IR. In a disk-loaded unit the
-	// dirty statements carry nil Fn until a core re-binds them.
-	SB *vex.SuperBlock
-	// Code is the compiled micro-op form; nil until some core compiles the
-	// block.
+	// Code is the compiled micro-op form. In a disk-loaded unit the dirty
+	// ops carry nil Fn until a core re-binds them.
 	Code *vex.Compiled
 }
 
@@ -225,44 +223,33 @@ func sizeOf(u *Unit) int64 {
 	return int64(len(e.buf)) + 16
 }
 
-// track accounts an inserted/updated slot against the cache totals. Called
-// with s.mu held; cache totals are atomics, so no lock ordering applies.
-func (s *Store) track(sl *slot, isNew bool) {
+// track accounts an inserted slot against the cache totals. Called with
+// s.mu held; cache totals are atomics, so no lock ordering applies.
+func (s *Store) track(sl *slot) {
 	if s.cache == nil {
 		return
 	}
 	if s.cache.opts.MaxBytes > 0 {
-		old := sl.size
 		sl.size = sizeOf(sl.u)
-		s.cache.bytes.Add(sl.size - old)
+		s.cache.bytes.Add(sl.size)
 	}
-	if isNew {
-		s.cache.totalUnits.Add(1)
-	}
+	s.cache.totalUnits.Add(1)
 }
 
-// Put publishes a unit, merging with any existing entry. The first writer
-// wins field-by-field: an existing unit is never replaced, but a unit
-// published without a compiled form gains one from a later Put. Determinism
+// Put publishes a unit unless the address already has one. Determinism
 // makes every published value for one address equivalent, so "first wins"
 // is a performance policy, not a correctness one.
 func (s *Store) Put(u *Unit) {
-	if u == nil || u.SB == nil {
+	if u == nil || u.Code == nil {
 		return
 	}
 	s.mu.Lock()
-	cur := s.units[u.Addr]
-	if cur == nil {
+	if s.units[u.Addr] == nil {
 		sl := &slot{u: u}
 		s.units[u.Addr] = sl
 		delete(s.evicted, u.Addr)
 		s.puts.Add(1)
-		s.track(sl, true)
-	} else if cur.u.Code == nil && u.Code != nil {
-		merged := *cur.u
-		merged.Code = u.Code
-		cur.u = &merged
-		s.track(cur, false)
+		s.track(sl)
 	}
 	s.mu.Unlock()
 	if s.cache != nil {
@@ -270,57 +257,21 @@ func (s *Store) Put(u *Unit) {
 	}
 }
 
-// PutCode attaches a compiled form to an already-published unit. No-op when
-// the address has no unit or already carries code.
-func (s *Store) PutCode(addr uint64, code *vex.Compiled) {
-	if code == nil {
-		return
-	}
-	s.mu.Lock()
-	cur := s.units[addr]
-	if cur == nil || cur.u.Code != nil {
-		s.mu.Unlock()
-		return
-	}
-	merged := *cur.u
-	merged.Code = code
-	cur.u = &merged
-	s.track(cur, false)
-	s.mu.Unlock()
-	if s.cache != nil {
-		s.cache.maybeEvict(s, addr)
-	}
-}
-
 // mergeDisk publishes a unit read from the shared file: Put semantics, but
 // counted as a merge rather than a translation, and blocked for addresses
 // this process evicted (their frames persist on disk until compaction).
-// Returns true when the store gained something.
+// Returns true when the store gained the unit.
 func (s *Store) mergeDisk(u *Unit) bool {
-	if u == nil || u.SB == nil {
-		return false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.evicted[u.Addr] {
+	if s.evicted[u.Addr] || s.units[u.Addr] != nil {
 		return false
 	}
-	cur := s.units[u.Addr]
-	if cur == nil {
-		sl := &slot{u: u}
-		s.units[u.Addr] = sl
-		s.merged.Add(1)
-		s.track(sl, true)
-		return true
-	}
-	if cur.u.Code == nil && u.Code != nil {
-		merged := *cur.u
-		merged.Code = u.Code
-		cur.u = &merged
-		s.track(cur, false)
-		return true
-	}
-	return false
+	sl := &slot{u: u}
+	s.units[u.Addr] = sl
+	s.merged.Add(1)
+	s.track(sl)
+	return true
 }
 
 // Len returns the number of published units.

@@ -42,16 +42,15 @@ func sampleUnit(t *testing.T, addr uint64) *Unit {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	return &Unit{Addr: addr, SB: sb, Code: code}
+	return &Unit{Addr: addr, Code: code}
 }
 
 func testKey() Key {
-	return Key{Image: "abc123", Tool: "taskgrind", Engine: "compiled",
-		Version: FormatVersion}
+	return Key{Image: "abc123", Tool: "taskgrind", Version: FormatVersion}
 }
 
-// TestUnitRoundtrip: encode/decode preserves the IR and the compiled form,
-// and re-encoding the decoded unit is byte-identical (the property the
+// TestUnitRoundtrip: encode/decode preserves the compiled form, and
+// re-encoding the decoded unit is byte-identical (the property the
 // content-addressed store rests on).
 func TestUnitRoundtrip(t *testing.T) {
 	u := sampleUnit(t, 0x1000)
@@ -64,18 +63,8 @@ func TestUnitRoundtrip(t *testing.T) {
 	if got.Addr != u.Addr {
 		t.Fatalf("header mismatch: %+v vs %+v", got, u)
 	}
-	if len(got.SB.Stmts) != len(u.SB.Stmts) || got.SB.NTemps != u.SB.NTemps ||
-		got.SB.NextJK != u.SB.NextJK || got.SB.Aux != u.SB.Aux {
-		t.Fatalf("SB shape mismatch")
-	}
-	for i, s := range got.SB.Stmts {
-		o := u.SB.Stmts[i]
-		if s.Kind != o.Kind || s.Op != o.Op || s.Wd != o.Wd || s.Name != o.Name {
-			t.Fatalf("stmt %d mismatch: %+v vs %+v", i, s, o)
-		}
-	}
-	if got.Code == nil || len(got.Code.Ops) != len(u.Code.Ops) ||
-		got.Code.NInstrs != u.Code.NInstrs || len(got.Code.PCs) != len(u.Code.PCs) {
+	if got.Code == nil || len(got.Code.Ops) != len(u.Code.Ops) || got.Code.NInstrs != u.Code.NInstrs ||
+		got.Code.NStmts != len(sampleSB(u.Addr).Stmts) || len(got.Code.PCs) != len(u.Code.PCs) {
 		t.Fatalf("compiled form mismatch")
 	}
 	// The decoder must rebind op-table functions from the Op tag.
@@ -114,22 +103,19 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestStoreSharedCodeMerge: a Put of an SB-only unit followed by PutCode
-// yields one unit carrying both; first writer wins on duplicate Puts.
+// TestStoreMerge: a unit without code is never published, and the first
+// writer wins on duplicate Puts.
 func TestStoreMerge(t *testing.T) {
 	st := NewStore(testKey())
 	u := sampleUnit(t, 0x2000)
-	st.Put(&Unit{Addr: u.Addr, SB: u.SB})
-	if got := st.Get(u.Addr); got == nil || got.Code != nil {
-		t.Fatalf("want SB-only unit, got %+v", got)
+	st.Put(&Unit{Addr: u.Addr})
+	if got := st.Get(u.Addr); got != nil {
+		t.Fatalf("unit without code published: %+v", got)
 	}
-	st.PutCode(u.Addr, u.Code)
-	if got := st.Get(u.Addr); got == nil || got.Code == nil {
-		t.Fatalf("PutCode did not attach")
-	}
-	// A racing duplicate Put must not replace the merged unit.
-	st.Put(&Unit{Addr: u.Addr, SB: sampleSB(u.Addr)})
-	if got := st.Get(u.Addr); got.SB != u.SB || got.Code == nil {
+	st.Put(u)
+	// A racing duplicate Put must not replace the published unit.
+	st.Put(sampleUnit(t, u.Addr))
+	if got := st.Get(u.Addr); got != u {
 		t.Fatalf("duplicate Put replaced the unit: %+v", got)
 	}
 	s := st.Stats()
@@ -159,8 +145,8 @@ func TestDiskRoundtrip(t *testing.T) {
 		t.Fatalf("reloaded unit mismatch: %+v", u)
 	}
 	// Dirty helpers must come back unbound (the adopting core rebinds).
-	for _, s := range u.SB.Stmts {
-		if s.Kind == vex.SDirty && s.Fn != nil {
+	for _, op := range u.Code.Ops {
+		if op.Dirty != nil && op.Dirty.Fn != nil {
 			t.Fatalf("persisted dirty fn survived the disk")
 		}
 	}
@@ -185,9 +171,6 @@ func TestInvalidation(t *testing.T) {
 	k.Tool = "memcheck"
 	cases = append(cases, k)
 	k = testKey()
-	k.Engine = "ir"
-	cases = append(cases, k)
-	k = testKey()
 	k.Version = FormatVersion + 1
 	cases = append(cases, k)
 	for _, k := range cases {
@@ -200,10 +183,11 @@ func TestInvalidation(t *testing.T) {
 		t.Fatalf("original key lost its tier: %d units", got)
 	}
 
-	// A version-1 tier (key carried extend=, units a seam count and a
-	// pretranslated flag), even when found under the current key's file
-	// name, is a structural miss: the store starts cold, counts no corrupt
-	// frames, and the next save replaces the file with a current tier.
+	// A version-1 tier (key carried extend=, units a seam count, a
+	// pretranslated flag and the IR), even when found under the current
+	// key's file name, is a structural miss: the store starts cold, counts
+	// no corrupt frames, and the next save replaces the file with a
+	// current tier.
 	v1dir := t.TempDir()
 	u := sampleUnit(t, 0x1000)
 	e := &enc{buf: append([]byte{}, fileMagic...)}
@@ -212,7 +196,6 @@ func TestInvalidation(t *testing.T) {
 	ue.u64(u.Addr)
 	ue.u64(0) // seams
 	ue.u64(2) // flags: compiled form present
-	encSB(&ue, u.SB)
 	encCompiled(&ue, u.Code)
 	e.u64(uint64(len(ue.buf)))
 	var crc [4]byte
@@ -327,30 +310,26 @@ func TestSaveSkipsUngrown(t *testing.T) {
 	}
 }
 
-// TestConcurrentStore: many goroutines race Get/Put/PutCode on one store
-// (run under -race by make check).
+// TestConcurrentStore: many goroutines race Get/Put on one store (run under
+// -race by make check).
 func TestConcurrentStore(t *testing.T) {
 	st := NewStore(testKey())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := uint64(0); i < 200; i++ {
 				addr := 0x1000 + (i%50)*64
-				if u := st.Get(addr); u != nil && u.SB.GuestAddr != addr {
+				if u := st.Get(addr); u != nil && u.Code.GuestAddr != addr {
 					t.Errorf("unit addr mismatch")
 					return
 				}
-				sb := sampleSB(addr)
-				st.Put(&Unit{Addr: addr, SB: sb})
-				if w%2 == 0 {
-					if code, err := vex.Compile(sb); err == nil {
-						st.PutCode(addr, code)
-					}
+				if code, err := vex.Compile(sampleSB(addr)); err == nil {
+					st.Put(&Unit{Addr: addr, Code: code})
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if st.Len() != 50 {

@@ -268,6 +268,9 @@ type Compiled struct {
 	NFrame uint32
 	// NInstrs counts the guest instructions (IMarks) in the block.
 	NInstrs int
+	// NStmts is the statement count of the instrumented IR the block was
+	// lowered from, which the cache footprint model charges for.
+	NStmts int
 	// LastPC is the PC of the block's final guest instruction: the call
 	// site recorded on JKCall frames, and the attribution point for
 	// faults raised by the block-end transfer.
@@ -387,6 +390,7 @@ func (x *Scratch) Compile(sb *SuperBlock) (*Compiled, error) {
 	cc := &compiler{
 		out: &Compiled{
 			GuestAddr: sb.GuestAddr,
+			NStmts:    len(sb.Stmts),
 			NextJK:    sb.NextJK,
 			Aux:       sb.Aux,
 			NextChain: NoChain,

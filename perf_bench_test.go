@@ -116,36 +116,50 @@ func replayWindow(m *vm.Machine, t *vm.Thread, start uint64, boring []bool, maxS
 	return n
 }
 
-// hotReplay re-executes the warmed instance's translated code reps times,
-// returning blocks run, instructions retired, and wall time. The replayable
-// region is the cached blocks ending in a plain jump (JKBoring —
-// straight-line compute and branches): blocks ending in host calls,
-// calls/returns, or thread exits spend their time in shared VM runtime that
-// is identical across engines and would only dilute the engine comparison
-// (and replaying them against the dead post-exit state mutates
-// scheduler/stack state unpredictably). Each sweep launches one window per
+// hotRegions returns, per image, the blocks hotReplay replays: those a cold
+// nop-tool run compiles that end in a plain jump (JKBoring — straight-line
+// compute and branches). Blocks ending in host calls, calls/returns, or
+// thread exits spend their time in shared VM runtime that is identical
+// across engines and would only dilute the engine comparison (and replaying
+// them against the dead post-exit state mutates scheduler/stack state
+// unpredictably). Both engines dispatch the same blocks, so every arm
+// replays these regions.
+func hotRegions(tb testing.TB, images []*guest.Image) [][]uint64 {
+	regions := make([][]uint64, len(images))
+	for i, im := range images {
+		inst, err := harness.New(harness.Setup{
+			Image: im, Tool: dbi.NopTool{}, Seed: 1, Threads: 4, Stdout: io.Discard,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if res := inst.Run(); res.Err != nil {
+			tb.Fatal(res.Err)
+		}
+		for _, a := range inst.Core.CachedBlocks() {
+			if inst.Core.BlockCode(a).NextJK == vex.JKBoring {
+				regions[i] = append(regions[i], a)
+			}
+		}
+	}
+	return regions
+}
+
+// hotReplay re-executes the warmed instance's translated code reps times
+// over its image's hot region (hotRegions), returning blocks run,
+// instructions retired, and wall time. Each sweep launches one window per
 // region block, following natural control flow until it leaves the region.
 // Two untimed qualification sweeps first prune blocks that fault against the
 // post-exit guest state; faults during timed sweeps prune the same way.
 // Engines are behaviorally identical, so every arm qualifies, prunes, and
 // replays the same work.
-func hotReplay(inst *harness.Instance, reps int) (blocks, instrs uint64, wall time.Duration) {
+func hotReplay(inst *harness.Instance, addrs []uint64, reps int) (blocks, instrs uint64, wall time.Duration) {
 	const maxWindow = 512
 	t0 := inst.M.Thread(0)
-	var addrs []uint64
-	var maxAddr uint64
-	for _, a := range inst.Core.CachedBlocks() {
-		if sb := inst.Core.BlockIR(a); sb == nil || sb.NextJK != vex.JKBoring {
-			continue
-		}
-		addrs = append(addrs, a)
-		if a > maxAddr {
-			maxAddr = a
-		}
-	}
 	if len(addrs) == 0 {
 		return 0, 0, 0
 	}
+	maxAddr := addrs[len(addrs)-1]
 	boring := make([]bool, maxAddr/guest.InstrBytes+1)
 	for _, a := range addrs {
 		boring[a/guest.InstrBytes] = true
@@ -184,6 +198,7 @@ func BenchmarkPerfEngines(b *testing.B) {
 		}
 		images[i] = im
 	}
+	regions := hotRegions(b, images)
 	const repeats = 3
 	const hotReps = 400
 
@@ -218,7 +233,7 @@ func BenchmarkPerfEngines(b *testing.B) {
 			var chainHits, chainMisses, cacheFoot uint64
 			for i := 0; i < b.N; i++ {
 				for r := 0; r < repeats; r++ {
-					for _, im := range images {
+					for k, im := range images {
 						// Settle the heap before every guest run: these
 						// runs are short enough that a settled heap never
 						// re-triggers GC mid-run, so no arm's measurement
@@ -253,7 +268,7 @@ func BenchmarkPerfEngines(b *testing.B) {
 						arm.Translations += inst.Core.Translations
 						cacheFoot += inst.Core.CacheFootprint()
 
-						hb, hi, hw := hotReplay(inst, hotReps)
+						hb, hi, hw := hotReplay(inst, regions[k], hotReps)
 						arm.HotBlocks += hb
 						arm.HotInstrs += hi
 						arm.HotWallSeconds += hw.Seconds()
@@ -358,11 +373,12 @@ func TestHotPerfRegression(t *testing.T) {
 		}
 		images[i] = im
 	}
+	regions := hotRegions(t, images)
 	const hotReps = 200
 	measure := func() float64 {
 		var blocks uint64
 		var wall time.Duration
-		for _, im := range images {
+		for k, im := range images {
 			runtime.GC()
 			inst, err := harness.New(harness.Setup{
 				Image: im, Tool: dbi.NopTool{}, Seed: 1, Threads: 4,
@@ -374,7 +390,7 @@ func TestHotPerfRegression(t *testing.T) {
 			if res := inst.Run(); res.Err != nil {
 				t.Fatal(res.Err)
 			}
-			hb, _, hw := hotReplay(inst, hotReps)
+			hb, _, hw := hotReplay(inst, regions[k], hotReps)
 			blocks += hb
 			wall += hw
 		}

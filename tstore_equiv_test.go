@@ -52,26 +52,37 @@ type runPrint struct {
 	exit   uint64
 	dirty  uint64
 	acc    uint64
+	// stmts is the IR statement count the cache footprint model charges
+	// for the cached translations, and foot the guest memory's modelled
+	// footprint. The whole machine footprint is left out: under Taskgrind
+	// it includes the model's fixed charge per translation, which counts
+	// where translation happened, and that is what the store changes.
+	stmts uint64
+	foot  uint64
 }
 
 // tcRun executes one drb benchmark under taskgrind with the given store
 // configuration and fingerprints the outcome.
-func tcRun(t *testing.T, bm drb.Benchmark, engine string, s harness.Setup) (runPrint, *harness.Instance) {
+func tcRun(t *testing.T, bm drb.Benchmark, s harness.Setup) (runPrint, *harness.Instance) {
 	t.Helper()
 	tl := core.New(core.Options{})
 	out := &bytes.Buffer{}
 	s.Tool, s.Stdout, s.Seed, s.Threads = tl, out, 1, 4
-	s.Engine = engine
 	res, inst, err := harness.BuildAndRun(bm.Build(), s)
 	if err != nil {
-		t.Fatalf("%s %s: %v", bm.Name, engine, err)
+		t.Fatalf("%s: %v", bm.Name, err)
 	}
 	if res.Err != nil {
-		t.Fatalf("%s %s: run failed: %v", bm.Name, engine, res.Err)
+		t.Fatalf("%s: run failed: %v", bm.Name, res.Err)
 	}
+	return fingerprint(inst, tl.Reports.String(), out.String()), inst
+}
+
+// fingerprint records a finished run's observable outcome.
+func fingerprint(inst *harness.Instance, report, stdout string) runPrint {
 	return runPrint{
-		report: tl.Reports.String(),
-		stdout: out.String(),
+		report: report,
+		stdout: stdout,
 		gmem:   gmemFold(inst),
 		state:  inst.M.StateDigest(),
 		blocks: inst.M.BlocksExecuted,
@@ -79,7 +90,9 @@ func tcRun(t *testing.T, bm drb.Benchmark, engine string, s harness.Setup) (runP
 		exit:   inst.M.ExitCode(),
 		dirty:  inst.Core.DirtyCalls,
 		acc:    inst.Core.AccessesDelivered,
-	}, inst
+		stmts:  inst.Core.CacheStmts(),
+		foot:   inst.M.Mem.Footprint(),
+	}
 }
 
 func diffPrints(t *testing.T, label string, cold, got runPrint) {
@@ -95,49 +108,53 @@ func diffPrints(t *testing.T, label string, cold, got runPrint) {
 	}
 }
 
-// TestStoreEquivalence: for every Table I (DataRaceBench) program, on both
-// engines, a cold run and the three store-served run shapes produce
-// bit-identical results.
+// TestStoreEquivalence: for every Table I (DataRaceBench) program, a cold
+// run and the three store-served run shapes produce bit-identical results,
+// and the IR oracle, given the warm store, attaches none of it.
 func TestStoreEquivalence(t *testing.T) {
 	benches := drb.All()
 	if testing.Short() {
 		benches = benches[:6]
 	}
-	for _, eng := range []string{dbi.EngineIR, dbi.EngineCompiled} {
-		for _, bm := range benches {
-			cold, _ := tcRun(t, bm, eng, harness.Setup{})
+	for _, bm := range benches {
+		cold, _ := tcRun(t, bm, harness.Setup{})
 
-			// Shared-cold: a fresh store changes nothing but gets filled.
-			cache := tstore.NewCache(t.TempDir())
-			fill, fillInst := tcRun(t, bm, eng, harness.Setup{TStore: cache})
-			diffPrints(t, bm.Name+"/"+eng+"/shared-cold", cold, fill)
-			if fillInst.Core.SharedHits != 0 {
-				t.Fatalf("%s %s: cold run adopted %d shared blocks from an empty store",
-					bm.Name, eng, fillInst.Core.SharedHits)
-			}
+		// Shared-cold: a fresh store changes nothing but gets filled.
+		cache := tstore.NewCache(t.TempDir())
+		fill, fillInst := tcRun(t, bm, harness.Setup{TStore: cache})
+		diffPrints(t, bm.Name+"/shared-cold", cold, fill)
+		if fillInst.Core.SharedHits != 0 {
+			t.Fatalf("%s: cold run adopted %d shared blocks from an empty store",
+				bm.Name, fillInst.Core.SharedHits)
+		}
 
-			// Warm: same in-memory store, new core — all translations adopted.
-			warm, warmInst := tcRun(t, bm, eng, harness.Setup{TStore: cache})
-			diffPrints(t, bm.Name+"/"+eng+"/warm", cold, warm)
-			if warmInst.Core.Translations != 0 {
-				t.Fatalf("%s %s: warm run still translated %d blocks",
-					bm.Name, eng, warmInst.Core.Translations)
-			}
-			if warmInst.Core.SharedHits == 0 {
-				t.Fatalf("%s %s: warm run adopted nothing", bm.Name, eng)
-			}
+		// Warm: same in-memory store, new core — all translations adopted.
+		warm, warmInst := tcRun(t, bm, harness.Setup{TStore: cache})
+		diffPrints(t, bm.Name+"/warm", cold, warm)
+		if warmInst.Core.Translations != 0 {
+			t.Fatalf("%s: warm run still translated %d blocks",
+				bm.Name, warmInst.Core.Translations)
+		}
+		if warmInst.Core.SharedHits == 0 {
+			t.Fatalf("%s: warm run adopted nothing", bm.Name)
+		}
 
-			// Disk warm: persist, reopen from the directory, run again.
-			if err := cache.Save(); err != nil {
-				t.Fatalf("%s %s: save: %v", bm.Name, eng, err)
-			}
-			disk, diskInst := tcRun(t, bm, eng,
-				harness.Setup{TStore: tstore.NewCache(cache.Dir())})
-			diffPrints(t, bm.Name+"/"+eng+"/disk-warm", cold, disk)
-			if diskInst.Core.Translations != 0 {
-				t.Fatalf("%s %s: disk-warm run still translated %d blocks",
-					bm.Name, eng, diskInst.Core.Translations)
-			}
+		// Disk warm: persist, reopen from the directory, run again.
+		if err := cache.Save(); err != nil {
+			t.Fatalf("%s: save: %v", bm.Name, err)
+		}
+		disk, diskInst := tcRun(t, bm,
+			harness.Setup{TStore: tstore.NewCache(cache.Dir())})
+		diffPrints(t, bm.Name+"/disk-warm", cold, disk)
+		if diskInst.Core.Translations != 0 {
+			t.Fatalf("%s: disk-warm run still translated %d blocks",
+				bm.Name, diskInst.Core.Translations)
+		}
+
+		ir, irInst := tcRun(t, bm, harness.Setup{TStore: cache, Engine: dbi.EngineIR})
+		diffPrints(t, bm.Name+"/ir", cold, ir)
+		if irInst.Core.Shared != nil || irInst.TStore != nil || irInst.Core.SharedHits != 0 {
+			t.Fatalf("%s: the IR engine attached the translation store", bm.Name)
 		}
 	}
 }
@@ -154,8 +171,7 @@ func TestStoreEquivalenceCrash(t *testing.T) {
 	run := func(cache *tstore.Cache) (string, *harness.Instance) {
 		inst, err := harness.New(harness.Setup{
 			Image: im, Tool: core.New(core.Options{}), Seed: 1, Threads: 4,
-			Stdout: &bytes.Buffer{}, Engine: dbi.EngineCompiled,
-			TStore: cache, ReplayToken: token,
+			Stdout: &bytes.Buffer{}, TStore: cache, ReplayToken: token,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -191,12 +207,12 @@ func TestStoreInvalidationHarness(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cache := tstore.NewCache(dir)
-	_, _ = tcRun(t, a, dbi.EngineCompiled, harness.Setup{TStore: cache})
+	_, _ = tcRun(t, a, harness.Setup{TStore: cache})
 	if err := cache.Save(); err != nil {
 		t.Fatal(err)
 	}
 	// Program B against A's directory: nothing adopted, everything fresh.
-	_, bInst := tcRun(t, b, dbi.EngineCompiled,
+	_, bInst := tcRun(t, b,
 		harness.Setup{TStore: tstore.NewCache(dir)})
 	if bInst.Core.SharedHits != 0 {
 		t.Fatalf("program B adopted %d of program A's translations", bInst.Core.SharedHits)
@@ -205,7 +221,7 @@ func TestStoreInvalidationHarness(t *testing.T) {
 		t.Fatalf("program B translated nothing")
 	}
 	// And A's tier still serves A.
-	_, aInst := tcRun(t, a, dbi.EngineCompiled,
+	_, aInst := tcRun(t, a,
 		harness.Setup{TStore: tstore.NewCache(dir)})
 	if aInst.Core.Translations != 0 {
 		t.Fatalf("program A's tier went cold: %d translations", aInst.Core.Translations)
@@ -221,7 +237,7 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 	if !ok {
 		t.Fatal("missing benchmark")
 	}
-	cold, coldInst := tcRun(t, bm, dbi.EngineCompiled, harness.Setup{})
+	cold, coldInst := tcRun(t, bm, harness.Setup{})
 	solo := coldInst.Core.Translations
 
 	cache := tstore.NewCache("")
@@ -232,7 +248,7 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			prints[w], _ = tcRun(t, bm, dbi.EngineCompiled, harness.Setup{TStore: cache})
+			prints[w], _ = tcRun(t, bm, harness.Setup{TStore: cache})
 		}(w)
 	}
 	wg.Wait()
@@ -252,11 +268,11 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 }
 
 // TestStoreEquivalenceStorageFaults: every injected storage fault kind,
-// firing on every opportunity, across {cold, disk-warm} store shapes and
-// both engines, yields results bit-identical to the clean
-// cold run. This is the degradation invariant end to end: a broken disk,
-// a full disk, bit rot or a starved lock can slow a run down (it
-// translates cold), but can never change what it computes or reports.
+// firing on every opportunity, across {cold, disk-warm} store shapes,
+// yields results bit-identical to the clean cold run. This is the
+// degradation invariant end to end: a broken disk, a full disk, bit rot or
+// a starved lock can slow a run down (it translates cold), but can never
+// change what it computes or reports.
 func TestStoreEquivalenceStorageFaults(t *testing.T) {
 	bm, ok := drb.ByName("072-taskdep1-orig")
 	if !ok {
@@ -273,43 +289,35 @@ func TestStoreEquivalenceStorageFaults(t *testing.T) {
 		{faultinject.StoreBitFlip, "tsflip"},
 		{faultinject.StoreLockTimeout, "tslock"},
 	}
-	engines := []string{dbi.EngineIR, dbi.EngineCompiled}
-	if testing.Short() {
-		engines = engines[1:]
-	}
-	for _, eng := range engines {
-		cold, _ := tcRun(t, bm, eng, harness.Setup{})
-		for _, k := range kinds {
-			faultCache := func(dir string) *tstore.Cache {
-				in := faultinject.New(11)
-				in.Enable(k.kind, 1)
-				return tstore.NewCacheOpts(tstore.Options{
-					Dir: dir, FS: &tstore.FaultFS{In: in},
-					LockTimeout: 10 * time.Millisecond,
-				})
-			}
+	cold, _ := tcRun(t, bm, harness.Setup{})
+	for _, k := range kinds {
+		faultCache := func(dir string) *tstore.Cache {
+			in := faultinject.New(11)
+			in.Enable(k.kind, 1)
+			return tstore.NewCacheOpts(tstore.Options{
+				Dir: dir, FS: &tstore.FaultFS{In: in},
+				LockTimeout: 10 * time.Millisecond,
+			})
+		}
 
-			// Cold against a faulty directory-backed cache: every disk op
-			// fails, the run translates everything itself.
-			coldFault, _ := tcRun(t, bm, eng,
-				harness.Setup{TStore: faultCache(t.TempDir())})
-			diffPrints(t, bm.Name+"/"+eng+"/"+k.name+"/cold", cold, coldFault)
+		// Cold against a faulty directory-backed cache: every disk op
+		// fails, the run translates everything itself.
+		coldFault, _ := tcRun(t, bm, harness.Setup{TStore: faultCache(t.TempDir())})
+		diffPrints(t, bm.Name+"/"+k.name+"/cold", cold, coldFault)
 
-			// Disk-warm: a clean run persists the tier first; the faulty
-			// cache then fails (partially or totally) to read it back. The
-			// run must land cold-or-warm but always identical.
-			dir := t.TempDir()
-			seedCache := tstore.NewCache(dir)
-			_, _ = tcRun(t, bm, eng, harness.Setup{TStore: seedCache})
-			if err := seedCache.Save(); err != nil {
-				t.Fatalf("seed save: %v", err)
-			}
-			warmFault, warmInst := tcRun(t, bm, eng,
-				harness.Setup{TStore: faultCache(dir)})
-			diffPrints(t, bm.Name+"/"+eng+"/"+k.name+"/disk-warm", cold, warmFault)
-			if warmInst.Core.Translations == 0 && warmInst.Core.SharedHits == 0 {
-				t.Fatalf("%s/%s: run neither translated nor adopted", eng, k.name)
-			}
+		// Disk-warm: a clean run persists the tier first; the faulty cache
+		// then fails (partially or totally) to read it back. The run must
+		// land cold-or-warm but always identical.
+		dir := t.TempDir()
+		seedCache := tstore.NewCache(dir)
+		_, _ = tcRun(t, bm, harness.Setup{TStore: seedCache})
+		if err := seedCache.Save(); err != nil {
+			t.Fatalf("seed save: %v", err)
+		}
+		warmFault, warmInst := tcRun(t, bm, harness.Setup{TStore: faultCache(dir)})
+		diffPrints(t, bm.Name+"/"+k.name+"/disk-warm", cold, warmFault)
+		if warmInst.Core.Translations == 0 && warmInst.Core.SharedHits == 0 {
+			t.Fatalf("%s: run neither translated nor adopted", k.name)
 		}
 	}
 }
@@ -322,12 +330,12 @@ func TestSweepAmortization(t *testing.T) {
 	if !ok {
 		t.Fatal("missing benchmark")
 	}
-	_, coldInst := tcRun(t, bm, dbi.EngineCompiled, harness.Setup{})
+	_, coldInst := tcRun(t, bm, harness.Setup{})
 	solo := coldInst.Core.Translations
 
 	cache := tstore.NewCache("")
 	out, err := explore.RunOpts(bm.Build,
-		explore.Spec{Tool: "taskgrind", Threads: 4, Engine: dbi.EngineCompiled}, 100,
+		explore.Spec{Tool: "taskgrind", Threads: 4}, 100,
 		explore.Opts{Workers: 8, TStore: cache})
 	if err != nil {
 		t.Fatal(err)

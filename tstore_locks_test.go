@@ -4,7 +4,7 @@ package repro
 // translating tool (it instruments accesses and skips the __kmp* runtime),
 // so its units live in the shared store under its own tool identity. Two
 // properties are gated here: lock-program runs are bit-identical cold and
-// warm under lockgrind on both engines, and
+// warm under lockgrind, and
 // differently-instrumenting tools that share a display name (the taskgrind
 // registry variants) can never adopt each other's translations.
 
@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/dbi"
 	"repro/internal/drb"
 	"repro/internal/harness"
 	"repro/internal/tools/toolreg"
@@ -21,7 +20,7 @@ import (
 
 // lgRun executes one lock benchmark under a registry tool with the given
 // store configuration and fingerprints the outcome.
-func lgRun(t *testing.T, bm drb.Benchmark, toolName, engine string, s harness.Setup) (runPrint, *harness.Instance) {
+func lgRun(t *testing.T, bm drb.Benchmark, toolName string, s harness.Setup) (runPrint, *harness.Instance) {
 	t.Helper()
 	tl, _, err := toolreg.Make(toolName)
 	if err != nil {
@@ -29,54 +28,40 @@ func lgRun(t *testing.T, bm drb.Benchmark, toolName, engine string, s harness.Se
 	}
 	out := &bytes.Buffer{}
 	s.Tool, s.Stdout, s.Seed, s.Threads = tl, out, 1, 4
-	s.Engine = engine
 	res, inst, err := harness.BuildAndRun(bm.Build(), s)
 	if err != nil {
-		t.Fatalf("%s %s: %v", bm.Name, engine, err)
+		t.Fatalf("%s: %v", bm.Name, err)
 	}
 	if res.Err != nil {
-		t.Fatalf("%s %s: run failed: %v", bm.Name, engine, res.Err)
+		t.Fatalf("%s: run failed: %v", bm.Name, res.Err)
 	}
 	report, _ := toolreg.Render(tl)
-	return runPrint{
-		report: report,
-		stdout: out.String(),
-		gmem:   gmemFold(inst),
-		state:  inst.M.StateDigest(),
-		blocks: inst.M.BlocksExecuted,
-		instrs: inst.M.InstrsExecuted,
-		exit:   inst.M.ExitCode(),
-		dirty:  inst.Core.DirtyCalls,
-		acc:    inst.Core.AccessesDelivered,
-	}, inst
+	return fingerprint(inst, report, out.String()), inst
 }
 
-// TestStoreEquivalenceLocks: lock programs under lockgrind, on both
-// engines — a cold run, the run that fills a store, and a warm run from
-// the filled store produce bit-identical reports and machine states.
+// TestStoreEquivalenceLocks: lock programs under lockgrind — a cold run,
+// the run that fills a store, and a warm run from the filled store produce
+// bit-identical reports and machine states.
 func TestStoreEquivalenceLocks(t *testing.T) {
-	names := []string{"lock-100-mutex-counter", "lock-103-lock-order", "lock-104-condvar"}
-	for _, eng := range []string{dbi.EngineIR, dbi.EngineCompiled} {
-		for _, name := range names {
-			bm, ok := drb.ByName(name)
-			if !ok {
-				t.Fatalf("missing benchmark %s", name)
-			}
-			cold, _ := lgRun(t, bm, "lockgrind", eng, harness.Setup{})
+	for _, name := range []string{"lock-100-mutex-counter", "lock-103-lock-order", "lock-104-condvar"} {
+		bm, ok := drb.ByName(name)
+		if !ok {
+			t.Fatalf("missing benchmark %s", name)
+		}
+		cold, _ := lgRun(t, bm, "lockgrind", harness.Setup{})
 
-			cache := tstore.NewCache("")
-			fill, _ := lgRun(t, bm, "lockgrind", eng, harness.Setup{TStore: cache})
-			diffPrints(t, name+"/"+eng+"/lock-fill", cold, fill)
+		cache := tstore.NewCache("")
+		fill, _ := lgRun(t, bm, "lockgrind", harness.Setup{TStore: cache})
+		diffPrints(t, name+"/lock-fill", cold, fill)
 
-			warm, warmInst := lgRun(t, bm, "lockgrind", eng, harness.Setup{TStore: cache})
-			diffPrints(t, name+"/"+eng+"/lock-warm", cold, warm)
-			if warmInst.Core.Translations != 0 {
-				t.Fatalf("%s %s: warm lockgrind run still translated %d blocks",
-					name, eng, warmInst.Core.Translations)
-			}
-			if warmInst.Core.SharedHits == 0 {
-				t.Fatalf("%s %s: warm lockgrind run adopted nothing", name, eng)
-			}
+		warm, warmInst := lgRun(t, bm, "lockgrind", harness.Setup{TStore: cache})
+		diffPrints(t, name+"/lock-warm", cold, warm)
+		if warmInst.Core.Translations != 0 {
+			t.Fatalf("%s: warm lockgrind run still translated %d blocks",
+				name, warmInst.Core.Translations)
+		}
+		if warmInst.Core.SharedHits == 0 {
+			t.Fatalf("%s: warm lockgrind run adopted nothing", name)
 		}
 	}
 }
@@ -94,13 +79,13 @@ func TestStoreInvalidationToolIdentity(t *testing.T) {
 	}
 	cache := tstore.NewCache("")
 
-	_, first := lgRun(t, bm, "taskgrind", dbi.EngineCompiled, harness.Setup{TStore: cache})
+	_, first := lgRun(t, bm, "taskgrind", harness.Setup{TStore: cache})
 	if first.Core.Translations == 0 {
 		t.Fatal("priming run translated nothing")
 	}
 
 	// Same display name, different instrumentation: nothing adopted.
-	_, naive := lgRun(t, bm, "taskgrind-naive", dbi.EngineCompiled, harness.Setup{TStore: cache})
+	_, naive := lgRun(t, bm, "taskgrind-naive", harness.Setup{TStore: cache})
 	if naive.Core.SharedHits != 0 {
 		t.Fatalf("taskgrind-naive adopted %d of taskgrind's units", naive.Core.SharedHits)
 	}
@@ -109,14 +94,14 @@ func TestStoreInvalidationToolIdentity(t *testing.T) {
 	}
 
 	// Third identity: lockgrind also starts cold on the same store.
-	_, lg := lgRun(t, bm, "lockgrind", dbi.EngineCompiled, harness.Setup{TStore: cache})
+	_, lg := lgRun(t, bm, "lockgrind", harness.Setup{TStore: cache})
 	if lg.Core.SharedHits != 0 {
 		t.Fatalf("lockgrind adopted %d units from other tools", lg.Core.SharedHits)
 	}
 
 	// And each identity's own units stay warm.
 	for _, toolName := range []string{"taskgrind", "taskgrind-naive", "lockgrind"} {
-		_, again := lgRun(t, bm, toolName, dbi.EngineCompiled, harness.Setup{TStore: cache})
+		_, again := lgRun(t, bm, toolName, harness.Setup{TStore: cache})
 		if again.Core.Translations != 0 {
 			t.Fatalf("repeat %s run went cold: %d translations", toolName, again.Core.Translations)
 		}
