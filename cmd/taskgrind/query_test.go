@@ -40,25 +40,28 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestQueryGolden is an acceptance criterion: a recorded run's query output
-// is byte-stable for a given (program, seed).
+// is byte-stable for a given (program, seed). The CLI runs compiled code,
+// the only engine it offers.
 func TestQueryGolden(t *testing.T) {
 	bin := buildCLI(t)
-	dir := filepath.Join(t.TempDir(), "runs")
-	out, code := runCLI(t, bin, "-prog", "task.c", "-tool", "taskgrind", "-seed", "1", "-record", dir)
-	if code != 1 { // task.c has one deliberate race
-		t.Fatalf("record run exit %d, want 1\n%s", code, out)
-	}
-	for _, q := range [][]string{
-		{"top", "-by", "span"},
-		{"races"},
-		{"spans", "-kind", "task"},
-	} {
-		got, code := runCLI(t, bin, append([]string{"query", q[0], "-store", dir}, q[1:]...)...)
-		if code != 0 {
-			t.Fatalf("query %s exit %d\n%s", q[0], code, got)
+	t.Run("compiled", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "runs")
+		out, code := runCLI(t, bin, "-prog", "task.c", "-tool", "taskgrind", "-seed", "1", "-record", dir)
+		if code != 1 { // task.c has one deliberate race
+			t.Fatalf("record run exit %d, want 1\n%s", code, out)
 		}
-		checkGolden(t, "query_"+q[0], got)
-	}
+		for _, q := range [][]string{
+			{"top", "-by", "span"},
+			{"races"},
+			{"spans", "-kind", "task"},
+		} {
+			got, code := runCLI(t, bin, append([]string{"query", q[0], "-store", dir}, q[1:]...)...)
+			if code != 0 {
+				t.Fatalf("query %s exit %d\n%s", q[0], code, got)
+			}
+			checkGolden(t, "query_"+q[0], got)
+		}
+	})
 }
 
 // TestQueryCLISmoke exercises the remaining verbs and flags end-to-end.
