@@ -9,7 +9,7 @@ GO ?= go
 # bench-perf-smoke does not overwrite the recorded BENCH_perf.json), the
 # record-and-query smoke, the daemon load + chaos-soak tests, the six-tool
 # lock verdict-matrix gate, the benchmark-module smoke, and the hot-path +
-# checkpoint-overhead + recording-overhead + serve-throughput + warm-store +
+# journal-overhead + recording-overhead + serve-throughput + warm-store +
 # cross-process-warm regression guards against the recorded baseline.
 check: vet build race replay-determinism tstore-equiv store-chaos lock-matrix fuzz bench-obs bench-perf-smoke bench-smoke query-smoke loadtest perf-guard
 
@@ -28,15 +28,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Replay-determinism gate: checkpoint/resume fuzz over the Table I programs
-# on the compiled engine and its IR oracle, the supervisor's
-# crash-reproduction and fallback paths,
-# the CLI's byte-for-byte -replay round trip, one replay token per
-# configuration across the CLI, the daemon and explore sweeps, and daemon
-# job output byte-identical to an independent run's. Fresh run (-count=1)
-# so the gate never passes on a cached result.
+# Replay-determinism gate: journal-verified resume fuzz over the Table I
+# programs, at random state-mark cadences, on the compiled engine and its IR
+# oracle; two runs recording one mark stream; the supervisor's
+# crash-reproduction and fallback paths; the CLI's byte-for-byte -replay
+# round trip, one replay token per configuration across the CLI, the daemon
+# and explore sweeps, and daemon job output byte-identical to an
+# independent run's. Fresh run (-count=1) so the gate never passes on a
+# cached result.
 replay-determinism:
-	$(GO) test -count=1 -run 'TestCheckpointResume|TestSupervisor|TestBisect|TestSupervisedReplay|TestJournal' ./internal/harness ./internal/vm ./internal/snapshot
+	$(GO) test -count=1 -run 'TestCheckpointResume|TestCheckpointStreamsDeterministic|TestSupervisor|TestBisect|TestSupervisedReplay|TestJournal' ./internal/harness ./internal/vm ./internal/snapshot
 	$(GO) test -count=1 -run 'TestReplayToken|TestOnPanicFallback|TestTokenIdentity' ./cmd/taskgrind
 	$(GO) test -count=1 -run 'TestFrontEndParity' ./internal/serve
 
@@ -95,9 +96,10 @@ bench-obs:
 
 # Engine comparison on the Table I suite (IR interpreter vs compiled
 # micro-op engine, cold and warm from a primed translation store), the
-# checkpoint/journal overhead arms, the lock-contention comparison, and
-# the translation-store contention comparison (cold vs warm-in-memory vs
-# warm-across-process vs warm under flock contention); writes the
+# journal and state-mark overhead arms (ckpt-16, ckpt-4), the
+# lock-contention comparison, and the translation-store contention
+# comparison (cold vs warm-in-memory vs warm-across-process vs warm under
+# flock contention); writes the
 # "engines", "robustness", "locks" and "tstore" sections of
 # BENCH_perf.json. Longer -benchtime accumulates more samples and tightens
 # the numbers.
@@ -144,9 +146,9 @@ query-smoke:
 	$(GO) test -count=1 -run 'TestQueryGolden|TestQueryCLISmoke|TestExploreRecordAggBitIdentical' ./cmd/taskgrind
 
 # Regression guards: re-measures the compiled engine's hot ns/block (fails
-# on >20% regression), the ckpt-16 checkpoint overhead ratio (fails at
-# 1.5x the recorded ratio), daemon throughput (fails below 1/1.5 of the
-# recorded jobs/sec), the warm translation store's end-to-end speedup
+# on >20% regression), the ckpt-16 arm's journal and state-mark overhead
+# ratio (fails at 1.5x the recorded ratio), daemon throughput (fails below
+# 1/1.5 of the recorded jobs/sec), the warm translation store's end-to-end speedup
 # (fails unless warm compiled beats IR end to end, recorded and fresh) and
 # the cross-process warm start (fails if a fresh process sweeping over a
 # primed cache directory costs more than 1.2x one already warm in memory)

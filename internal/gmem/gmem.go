@@ -44,15 +44,6 @@ type Memory struct {
 	// non-empty.
 	regions []Region
 
-	// Dirty tracking (see dirty.go). trackGen is the current generation (0
-	// = tracking off); pageGen stamps each page with the generation of its
-	// last write; dirtyIdx/dirtyGen cache the last stamped page so runs of
-	// same-page stores skip the map write.
-	trackGen uint64
-	pageGen  map[uint64]uint64
-	dirtyIdx uint64
-	dirtyGen uint64
-
 	// tlb caches pages and their permission spans for Load and Store (see
 	// tlb.go). It is host-side state, not counted in Footprint.
 	tlb [tlbSize]tlbEntry
@@ -142,9 +133,6 @@ func (m *Memory) Store(addr uint64, width uint8, val uint64) {
 		lo, hi = uint64(e.lo), uint64(e.whi)
 	}
 	if e.idx == idx && lo <= off && off+uint64(width) <= hi {
-		if m.trackGen != 0 {
-			m.markDirty(idx)
-		}
 		if store(e.page, off, width, val) {
 			return
 		}
@@ -157,19 +145,12 @@ func (m *Memory) storeSlow(addr uint64, width uint8, val uint64) {
 	if m.Strict {
 		m.check(addr, width, AccessWrite)
 	}
-	if m.trackGen != 0 {
-		m.markDirty(addr >> pageShift)
-	}
 	off := addr & pageMask
 	if off+uint64(width) <= PageSize {
 		if !store(m.fill(addr), off, width, val) {
 			panic(fmt.Sprintf("gmem: bad store width %d", width))
 		}
 		return
-	}
-	if m.trackGen != 0 {
-		// Page-straddling store: the pre-check marked the first page only.
-		m.markDirty((addr + uint64(width) - 1) >> pageShift)
 	}
 	for i := uint8(0); i < width; i++ {
 		m.page(addr + uint64(i))[(addr+uint64(i))&pageMask] = byte(val >> (8 * i))
@@ -198,9 +179,6 @@ func store(p *[PageSize]byte, off uint64, width uint8, val uint64) bool {
 func (m *Memory) WriteBytes(addr uint64, b []byte) {
 	for len(b) > 0 {
 		p := m.page(addr)
-		if m.trackGen != 0 {
-			m.markDirty(addr >> pageShift)
-		}
 		off := addr & pageMask
 		n := copy(p[off:], b)
 		b = b[n:]
@@ -237,9 +215,6 @@ func (m *Memory) ReadCString(addr uint64) string {
 func (m *Memory) Zero(addr uint64, n uint64) {
 	for i := uint64(0); i < n; {
 		p := m.page(addr + i)
-		if m.trackGen != 0 {
-			m.markDirty((addr + i) >> pageShift)
-		}
 		off := (addr + i) & pageMask
 		span := PageSize - off
 		if span > n-i {

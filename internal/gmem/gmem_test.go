@@ -96,6 +96,27 @@ func TestZeroAndCopy(t *testing.T) {
 	}
 }
 
+// TestHash: the digest folds content, not write order or allocation.
+func TestHash(t *testing.T) {
+	a, b := New(), New()
+	a.Store(0x1000, 8, 1)
+	a.WriteBytes(0x9000, []byte("xyz"))
+	b.WriteBytes(0x9000, []byte("xyz"))
+	b.Store(0x1000, 8, 1)
+	if a.Hash() != b.Hash() {
+		t.Fatal("equal contents written in different orders hash differently")
+	}
+	b.Store(0x9001, 1, 'Y')
+	if a.Hash() == b.Hash() {
+		t.Fatal("a changed byte left the hash unchanged")
+	}
+	h := a.Hash()
+	a.Zero(0x20000, PageSize)
+	if a.ResidentPages() != 3 || a.Hash() != h {
+		t.Fatalf("an all-zero resident page changed the hash (%d pages)", a.ResidentPages())
+	}
+}
+
 func TestFootprint(t *testing.T) {
 	m := New()
 	if m.Footprint() != 0 {

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// The strict-mode model: random interleavings of region changes, page
-// restores, Strict toggles and guest loads and stores, replayed against a
+// The strict-mode model: random interleavings of region changes, host
+// writes, Strict toggles and guest loads and stores, replayed against a
 // byte map plus a region list. Every access is compared on its value, on
 // fault vs no fault (all *Fault fields) and on ResidentPages.
 
@@ -168,11 +168,6 @@ func runModel(ops []modelOp) error {
 	m := New()
 	m.Strict = true
 	md := &memModel{mem: map[uint64]byte{}, pages: map[uint64]bool{}, strict: true}
-	var savedRegions []Region
-	var savedModelRegions []modelRegion
-	var savedPages []PageDump
-	savedMem := map[uint64]byte{}
-
 	for step, o := range ops {
 		a, w := o.addr(), o.width()
 		switch k := o.Kind % 16; {
@@ -220,35 +215,21 @@ func runModel(ops []modelOp) error {
 			lo, n := o.span()
 			m.Unmap(lo, n)
 			md.regions = append(md.regions, modelRegion{lo, lo + n, PermNone})
-		case k == 13 && o.Arg&1 == 0:
-			savedRegions = m.Regions()
-			savedModelRegions = append([]modelRegion(nil), md.regions...)
-		case k == 13:
-			m.SetRegions(savedRegions)
-			md.regions = append([]modelRegion(nil), savedModelRegions...)
-		case k == 14 && o.Arg%3 == 0:
-			savedPages = m.AllPages()
-			savedMem = make(map[uint64]byte, len(md.mem))
-			for b, v := range md.mem {
-				savedMem[b] = v
-			}
-		case k == 14 && o.Arg%3 == 1:
-			m.WritePages(savedPages)
-			for _, pd := range savedPages {
-				for i := uint64(0); i < PageSize; i++ {
-					md.mem[pd.Addr()+i] = savedMem[pd.Addr()+i]
+		case k == 13 || k == 14:
+			// The host-privileged writers: never fault, allocate on touch.
+			lo, n := o.span()
+			b := make([]byte, n)
+			if k == 13 {
+				for i := range b {
+					b[i] = byte(o.Arg >> (8 * (i % 8)))
 				}
+				m.WriteBytes(lo, b)
+			} else {
+				m.Zero(lo, n)
 			}
-		case k == 14:
-			// Restore one page to a pattern, allocating it if need be.
-			pd := PageDump{Idx: a >> pageShift, Data: make([]byte, PageSize)}
-			for i := range pd.Data {
-				pd.Data[i] = byte(o.Arg >> (8 * (i % 8)))
-			}
-			m.WritePages([]PageDump{pd})
-			md.pages[pd.Idx] = true
-			for i, v := range pd.Data {
-				md.mem[pd.Addr()+uint64(i)] = v
+			for i, v := range b {
+				md.mem[lo+uint64(i)] = v
+				md.pages[(lo+uint64(i))>>pageShift] = true
 			}
 		default:
 			m.Strict = !m.Strict

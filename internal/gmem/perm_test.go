@@ -244,8 +244,6 @@ func TestLastRegionCacheInvalidation(t *testing.T) {
 			&Fault{Addr: 0x1008, Width: 8, Access: AccessRead}, Fault{Addr: 0x1008, Width: 8, Access: AccessWrite}},
 		{"protect-r", func(m *Memory) { m.Protect(0x1000, 0x100, PermR) },
 			nil, Fault{Addr: 0x1008, Width: 8, Access: AccessWrite, Perm: PermR}},
-		{"setregions", func(m *Memory) { m.SetRegions(nil) },
-			&Fault{Addr: 0x1008, Width: 8, Access: AccessRead}, Fault{Addr: 0x1008, Width: 8, Access: AccessWrite}},
 	} {
 		m := New()
 		m.Map(0x1000, 0x100, PermRW)

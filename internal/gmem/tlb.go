@@ -10,9 +10,9 @@ package gmem
 //
 // Strict checks stay exact because a cached span only ever under-states what
 // the region list grants: a span is computed from the list after the access
-// passed CheckRange, and every change to the list (Map, Unmap, Protect,
-// SetRegions) drops all spans. Page pointers never go stale, because pages
-// are never freed.
+// passed CheckRange, and every change to the list (Map, Unmap, Protect)
+// drops all spans. Page pointers never go stale, because pages are never
+// freed.
 
 const (
 	// tlbBits sizes the TLB at 256 entries. Replaying the page trace of

@@ -3,13 +3,11 @@ package harness_test
 // Checkpoint/resume fuzz over Table I (DataRaceBench) programs. The system's
 // resume primitive is deterministic re-execution under a recorded journal:
 // the "resumed" run must walk the recorded timeline — every scheduler pick,
-// every checkpoint digest at its randomly drawn block-boundary cadence — and
-// land on a bit-identical final state (full guest memory hash, machine
-// counters, rendered tool report), on both execution engines.
+// every state mark at its randomly drawn block-boundary cadence — and land
+// on a bit-identical final state (guest memory hash and resident pages,
+// machine counters, rendered tool report), on both execution engines.
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -19,19 +17,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/snapshot"
 )
-
-// gmemHash folds every resident guest page (index and content) into one
-// digest — the strongest practical "same memory" check.
-func gmemHash(inst *harness.Instance) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, p := range inst.M.Mem.AllPages() {
-		binary.LittleEndian.PutUint64(buf[:], p.Idx)
-		h.Write(buf[:])
-		h.Write(p.Data)
-	}
-	return h.Sum64()
-}
 
 func TestCheckpointResumeFuzzDRB(t *testing.T) {
 	progs := []string{
@@ -48,9 +33,9 @@ func TestCheckpointResumeFuzzDRB(t *testing.T) {
 		}
 		for _, eng := range []string{dbi.EngineIR, dbi.EngineCompiled} {
 			for trial := 0; trial < 3; trial++ {
-				// Random seed, timeslice length and checkpoint cadence:
-				// together they place checkpoints at effectively random
-				// block boundaries of random interleavings.
+				// Random seed, timeslice length and mark cadence:
+				// together they place marks at effectively random block
+				// boundaries of random interleavings.
 				seed := uint64(1 + rng.Intn(50))
 				slice := 1 + rng.Intn(6)
 				every := 1 + rng.Intn(9)
@@ -59,7 +44,7 @@ func TestCheckpointResumeFuzzDRB(t *testing.T) {
 					tl := core.New(core.Options{})
 					res, inst, err := harness.BuildAndRun(bm.Build(), harness.Setup{
 						Tool: tl, Seed: seed, Threads: 4, Slice: slice,
-						Engine: eng, Journal: j, CkptEvery: every,
+						Engine: eng, Journal: j,
 					})
 					if err != nil {
 						t.Fatalf("%s %s seed=%d: %v", name, eng, seed, err)
@@ -71,6 +56,7 @@ func TestCheckpointResumeFuzzDRB(t *testing.T) {
 				}
 
 				rec := snapshot.NewJournal()
+				rec.MarkEvery = every
 				instA, reportA := run(rec)
 				v := rec.Verifier(false)
 				instB, reportB := run(v)
@@ -80,11 +66,15 @@ func TestCheckpointResumeFuzzDRB(t *testing.T) {
 						name, eng, seed, slice, every, d)
 				}
 				if got, want := v.MarksMatched(), len(rec.Marks()); got != want {
-					t.Fatalf("%s %s seed=%d: resume matched %d/%d checkpoint marks",
+					t.Fatalf("%s %s seed=%d: resume matched %d/%d marks",
 						name, eng, seed, got, want)
 				}
-				if a, b := gmemHash(instA), gmemHash(instB); a != b {
+				if a, b := instA.M.Mem.Hash(), instB.M.Mem.Hash(); a != b {
 					t.Fatalf("%s %s seed=%d: final guest memory differs: %#x vs %#x",
+						name, eng, seed, a, b)
+				}
+				if a, b := instA.M.Mem.ResidentPages(), instB.M.Mem.ResidentPages(); a != b {
+					t.Fatalf("%s %s seed=%d: resident pages differ: %d vs %d",
 						name, eng, seed, a, b)
 				}
 				if a, b := instA.M.StateDigest(), instB.M.StateDigest(); a != b {
@@ -104,10 +94,6 @@ func TestCheckpointResumeFuzzDRB(t *testing.T) {
 					t.Fatalf("%s %s seed=%d: tool reports differ:\n--- record\n%s\n--- resume\n%s",
 						name, eng, seed, reportA, reportB)
 				}
-				if instA.Ckpts.Taken != instB.Ckpts.Taken {
-					t.Fatalf("%s %s seed=%d: checkpoint counts differ: %d vs %d",
-						name, eng, seed, instA.Ckpts.Taken, instB.Ckpts.Taken)
-				}
 			}
 		}
 	}
@@ -116,7 +102,7 @@ func TestCheckpointResumeFuzzDRB(t *testing.T) {
 // TestCheckpointResumeCrossEngine: the two engines execute the same recorded
 // timeline — a journal recorded on the compiled engine verifies cleanly on
 // the IR oracle, digests included (the engines are bit-identical, which is
-// what makes checkpoint marks valid cross-engine probes).
+// what makes state marks valid cross-engine probes).
 func TestCheckpointResumeCrossEngine(t *testing.T) {
 	bm, ok := drb.ByName("027-taskdependmissing-orig")
 	if !ok {
@@ -126,7 +112,7 @@ func TestCheckpointResumeCrossEngine(t *testing.T) {
 		tl := core.New(core.Options{})
 		res, _, err := harness.BuildAndRun(bm.Build(), harness.Setup{
 			Tool: tl, Seed: 5, Threads: 4, Slice: 3,
-			Engine: eng, Journal: j, CkptEvery: 4,
+			Engine: eng, Journal: j,
 		})
 		if err != nil || res.Err != nil {
 			t.Fatalf("%s: %v %v", eng, err, res.Err)
@@ -134,6 +120,7 @@ func TestCheckpointResumeCrossEngine(t *testing.T) {
 		return tl.Reports.String()
 	}
 	rec := snapshot.NewJournal()
+	rec.MarkEvery = 4
 	reportC := run(dbi.EngineCompiled, rec)
 	v := rec.Verifier(false)
 	reportI := run(dbi.EngineIR, v)

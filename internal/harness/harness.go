@@ -61,15 +61,11 @@ type Setup struct {
 	// supervisor's fallback and the differential tests set it.
 	Engine string
 	// Journal, when set, is attached to the machine and the injector: in
-	// record mode every scheduler pick and injection draw is logged; in
-	// verify mode the run is checked decision-by-decision against a prior
-	// recording (see internal/snapshot).
+	// record mode every scheduler pick and injection draw is logged, with a
+	// state mark every Journal.MarkEvery slices; in verify mode the run is
+	// checked decision-by-decision against a prior recording (see
+	// internal/snapshot).
 	Journal *snapshot.Journal
-	// CkptEvery, when positive, enables periodic checkpointing: dirty-page
-	// tracking is switched on and a snapshot of the machine is captured
-	// into Instance.Ckpts every CkptEvery timeslices (with journal state
-	// marks when Journal is set).
-	CkptEvery int
 	// ReplayToken, when non-empty, is stamped onto any CrashReport this
 	// run produces, so the rendered report tells the user how to reproduce
 	// it (`taskgrind -replay <token>`).
@@ -83,10 +79,6 @@ type Setup struct {
 	// beat cold translation end to end. The IR engine and tools that fix
 	// the engine themselves (compile-time instrumentation) run without it.
 	TStore *tstore.Cache
-	// ToolID overrides the tool identity in the store key (default
-	// Tool.Name(), or "none" uninstrumented). Set it when the same tool
-	// type is configured differently across runs sharing one cache.
-	ToolID string
 }
 
 // Instance is a ready-to-run guest machine with all substrates attached.
@@ -98,9 +90,7 @@ type Instance struct {
 	Inject *faultinject.Injector
 	// RunOpts are applied by Run.
 	RunOpts vm.RunOpts
-	// Ckpts retains the run's checkpoint history (nil unless Setup.CkptEvery
-	// was set); Journal is the attached decision journal (nil unless set).
-	Ckpts   *snapshot.Manager
+	// Journal is the attached decision journal (nil unless set).
 	Journal *snapshot.Journal
 	// ReplayToken is stamped onto crash reports (see Setup.ReplayToken).
 	ReplayToken string
@@ -145,16 +135,14 @@ func New(s Setup) (*Instance, error) {
 		}
 	}
 	if s.TStore != nil && !inst.Core.EngineFixed() && s.Engine != dbi.EngineIR {
-		toolID := s.ToolID
-		if toolID == "" {
-			switch tl := s.Tool.(type) {
-			case nil:
-				toolID = "none"
-			case dbi.Identifier:
-				toolID = tl.ToolID()
-			default:
-				toolID = s.Tool.Name()
-			}
+		var toolID string
+		switch tl := s.Tool.(type) {
+		case nil:
+			toolID = "none"
+		case dbi.Identifier:
+			toolID = tl.ToolID()
+		default:
+			toolID = s.Tool.Name()
 		}
 		inst.Core.Shared = s.TStore.Open(tstore.Key{Image: tstore.ImageHash(s.Image), Tool: toolID})
 		inst.TStore = s.TStore
@@ -184,29 +172,6 @@ func New(s Setup) (*Instance, error) {
 			in.Observe = func(k faultinject.Kind, fired bool) {
 				_ = s.Journal.Fire(int(k), fired)
 			}
-		}
-	}
-	if s.CkptEvery > 0 {
-		inst.Ckpts = snapshot.NewManager(0)
-		m.Mem.EnableDirtyTracking()
-		inst.RunOpts.CkptEvery = s.CkptEvery
-		inst.RunOpts.OnCkpt = func(m *vm.Machine) error {
-			cp := m.CaptureCheckpoint()
-			cp.Seq = inst.Ckpts.Taken + 1
-			cp.CacheGen = inst.Core.CacheGen()
-			inst.Ckpts.Add(cp)
-			if s.Journal != nil {
-				// State marks are the online divergence probe: a replay
-				// (or an engine-fallback re-execution) cross-checks its
-				// digest against the recording at every checkpoint.
-				return s.Journal.AddMark(snapshot.Mark{
-					Slice:  m.Slices,
-					Blocks: m.BlocksExecuted,
-					Instrs: m.InstrsExecuted,
-					Digest: cp.Digest,
-				})
-			}
-			return nil
 		}
 	}
 	if tg, ok := s.Tool.(*core.Taskgrind); ok && tg.Opt.NoFreePool {
@@ -275,11 +240,6 @@ func (inst *Instance) CaptureMetrics(reg *obs.Registry) {
 	reg.Counter("vm_host_panics_total").Set(m.HostPanics)
 	reg.Counter("vm_watchdog_trips_total").Set(m.WatchdogTrips)
 
-	if mgr := inst.Ckpts; mgr != nil {
-		reg.Counter("snapshot_checkpoints_total").Set(mgr.Taken)
-		reg.Counter("snapshot_checkpoints_dropped_total").Set(mgr.Dropped)
-		reg.Gauge("snapshot_page_bytes").Set(float64(mgr.PageBytes))
-	}
 	if j := inst.Journal; j != nil {
 		reg.Counter("journal_decisions_total").Set(uint64(j.Len()))
 		reg.Counter("journal_marks_total").Set(uint64(len(j.Marks())))

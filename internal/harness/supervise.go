@@ -1,16 +1,17 @@
 package harness
 
 // The run supervisor: crash recovery, replay verification and engine-
-// fallback degradation on top of the checkpoint/journal substrate.
+// fallback degradation on top of the decision journal.
 //
 // Because tool and runtime state are host-side object graphs, a "rewind" is
 // implemented as deterministic re-execution: a fresh instance is built from
 // the same configuration and driven under the recorded journal, which
 // verifies — decision by decision, and state digest by state digest at every
-// checkpoint — that the reconstruction walks the recorded timeline. This is
-// the same trick that makes Valgrind-style serialized schedulers replayable:
-// the run is a pure function of its configuration, so re-executing IS
-// restoring, and the checkpoints' role is to prove it.
+// mark — that the reconstruction walks the recorded timeline. This is the
+// same trick that makes Valgrind-style serialized schedulers replayable: the
+// run is a pure function of its configuration, so re-executing IS restoring,
+// and the marks' role is to prove it. No machine state or guest memory is
+// ever captured beyond the marks.
 
 import (
 	"context"
@@ -25,8 +26,8 @@ import (
 // SetupFactory builds a fresh Setup for each (re-)execution attempt. It must
 // return an equivalent configuration every call (same image, seed, tool
 // construction, injection spec): the supervisor's recovery guarantees assume
-// attempt N replays attempt 0's timeline. Journal and checkpoint fields are
-// overwritten by the supervisor.
+// attempt N replays attempt 0's timeline. The Journal field is overwritten
+// by the supervisor.
 type SetupFactory func() Setup
 
 // Failure taxonomy values (SupResult.Taxonomy, explore quarantine, daemon
@@ -93,10 +94,9 @@ func ExitCodeFor(taxonomy string) int {
 	}
 }
 
-// ckptEvery is the supervisor's checkpoint cadence in timeslices: each
-// checkpoint is a journal state mark, so it bounds how far back a failure
-// window reaches.
-const ckptEvery = 16
+// markEvery is the supervisor's state-mark cadence in timeslices: it bounds
+// how far back a failure window reaches.
+const markEvery = 16
 
 // SupResult is a supervised run's outcome.
 type SupResult struct {
@@ -115,20 +115,18 @@ type SupResult struct {
 	// Window is the [last-verified-slice, failing-slice] interval the
 	// failure was narrowed to (zero when the run succeeded).
 	Window [2]uint64
-	// Checkpoints is the number of snapshots captured on the first attempt.
-	Checkpoints uint64
+	// Marks is the number of state marks the first attempt recorded.
+	Marks int
 	// Inst is the instance that produced Result (the fallback instance
 	// when FellBack): its tool carries the surviving run's reports.
 	Inst *Instance
 }
 
-// buildSupervised constructs one attempt's instance with the supervisor's
-// journal/checkpoint wiring. engine overrides the factory's engine choice
-// when non-empty.
-func buildSupervised(factory SetupFactory, j *snapshot.Journal, every int, engine string) (*Instance, error) {
+// buildSupervised constructs one attempt's instance under journal j.
+// engine overrides the factory's engine choice when non-empty.
+func buildSupervised(factory SetupFactory, j *snapshot.Journal, engine string) (*Instance, error) {
 	s := factory()
 	s.Journal = j
-	s.CkptEvery = every
 	if engine != "" {
 		s.Engine = engine
 	}
@@ -137,7 +135,7 @@ func buildSupervised(factory SetupFactory, j *snapshot.Journal, every int, engin
 
 // Supervise runs the configured program under the recovery supervisor,
 // under ctx (nil: not cancelable). The first attempt records a full
-// decision journal with a state mark every ckptEvery slices. A crash must
+// decision journal with a state mark every markEvery slices. A crash must
 // reproduce once, bit-identically, under journal-verified replay before it
 // counts as real; a host panic then drives a rewound re-execution under the
 // IR oracle that must walk the recorded timeline up to the panic point
@@ -149,16 +147,15 @@ func Supervise(ctx context.Context, factory SetupFactory) (SupResult, error) {
 	var sup SupResult
 
 	journal := snapshot.NewJournal()
-	inst, err := buildSupervised(factory, journal, ckptEvery, "")
+	journal.MarkEvery = markEvery
+	inst, err := buildSupervised(factory, journal, "")
 	if err != nil {
 		return sup, fmt.Errorf("harness: supervise: %w", err)
 	}
 	sup.Attempts = 1
 	sup.Result = inst.RunCtx(ctx)
 	sup.Inst = inst
-	if inst.Ckpts != nil {
-		sup.Checkpoints = inst.Ckpts.Taken
-	}
+	sup.Marks = len(journal.Marks())
 	if sup.Err == nil {
 		return sup, nil
 	}
@@ -182,7 +179,7 @@ func Supervise(ctx context.Context, factory SetupFactory) (SupResult, error) {
 	// it is reported as real (quarantine semantics for explore).
 	if sup.Crash != nil {
 		v := journal.Verifier(false)
-		replay, err := buildSupervised(factory, v, ckptEvery, "")
+		replay, err := buildSupervised(factory, v, "")
 		if err != nil {
 			return sup, fmt.Errorf("harness: supervise replay: %w", err)
 		}
@@ -201,7 +198,7 @@ func Supervise(ctx context.Context, factory SetupFactory) (SupResult, error) {
 	var hp *vm.HostPanic
 	if errors.As(sup.Err, &hp) {
 		v := journal.Verifier(true)
-		fb, err := buildSupervised(factory, v, ckptEvery, dbi.EngineIR)
+		fb, err := buildSupervised(factory, v, dbi.EngineIR)
 		if err != nil {
 			return sup, fmt.Errorf("harness: supervise fallback: %w", err)
 		}
@@ -236,22 +233,23 @@ func markWindow(rec *snapshot.Journal, v *snapshot.Journal, failSlice uint64) [2
 	return [2]uint64{lo, failSlice}
 }
 
-// BisectDivergence re-runs the configured engine against the IR oracle at
-// single-slice checkpoint cadence, returning the minimal
+// BisectDivergence re-runs the configured engine against the IR oracle with
+// a state mark every slice, returning the minimal
 // [last-agreeing-slice, first-diverging-slice] window (ok=false when the two
 // engines agree everywhere, i.e. the failure is not a divergence). It is the
-// slow, precise follow-up to the ckptEvery-granular window Supervise
+// slow, precise follow-up to the markEvery-granular window Supervise
 // reports.
 func BisectDivergence(factory SetupFactory) (window [2]uint64, ok bool, err error) {
 	ref := snapshot.NewJournal()
-	inst, err := buildSupervised(factory, ref, 1, "")
+	ref.MarkEvery = 1
+	inst, err := buildSupervised(factory, ref, "")
 	if err != nil {
 		return window, false, err
 	}
 	refRes := inst.Run()
 
 	v := ref.Verifier(true)
-	oracle, err := buildSupervised(factory, v, 1, dbi.EngineIR)
+	oracle, err := buildSupervised(factory, v, dbi.EngineIR)
 	if err != nil {
 		return window, false, err
 	}

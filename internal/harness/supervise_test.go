@@ -47,8 +47,8 @@ func TestSupervisorCleanRunPassesThrough(t *testing.T) {
 	if sup.Err != nil || sup.Attempts != 1 || sup.Taxonomy != "" || sup.FellBack {
 		t.Fatalf("clean run: %+v err=%v", sup, sup.Err)
 	}
-	if sup.Checkpoints == 0 {
-		t.Fatal("no checkpoints taken")
+	if sup.Marks == 0 {
+		t.Fatal("no state marks recorded")
 	}
 }
 
@@ -147,7 +147,7 @@ func TestSupervisorVerifyCrashReproduces(t *testing.T) {
 }
 
 // TestBisectDivergence narrows an injected engine panic to a single-slice
-// window at CkptEvery=1 cadence.
+// window with a state mark every slice.
 func TestBisectDivergence(t *testing.T) {
 	im := linkOrFatal(t, 11)
 	inject := func() *faultinject.Injector {

@@ -1,17 +1,25 @@
-package snapshot
-
-// The schedule journal records every non-deterministic decision a run makes
-// — per-slice scheduler picks (which thread, whether the perturb draw fired),
-// per-kind fault-injection firings, and periodic state marks — and can then
-// be rewound into verify mode, where a re-execution is checked decision by
-// decision against the recording. A verified replay that reaches the end of
-// the journal without divergence is, by construction, the same run.
+// Package snapshot is the replay substrate of the robustness layer: a
+// schedule journal that records — or verifies — every non-deterministic
+// decision a run makes (per-slice scheduler picks, whether the perturb draw
+// fired, per-kind fault-injection firings) and a periodic state mark. The
+// replay token that names a run's configuration lives with that
+// configuration, in internal/explore.
+//
+// The design leans on the same property Valgrind's serialized scheduler
+// gives the paper's experiments: with one guest thread running at a time and
+// every non-deterministic choice drawn from seeded streams, a run is a pure
+// function of its configuration. A rewind is therefore a re-execution from
+// boot, never a restore: rewound into verify mode, the journal checks the
+// re-execution decision by decision, and its state digest at every mark,
+// against the recording. A verified replay that reaches the end of the
+// journal without divergence is, by construction, the same run.
 //
 // Verification is prefix-based on purpose: a fallback re-execution under the
 // IR oracle never consults the compiled engine's panic-injection stream, so
 // it legitimately draws *fewer* injection decisions than the recording. A
 // replay consuming a strict prefix of a stream is consistent; consuming a
 // different value is a divergence.
+package snapshot
 
 import "fmt"
 
@@ -49,8 +57,10 @@ type pickRec struct {
 	Perturbed bool
 }
 
-// Mark is a periodic cheap state digest, recorded at checkpoint boundaries
-// and cross-checked on replay (the online divergence probe).
+// Mark is a periodic cheap state digest, recorded every MarkEvery executed
+// slices and cross-checked on replay (the online divergence probe). Digest
+// folds registers, PCs, call stacks and scheduler counters; it excludes
+// memory, which hashing at every mark would dominate.
 type Mark struct {
 	Slice  uint64
 	Blocks uint64
@@ -67,6 +77,10 @@ type Journal struct {
 	// the run — used when the re-execution is *expected* to depart (the
 	// trusted IR fallback) and the journal's job is only to report where.
 	Soft bool
+	// MarkEvery is the state-mark cadence in executed slices (0: no
+	// marks). The machine adds a mark at every MarkEvery-th slice end;
+	// Verifier copies it, so a replay checks marks at the recorded cadence.
+	MarkEvery int
 
 	picks []pickRec
 	fires map[int][]bool
@@ -89,12 +103,13 @@ func NewJournal() *Journal {
 // while a verifier is live.
 func (j *Journal) Verifier(soft bool) *Journal {
 	return &Journal{
-		Mode:    Verify,
-		Soft:    soft,
-		picks:   j.picks,
-		fires:   j.fires,
-		marks:   j.marks,
-		firePos: make(map[int]int),
+		Mode:      Verify,
+		Soft:      soft,
+		MarkEvery: j.MarkEvery,
+		picks:     j.picks,
+		fires:     j.fires,
+		marks:     j.marks,
+		firePos:   make(map[int]int),
 	}
 }
 

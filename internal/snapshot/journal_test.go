@@ -1,98 +1,6 @@
 package snapshot
 
-import (
-	"testing"
-
-	"repro/internal/gmem"
-)
-
-func page(idx uint64, fill byte) gmem.PageDump {
-	d := make([]byte, gmem.PageSize)
-	for i := range d {
-		d[i] = fill
-	}
-	return gmem.PageDump{Idx: idx, Data: d}
-}
-
-func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
-	cp := &Checkpoint{
-		Seq: 3, Slices: 100, Blocks: 400, Instrs: 2000, RNG: 0xdeadbeef,
-		Threads: []ThreadState{{ID: 0, PC: 0x40, Instrs: 17,
-			CallStack: []Frame{{Fn: 0x10, CallSite: 0x44, SP: 0x7000}}}},
-		Pages:   []gmem.PageDump{page(5, 0xaa)},
-		Regions: []gmem.Region{{Lo: 0x1000, Hi: 0x2000, Perm: gmem.PermRW}},
-	}
-	cp.Threads[0].Regs[3] = 42
-	cp.Digest = cp.ComputeDigest()
-
-	enc, err := cp.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCheckpoint(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Diff(got); err != nil {
-		t.Fatalf("round-trip diff: %v", err)
-	}
-	if got.Pages[0].Data[0] != 0xaa || got.Regions[0].Perm != gmem.PermRW {
-		t.Fatal("payload lost in round trip")
-	}
-}
-
-func TestCheckpointDiffDetectsDivergence(t *testing.T) {
-	a := &Checkpoint{Slices: 10, Threads: []ThreadState{{ID: 0, PC: 0x40}}}
-	a.Digest = a.ComputeDigest()
-	b := &Checkpoint{Slices: 10, Threads: []ThreadState{{ID: 0, PC: 0x44}}}
-	b.Digest = b.ComputeDigest()
-	if err := a.Diff(b); err == nil {
-		t.Fatal("PC divergence not detected")
-	}
-	c := &Checkpoint{Slices: 11, Threads: []ThreadState{{ID: 0, PC: 0x40}}}
-	if err := a.Diff(c); err == nil {
-		t.Fatal("position divergence not detected")
-	}
-}
-
-func TestManagerBoundedRetentionFoldsIntoBase(t *testing.T) {
-	mgr := NewManager(2)
-	mgr.SetBase([]gmem.PageDump{page(1, 0x01)}, nil)
-
-	cp1 := &Checkpoint{Seq: 1, Pages: []gmem.PageDump{page(1, 0x11), page(2, 0x22)}}
-	cp2 := &Checkpoint{Seq: 2, Pages: []gmem.PageDump{page(3, 0x33)}}
-	cp3 := &Checkpoint{Seq: 3, Pages: []gmem.PageDump{page(2, 0x99)}}
-	mgr.Add(cp1)
-	mgr.Add(cp2)
-	mgr.Add(cp3) // evicts cp1 into the base
-
-	if got := len(mgr.Checkpoints()); got != 2 {
-		t.Fatalf("retained %d checkpoints, want 2", got)
-	}
-	if mgr.Taken != 3 || mgr.Dropped != 1 {
-		t.Fatalf("taken/dropped = %d/%d", mgr.Taken, mgr.Dropped)
-	}
-	if mgr.Latest() != cp3 {
-		t.Fatal("Latest is not the newest checkpoint")
-	}
-
-	// At cp2, page 1 comes from the folded cp1 delta, page 2 from cp1,
-	// page 3 from cp2 itself.
-	full := mgr.PagesAt(cp2)
-	if full[1][0] != 0x11 || full[2][0] != 0x22 || full[3][0] != 0x33 {
-		t.Fatalf("PagesAt(cp2) = %#x %#x %#x", full[1][0], full[2][0], full[3][0])
-	}
-	// At cp3, page 2 is overridden by cp3's delta.
-	if full := mgr.PagesAt(cp3); full[2][0] != 0x99 {
-		t.Fatalf("PagesAt(cp3)[2] = %#x", full[2][0])
-	}
-	if d, ok := mgr.PageAt(cp2, 2); !ok || d[0] != 0x22 {
-		t.Fatalf("PageAt(cp2, 2) = %v %#x", ok, d[0])
-	}
-	if _, ok := mgr.PageAt(cp2, 77); ok {
-		t.Fatal("untouched page reported present")
-	}
-}
+import "testing"
 
 func TestJournalRecordVerifyAgree(t *testing.T) {
 	j := NewJournal()
@@ -108,8 +16,12 @@ func TestJournalRecordVerifyAgree(t *testing.T) {
 	j.Fire(2, false)
 	j.Fire(2, true)
 	j.AddMark(Mark{Slice: 3, Blocks: 12, Digest: 0xabc})
+	j.MarkEvery = 3
 
 	v := j.Verifier(false)
+	if v.MarkEvery != 3 {
+		t.Fatalf("verifier mark cadence %d, recorded 3", v.MarkEvery)
+	}
 	for i, d := range decisions {
 		if err := v.Slice(uint64(i), d.tid, d.perturbed); err != nil {
 			t.Fatalf("faithful replay diverged at %d: %v", i, err)

@@ -10,10 +10,10 @@ import (
 	"repro/internal/vm"
 )
 
-// buildAccumulator builds a pure-guest program (no host calls, no host-side
-// state) so in-place checkpoint restore is exact: main sums 0..n-1 into a
-// global and exits with the total.
-func buildAccumulator(t *testing.T, n int64) *guest.Image {
+// runWithMarks runs a fresh pure-guest accumulator machine (main sums
+// 0..199 into a global and exits with the total) under a recording journal
+// with a state mark every `every` slices, and returns the marks.
+func runWithMarks(t *testing.T, every int) []snapshot.Mark {
 	t.Helper()
 	b := gbuild.New()
 	b.Global("acc", 8)
@@ -26,7 +26,7 @@ func buildAccumulator(t *testing.T, n int64) *guest.Image {
 	f.Add(guest.R2, guest.R2, guest.R3)
 	f.St(8, guest.R1, 0, guest.R2)
 	f.Addi(guest.R3, guest.R3, 1)
-	f.Ldi(guest.R4, int32(n))
+	f.Ldi(guest.R4, 200)
 	f.Blt(guest.R3, guest.R4, loop)
 	f.LoadSym(guest.R1, "acc")
 	f.Ld(8, guest.R0, guest.R1, 0)
@@ -35,86 +35,35 @@ func buildAccumulator(t *testing.T, n int64) *guest.Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return im
-}
-
-// runWithCheckpoints runs a fresh accumulator machine, capturing a
-// checkpoint into a manager every `every` slices.
-func runWithCheckpoints(t *testing.T, every int) (*vm.Machine, *snapshot.Manager) {
-	t.Helper()
-	m, err := vm.New(buildAccumulator(t, 200), nil, vm.Config{Seed: 7, Slice: 4})
+	m, err := vm.New(im, nil, vm.Config{Seed: 7, Slice: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Mem.EnableDirtyTracking()
-	mgr := snapshot.NewManager(64)
-	err = m.RunOpts(vm.RunOpts{CkptEvery: every, OnCkpt: func(m *vm.Machine) error {
-		cp := m.CaptureCheckpoint()
-		cp.Seq = mgr.Taken + 1
-		mgr.Add(cp)
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, mgr
-}
-
-func TestCheckpointRestoreRewindsAndReconverges(t *testing.T) {
-	m, mgr := runWithCheckpoints(t, 3)
-	if mgr.Taken < 3 {
-		t.Fatalf("only %d checkpoints taken", mgr.Taken)
-	}
-	wantExit := m.ExitCode()
-	wantHash := m.Mem.Hash()
-	wantBlocks, wantInstrs := m.BlocksExecuted, m.InstrsExecuted
-	wantRNG := m.RNGState()
-
-	// Rewind to a mid-run checkpoint and re-execute to completion.
-	cps := mgr.Checkpoints()
-	cp := cps[len(cps)/2]
-	if err := m.RestoreCheckpoint(cp, mgr); err != nil {
-		t.Fatal(err)
-	}
-	if m.BlocksExecuted != cp.Blocks || m.Exited() {
-		t.Fatalf("restore left blocks=%d exited=%v, want %d/false",
-			m.BlocksExecuted, m.Exited(), cp.Blocks)
-	}
-	if got := m.StateDigest(); got != cp.Digest {
-		t.Fatalf("post-restore digest %#x, checkpoint digest %#x", got, cp.Digest)
-	}
+	m.Journal = snapshot.NewJournal()
+	m.Journal.MarkEvery = every
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.ExitCode() != wantExit || m.Mem.Hash() != wantHash {
-		t.Fatalf("rewound run diverged: exit %d hash %#x, want %d %#x",
-			m.ExitCode(), m.Mem.Hash(), wantExit, wantHash)
+	if got, want := m.ExitCode(), uint64(199*200/2); got != want {
+		t.Fatalf("exit %d, want %d", got, want)
 	}
-	if m.BlocksExecuted != wantBlocks || m.InstrsExecuted != wantInstrs || m.RNGState() != wantRNG {
-		t.Fatalf("rewound counters blocks/instrs/rng = %d/%d/%#x, want %d/%d/%#x",
-			m.BlocksExecuted, m.InstrsExecuted, m.RNGState(), wantBlocks, wantInstrs, wantRNG)
-	}
+	return m.Journal.Marks()
 }
 
+// TestCheckpointStreamsDeterministic: two runs of one configuration record
+// the same mark stream, at the cadence the journal asked for.
 func TestCheckpointStreamsDeterministic(t *testing.T) {
-	_, mgrA := runWithCheckpoints(t, 5)
-	_, mgrB := runWithCheckpoints(t, 5)
-	a, b := mgrA.Checkpoints(), mgrB.Checkpoints()
-	if len(a) != len(b) || len(a) == 0 {
-		t.Fatalf("checkpoint counts %d vs %d", len(a), len(b))
+	a, b := runWithMarks(t, 5), runWithMarks(t, 5)
+	if len(a) != len(b) || len(a) < 3 {
+		t.Fatalf("mark counts %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if err := a[i].Diff(b[i]); err != nil {
-			t.Fatalf("checkpoint %d: %v", i, err)
+		if a[i] != b[i] {
+			t.Fatalf("mark %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-}
-
-func TestRestoreRejectsUnretainedCheckpoint(t *testing.T) {
-	m, mgr := runWithCheckpoints(t, 3)
-	stray := &snapshot.Checkpoint{Seq: 999}
-	if err := m.RestoreCheckpoint(stray, mgr); err == nil {
-		t.Fatal("restore accepted an unretained checkpoint")
+	if every1 := runWithMarks(t, 1); len(every1) < 5*len(a) {
+		t.Fatalf("%d marks at cadence 1, %d at cadence 5", len(every1), len(a))
 	}
 }
 

@@ -254,8 +254,9 @@ type Machine struct {
 
 	// Journal, when set, records (or verifies) every scheduler decision:
 	// which thread each timeslice picked and whether the perturb draw
-	// fired. In verify mode a divergence from the recording aborts the run
-	// with a *snapshot.Divergence at the next slice boundary.
+	// fired, plus a state mark every Journal.MarkEvery executed slices. In
+	// verify mode a divergence from the recording aborts the run with a
+	// *snapshot.Divergence at the next slice boundary.
 	Journal *snapshot.Journal
 
 	// ExtraFootprint lets tools add their shadow-structure size to the
@@ -467,6 +468,38 @@ func (m *Machine) rand() uint64 {
 	return x * 2685821657736338717
 }
 
+// StateDigest is the cheap online-divergence digest a journal mark carries:
+// FNV-1a over the scheduler counters, the PRNG position and every thread's
+// ID, PC, state, instruction count, registers and call stack. It excludes
+// memory, so it costs the same however much of it the guest touched.
+func (m *Machine) StateDigest() uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		for shift := 0; shift < 64; shift += 8 {
+			h = (h ^ (v >> shift & 0xff)) * prime
+		}
+	}
+	for _, v := range []uint64{m.Slices, m.BlocksExecuted, m.InstrsExecuted, m.Switches, m.rng} {
+		mix(v)
+	}
+	for _, t := range m.threads {
+		mix(uint64(t.ID))
+		mix(t.PC)
+		mix(uint64(t.State))
+		mix(t.InstrsExecuted)
+		for _, r := range t.Regs {
+			mix(r)
+		}
+		for _, f := range t.CallStack {
+			mix(f.Fn)
+			mix(f.CallSite)
+			mix(f.SP)
+		}
+	}
+	return h
+}
+
 // ErrDeadlock is returned by Run when no thread can make progress. The
 // concrete error is a *DeadlockError carrying per-thread dumps;
 // errors.Is(err, ErrDeadlock) matches it.
@@ -490,15 +523,6 @@ type RunOpts struct {
 	// with a *CanceledError. Checked once per timeslice alongside the
 	// budgets, so a canceled guest stops within one slice.
 	Ctx context.Context
-	// CkptEvery, when > 0, invokes OnCkpt every CkptEvery timeslices —
-	// counted across both the scheduling loop and the solo fast path, so
-	// the cadence is deterministic in executed slices, not scheduler
-	// rounds. Checkpoints happen at block boundaries only; a slice that
-	// ends in an error is never checkpointed.
-	CkptEvery int
-	// OnCkpt is the checkpoint callback (capture, retention, journal
-	// marks live in the caller). A non-nil error aborts the run.
-	OnCkpt func(m *Machine) error
 	// ProgressEvery, when > 0, invokes OnProgress every ProgressEvery
 	// timeslices with the machine's running block/instruction totals — a
 	// race-free export of run progress for external monitors (the daemon's
@@ -561,10 +585,15 @@ func (m *Machine) RunOpts(opts RunOpts) error {
 			deadline = time.Now().Add(opts.Timeout)
 		}
 	}
-	// Checkpoint/progress cadence: counted in executed slices across both
-	// loop paths, so the cadence is independent of how slices batch into
-	// scheduler rounds.
-	ckptLeft := opts.CkptEvery
+	// Mark/progress cadence: counted in executed slices across both loop
+	// paths, so the cadence is independent of how slices batch into
+	// scheduler rounds. Marks fall at block boundaries only; a slice that
+	// ends in an error is never marked.
+	markEvery := 0
+	if m.Journal != nil {
+		markEvery = m.Journal.MarkEvery
+	}
+	markLeft := markEvery
 	progLeft := opts.ProgressEvery
 	sliceEnd := func() error {
 		if opts.ProgressEvery > 0 {
@@ -575,17 +604,17 @@ func (m *Machine) RunOpts(opts RunOpts) error {
 				}
 			}
 		}
-		if opts.CkptEvery <= 0 {
+		if markEvery <= 0 {
 			return nil
 		}
-		if ckptLeft--; ckptLeft > 0 {
+		if markLeft--; markLeft > 0 {
 			return nil
 		}
-		ckptLeft = opts.CkptEvery
-		if opts.OnCkpt != nil {
-			return opts.OnCkpt(m)
-		}
-		return nil
+		markLeft = markEvery
+		return m.Journal.AddMark(snapshot.Mark{
+			Slice: m.Slices, Blocks: m.BlocksExecuted, Instrs: m.InstrsExecuted,
+			Digest: m.StateDigest(),
+		})
 	}
 	var cur *Thread
 	for !m.exited {

@@ -1,11 +1,12 @@
 package repro
 
-// Robustness benchmark: what the checkpoint/journal substrate costs. Each arm
-// runs the Table I suite under the nop tool on the compiled engine — the same
-// configuration BenchmarkPerfEngines measures — with checkpointing off
-// (baseline) and at two cadences with full decision journaling. `make
-// bench-perf` writes the comparison to the "robustness" section of
-// BENCH_perf.json; TestCkptOverheadRegression guards the recorded overhead.
+// Robustness benchmark: what the replay journal costs. Each arm runs the
+// Table I suite under the nop tool on the compiled engine — the same
+// configuration BenchmarkPerfEngines measures — with journaling off
+// (baseline) and with full decision journaling plus a state mark at two
+// cadences (the ckpt-* arms). `make bench-perf` writes the comparison to the
+// "robustness" section of BENCH_perf.json; TestCkptOverheadRegression guards
+// the recorded overhead.
 
 import (
 	"encoding/json"
@@ -22,16 +23,17 @@ import (
 	"repro/internal/snapshot"
 )
 
-// robustArm is one checkpoint configuration under measurement.
+// robustArm is one journal configuration under measurement. MarkEvery is
+// the journal's state-mark cadence and Checkpoints counts the marks; both
+// keep the JSON keys of the recorded baseline.
 type robustArm struct {
 	Name      string `json:"name"`
-	CkptEvery int    `json:"ckpt_every"`
+	MarkEvery int    `json:"ckpt_every"`
 	Journal   bool   `json:"journal"`
 
 	Blocks           uint64  `json:"blocks"`
 	WallSeconds      float64 `json:"wall_seconds"`
-	Checkpoints      uint64  `json:"checkpoints"`
-	PageBytes        uint64  `json:"page_bytes"`
+	Checkpoints      int     `json:"checkpoints"`
 	JournalDecisions int     `json:"journal_decisions"`
 	OverheadVsBase   float64 `json:"overhead_vs_baseline"`
 }
@@ -44,11 +46,11 @@ func runRobustnessArm(b *testing.B, arm *robustArm, images []*guest.Image) {
 		var j *snapshot.Journal
 		if arm.Journal {
 			j = snapshot.NewJournal()
+			j.MarkEvery = arm.MarkEvery
 		}
 		inst, err := harness.New(harness.Setup{
 			Image: im, Tool: dbi.NopTool{}, Seed: 1, Threads: 4,
-			Stdout: io.Discard, Engine: dbi.EngineCompiled,
-			Journal: j, CkptEvery: arm.CkptEvery,
+			Stdout: io.Discard, Engine: dbi.EngineCompiled, Journal: j,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -59,17 +61,14 @@ func runRobustnessArm(b *testing.B, arm *robustArm, images []*guest.Image) {
 		}
 		arm.Blocks += inst.M.BlocksExecuted
 		arm.WallSeconds += res.Wall.Seconds()
-		if inst.Ckpts != nil {
-			arm.Checkpoints += inst.Ckpts.Taken
-			arm.PageBytes += inst.Ckpts.PageBytes
-		}
 		if j != nil {
+			arm.Checkpoints += len(j.Marks())
 			arm.JournalDecisions += j.Len()
 		}
 	}
 }
 
-// BenchmarkRobustness measures checkpoint + journal overhead on the Table I
+// BenchmarkRobustness measures journal and state-mark overhead on the Table I
 // suite. Like the engine benchmark, results accumulate over all iterations.
 func BenchmarkRobustness(b *testing.B) {
 	benches := drb.All()
@@ -84,8 +83,8 @@ func BenchmarkRobustness(b *testing.B) {
 	const repeats = 3
 	arms := []*robustArm{
 		{Name: "baseline"},
-		{Name: "ckpt-16", CkptEvery: 16, Journal: true},
-		{Name: "ckpt-4", CkptEvery: 4, Journal: true},
+		{Name: "ckpt-16", MarkEvery: 16, Journal: true},
+		{Name: "ckpt-4", MarkEvery: 4, Journal: true},
 	}
 	done := 0
 	for _, arm := range arms {
@@ -118,8 +117,9 @@ func BenchmarkRobustness(b *testing.B) {
 	}{
 		Suite: "table1-drb", Tool: "none(nop)", Threads: 4, Seed: 1,
 		Criterion: "overhead_vs_baseline is the wall-clock ratio of running " +
-			"with dirty-page tracking, periodic checkpoints and full " +
-			"decision journaling against the same suite with both off.",
+			"with full decision journaling and a state mark every " +
+			"ckpt_every slices against the same suite with both off; " +
+			"checkpoints counts the marks.",
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 		Arms:      arms,
 	})
@@ -130,10 +130,10 @@ func BenchmarkRobustness(b *testing.B) {
 // (best of three fresh measurements, so machine noise cannot fail it) and
 // fails if the ratio exceeds 1.5x the overhead recorded in BENCH_perf.json
 // by `make bench-perf` — the kind of blowup an accidental per-block scan in
-// the checkpoint or journal path would cause.
+// the journal or state-mark path would cause.
 func TestCkptOverheadRegression(t *testing.T) {
 	if os.Getenv("PERF_GUARD") != "1" {
-		t.Skip("set PERF_GUARD=1 to run the checkpoint-overhead regression gate")
+		t.Skip("set PERF_GUARD=1 to run the journal-overhead regression gate")
 	}
 	path := os.Getenv("PERF_BENCH_OUT")
 	if path == "" {
@@ -172,18 +172,18 @@ func TestCkptOverheadRegression(t *testing.T) {
 		}
 		images[i] = im
 	}
-	run := func(ckptEvery int, journal bool) float64 {
+	run := func(markEvery int, journal bool) float64 {
 		var wall float64
 		for _, im := range images {
 			runtime.GC()
 			var j *snapshot.Journal
 			if journal {
 				j = snapshot.NewJournal()
+				j.MarkEvery = markEvery
 			}
 			inst, nerr := harness.New(harness.Setup{
 				Image: im, Tool: dbi.NopTool{}, Seed: 1, Threads: 4,
-				Stdout: io.Discard, Engine: dbi.EngineCompiled,
-				Journal: j, CkptEvery: ckptEvery,
+				Stdout: io.Discard, Engine: dbi.EngineCompiled, Journal: j,
 			})
 			if nerr != nil {
 				t.Fatal(nerr)
@@ -204,9 +204,9 @@ func TestCkptOverheadRegression(t *testing.T) {
 		}
 	}
 	limit := recorded * 1.5
-	t.Logf("checkpoint overhead: best %.3fx, recorded %.3fx, limit %.3fx", best, recorded, limit)
+	t.Logf("journal overhead: best %.3fx, recorded %.3fx, limit %.3fx", best, recorded, limit)
 	if best > limit {
-		t.Fatalf("checkpoint overhead regressed: %.3fx wall vs baseline (recorded %.3fx, limit %.3fx)",
+		t.Fatalf("journal overhead regressed: %.3fx wall vs baseline (recorded %.3fx, limit %.3fx)",
 			best, recorded, limit)
 	}
 }

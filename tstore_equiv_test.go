@@ -3,7 +3,7 @@ package repro
 // Cache-equivalence differential suite for the translation store: a run
 // that resolves its translations from the shared store — warm in memory or
 // warm from the persistent tier — must be bit-identical to a cold run that
-// translates everything itself. "Bit-identical" is the checkpoint-fuzz oracle: the
+// translates everything itself. "Bit-identical" is the resume-fuzz oracle: the
 // rendered tool report, guest stdout, the full guest memory hash, the
 // machine state digest, exit code and the deterministic work counters.
 // Translation-side counters (Translations, SharedHits, translate/compile
@@ -12,8 +12,6 @@ package repro
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/fnv"
 	"sync"
 	"testing"
 	"time"
@@ -27,19 +25,6 @@ import (
 	"repro/internal/progs"
 	"repro/internal/tstore"
 )
-
-// gmemFold folds every resident guest page (index and content) into one
-// digest — the strongest practical "same memory" check.
-func gmemFold(inst *harness.Instance) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, p := range inst.M.Mem.AllPages() {
-		binary.LittleEndian.PutUint64(buf[:], p.Idx)
-		h.Write(buf[:])
-		h.Write(p.Data)
-	}
-	return h.Sum64()
-}
 
 // runPrint is one run's complete observable outcome.
 type runPrint struct {
@@ -83,7 +68,7 @@ func fingerprint(inst *harness.Instance, report, stdout string) runPrint {
 	return runPrint{
 		report: report,
 		stdout: stdout,
-		gmem:   gmemFold(inst),
+		gmem:   inst.M.Mem.Hash(),
 		state:  inst.M.StateDigest(),
 		blocks: inst.M.BlocksExecuted,
 		instrs: inst.M.InstrsExecuted,
