@@ -1,17 +1,16 @@
 GO ?= go
 
-.PHONY: check vet build test race replay-determinism tstore-equiv store-chaos lock-matrix bench-obs bench-perf bench-perf-smoke bench-rec bench-serve bench-smoke loadtest perf-guard query-smoke fuzz clean
+.PHONY: check vet build test race replay-determinism tstore-equiv lock-matrix bench-obs bench-perf bench-perf-smoke bench-rec bench-serve bench-smoke loadtest perf-guard query-smoke fuzz clean
 
 # The full gate: vet, build, tests under the race detector, the
-# replay-determinism gate, the
-# translation-store equivalence gate, the multi-process store chaos soak,
-# the fuzzer smoke runs, both benchmark smoke runs (BENCH_obs.json;
+# replay-determinism gate, the translation-store equivalence gate, the
+# fuzzer smoke runs, both benchmark smoke runs (BENCH_obs.json;
 # bench-perf-smoke does not overwrite the recorded BENCH_perf.json), the
 # record-and-query smoke, the daemon load + chaos-soak tests, the six-tool
 # lock verdict-matrix gate, the benchmark-module smoke, and the hot-path +
-# journal-overhead + recording-overhead + serve-throughput + warm-store +
-# cross-process-warm regression guards against the recorded baseline.
-check: vet build race replay-determinism tstore-equiv store-chaos lock-matrix fuzz bench-obs bench-perf-smoke bench-smoke query-smoke loadtest perf-guard
+# journal-overhead + recording-overhead + serve-throughput + warm-store
+# regression guards against the recorded baseline.
+check: vet build race replay-determinism tstore-equiv lock-matrix fuzz bench-obs bench-perf-smoke bench-smoke query-smoke loadtest perf-guard
 
 # vet also fails when gofmt would rewrite any tracked Go file.
 vet:
@@ -41,29 +40,19 @@ replay-determinism:
 	$(GO) test -count=1 -run 'TestReplayToken|TestOnPanicFallback|TestTokenIdentity' ./cmd/taskgrind
 	$(GO) test -count=1 -run 'TestFrontEndParity' ./internal/serve
 
-# Translation-store equivalence gate: the tstore unit suite (encode
-# roundtrips, persistent-tier invalidation, torn-tail recovery) under -race,
-# plus the store-equivalence differential smoke — cold vs shared-cold vs
-# warm vs disk-warm compiled runs bit-identical, with the same footprint
-# model, and the IR oracle storeless beside them, the crash-report and
-# invalidation cases, the 16-worker shared-store race test and the sweep
-# amortization counter check — and the pinned digest of every unit the
-# Table I suite and racy LULESH publish (TestTranslationEncodingPinned).
-# Fresh run (-count=1) so the gate never passes on a cached result.
+# Translation-store equivalence gate: the tstore unit suite (first writer
+# wins, invalidation by key, eviction under both caps) under -race, plus
+# the store-equivalence differential smoke — cold vs shared-cold vs warm
+# compiled runs bit-identical, with the same footprint model, and the IR
+# oracle storeless beside them, the crash-report and invalidation cases,
+# the 16-worker shared-store race test with its capped arm (eviction under
+# load changes no output) and the sweep amortization counter check — and
+# the pinned digest of every unit the Table I suite and racy LULESH publish
+# (TestTranslationEncodingPinned). Fresh run (-count=1) so the gate never
+# passes on a cached result.
 tstore-equiv:
 	$(GO) test -race -count=1 ./internal/tstore
 	$(GO) test -race -count=1 -run 'TestStoreEquivalence|TestStoreInvalidation|TestStoreConcurrentWorkers|TestSweepAmortization|TestJobsShareTranslationStore|TestTranslationEncodingPinned' . ./internal/serve ./internal/tstore
-
-# Multi-process store chaos soak, race-enabled: N taskgrind processes plus
-# an in-process daemon share one -tcache-dir while victims are SIGKILLed
-# mid-run and the rest run under injected storage faults (EIO, ENOSPC,
-# short writes, bit flips, lock starvation). Every surviving run must be
-# byte-identical to a storeless cold run, the eviction cap must hold, and
-# the directory must stay warm-adoptable afterwards. STORE_CHAOS=1 scales
-# the fleet up. Fresh run (-count=1) so the gate never passes on a cached
-# result.
-store-chaos:
-	$(GO) test -race -count=1 -run 'TestStoreChaosSoak' .
 
 # Lock verdict-matrix gate: the six-tool x lock-scenario acceptance matrix
 # (expected verdict per cell on every default seed, byte-identical reports
@@ -76,16 +65,14 @@ lock-matrix:
 	$(GO) test -count=1 -run 'TestVerdictMatrix|TestGoldenLockReports|TestLockSchedulerUnperturbed|TestLockFault' ./internal/tools/golden ./internal/harness ./internal/explore .
 
 # Short fuzzing smoke runs over the untrusted-input surfaces: the
-# assembler, the instruction decoder, and the translation-store frame
-# protocol (the scan that untrusted cache files pass through); plus the
-# guest-memory model (strict loads and stores through the software TLB
-# against a byte map and region list); plus Algorithm 1's candidate sweep
-# against the all-pairs loop on synthetic segments. Go runs one -fuzz
-# package at a time, hence five invocations.
+# assembler and the instruction decoder; plus the guest-memory model
+# (strict loads and stores through the software TLB against a byte map and
+# region list); plus Algorithm 1's candidate sweep against the all-pairs
+# loop on synthetic segments. Go runs one -fuzz package at a time, hence
+# four invocations.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzAssemble' -fuzztime 5s ./internal/gasm
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 5s ./internal/guest
-	$(GO) test -run '^$$' -fuzz 'FuzzFrameScan' -fuzztime 5s ./internal/tstore
 	$(GO) test -run '^$$' -fuzz 'FuzzMemoryModel' -fuzztime 5s ./internal/gmem
 	$(GO) test -run '^$$' -fuzz 'FuzzAnalysisSweep' -fuzztime 5s ./internal/core
 
@@ -96,19 +83,16 @@ bench-obs:
 
 # Engine comparison on the Table I suite (IR interpreter vs compiled
 # micro-op engine, cold and warm from a primed translation store), the
-# journal and state-mark overhead arms (ckpt-16, ckpt-4), the
-# lock-contention comparison, and the translation-store contention
-# comparison (cold vs warm-in-memory vs warm-across-process vs warm under
-# flock contention); writes the
-# "engines", "robustness", "locks" and "tstore" sections of
-# BENCH_perf.json. Longer -benchtime accumulates more samples and tightens
-# the numbers.
+# journal and state-mark overhead arms (ckpt-16, ckpt-4) and the
+# lock-contention comparison; writes the "engines", "robustness" and
+# "locks" sections of BENCH_perf.json. Longer -benchtime accumulates more
+# samples and tightens the numbers.
 bench-perf:
-	PERF_BENCH_OUT=BENCH_perf.json $(GO) test -run '^$$' -bench 'BenchmarkPerfEngines|BenchmarkRobustness|BenchmarkLockContention|BenchmarkTStoreContention' -benchtime 10x .
+	PERF_BENCH_OUT=BENCH_perf.json $(GO) test -run '^$$' -bench 'BenchmarkPerfEngines|BenchmarkRobustness|BenchmarkLockContention' -benchtime 10x .
 
 # Smoke run for the gate: exercises every arm once, no JSON output.
 bench-perf-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPerfEngines|BenchmarkRobustness|BenchmarkRecording|BenchmarkLockContention|BenchmarkTStoreContention' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkPerfEngines|BenchmarkRobustness|BenchmarkRecording|BenchmarkLockContention' -benchtime 1x .
 
 # The repository benchmark (bench/) is its own Go module built against this
 # one through a replace directive, so root `go test ./...` never compiles
@@ -148,14 +132,13 @@ query-smoke:
 # Regression guards: re-measures the compiled engine's hot ns/block (fails
 # on >20% regression), the ckpt-16 arm's journal and state-mark overhead
 # ratio (fails at 1.5x the recorded ratio), daemon throughput (fails below
-# 1/1.5 of the recorded jobs/sec), the warm translation store's end-to-end speedup
-# (fails unless warm compiled beats IR end to end, recorded and fresh) and
-# the cross-process warm start (fails if a fresh process sweeping over a
-# primed cache directory costs more than 1.2x one already warm in memory)
-# against the baseline recorded in BENCH_perf.json by `make bench-perf` /
-# `make bench-serve` (best-of-3, so only a real slowdown trips any of them).
+# 1/1.5 of the recorded jobs/sec) and the warm translation store's
+# end-to-end speedup (fails unless warm compiled beats IR end to end,
+# recorded and fresh) against the baseline recorded in BENCH_perf.json by
+# `make bench-perf` / `make bench-serve` (best-of-3, so only a real
+# slowdown trips any of them).
 perf-guard:
-	PERF_GUARD=1 $(GO) test -count=1 -run 'TestHotPerfRegression|TestCkptOverheadRegression|TestRecordingOverheadRegression|TestServeThroughputRegression|TestWarmStoreE2ERegression|TestWarmCrossProcessRegression' .
+	PERF_GUARD=1 $(GO) test -count=1 -run 'TestHotPerfRegression|TestCkptOverheadRegression|TestRecordingOverheadRegression|TestServeThroughputRegression|TestWarmStoreE2ERegression' .
 
 clean:
 	rm -f BENCH_obs.json BENCH_perf.json

@@ -55,6 +55,24 @@ func buildDaemon(t *testing.T) string {
 	return bin
 }
 
+// TestDaemonRejectsBadCaps: a negative translation-store cap, or a MiB
+// count whose byte value overflows, is a usage error naming the flag,
+// never an unbounded cache. The unusable -addr makes a daemon that accepted
+// the cap exit at once instead of serving.
+func TestDaemonRejectsBadCaps(t *testing.T) {
+	bin := buildDaemon(t)
+	for _, c := range [][2]string{
+		{"-tcache-max-mb", "-1"},
+		{"-tcache-max-units", "-3"},
+		{"-tcache-max-mb", "8796093022208"}, // 2^43 MiB is 2^63 bytes
+	} {
+		out, code := runCLI(t, bin, "-addr", "127.0.0.1:99999", c[0], c[1])
+		if code != 2 || !strings.Contains(out, c[0]) {
+			t.Fatalf("taskgrindd %s %s: exit %d, want 2 naming the flag\n%s", c[0], c[1], code, out)
+		}
+	}
+}
+
 // startDaemon launches taskgrindd on a free loopback port and waits for
 // /healthz.
 func startDaemon(t *testing.T, bin string, extra ...string) (*exec.Cmd, string) {

@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/drb"
 	"repro/internal/explore"
-	"repro/internal/faultinject"
 	"repro/internal/gasm"
 	"repro/internal/gbuild"
 	"repro/internal/harness"
@@ -35,7 +34,6 @@ import (
 	"repro/internal/obs/store"
 	"repro/internal/progs"
 	"repro/internal/tools/toolreg"
-	"repro/internal/tstore"
 )
 
 func main() {
@@ -59,18 +57,15 @@ func main() {
 		}
 	}
 	var (
-		prog           = flag.String("prog", "task.c", "program to run (-list to enumerate)")
-		asmFile        = flag.String("asm", "", "assemble and run a guest .s file instead of -prog")
-		tool           = flag.String("tool", "taskgrind", fmt.Sprintf("analysis tool %v", toolreg.Names()))
-		tcacheDir      = flag.String("tcache-dir", "", "persistent translation store directory, shared safely by concurrent processes: compiled translations are saved per (image,tool) and reused across runs")
-		tcacheMaxMB    = flag.Int64("tcache-max-mb", 0, "translation store byte cap in MiB (0 = unbounded); clock eviction keeps the cache under it")
-		tcacheMaxUnits = flag.Int64("tcache-max-units", 0, "translation store unit cap (0 = unbounded); clock eviction keeps the cache under it")
-		threads        = flag.Int("threads", 4, "OMP_NUM_THREADS")
-		seed           = flag.Uint64("seed", 1, "scheduler seed")
-		list           = flag.Bool("list", false, "list available programs")
-		verbose        = flag.Bool("v", false, "print run statistics")
-		dotFile        = flag.String("dot", "", "write the segment graph (Graphviz DOT) to this file (taskgrind tools only)")
-		gantt          = flag.Bool("trace", false, "print a task-schedule Gantt chart after the run")
+		prog    = flag.String("prog", "task.c", "program to run (-list to enumerate)")
+		asmFile = flag.String("asm", "", "assemble and run a guest .s file instead of -prog")
+		tool    = flag.String("tool", "taskgrind", fmt.Sprintf("analysis tool %v", toolreg.Names()))
+		threads = flag.Int("threads", 4, "OMP_NUM_THREADS")
+		seed    = flag.Uint64("seed", 1, "scheduler seed")
+		list    = flag.Bool("list", false, "list available programs")
+		verbose = flag.Bool("v", false, "print run statistics")
+		dotFile = flag.String("dot", "", "write the segment graph (Graphviz DOT) to this file (taskgrind tools only)")
+		gantt   = flag.Bool("trace", false, "print a task-schedule Gantt chart after the run")
 		// Observability outputs.
 		metricsFile  = flag.String("metrics", "", "write a metrics snapshot (JSON) to this file")
 		recordDir    = flag.String("record", "", "append this run (spans, instants, profile samples, counters, verdict) to a run store directory (query with `taskgrind query`)")
@@ -83,7 +78,7 @@ func main() {
 		maxInstrs  = flag.Uint64("max-instrs", 0, "watchdog: abort after N guest instructions (0 = unlimited)")
 		timeout    = flag.Duration("timeout", 0, "watchdog: abort after this wall-clock time (0 = unlimited)")
 		lenientMem = flag.Bool("lenient-mem", false, "disable the strict guest memory model (wild accesses allocate silently)")
-		inject     = flag.String("inject", "", "fault injection spec, e.g. \"pool=7,steal=3\" (kinds: heap, pool, steal, sched, panic, spurious, handoff, trylock; storage: tsread, tswrite, tsnospc, tsshort, tsflip, tslock)")
+		inject     = flag.String("inject", "", "fault injection spec, e.g. \"pool=7,steal=3\" (kinds: heap, pool, steal, sched, panic, spurious, handoff, trylock)")
 		injectSeed = flag.Uint64("inject-seed", 1, "fault injection seed (phases the -inject firing patterns)")
 		// Recovery knobs: replay tokens, panic fallback.
 		replayTok = flag.String("replay", "", "re-run the configuration encoded in a crash report's replay token (tg1:...) in place of the program, tool, seed and other configuration flags")
@@ -178,31 +173,8 @@ func main() {
 		}
 		env.Sinks = []obs.Sink{obs.NewChromeSink(traceF)}
 	}
-	if *tcacheDir != "" {
-		opts := tstore.Options{
-			Dir:      *tcacheDir,
-			MaxBytes: *tcacheMaxMB << 20,
-			MaxUnits: *tcacheMaxUnits,
-		}
-		// Storage faults get their own injector instance: the run injector
-		// is rebuilt per supervision attempt, while disk I/O (merges, the
-		// final save) spans attempts. Same seed, same deterministic streams
-		// — the storage kinds just never alias an attempt's guest-visible
-		// draws.
-		if sp.Inject != "" {
-			sin, _ := faultinject.ParseSpec(sp.Inject, sp.InjectSeed)
-			opts.FS = &tstore.FaultFS{In: sin}
-		}
-		env.TStore = tstore.NewCacheOpts(opts)
-	}
 	start := time.Now()
 	run, err := explore.Execute(nil, im, sp, env)
-	if env.TStore != nil && run.Inst != nil {
-		// Write the warm start for the next run.
-		if serr := env.TStore.Save(); serr != nil {
-			fmt.Fprintf(os.Stderr, "==taskgrind== tcache save: %v\n", serr)
-		}
-	}
 	if env.Record != nil {
 		err = errors.Join(err, env.Record.Close())
 	}

@@ -121,7 +121,7 @@ func TestReplayTokenRoundTripsInjection(t *testing.T) {
 // retiredTokens are replay tokens recorded under modes this build no longer
 // has, keyed by what the refusal must name: superblock extension, per-event
 // access delivery, the parallel analysis pass's taskgrind-par tool, a fixed
-// timeslice, and the IR engine.
+// timeslice, the IR engine, and a translation-store storage fault.
 func retiredTokens() map[string]string {
 	out := map[string]string{}
 	for name, setting := range map[string]string{
@@ -130,6 +130,7 @@ func retiredTokens() map[string]string {
 		"taskgrind-par":      "tool=taskgrind-par",
 		"slice=7":            "slice=7",
 		"engine=ir":          "engine=ir",
+		"tsread":             "inject=tsread%3D2",
 	} {
 		out[name] = "tg1:" + base64.RawURLEncoding.EncodeToString([]byte(setting+"&prog=task.c&seed=1"))
 	}

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -42,13 +43,18 @@ func main() {
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain wait for in-flight jobs")
 		statePath      = flag.String("state", "", "persist still-queued jobs here at drain; resume them on start")
 		recordDir      = flag.String("record", "", "append every job's run to this run-store directory (query with `taskgrind query`)")
-		tcacheDir      = flag.String("tcache-dir", "", "persistent translation store directory shared by every job and safely by concurrent daemons; saved periodically and at drain so restarts (and cold peers) start warm")
-		tcacheMaxMB    = flag.Int64("tcache-max-mb", 0, "translation store byte cap in MiB (0 = unbounded); clock eviction keeps the cache under it")
+		tcacheMaxMB    = flag.Int64("tcache-max-mb", 0, "translation store cap in MiB of host memory held by cached code (0 = unbounded); clock eviction keeps the cache under it")
 		tcacheMaxUnits = flag.Int64("tcache-max-units", 0, "translation store unit cap (0 = unbounded); clock eviction keeps the cache under it")
 		seed           = flag.Uint64("seed", 1, "retry backoff jitter seed")
 		verbose        = flag.Bool("v", false, "print the metrics snapshot after drain")
 	)
 	flag.Parse()
+	if *tcacheMaxMB < 0 || *tcacheMaxMB > math.MaxInt64>>20 {
+		fatal(fmt.Errorf("-tcache-max-mb %d out of range [0, %d]", *tcacheMaxMB, int64(math.MaxInt64>>20)))
+	}
+	if *tcacheMaxUnits < 0 {
+		fatal(fmt.Errorf("-tcache-max-units %d is negative", *tcacheMaxUnits))
+	}
 
 	var rec *store.Writer
 	if *recordDir != "" {
@@ -59,40 +65,17 @@ func main() {
 		rec = w
 		defer rec.Close()
 	}
-	tcache := tstore.NewCacheOpts(tstore.Options{
-		Dir:      *tcacheDir,
-		MaxBytes: *tcacheMaxMB << 20,
-		MaxUnits: *tcacheMaxUnits,
-	})
 	srv := serve.New(serve.Options{
 		Workers: *workers, QueueDepth: *queue, MaxRetries: *retries,
 		JobTimeout: *jobTimeout, DrainTimeout: *drainTimeout,
 		StatePath: *statePath, Record: rec, Seed: *seed,
-		TCache: tcache,
+		TCache: tstore.NewCacheOpts(tstore.Options{
+			MaxBytes: *tcacheMaxMB << 20,
+			MaxUnits: *tcacheMaxUnits,
+		}),
 	})
 	if err := srv.Start(); err != nil {
 		fatal(err)
-	}
-	// Periodic persist: a fleet peer (or a CLI run) sharing -tcache-dir
-	// picks up this daemon's translations mid-flight instead of waiting for
-	// drain. Save is incremental (locked append of new frames only) and
-	// degrades on any storage fault, so the ticker is safe to run forever.
-	saveStop := make(chan struct{})
-	if *tcacheDir != "" {
-		go func() {
-			tick := time.NewTicker(10 * time.Second)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					if err := tcache.Save(); err != nil {
-						fmt.Fprintln(os.Stderr, "taskgrindd: tcache save:", err)
-					}
-				case <-saveStop:
-					return
-				}
-			}
-		}()
 	}
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -117,12 +100,6 @@ func main() {
 	}
 	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintln(os.Stderr, "taskgrindd: shutdown:", err)
-	}
-	close(saveStop)
-	if *tcacheDir != "" {
-		if err := tcache.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "taskgrindd: tcache save:", err)
-		}
 	}
 	if *verbose {
 		if err := srv.MetricsSnapshot().WriteText(os.Stdout); err != nil {

@@ -64,8 +64,8 @@ type accessPoint struct {
 
 // accessMetaStore is the store-direction bit in an access's packed Meta
 // word (low byte: width). Two Meta words per access — PC, then
-// width|direction — serialize a flush site so another core (or another
-// process, via the persistent tier) can re-bind an equivalent one.
+// width|direction — describe a flush site so another core can re-bind an
+// equivalent one.
 const accessMetaStore = 1 << 8
 
 // flushMeta packs a flush site's access points into Stmt.Meta.

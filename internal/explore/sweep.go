@@ -25,8 +25,8 @@ type Opts struct {
 	// TStore shares translations across the sweep's seeds: every seed
 	// runs the same image under the same tool, so the whole sweep costs
 	// roughly one seed's worth of translation work. Nil builds a
-	// sweep-private in-memory cache (amortization on by default); pass an
-	// explicit cache to share with a daemon or a persistent tier.
+	// sweep-private cache (amortization on by default); pass an explicit
+	// cache to share it beyond the sweep.
 	TStore *tstore.Cache
 }
 

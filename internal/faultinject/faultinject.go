@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -51,35 +50,12 @@ const (
 	// free — the "weak trylock" the POSIX spec allows and lock-free retry
 	// loops must tolerate.
 	TrylockFail
-	// StoreReadErr makes a translation-store disk read fail with EIO.
-	StoreReadErr
-	// StoreWriteErr makes a translation-store disk write (or compaction
-	// rename) fail with EIO.
-	StoreWriteErr
-	// StoreNoSpace makes a translation-store disk write fail with ENOSPC.
-	StoreNoSpace
-	// StoreShortWrite truncates a translation-store disk write halfway —
-	// the torn frame a crash or a dying device leaves behind.
-	StoreShortWrite
-	// StoreBitFlip silently corrupts one byte of a translation-store disk
-	// read — bit rot the CRC framing must catch.
-	StoreBitFlip
-	// StoreLockTimeout starves a translation-store advisory-lock
-	// acquisition until its deadline.
-	StoreLockTimeout
 	numKinds
 )
 
 // Kinds lists every kind (tests iterate it).
 var Kinds = []Kind{HeapAlloc, PoolAlloc, StealDeny, SchedPerturb, EnginePanic,
-	LockSpurious, LockDelay, TrylockFail,
-	StoreReadErr, StoreWriteErr, StoreNoSpace, StoreShortWrite, StoreBitFlip,
-	StoreLockTimeout}
-
-// StorageKinds lists the translation-store storage fault kinds — the ones
-// drawn through FireStorage rather than Fire (tests iterate it).
-var StorageKinds = []Kind{StoreReadErr, StoreWriteErr, StoreNoSpace,
-	StoreShortWrite, StoreBitFlip, StoreLockTimeout}
+	LockSpurious, LockDelay, TrylockFail}
 
 // String returns the spec name of the kind.
 func (k Kind) String() string {
@@ -100,18 +76,6 @@ func (k Kind) String() string {
 		return "handoff"
 	case TrylockFail:
 		return "trylock"
-	case StoreReadErr:
-		return "tsread"
-	case StoreWriteErr:
-		return "tswrite"
-	case StoreNoSpace:
-		return "tsnospc"
-	case StoreShortWrite:
-		return "tsshort"
-	case StoreBitFlip:
-		return "tsflip"
-	case StoreLockTimeout:
-		return "tslock"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -143,11 +107,6 @@ type site struct {
 type Injector struct {
 	seed  uint64
 	sites [numKinds]site
-
-	// storageMu guards the StorageKinds sites, which — unlike every other
-	// kind — are drawn from concurrent contexts (concurrent runs sharing
-	// one translation cache, disk merges) via FireStorage.
-	storageMu sync.Mutex
 
 	// Observe, when set, taps every decision as it is drawn (fired or
 	// not) — the hook the replay journal records injection streams
@@ -209,36 +168,6 @@ func (in *Injector) Fire(kind Kind) bool {
 	return hit
 }
 
-// FireStorage is Fire for the storage fault kinds. It differs in two ways
-// forced by where storage I/O happens: it is thread-safe (disk reads and
-// appends run on sweep workers and merge paths, concurrent with the
-// scheduler loop), and it never enters the replay journal via Observe —
-// by the degradation invariant a storage fault is guest-invisible (the run
-// merely translates cold), so journaling its stream would only make replay
-// depend on I/O interleaving. OnFire still runs so the tracer sees the
-// injection instant.
-func (in *Injector) FireStorage(kind Kind) bool {
-	if in == nil || kind < 0 || kind >= numKinds {
-		return false
-	}
-	in.storageMu.Lock()
-	s := &in.sites[kind]
-	if s.every == 0 {
-		in.storageMu.Unlock()
-		return false
-	}
-	hit := (s.seen+s.offset)%s.every == 0
-	s.seen++
-	if hit {
-		s.fired++
-	}
-	in.storageMu.Unlock()
-	if hit && in.OnFire != nil {
-		in.OnFire(kind)
-	}
-	return hit
-}
-
 // Enabled reports whether any kind is armed.
 func (in *Injector) Enabled() bool {
 	if in == nil {
@@ -287,7 +216,7 @@ func ParseSpec(spec string, seed uint64) (*Injector, error) {
 		}
 		kind, ok := kindFromName(strings.TrimSpace(name))
 		if !ok {
-			return nil, fmt.Errorf("faultinject: unknown kind %q (have heap, pool, steal, sched, panic, spurious, handoff, trylock, tsread, tswrite, tsnospc, tsshort, tsflip, tslock)", name)
+			return nil, fmt.Errorf("faultinject: unknown kind %q (have heap, pool, steal, sched, panic, spurious, handoff, trylock)", name)
 		}
 		every, err := strconv.ParseUint(strings.TrimSpace(val), 10, 64)
 		if err != nil || every == 0 {

@@ -97,7 +97,7 @@ func TestParseSpec(t *testing.T) {
 	if in, err := ParseSpec("", 1); err != nil || in.Enabled() {
 		t.Fatalf("empty spec: %v, enabled=%v", err, in.Enabled())
 	}
-	for _, bad := range []string{"pool", "bogus=3", "pool=zero", "pool=0"} {
+	for _, bad := range []string{"pool", "bogus=3", "pool=zero", "pool=0", "tsread=2"} {
 		if _, err := ParseSpec(bad, 1); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		}

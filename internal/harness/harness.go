@@ -275,10 +275,6 @@ func (inst *Instance) CaptureMetrics(reg *obs.Registry) {
 		reg.Counter("tstore_misses_total").Set(cs.Misses)
 		reg.Counter("tstore_translations_total").Set(cs.Puts)
 		reg.Counter("tstore_evictions_total").Set(cs.Evictions)
-		reg.Counter("tstore_corrupt_frames_total").Set(cs.CorruptFrames)
-		reg.Counter("tstore_io_faults_total").Set(cs.IOFaults)
-		reg.Counter("tstore_lock_waits_total").Set(cs.LockWaits)
-		reg.Counter("tstore_merged_total").Set(cs.Merged)
 		reg.Gauge("tstore_bytes").Set(float64(cs.Bytes))
 	}
 

@@ -67,9 +67,8 @@ type Options struct {
 	ProgressEvery int
 	// TCache shares one content-addressed translation cache across every
 	// job the daemon runs: repeat jobs on the same program under the same
-	// tool reuse each other's translations. Nil builds a daemon-private
-	// in-memory cache; pass one with a directory for a persistent tier
-	// that survives restarts.
+	// tool reuse each other's translations. Nil builds an uncapped
+	// daemon-private cache.
 	TCache *tstore.Cache
 }
 
@@ -416,10 +415,6 @@ func (s *Server) PublishMetrics(reg *obs.Registry) {
 	reg.Counter("tstore_misses_total").Set(cs.Misses)
 	reg.Counter("tstore_translations_total").Set(cs.Puts)
 	reg.Counter("tstore_evictions_total").Set(cs.Evictions)
-	reg.Counter("tstore_io_faults_total").Set(cs.IOFaults)
-	reg.Counter("tstore_lock_waits_total").Set(cs.LockWaits)
-	reg.Counter("tstore_corrupt_frames_total").Set(cs.CorruptFrames)
-	reg.Counter("tstore_merged_total").Set(cs.Merged)
 }
 
 // MetricsSnapshot publishes into a fresh registry and freezes it.

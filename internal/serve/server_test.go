@@ -530,8 +530,9 @@ func TestHTTPSurface(t *testing.T) {
 }
 
 // TestHTTPRejectsExtend: superblock extension, the delivery option, the
-// taskgrind-par tool, the timeslice setting and the engine setting (the IR
-// engine in a token) were removed, so a
+// taskgrind-par tool, the timeslice setting, the engine setting (the IR
+// engine in a token) and the translation store's storage fault kinds were
+// removed, so a
 // submission that still asks for any of them — as a spec field or inside a
 // replay token — is a 400 naming it, never a job run under another
 // configuration.
@@ -553,6 +554,8 @@ func TestHTTPRejectsExtend(t *testing.T) {
 		{token("slice=7"), "slice=7"},
 		{`{"prog":"task.c","engine":"compiled"}`, "engine"},
 		{token("engine=ir"), "engine=ir"},
+		{`{"prog":"task.c","inject":"tsread=2"}`, "tsread"},
+		{token("inject=tsread%3D2"), "tsread"},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {

@@ -6,16 +6,17 @@
 // always produces the same compiled micro-op array. That makes translations
 // content-addressable — a Key is the full set of inputs the translator
 // consumes, with the image reduced to a content hash — and therefore
-// shareable across cores, across sweep workers, across daemon jobs, and
-// (via the on-disk tier) across concurrent processes and process restarts.
+// shareable across cores, across sweep workers and across daemon jobs. The
+// store lives and dies with its process, as Valgrind's translation table
+// and cache do.
 //
 // A Unit carries the portable form of one translated superblock: its
 // compiled code, and nothing of the IR it was lowered from, as Valgrind's
 // translation cache keeps only generated host code. Portable means every
-// embedded helper closure is represented by its (Name, Meta, Args) triple
-// rather than the closure itself: closures are bound to the core and tool
-// instance that produced them, so an adopting core re-binds equivalent
-// helpers of its own (copy-on-attach, implemented in internal/dbi).
+// embedded helper closure carries its (Name, Meta, Args) triple beside the
+// closure itself: closures are bound to the core and tool instance that
+// produced them, so an adopting core re-binds equivalent helpers of its own
+// (copy-on-attach, implemented in internal/dbi).
 // Everything per-thread and mutable — chain predictions, dispatch tables,
 // generation counters — stays in the adopting core. Only the compiled
 // engine attaches a store; the IR interpreter, kept as the differential
@@ -40,30 +41,16 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
+	"unsafe"
 
 	"repro/internal/guest"
 	"repro/internal/vex"
 )
 
-// FormatVersion is baked into every Key (and therefore every on-disk file
-// header). Bump it whenever the unit encoding, the IR, the micro-op set or
-// the translator's output changes shape: old files then simply never match
-// and the store starts cold instead of serving stale translations.
-//
-// Version 2 dropped the superblock-extension budget from the key and the
-// extension-seam count and pretranslated flag from the unit encoding.
-// Dropping the delivery mode from the key changed the key string, and with
-// it every file name, but not the unit encoding, so the version stayed.
-// Version 3 dropped the engine from the key and the IR from the unit: a
-// unit is its address and compiled code, which records the IR's statement
-// count.
-const FormatVersion = 3
-
 // Key identifies one translation universe: every input that can change the
 // bytes a translation produces. Two runs with equal Keys may share
-// translations; any difference — a rebuilt image, another tool, a bumped
-// format — yields a disjoint store.
+// translations; any difference — a rebuilt image, another tool — yields a
+// disjoint store.
 type Key struct {
 	// Image is the content hash of the guest image (ImageHash).
 	Image string
@@ -71,14 +58,11 @@ type Key struct {
 	// "memcheck", ...). Registry names, not Tool.Name(): variants like
 	// taskgrind-naive share a report name but may instrument differently.
 	Tool string
-	// Version pins the store format; NewKey sets it to FormatVersion.
-	Version int
 }
 
-// String renders the canonical form hashed into the on-disk file name and
-// written into the file header.
+// String renders the canonical form, which orders a cache's stores.
 func (k Key) String() string {
-	return fmt.Sprintf("v%d/img=%s/tool=%s", k.Version, k.Image, k.Tool)
+	return fmt.Sprintf("img=%s/tool=%s", k.Image, k.Tool)
 }
 
 // ImageHash computes the content hash of a guest image: text, data, entry,
@@ -131,8 +115,7 @@ func ImageHash(im *guest.Image) string {
 type Unit struct {
 	// Addr is the guest entry address of the superblock.
 	Addr uint64
-	// Code is the compiled micro-op form. In a disk-loaded unit the dirty
-	// ops carry nil Fn until a core re-binds them.
+	// Code is the compiled micro-op form.
 	Code *vex.Compiled
 }
 
@@ -148,8 +131,8 @@ type slot struct {
 	// the store mutex). gen == seen at a visit means no adoption since —
 	// the unit's second chance is spent and it is evicted.
 	seen uint64
-	// size is the unit's encoded size in bytes (0 when the cache carries no
-	// byte cap — exact sizing costs an encode, so it is pay-for-play).
+	// size is the host memory the unit holds, in bytes (0 when the cache
+	// carries no byte cap).
 	size int64
 }
 
@@ -157,15 +140,10 @@ type slot struct {
 // address-indexed map of Units. All methods are safe for concurrent use.
 type Store struct {
 	key   Key
-	cache *Cache    // nil for a standalone store: no caps, no disk
-	disk  *diskTier // nil when memory-only
+	cache *Cache // nil for a standalone store: no caps
 
 	mu    sync.RWMutex
 	units map[uint64]*slot
-	// evicted records addresses the eviction clock dropped, so a disk merge
-	// does not resurrect them (the shared file keeps their frames until the
-	// next compaction). Cleared when the address is translated again.
-	evicted map[uint64]bool
 	// hand is the eviction clock position (an index into the sorted address
 	// list, persisted across sweeps so the clock actually rotates).
 	hand int
@@ -177,20 +155,14 @@ type Store struct {
 	misses    atomic.Uint64
 	puts      atomic.Uint64
 	evictions atomic.Uint64
-	corrupt   atomic.Uint64
-	ioFaults  atomic.Uint64
-	lockWaits atomic.Uint64
-	merged    atomic.Uint64
 }
 
-// NewStore creates an empty standalone store for key (no caps, no disk).
+// NewStore creates an empty standalone store for key (no caps).
 func NewStore(key Key) *Store {
-	return &Store{key: key, units: make(map[uint64]*slot), evicted: make(map[uint64]bool)}
+	return &Store{key: key, units: make(map[uint64]*slot)}
 }
 
-// Get returns the unit at addr, or nil. A miss on a disk-backed store may
-// trigger a throttled re-scan of the shared file — the path by which a warm
-// process's frames seed a cold one mid-run. Hit/miss counters feed the
+// Get returns the unit at addr, or nil. Hit/miss counters feed the
 // amortization assertions and the daemon's metrics.
 func (s *Store) Get(addr uint64) *Unit {
 	s.mu.RLock()
@@ -200,13 +172,6 @@ func (s *Store) Get(addr uint64) *Unit {
 		u = sl.u
 	}
 	s.mu.RUnlock()
-	if u == nil && s.disk != nil && s.disk.maybeMerge(s) {
-		s.mu.RLock()
-		if sl = s.units[addr]; sl != nil {
-			u = sl.u
-		}
-		s.mu.RUnlock()
-	}
 	if u == nil {
 		s.misses.Add(1)
 		return nil
@@ -216,11 +181,22 @@ func (s *Store) Get(addr uint64) *Unit {
 	return u
 }
 
-// sizeOf measures a unit's encoded footprint (frame overhead included).
+// sizeOf measures the host memory a unit holds: its structs and the
+// arrays its slices point to.
 func sizeOf(u *Unit) int64 {
-	var e enc
-	encodeUnit(&e, u)
-	return int64(len(e.buf)) + 16
+	c := u.Code
+	n := unsafe.Sizeof(*u) + unsafe.Sizeof(*c) +
+		uintptr(len(c.Ops))*unsafe.Sizeof(vex.UOp{}) +
+		uintptr(len(c.PCs))*unsafe.Sizeof(uint64(0)) +
+		uintptr(len(c.ICs))*unsafe.Sizeof(uint32(0))
+	for i := range c.Ops {
+		if d := c.Ops[i].Dirty; d != nil {
+			n += unsafe.Sizeof(*d) +
+				uintptr(len(d.Args))*unsafe.Sizeof(vex.CArg{}) +
+				uintptr(len(d.Meta))*unsafe.Sizeof(uint64(0))
+		}
+	}
+	return int64(n)
 }
 
 // track accounts an inserted slot against the cache totals. Called with
@@ -247,7 +223,6 @@ func (s *Store) Put(u *Unit) {
 	if s.units[u.Addr] == nil {
 		sl := &slot{u: u}
 		s.units[u.Addr] = sl
-		delete(s.evicted, u.Addr)
 		s.puts.Add(1)
 		s.track(sl)
 	}
@@ -257,39 +232,11 @@ func (s *Store) Put(u *Unit) {
 	}
 }
 
-// mergeDisk publishes a unit read from the shared file: Put semantics, but
-// counted as a merge rather than a translation, and blocked for addresses
-// this process evicted (their frames persist on disk until compaction).
-// Returns true when the store gained the unit.
-func (s *Store) mergeDisk(u *Unit) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.evicted[u.Addr] || s.units[u.Addr] != nil {
-		return false
-	}
-	sl := &slot{u: u}
-	s.units[u.Addr] = sl
-	s.merged.Add(1)
-	s.track(sl)
-	return true
-}
-
 // Len returns the number of published units.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.units)
-}
-
-// snapshot returns the current unit set (for the disk tier).
-func (s *Store) snapshot() map[uint64]*Unit {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m := make(map[uint64]*Unit, len(s.units))
-	for a, sl := range s.units {
-		m[a] = sl.u
-	}
-	return m
 }
 
 // sweep advances the eviction clock over this store until need() reports
@@ -322,14 +269,10 @@ func (s *Store) sweep(need func() bool, protect uint64) {
 			continue
 		}
 		delete(s.units, a)
-		s.evicted[a] = true
 		s.evictions.Add(1)
 		if s.cache != nil {
 			s.cache.bytes.Add(-sl.size)
 			s.cache.totalUnits.Add(-1)
-		}
-		if s.disk != nil {
-			s.disk.needCompact.Store(true)
 		}
 	}
 }
@@ -344,63 +287,33 @@ type Stats struct {
 	Puts uint64
 	// Evictions counts units dropped by the clock sweep.
 	Evictions uint64
-	// CorruptFrames counts disk frames whose CRC passed but whose payload
-	// failed to decode — corruption past the framing layer, skipped
-	// without discarding the rest of the tier.
-	CorruptFrames uint64
-	// IOFaults counts disk-tier operations that failed (EIO, ENOSPC, short
-	// writes, rename failures); each one degraded to cold translation.
-	IOFaults uint64
-	// LockWaits counts advisory-lock acquisitions that timed out; each one
-	// skipped its merge or persist and degraded to cold translation.
-	LockWaits uint64
-	// Merged counts units adopted from other processes through the shared
-	// file rather than translated locally.
-	Merged uint64
 }
 
 // Stats returns the store's counters.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Units:         s.Len(),
-		Hits:          s.hits.Load(),
-		Misses:        s.misses.Load(),
-		Puts:          s.puts.Load(),
-		Evictions:     s.evictions.Load(),
-		CorruptFrames: s.corrupt.Load(),
-		IOFaults:      s.ioFaults.Load(),
-		LockWaits:     s.lockWaits.Load(),
-		Merged:        s.merged.Load(),
+		Units:     s.Len(),
+		Hits:      s.hits.Load(),
+		Misses:    s.misses.Load(),
+		Puts:      s.puts.Load(),
+		Evictions: s.evictions.Load(),
 	}
 }
 
 // Options configures a Cache.
 type Options struct {
-	// Dir is the backing directory; "" keeps the cache purely in-memory.
-	Dir string
-	// FS routes all disk-tier I/O; nil means the real filesystem. Tests
-	// and the CLI substitute a FaultFS here.
-	FS FS
-	// MaxBytes caps the total encoded size of cached units across all
-	// stores (0 = unbounded). Enforced by clock eviction with hysteresis.
+	// MaxBytes caps the host memory of cached units across all stores
+	// (0 = unbounded). Enforced by clock eviction with hysteresis.
 	MaxBytes int64
 	// MaxUnits caps the total unit count across all stores (0 = unbounded).
 	MaxUnits int64
-	// RescanEvery throttles on-miss re-scans of the shared file: every Nth
-	// store miss checks whether the file grew (0 = default 64).
-	RescanEvery uint64
-	// LockTimeout bounds advisory-lock acquisition; a timed-out lock
-	// degrades the operation to cold translation (0 = default 2s).
-	LockTimeout time.Duration
 }
 
-// Cache is a registry of stores, one per Key, optionally backed by an
-// on-disk directory shared with other processes. A process typically holds
-// one Cache (per sweep, per daemon, per CLI invocation) and every harness
-// instance resolves its Store through it.
+// Cache is a registry of stores, one per Key. A process typically holds
+// one Cache (per sweep, per daemon) and every harness instance resolves
+// its Store through it.
 type Cache struct {
 	opts Options
-	fs   FS
 
 	mu     sync.Mutex
 	stores map[Key]*Store
@@ -409,75 +322,31 @@ type Cache struct {
 	totalUnits atomic.Int64
 }
 
-// NewCache creates a cache backed by dir on the real filesystem, with no
-// caps. dir == "" keeps the cache purely in-memory.
+// NewCache creates an in-memory cache with no caps. dir must be "": the
+// cache has no persistent tier.
 func NewCache(dir string) *Cache {
-	return NewCacheOpts(Options{Dir: dir})
+	if dir != "" {
+		panic("tstore: NewCache: the translation cache has no persistent tier")
+	}
+	return NewCacheOpts(Options{})
 }
 
 // NewCacheOpts creates a cache with explicit options.
 func NewCacheOpts(opts Options) *Cache {
-	if opts.FS == nil {
-		opts.FS = OSFS{}
-	}
-	if opts.RescanEvery == 0 {
-		opts.RescanEvery = 64
-	}
-	if opts.LockTimeout == 0 {
-		opts.LockTimeout = 2 * time.Second
-	}
-	return &Cache{opts: opts, fs: opts.FS, stores: make(map[Key]*Store)}
+	return &Cache{opts: opts, stores: make(map[Key]*Store)}
 }
 
-// Dir returns the backing directory ("" for memory-only).
-func (c *Cache) Dir() string { return c.opts.Dir }
-
-// Open returns the store for key, creating it (and warm-loading it from
-// the shared file, when the cache is directory-backed) on first use. Disk
-// problems — missing file, stale format, torn tail, corruption, I/O
-// errors, starved locks — degrade to a cold store, never to an error: the
-// store is an accelerator, not a dependency.
+// Open returns the store for key, creating it empty on first use.
 func (c *Cache) Open(key Key) *Store {
-	if key.Version == 0 {
-		key.Version = FormatVersion
-	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if st, ok := c.stores[key]; ok {
-		c.mu.Unlock()
 		return st
 	}
 	st := NewStore(key)
 	st.cache = c
-	if c.opts.Dir != "" {
-		st.disk = newDiskTier(c, key)
-		st.disk.load(st) // best-effort warm start
-	}
 	c.stores[key] = st
-	c.mu.Unlock()
-	c.maybeEvict(st, ^uint64(0))
 	return st
-}
-
-// Save persists every directory-backed store: under an exclusive advisory
-// lock it merges frames other processes appended, truncates any torn tail,
-// appends only this process's new frames, and compacts the file when
-// eviction shrank the store. Memory-only caches no-op. Storage faults
-// degrade (counters bumped); the first error is returned for diagnostics
-// only — the cache remains usable.
-func (c *Cache) Save() error {
-	if c.opts.Dir == "" {
-		return nil
-	}
-	var first error
-	for _, st := range c.snapshotStores() {
-		if st.disk == nil {
-			continue
-		}
-		if err := st.disk.save(st); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 func (c *Cache) snapshotStores() []*Store {
@@ -542,17 +411,13 @@ func (c *Cache) maybeEvict(trigger *Store, protect uint64) {
 type CacheStats struct {
 	Stores int
 	Units  int
-	// Bytes is the tracked encoded size of cached units (0 unless a byte
-	// cap is configured — sizing is pay-for-play).
-	Bytes         int64
-	Hits          uint64
-	Misses        uint64
-	Puts          uint64
-	Evictions     uint64
-	CorruptFrames uint64
-	IOFaults      uint64
-	LockWaits     uint64
-	Merged        uint64
+	// Bytes is the tracked host memory of cached units (0 unless a byte
+	// cap is configured).
+	Bytes     int64
+	Hits      uint64
+	Misses    uint64
+	Puts      uint64
+	Evictions uint64
 }
 
 // Stats sums the counters of every open store.
@@ -568,10 +433,6 @@ func (c *Cache) Stats() CacheStats {
 		cs.Misses += s.Misses
 		cs.Puts += s.Puts
 		cs.Evictions += s.Evictions
-		cs.CorruptFrames += s.CorruptFrames
-		cs.IOFaults += s.IOFaults
-		cs.LockWaits += s.LockWaits
-		cs.Merged += s.Merged
 	}
 	return cs
 }

@@ -1,11 +1,6 @@
 package tstore
 
 import (
-	"bytes"
-	"encoding/binary"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -46,61 +41,7 @@ func sampleUnit(t *testing.T, addr uint64) *Unit {
 }
 
 func testKey() Key {
-	return Key{Image: "abc123", Tool: "taskgrind", Version: FormatVersion}
-}
-
-// TestUnitRoundtrip: encode/decode preserves the compiled form, and
-// re-encoding the decoded unit is byte-identical (the property the
-// content-addressed store rests on).
-func TestUnitRoundtrip(t *testing.T) {
-	u := sampleUnit(t, 0x1000)
-	var e enc
-	encodeUnit(&e, u)
-	got, err := decodeUnit(&dec{buf: e.buf})
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.Addr != u.Addr {
-		t.Fatalf("header mismatch: %+v vs %+v", got, u)
-	}
-	if got.Code == nil || len(got.Code.Ops) != len(u.Code.Ops) || got.Code.NInstrs != u.Code.NInstrs ||
-		got.Code.NStmts != len(sampleSB(u.Addr).Stmts) || len(got.Code.PCs) != len(u.Code.PCs) {
-		t.Fatalf("compiled form mismatch")
-	}
-	// The decoder must rebind op-table functions from the Op tag.
-	for i, op := range got.Code.Ops {
-		o := u.Code.Ops[i]
-		if op.Code != o.Code || op.Op != o.Op {
-			t.Fatalf("uop %d mismatch: %+v vs %+v", i, op, o)
-		}
-		if (o.Fn != nil) != (op.Fn != nil) || (o.Fn1 != nil) != (op.Fn1 != nil) {
-			t.Fatalf("uop %d fn rebinding lost: %+v", i, op)
-		}
-	}
-	var e2 enc
-	encodeUnit(&e2, got)
-	if !bytes.Equal(e.buf, e2.buf) {
-		t.Fatalf("re-encode not byte-identical: %d vs %d bytes", len(e.buf), len(e2.buf))
-	}
-}
-
-// TestDecodeRejectsCorruption: every single-byte corruption either decodes
-// to the same bytes or fails — never a silently different unit that
-// re-encodes differently. (CRC catches corruption first in the file tier;
-// this guards the decoder itself against shape confusion.)
-func TestDecodeRejectsTruncation(t *testing.T) {
-	u := sampleUnit(t, 0x1000)
-	var e enc
-	encodeUnit(&e, u)
-	for cut := 0; cut < len(e.buf); cut += 7 {
-		if _, err := decodeUnit(&dec{buf: e.buf[:cut]}); err == nil {
-			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(e.buf))
-		}
-	}
-	// Trailing garbage is an error too.
-	if _, err := decodeUnit(&dec{buf: append(append([]byte{}, e.buf...), 0)}); err == nil {
-		t.Fatalf("trailing byte accepted")
-	}
+	return Key{Image: "abc123", Tool: "taskgrind"}
 }
 
 // TestStoreMerge: a unit without code is never published, and the first
@@ -124,189 +65,70 @@ func TestStoreMerge(t *testing.T) {
 	}
 }
 
-// TestDiskRoundtrip: save, reopen, and get the same units back.
-func TestDiskRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCache(dir)
-	st := c.Open(testKey())
-	for i := uint64(0); i < 8; i++ {
-		u := sampleUnit(t, 0x1000+i*64)
-		st.Put(u)
-	}
-	if err := c.Save(); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	st2 := NewCache(dir).Open(testKey())
-	if st2.Len() != 8 {
-		t.Fatalf("reloaded %d units, want 8", st2.Len())
-	}
-	u := st2.Get(0x1000)
-	if u == nil || u.Code == nil {
-		t.Fatalf("reloaded unit mismatch: %+v", u)
-	}
-	// Dirty helpers must come back unbound (the adopting core rebinds).
-	for _, op := range u.Code.Ops {
-		if op.Dirty != nil && op.Dirty.Fn != nil {
-			t.Fatalf("persisted dirty fn survived the disk")
-		}
-	}
-}
-
-// TestInvalidation: a tier saved under one key is never served for another
-// — a modified image, a different tool, a bumped format version. This is
-// the stale-translation safety property.
+// TestInvalidation: stores under keys that differ in image or in tool
+// share nothing. This is the stale-translation safety property.
 func TestInvalidation(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCache(dir)
-	st := c.Open(testKey())
-	st.Put(sampleUnit(t, 0x1000))
-	if err := c.Save(); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	cases := []Key{}
-	k := testKey()
-	k.Image = "abc124" // one bit of image content changed its hash
-	cases = append(cases, k)
-	k = testKey()
-	k.Tool = "memcheck"
-	cases = append(cases, k)
-	k = testKey()
-	k.Version = FormatVersion + 1
-	cases = append(cases, k)
-	for _, k := range cases {
-		if got := NewCache(dir).Open(k).Len(); got != 0 {
-			t.Fatalf("key %s served %d stale units", k.String(), got)
+	c := NewCache("")
+	c.Open(testKey()).Put(sampleUnit(t, 0x1000))
+	img := testKey()
+	img.Image = "abc124" // one bit of image content changed its hash
+	tool := testKey()
+	tool.Tool = "memcheck"
+	for _, k := range []Key{img, tool} {
+		if st := c.Open(k); st.Len() != 0 || st.Get(0x1000) != nil {
+			t.Fatalf("key %s served another key's unit", k)
 		}
 	}
-	// And the original key still loads.
-	if got := NewCache(dir).Open(testKey()).Len(); got != 1 {
-		t.Fatalf("original key lost its tier: %d units", got)
-	}
-
-	// A version-1 tier (key carried extend=, units a seam count, a
-	// pretranslated flag and the IR), even when found under the current
-	// key's file name, is a structural miss: the store starts cold, counts
-	// no corrupt frames, and the next save replaces the file with a
-	// current tier.
-	v1dir := t.TempDir()
-	u := sampleUnit(t, 0x1000)
-	e := &enc{buf: append([]byte{}, fileMagic...)}
-	e.str("v1/img=abc123/tool=taskgrind/engine=compiled/extend=0/delivery=batched")
-	var ue enc
-	ue.u64(u.Addr)
-	ue.u64(0) // seams
-	ue.u64(2) // flags: compiled form present
-	encCompiled(&ue, u.Code)
-	e.u64(uint64(len(ue.buf)))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(ue.buf))
-	e.buf = append(append(e.buf, crc[:]...), ue.buf...)
-	if err := os.WriteFile(fileName(v1dir, testKey()), e.buf, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	c1 := NewCache(v1dir)
-	st1 := c1.Open(testKey())
-	if s := st1.Stats(); s.Units != 0 || s.CorruptFrames != 0 || s.IOFaults != 0 {
-		t.Fatalf("v1 tier not a clean miss: %+v", s)
-	}
-	st1.Put(sampleUnit(t, 0x2000))
-	if err := c1.Save(); err != nil {
-		t.Fatalf("save over v1 tier: %v", err)
-	}
-	if got := NewCache(v1dir).Open(testKey()).Len(); got != 1 {
-		t.Fatalf("v1 tier not replaced: %d units", got)
+	if c.Open(testKey()).Get(0x1000) == nil {
+		t.Fatal("original key lost its unit")
 	}
 }
 
-// TestInvalidationRenamedFile: even a file hand-renamed to another key's
-// name is rejected by the header check.
-func TestInvalidationRenamedFile(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCache(dir)
+// TestEvictionUnitCap: the clock keeps the cache under MaxUnits.
+func TestEvictionUnitCap(t *testing.T) {
+	c := NewCacheOpts(Options{MaxUnits: 10})
 	st := c.Open(testKey())
-	st.Put(sampleUnit(t, 0x1000))
-	if err := c.Save(); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	other := testKey()
-	other.Image = "fedcba"
-	if err := os.Rename(fileName(dir, testKey()), fileName(dir, other)); err != nil {
-		t.Fatal(err)
-	}
-	if got := NewCache(dir).Open(other).Len(); got != 0 {
-		t.Fatalf("renamed tier served %d stale units", got)
-	}
-}
-
-// TestTornTail: a truncated file (killed writer) warm-starts with the
-// intact prefix and drops the torn frame.
-func TestTornTail(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCache(dir)
-	st := c.Open(testKey())
-	for i := uint64(0); i < 4; i++ {
+	for i := uint64(0); i < 30; i++ {
 		st.Put(sampleUnit(t, 0x1000+i*64))
+		if got := c.totalUnits.Load(); got > 10 {
+			t.Fatalf("after put %d: %d units cached, cap 10", i, got)
+		}
 	}
-	if err := c.Save(); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	path := fileName(dir, testKey())
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-3], 0o600); err != nil {
-		t.Fatal(err)
-	}
-	got := NewCache(dir).Open(testKey()).Len()
-	if got != 3 {
-		t.Fatalf("torn tail recovered %d units, want 3", got)
-	}
-	// Flipping a byte inside a frame drops that frame and the rest.
-	mid := len(fileMagic) + 40
-	data[mid] ^= 0xff
-	if err := os.WriteFile(path, data, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if got := NewCache(dir).Open(testKey()).Len(); got >= 4 {
-		t.Fatalf("corrupt frame not dropped: %d units", got)
+	if got := st.Stats().Evictions; got == 0 {
+		t.Fatal("no evictions under a 10-unit cap with 30 puts")
 	}
 }
 
-// TestSaveSkipsUngrown: Save rewrites only stores that grew since the last
-// save, so a warm run that translates nothing does not touch the disk.
-func TestSaveSkipsUngrown(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCache(dir)
+// TestEvictionByteCap: same, against MaxBytes, and Stats reports bytes.
+func TestEvictionByteCap(t *testing.T) {
+	unitSize := sizeOf(sampleUnit(t, 0x1000))
+	cap := unitSize * 8
+	c := NewCacheOpts(Options{MaxBytes: cap})
 	st := c.Open(testKey())
-	st.Put(sampleUnit(t, 0x1000))
-	if err := c.Save(); err != nil {
-		t.Fatal(err)
-	}
-	path := fileName(dir, testKey())
-	before, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewCache(dir)
-	_ = c2.Open(testKey())
-	if err := c2.Save(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !after.ModTime().Equal(before.ModTime()) {
-		t.Fatalf("ungrown store was rewritten")
-	}
-	// No temp litter either way (the persistent .lock companion is part of
-	// the cross-process protocol, not litter).
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		if e.Name() != filepath.Base(path) && filepath.Ext(e.Name()) != ".lock" {
-			t.Fatalf("unexpected file %s", e.Name())
+	for i := uint64(0); i < 40; i++ {
+		st.Put(sampleUnit(t, 0x1000+i*64))
+		if got := c.bytes.Load(); got > cap {
+			t.Fatalf("after put %d: %d bytes cached, cap %d", i, got, cap)
 		}
+	}
+	cs := c.Stats()
+	if cs.Evictions == 0 || cs.Bytes == 0 {
+		t.Fatalf("byte-capped cache stats: %+v", cs)
+	}
+}
+
+// TestEvictionSparesAdopted: the second-chance bit — units adopted since
+// the hand's last visit survive a sweep that claims cold ones.
+func TestEvictionSparesAdopted(t *testing.T) {
+	c := NewCacheOpts(Options{MaxUnits: 8})
+	st := c.Open(testKey())
+	hot := uint64(0x1000)
+	for i := uint64(0); i < 20; i++ {
+		st.Put(sampleUnit(t, 0x1000+i*64))
+		st.Get(hot) // keep the first unit continuously adopted
+	}
+	if st.Get(hot) == nil {
+		t.Fatal("continuously adopted unit was evicted")
 	}
 }
 

@@ -209,9 +209,7 @@ type UOp struct {
 	Wd   uint8
 	// Op is the IR operation a binop or unop micro-op was lowered from. The
 	// engine never reads it (Fn/Fn1 are pre-bound); the peephole fuser uses
-	// it to recognize address arithmetic (func values are not comparable),
-	// and the translation store's decoder uses it to re-bind Fn/Fn1 from the
-	// op tables after deserialization. Every op-table micro-op must carry it.
+	// it to recognize address arithmetic (func values are not comparable).
 	Op       Op
 	Dst      uint32
 	A, B     uint32
@@ -227,9 +225,9 @@ type DirtyOp struct {
 	Name string
 	Fn   DirtyFn
 	Args []CArg
-	// Meta carries the helper's serializable parameters from the source
-	// Stmt, so a deserialized or cross-core-adopted block can re-bind an
-	// equivalent helper (the closure in Fn is bound to one core).
+	// Meta carries the helper's parameters from the source Stmt, so a
+	// cross-core-adopted block can re-bind an equivalent helper (the
+	// closure in Fn is bound to one core).
 	Meta []uint64
 	// Tmp is the result temp; HasTmp false means the result is dropped.
 	Tmp    uint32

@@ -33,7 +33,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -502,235 +501,12 @@ func TestWarmStoreE2ERegression(t *testing.T) {
 	}
 }
 
-// tstoreArm is one translation-store configuration under measurement in
-// BenchmarkTStoreContention. Wall time is measured from cache construction
-// through run completion, so the disk arms pay their scan-and-merge startup
-// inside the figure — that startup cost is exactly what the cross-process
-// tier must keep negligible.
-type tstoreArm struct {
-	Name          string  `json:"name"`
-	Runs          int     `json:"runs"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	Translations  uint64  `json:"translations"`
-	SharedHits    uint64  `json:"shared_hits"`
-	Merged        uint64  `json:"merged_frames"`
-	LockWaits     uint64  `json:"lock_waits"`
-	SpeedupVsCold float64 `json:"speedup_vs_cold"`
-}
-
-// tstoreSuitePass models one process per image running a `seeds`-seed
-// sweep — the store's design workload (an explore sweep, a daemon's job
-// stream): the cache built by mk (nil = no store) is constructed once per
-// image, pays its persistent-tier scan there, and amortizes it across the
-// sweep. Returns elapsed wall (including cache construction and scan) plus
-// counters.
-func tstoreSuitePass(tb testing.TB, images []*guest.Image, seeds int, mk func() *tstore.Cache) (wall time.Duration, tr, hits uint64, last *tstore.Cache) {
-	tb.Helper()
-	for _, im := range images {
-		runtime.GC()
-		start := time.Now()
-		var cache *tstore.Cache
-		if mk != nil {
-			cache = mk()
-		}
-		for seed := 1; seed <= seeds; seed++ {
-			inst, err := harness.New(harness.Setup{
-				Image: im, Tool: dbi.NopTool{}, Seed: uint64(seed), Threads: 4,
-				Stdout: io.Discard, Engine: dbi.EngineCompiled, TStore: cache,
-			})
-			if err != nil {
-				tb.Fatal(err)
-			}
-			res := inst.Run()
-			if res.Err != nil {
-				tb.Fatal(res.Err)
-			}
-			tr += inst.Core.Translations
-			hits += inst.Core.SharedHits
-		}
-		wall += time.Since(start)
-		last = cache
-	}
-	return wall, tr, hits, last
-}
-
-// BenchmarkTStoreContention compares the store's steady states: cold (no
-// store), warm in one process's memory, warm across processes (every run
-// opens a fresh Cache over a primed directory — the scan-merge startup a
-// second taskgrind or a daemon restart pays), and that same cross-process
-// warm start under flock contention from three concurrent peers. Writes
-// the "tstore" section of $PERF_BENCH_OUT.
-func BenchmarkTStoreContention(b *testing.B) {
-	benches := drb.All()
-	images := make([]*guest.Image, len(benches))
-	for i, bench := range benches {
-		im, err := bench.Build().Link()
-		if err != nil {
-			b.Fatal(err)
-		}
-		images[i] = im
-	}
-
-	// Prime both warm substrates once, untimed.
-	const sweepSeeds = 16
-	memCache := tstore.NewCache("")
-	tstoreSuitePass(b, images, 1, func() *tstore.Cache { return memCache })
-	dir := b.TempDir()
-	seed := tstore.NewCache(dir)
-	tstoreSuitePass(b, images, 1, func() *tstore.Cache { return seed })
-	if err := seed.Save(); err != nil {
-		b.Fatal(err)
-	}
-
-	arms := []*tstoreArm{
-		{Name: "cold"},
-		{Name: "warm-mem"},
-		{Name: "warm-disk"},
-		{Name: "warm-disk-contended"},
-	}
-	done := 0
-	for _, arm := range arms {
-		arm := arm
-		b.Run(arm.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var mk func() *tstore.Cache
-				switch arm.Name {
-				case "warm-mem":
-					mk = func() *tstore.Cache { return memCache }
-				case "warm-disk", "warm-disk-contended":
-					mk = func() *tstore.Cache { return tstore.NewCache(dir) }
-				}
-				if arm.Name == "warm-disk-contended" {
-					// Three peers churn the same directory (run + save)
-					// while the measured pass opens and merges it.
-					stop := make(chan struct{})
-					var wg sync.WaitGroup
-					for p := 0; p < 3; p++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for {
-								select {
-								case <-stop:
-									return
-								default:
-								}
-								_, _, _, c := tstoreSuitePass(b, images[:4], 1, mk)
-								_ = c.Save()
-							}
-						}()
-					}
-					wall, tr, hits, c := tstoreSuitePass(b, images, sweepSeeds, mk)
-					close(stop)
-					wg.Wait()
-					arm.WallSeconds += wall.Seconds()
-					arm.Translations += tr
-					arm.SharedHits += hits
-					cs := c.Stats()
-					arm.Merged += cs.Merged
-					arm.LockWaits += cs.LockWaits
-				} else {
-					wall, tr, hits, c := tstoreSuitePass(b, images, sweepSeeds, mk)
-					arm.WallSeconds += wall.Seconds()
-					arm.Translations += tr
-					arm.SharedHits += hits
-					if c != nil {
-						cs := c.Stats()
-						arm.Merged += cs.Merged
-						arm.LockWaits += cs.LockWaits
-					}
-				}
-				arm.Runs += len(images) * sweepSeeds
-			}
-			b.ReportMetric(arm.WallSeconds/float64(b.N), "suite-sec")
-			done++
-		})
-	}
-	if done < len(arms) {
-		return
-	}
-	cold := arms[0]
-	for _, arm := range arms {
-		arm.SpeedupVsCold = cold.WallSeconds / float64(cold.Runs) /
-			(arm.WallSeconds / float64(arm.Runs))
-	}
-	writePerfSection(b, "tstore", struct {
-		Suite     string       `json:"suite"`
-		Criterion string       `json:"criterion"`
-		Timestamp string       `json:"timestamp"`
-		Arms      []*tstoreArm `json:"arms"`
-	}{
-		Suite: "table1-drb",
-		Criterion: "each arm runs a 16-seed sweep per image; " +
-			"wall_seconds includes cache construction and the " +
-			"persistent tier's scan-merge startup. warm-disk opens a " +
-			"fresh Cache over a primed directory per image sweep — the " +
-			"second process / daemon-restart path — and must stay " +
-			"within 1.2x of warm-mem (gated by " +
-			"TestWarmCrossProcessRegression); warm-disk-contended adds " +
-			"three concurrent save/merge peers on the same directory " +
-			"to price the flock protocol.",
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Arms:      arms,
-	})
-}
-
-// TestWarmCrossProcessRegression (PERF_GUARD=1) is the cross-process
-// startup gate, measured at the store's design granularity — one process
-// per image running a 16-seed sweep (the explore-sweep / daemon-job-stream
-// shape): a fresh process that warm-starts from the persistent tier (fresh
-// Cache over a primed directory — flock, read, CRC-verify, decode and
-// merge all inside the measured wall) must complete the sweep in at most
-// 1.2x the time of a process already warm in local memory, best of three.
-// If the locked append protocol or the scan path regresses into a startup
-// tax that a sweep can no longer amortize, this fails `make check` before
-// any user feels it.
-func TestWarmCrossProcessRegression(t *testing.T) {
-	if os.Getenv("PERF_GUARD") != "1" {
-		t.Skip("set PERF_GUARD=1 to run the cross-process warm gate")
-	}
-	const sweepSeeds = 16
-	benches := drb.All()
-	images := make([]*guest.Image, len(benches))
-	for i, bench := range benches {
-		im, err := bench.Build().Link()
-		if err != nil {
-			t.Fatal(err)
-		}
-		images[i] = im
-	}
-	memCache := tstore.NewCache("")
-	tstoreSuitePass(t, images, 1, func() *tstore.Cache { return memCache })
-	dir := t.TempDir()
-	seed := tstore.NewCache(dir)
-	tstoreSuitePass(t, images, 1, func() *tstore.Cache { return seed })
-	if err := seed.Save(); err != nil {
-		t.Fatal(err)
-	}
-	best := 0.0
-	for i := 0; i < 3; i++ {
-		mem, _, _, _ := tstoreSuitePass(t, images, sweepSeeds, func() *tstore.Cache { return memCache })
-		disk, _, diskHits, _ := tstoreSuitePass(t, images, sweepSeeds, func() *tstore.Cache { return tstore.NewCache(dir) })
-		if diskHits == 0 {
-			t.Fatal("disk-warm pass adopted nothing — tier not loading")
-		}
-		if r := disk.Seconds() / mem.Seconds(); best == 0 || r < best {
-			best = r
-		}
-	}
-	t.Logf("cross-process warm sweep: %.2fx single-process warm (gate 1.2x)", best)
-	if best > 1.2 {
-		t.Errorf("cross-process warm sweep costs %.2fx single-process warm, want <= 1.2x", best)
-	}
-}
-
 // perfSections are the top-level keys of $PERF_BENCH_OUT. The file is shared
 // by BenchmarkPerfEngines ("engines"), BenchmarkRobustness ("robustness"),
-// BenchmarkRecording ("recording"), BenchmarkServe ("serve"),
-// BenchmarkLockContention ("locks") and BenchmarkTStoreContention
-// ("tstore"); each benchmark rewrites only its own section so they can be
-// (re)recorded independently.
-var perfSections = []string{"engines", "robustness", "recording", "serve", "locks", "tstore"}
+// BenchmarkRecording ("recording"), BenchmarkServe ("serve") and
+// BenchmarkLockContention ("locks"); each benchmark rewrites only its own
+// section so they can be (re)recorded independently.
+var perfSections = []string{"engines", "robustness", "recording", "serve", "locks"}
 
 // writePerfSection read-modify-writes one section of $PERF_BENCH_OUT,
 // preserving the other sections. A legacy flat-format file (pre-sections) is

@@ -1,11 +1,11 @@
 package repro
 
 // Cache-equivalence differential suite for the translation store: a run
-// that resolves its translations from the shared store — warm in memory or
-// warm from the persistent tier — must be bit-identical to a cold run that
-// translates everything itself. "Bit-identical" is the resume-fuzz oracle: the
-// rendered tool report, guest stdout, the full guest memory hash, the
-// machine state digest, exit code and the deterministic work counters.
+// that resolves its translations from the shared store must be
+// bit-identical to a cold run that translates everything itself.
+// "Bit-identical" is the resume-fuzz oracle: the rendered tool report,
+// guest stdout, the full guest memory hash, the machine state digest, exit
+// code and the deterministic work counters.
 // Translation-side counters (Translations, SharedHits, translate/compile
 // nanos, instrument-time tallies) legitimately differ — they measure where
 // the translation happened, which is exactly what the store changes.
@@ -14,13 +14,11 @@ import (
 	"bytes"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dbi"
 	"repro/internal/drb"
 	"repro/internal/explore"
-	"repro/internal/faultinject"
 	"repro/internal/harness"
 	"repro/internal/progs"
 	"repro/internal/tstore"
@@ -94,7 +92,7 @@ func diffPrints(t *testing.T, label string, cold, got runPrint) {
 }
 
 // TestStoreEquivalence: for every Table I (DataRaceBench) program, a cold
-// run and the three store-served run shapes produce bit-identical results,
+// run and the two store-served run shapes produce bit-identical results,
 // and the IR oracle, given the warm store, attaches none of it.
 func TestStoreEquivalence(t *testing.T) {
 	benches := drb.All()
@@ -105,7 +103,7 @@ func TestStoreEquivalence(t *testing.T) {
 		cold, _ := tcRun(t, bm, harness.Setup{})
 
 		// Shared-cold: a fresh store changes nothing but gets filled.
-		cache := tstore.NewCache(t.TempDir())
+		cache := tstore.NewCache("")
 		fill, fillInst := tcRun(t, bm, harness.Setup{TStore: cache})
 		diffPrints(t, bm.Name+"/shared-cold", cold, fill)
 		if fillInst.Core.SharedHits != 0 {
@@ -122,18 +120,6 @@ func TestStoreEquivalence(t *testing.T) {
 		}
 		if warmInst.Core.SharedHits == 0 {
 			t.Fatalf("%s: warm run adopted nothing", bm.Name)
-		}
-
-		// Disk warm: persist, reopen from the directory, run again.
-		if err := cache.Save(); err != nil {
-			t.Fatalf("%s: save: %v", bm.Name, err)
-		}
-		disk, diskInst := tcRun(t, bm,
-			harness.Setup{TStore: tstore.NewCache(cache.Dir())})
-		diffPrints(t, bm.Name+"/disk-warm", cold, disk)
-		if diskInst.Core.Translations != 0 {
-			t.Fatalf("%s: disk-warm run still translated %d blocks",
-				bm.Name, diskInst.Core.Translations)
 		}
 
 		ir, irInst := tcRun(t, bm, harness.Setup{TStore: cache, Engine: dbi.EngineIR})
@@ -179,8 +165,8 @@ func TestStoreEquivalenceCrash(t *testing.T) {
 }
 
 // TestStoreInvalidationHarness: two different programs sharing one cache
-// directory never serve each other's translations — the image content hash
-// keys them apart end to end.
+// never serve each other's translations — the image content hash keys them
+// apart end to end.
 func TestStoreInvalidationHarness(t *testing.T) {
 	a, ok := drb.ByName("072-taskdep1-orig")
 	if !ok {
@@ -190,33 +176,29 @@ func TestStoreInvalidationHarness(t *testing.T) {
 	if !ok {
 		t.Fatal("missing benchmark")
 	}
-	dir := t.TempDir()
-	cache := tstore.NewCache(dir)
+	cache := tstore.NewCache("")
 	_, _ = tcRun(t, a, harness.Setup{TStore: cache})
-	if err := cache.Save(); err != nil {
-		t.Fatal(err)
-	}
-	// Program B against A's directory: nothing adopted, everything fresh.
-	_, bInst := tcRun(t, b,
-		harness.Setup{TStore: tstore.NewCache(dir)})
+	// Program B against A's cache: nothing adopted, everything fresh.
+	_, bInst := tcRun(t, b, harness.Setup{TStore: cache})
 	if bInst.Core.SharedHits != 0 {
 		t.Fatalf("program B adopted %d of program A's translations", bInst.Core.SharedHits)
 	}
 	if bInst.Core.Translations == 0 {
 		t.Fatalf("program B translated nothing")
 	}
-	// And A's tier still serves A.
-	_, aInst := tcRun(t, a,
-		harness.Setup{TStore: tstore.NewCache(dir)})
+	// And the cache still serves A.
+	_, aInst := tcRun(t, a, harness.Setup{TStore: cache})
 	if aInst.Core.Translations != 0 {
-		t.Fatalf("program A's tier went cold: %d translations", aInst.Core.Translations)
+		t.Fatalf("program A's store went cold: %d translations", aInst.Core.Translations)
 	}
 }
 
 // TestStoreConcurrentWorkers: 16 workers run the same program against one
 // shared store concurrently (exercised under -race by make check); every
 // outcome matches the cold fingerprint and the store performs roughly one
-// run's worth of translation work.
+// run's worth of translation work. A second arm runs the same workers
+// against a store capped at a quarter of the image's units: eviction may
+// make them translate again, but never changes what they compute.
 func TestStoreConcurrentWorkers(t *testing.T) {
 	bm, ok := drb.ByName("072-taskdep1-orig")
 	if !ok {
@@ -225,21 +207,25 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 	cold, coldInst := tcRun(t, bm, harness.Setup{})
 	solo := coldInst.Core.Translations
 
+	runWorkers := func(label string, cache *tstore.Cache) {
+		const workers = 16
+		prints := make([]runPrint, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				prints[w], _ = tcRun(t, bm, harness.Setup{TStore: cache})
+			}(w)
+		}
+		wg.Wait()
+		for w := 0; w < workers; w++ {
+			diffPrints(t, label, cold, prints[w])
+		}
+	}
+
 	cache := tstore.NewCache("")
-	const workers = 16
-	prints := make([]runPrint, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			prints[w], _ = tcRun(t, bm, harness.Setup{TStore: cache})
-		}(w)
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		diffPrints(t, "worker", cold, prints[w])
-	}
+	runWorkers("worker", cache)
 	stats := cache.Stats()
 	// First-writer-wins means a block can be translated by several racing
 	// workers, but the store only ever keeps (and counts) one; the total
@@ -250,60 +236,12 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 	if stats.Hits == 0 {
 		t.Fatalf("no worker adopted anything")
 	}
-}
 
-// TestStoreEquivalenceStorageFaults: every injected storage fault kind,
-// firing on every opportunity, across {cold, disk-warm} store shapes,
-// yields results bit-identical to the clean cold run. This is the
-// degradation invariant end to end: a broken disk, a full disk, bit rot or
-// a starved lock can slow a run down (it translates cold), but can never
-// change what it computes or reports.
-func TestStoreEquivalenceStorageFaults(t *testing.T) {
-	bm, ok := drb.ByName("072-taskdep1-orig")
-	if !ok {
-		t.Fatal("missing benchmark")
-	}
-	kinds := []struct {
-		kind faultinject.Kind
-		name string
-	}{
-		{faultinject.StoreReadErr, "tsread"},
-		{faultinject.StoreWriteErr, "tswrite"},
-		{faultinject.StoreNoSpace, "tsnospc"},
-		{faultinject.StoreShortWrite, "tsshort"},
-		{faultinject.StoreBitFlip, "tsflip"},
-		{faultinject.StoreLockTimeout, "tslock"},
-	}
-	cold, _ := tcRun(t, bm, harness.Setup{})
-	for _, k := range kinds {
-		faultCache := func(dir string) *tstore.Cache {
-			in := faultinject.New(11)
-			in.Enable(k.kind, 1)
-			return tstore.NewCacheOpts(tstore.Options{
-				Dir: dir, FS: &tstore.FaultFS{In: in},
-				LockTimeout: 10 * time.Millisecond,
-			})
-		}
-
-		// Cold against a faulty directory-backed cache: every disk op
-		// fails, the run translates everything itself.
-		coldFault, _ := tcRun(t, bm, harness.Setup{TStore: faultCache(t.TempDir())})
-		diffPrints(t, bm.Name+"/"+k.name+"/cold", cold, coldFault)
-
-		// Disk-warm: a clean run persists the tier first; the faulty cache
-		// then fails (partially or totally) to read it back. The run must
-		// land cold-or-warm but always identical.
-		dir := t.TempDir()
-		seedCache := tstore.NewCache(dir)
-		_, _ = tcRun(t, bm, harness.Setup{TStore: seedCache})
-		if err := seedCache.Save(); err != nil {
-			t.Fatalf("seed save: %v", err)
-		}
-		warmFault, warmInst := tcRun(t, bm, harness.Setup{TStore: faultCache(dir)})
-		diffPrints(t, bm.Name+"/"+k.name+"/disk-warm", cold, warmFault)
-		if warmInst.Core.Translations == 0 && warmInst.Core.SharedHits == 0 {
-			t.Fatalf("%s: run neither translated nor adopted", k.name)
-		}
+	maxUnits := int64(solo / 4)
+	capped := tstore.NewCacheOpts(tstore.Options{MaxUnits: maxUnits})
+	runWorkers("capped worker", capped)
+	if cs := capped.Stats(); cs.Evictions == 0 || int64(cs.Units) > maxUnits {
+		t.Fatalf("store capped at %d units: %+v", maxUnits, cs)
 	}
 }
 
