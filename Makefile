@@ -2,14 +2,15 @@ GO ?= go
 
 .PHONY: check vet build test race replay-determinism tstore-equiv lock-matrix bench-obs bench-perf bench-perf-smoke bench-rec bench-serve bench-smoke loadtest perf-guard query-smoke fuzz clean
 
-# The full gate: vet, build, tests under the race detector, the
-# replay-determinism gate, the translation-store equivalence gate, the
-# fuzzer smoke runs, both benchmark smoke runs (BENCH_obs.json;
-# bench-perf-smoke does not overwrite the recorded BENCH_perf.json), the
-# record-and-query smoke, the daemon load + chaos-soak tests, the six-tool
-# lock verdict-matrix gate, the benchmark-module smoke, and the hot-path +
-# journal-overhead + recording-overhead + serve-throughput + warm-store
-# regression guards against the recorded baseline.
+# The full gate, in target order: vet (with the gofmt check), build, the
+# tests under the race detector, the replay-determinism gate, the
+# translation-store equivalence gate, the six-tool lock verdict-matrix
+# gate, the fuzzer smoke runs, one iteration of the observability
+# benchmark (writes BENCH_obs.json), one iteration of the root benchmarks
+# (does not overwrite the recorded BENCH_perf.json), the benchmark-module
+# smoke, the record-and-query smoke, the daemon load test and chaos soak,
+# and the hot-path, journal-overhead, recording-overhead, serve-throughput
+# and warm-store regression guards against the recorded baseline.
 check: vet build race replay-determinism tstore-equiv lock-matrix fuzz bench-obs bench-perf-smoke bench-smoke query-smoke loadtest perf-guard
 
 # vet also fails when gofmt would rewrite any tracked Go file.
@@ -29,14 +30,16 @@ race:
 
 # Replay-determinism gate: journal-verified resume fuzz over the Table I
 # programs, at random state-mark cadences, on the compiled engine and its IR
-# oracle; two runs recording one mark stream; the supervisor's
-# crash-reproduction and fallback paths; the CLI's byte-for-byte -replay
-# round trip, one replay token per configuration across the CLI, the daemon
-# and explore sweeps, and daemon job output byte-identical to an
-# independent run's. Fresh run (-count=1) so the gate never passes on a
-# cached result.
+# oracle; two runs recording one mark stream; the journal's record, verify
+# and divergence checks; the supervisor's clean pass-through,
+# crash-reproduction and fallback paths, and its replay against a foreign
+# schedule; the CLI's byte-for-byte -replay round trip, its refusal of
+# tokens naming retired settings and its -on-panic=fallback report; one
+# replay token per configuration across the CLI, the daemon and explore
+# sweeps; and daemon job output byte-identical to an independent run's.
+# Fresh run (-count=1) so the gate never passes on a cached result.
 replay-determinism:
-	$(GO) test -count=1 -run 'TestCheckpointResume|TestCheckpointStreamsDeterministic|TestSupervisor|TestBisect|TestSupervisedReplay|TestJournal' ./internal/harness ./internal/vm ./internal/snapshot
+	$(GO) test -count=1 -run 'TestCheckpointResume|TestCheckpointStreamsDeterministic|TestSupervisor|TestSupervisedReplay|TestJournal' ./internal/harness ./internal/vm ./internal/snapshot
 	$(GO) test -count=1 -run 'TestReplayToken|TestOnPanicFallback|TestTokenIdentity' ./cmd/taskgrind
 	$(GO) test -count=1 -run 'TestFrontEndParity' ./internal/serve
 
@@ -112,11 +115,14 @@ bench-rec:
 bench-serve:
 	PERF_BENCH_OUT=BENCH_perf.json $(GO) test -run '^$$' -bench 'BenchmarkServe' -benchtime 3x .
 
-# Daemon robustness under load: the pure-volume load test (thousands of
-# small jobs; LOADTEST=1 raises the volume) and the chaos soak (hundreds of
-# concurrent fault-injected jobs; the daemon must stay healthy, classify
-# every failure with a replay token, and reproduce crashes byte-for-byte on
-# token re-submission). Fresh run (-count=1) so the gate never passes on a
+# Daemon robustness under load: the pure-volume load test (LOADTEST=1 runs
+# 2,000 small task.c jobs through 8 workers and a 64-deep queue, all of
+# which must end done) and the chaos soak (600 jobs from 24 concurrent HTTP
+# submitters, a mix of healthy runs, guest faults, injected faults and
+# watchdog trips: every job runs once, the daemon stays healthy, every
+# failure is classified with a replay token, token re-submission
+# reproduces crashes byte for byte, and cancel and drain finish within
+# their deadlines). Fresh run (-count=1) so the gate never passes on a
 # cached result.
 loadtest:
 	LOADTEST=1 $(GO) test -count=1 -run 'TestServeLoad' .

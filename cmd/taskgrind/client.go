@@ -69,7 +69,6 @@ func runSubmit(args []string, w io.Writer) int {
 		maxBlocks  = fs.Uint64("max-blocks", 0, "watchdog block budget")
 		maxInstrs  = fs.Uint64("max-instrs", 0, "watchdog instruction budget")
 		supervised = fs.Bool("supervised", false, "replay-verify crashes; degrade host panics to the IR oracle")
-		retries    = fs.Int("retries", 0, "transient-failure retries (0 = daemon default, -1 disables)")
 		wait       = fs.Bool("wait", false, "poll until terminal; exit with the taxonomy exit code")
 		interval   = fs.Duration("poll", 100*time.Millisecond, "poll interval for -wait")
 		ls         = fs.Int("s", 0, "lulesh: mesh size")
@@ -86,10 +85,8 @@ func runSubmit(args []string, w io.Writer) int {
 	} else {
 		sp := serve.JobSpec{
 			Prog: *prog, Tool: *tool, Seed: *seed, Seeds: *seeds,
-			Threads: *threads, Inject: *inject, Lenient: *lenient,
-			MaxBlocks: *maxBlocks, MaxInstrs: *maxInstrs,
-			TimeoutMS:  int64(*timeout / time.Millisecond),
-			Supervised: *supervised, MaxRetries: *retries,
+			Threads: *threads, Inject: *inject, Lenient: *lenient, Supervised: *supervised,
+			MaxBlocks: *maxBlocks, MaxInstrs: *maxInstrs, TimeoutMS: int64(*timeout / time.Millisecond),
 			LSize: *ls, LIters: *li, LTasksEl: *ltel, LTasksNd: *ltnl, LRacy: *lracy,
 		}
 		if *inject != "" {

@@ -73,6 +73,27 @@ func TestDaemonRejectsBadCaps(t *testing.T) {
 	}
 }
 
+// TestRetiredRetryFlags: the daemon no longer retries jobs, so its retry
+// budget and backoff-jitter seed flags and the client's per-job retry
+// budget are gone, and passing one is a usage error naming it.
+func TestRetiredRetryFlags(t *testing.T) {
+	daemon, cli := buildDaemon(t), buildCLI(t)
+	for _, c := range []struct {
+		bin  string
+		args []string
+	}{
+		{daemon, []string{"-addr", "127.0.0.1:99999", "-retries", "2"}},
+		{daemon, []string{"-addr", "127.0.0.1:99999", "-seed", "3"}},
+		{cli, []string{"submit", "-addr", "http://127.0.0.1:99999", "-retries", "1"}},
+	} {
+		flag := c.args[len(c.args)-2]
+		out, code := runCLI(t, c.bin, c.args...)
+		if code != 2 || !strings.Contains(out, flag) {
+			t.Fatalf("%s %v: exit %d, want 2 naming %s\n%s", filepath.Base(c.bin), c.args, code, flag, out)
+		}
+	}
+}
+
 // startDaemon launches taskgrindd on a free loopback port and waits for
 // /healthz.
 func startDaemon(t *testing.T, bin string, extra ...string) (*exec.Cmd, string) {

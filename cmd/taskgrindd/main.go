@@ -38,14 +38,12 @@ func main() {
 		addr           = flag.String("addr", ":8080", "listen address")
 		workers        = flag.Int("workers", 4, "concurrent analysis workers")
 		queue          = flag.Int("queue", 64, "admission queue depth (submissions beyond it are shed with 429)")
-		retries        = flag.Int("retries", 2, "default automatic retries for transient (panic/timeout) failures")
 		jobTimeout     = flag.Duration("job-timeout", 30*time.Second, "default per-job wall budget")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain wait for in-flight jobs")
 		statePath      = flag.String("state", "", "persist still-queued jobs here at drain; resume them on start")
 		recordDir      = flag.String("record", "", "append every job's run to this run-store directory (query with `taskgrind query`)")
 		tcacheMaxMB    = flag.Int64("tcache-max-mb", 0, "translation store cap in MiB of host memory held by cached code (0 = unbounded); clock eviction keeps the cache under it")
 		tcacheMaxUnits = flag.Int64("tcache-max-units", 0, "translation store unit cap (0 = unbounded); clock eviction keeps the cache under it")
-		seed           = flag.Uint64("seed", 1, "retry backoff jitter seed")
 		verbose        = flag.Bool("v", false, "print the metrics snapshot after drain")
 	)
 	flag.Parse()
@@ -66,9 +64,9 @@ func main() {
 		defer rec.Close()
 	}
 	srv := serve.New(serve.Options{
-		Workers: *workers, QueueDepth: *queue, MaxRetries: *retries,
+		Workers: *workers, QueueDepth: *queue,
 		JobTimeout: *jobTimeout, DrainTimeout: *drainTimeout,
-		StatePath: *statePath, Record: rec, Seed: *seed,
+		StatePath: *statePath, Record: rec,
 		TCache: tstore.NewCacheOpts(tstore.Options{
 			MaxBytes: *tcacheMaxMB << 20,
 			MaxUnits: *tcacheMaxUnits,

@@ -59,9 +59,6 @@ type Spec struct {
 	// (Execution.Reproduced), and a host panic degrades to the IR oracle
 	// instead of failing the run.
 	Supervised bool `json:"supervised,omitempty"`
-	// MaxRetries bounds a daemon job's automatic retries of transient
-	// failures; -1 disables retries, 0 uses the server default.
-	MaxRetries int `json:"max_retries,omitempty"`
 }
 
 // Normalize fills defaulted fields in place — the CLI's flag defaults — so
@@ -110,9 +107,6 @@ func (sp *Spec) Validate() error {
 	}
 	if _, err := faultinject.ParseSpec(sp.Inject, sp.InjectSeed); err != nil {
 		return err
-	}
-	if sp.MaxRetries < -1 {
-		return fmt.Errorf("explore: max_retries %d out of range (-1 disables)", sp.MaxRetries)
 	}
 	return nil
 }

@@ -232,42 +232,3 @@ func markWindow(rec *snapshot.Journal, v *snapshot.Journal, failSlice uint64) [2
 	}
 	return [2]uint64{lo, failSlice}
 }
-
-// BisectDivergence re-runs the configured engine against the IR oracle with
-// a state mark every slice, returning the minimal
-// [last-agreeing-slice, first-diverging-slice] window (ok=false when the two
-// engines agree everywhere, i.e. the failure is not a divergence). It is the
-// slow, precise follow-up to the markEvery-granular window Supervise
-// reports.
-func BisectDivergence(factory SetupFactory) (window [2]uint64, ok bool, err error) {
-	ref := snapshot.NewJournal()
-	ref.MarkEvery = 1
-	inst, err := buildSupervised(factory, ref, "")
-	if err != nil {
-		return window, false, err
-	}
-	refRes := inst.Run()
-
-	v := ref.Verifier(true)
-	oracle, err := buildSupervised(factory, v, dbi.EngineIR)
-	if err != nil {
-		return window, false, err
-	}
-	ores := oracle.Run()
-	_ = ores
-	if d := v.Err(); d != nil {
-		return markWindow(ref, v, d.Slice), true, nil
-	}
-	if refRes.Err != nil && ores.Err == nil {
-		// No state divergence, but the configured engine died where the
-		// oracle survives (e.g. an injected engine panic): the minimal
-		// window is the failing slice itself.
-		fail := inst.M.Slices
-		var lo uint64
-		if fail > 0 {
-			lo = fail - 1
-		}
-		return [2]uint64{lo, fail}, true, nil
-	}
-	return window, false, nil
-}

@@ -146,36 +146,6 @@ func TestSupervisorVerifyCrashReproduces(t *testing.T) {
 	}
 }
 
-// TestBisectDivergence narrows an injected engine panic to a single-slice
-// window with a state mark every slice.
-func TestBisectDivergence(t *testing.T) {
-	im := linkOrFatal(t, 11)
-	inject := func() *faultinject.Injector {
-		in := faultinject.New(7)
-		in.Enable(faultinject.EnginePanic, 40)
-		return in
-	}
-	window, ok, err := harness.BisectDivergence(taskFactory(im, inject))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("bisect found no divergence for an injected engine panic")
-	}
-	if window[1] <= window[0] {
-		t.Fatalf("degenerate window %v", window)
-	}
-
-	// Two agreeing engines: no divergence to find.
-	_, ok, err = harness.BisectDivergence(taskFactory(im, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("bisect reported divergence on agreeing engines")
-	}
-}
-
 // TestSupervisedReplayDetectsForeignSchedule: verifying a journal against a
 // run with a different seed reports a divergence instead of silently
 // accepting it.

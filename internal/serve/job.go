@@ -3,12 +3,13 @@
 // seed range + fault injection + budgets), runs them on a bounded
 // worker pool, and is robust by construction — per-job isolation through
 // the harness supervisor, bounded-queue admission control that sheds load
-// instead of growing without bound, automatic retry with exponential
-// backoff + jitter for transient failures, context-based cancellation that
+// instead of growing without bound, context-based cancellation that
 // interrupts a running guest within one timeslice, and graceful drain that
-// persists queued work. A guest fault, host panic, watchdog trip or
-// deadlock inside a job is classified, optionally verified by replay, and
-// reported as that job's *result*; the server never dies with it.
+// persists queued work. A job runs once: a run is a pure function of its
+// spec, so running it again would repeat its result. A guest fault, host
+// panic, watchdog trip or deadlock inside a job is classified, optionally
+// verified by replay, and reported as that job's *result*; the server
+// never dies with it.
 //
 // cmd/taskgrindd wraps this package in an HTTP/JSON binary; the HTTP
 // surface itself lives here (Handler) so tests and benchmarks drive the
@@ -37,14 +38,11 @@ const (
 	StatusQueued Status = "queued"
 	// StatusRunning: a worker is executing the job.
 	StatusRunning Status = "running"
-	// StatusRetryWait: a transient failure is backing off before re-entering
-	// the queue.
-	StatusRetryWait Status = "retry-wait"
 	// StatusDone: terminal, the analysis completed (reports may be > 0).
 	StatusDone Status = "done"
-	// StatusFailed: terminal, the final attempt ended in a classified
-	// failure; Result.Verdict carries the taxonomy and Result.ReplayToken
-	// reproduces it.
+	// StatusFailed: terminal, the run ended in a classified failure;
+	// Result.Verdict carries the taxonomy and Result.ReplayToken reproduces
+	// it.
 	StatusFailed Status = "failed"
 	// StatusCanceled: terminal, canceled while queued or interrupted while
 	// running.
@@ -83,13 +81,9 @@ type JobResult struct {
 	// FellBack reports a supervised job that completed under the IR oracle
 	// after the configured engine panicked.
 	FellBack bool `json:"fell_back,omitempty"`
-	// ScheduleSensitive flags a job whose retry attempts produced different
-	// outcomes — the failure depends on something outside the replayable
-	// configuration, so the replay token is the only stable currency.
-	ScheduleSensitive bool `json:"schedule_sensitive,omitempty"`
-	// Attempts counts executions, retries included.
+	// Attempts is always 1: a job runs once.
 	Attempts int `json:"attempts"`
-	// GuestInstrs/WallMS are the surviving attempt's work metrics.
+	// GuestInstrs/WallMS are the run's work metrics.
 	GuestInstrs uint64  `json:"guest_instrs"`
 	WallMS      float64 `json:"wall_ms"`
 }
@@ -103,13 +97,10 @@ type Job struct {
 	Spec  JobSpec
 	Token string
 
-	status    Status
-	attempts  int
-	taxSeen   []string // per-attempt verdicts, for schedule-sensitivity
-	result    *JobResult
-	cancel    func() // non-nil while running
-	canceled  bool   // cancel requested (any state)
-	retryStop *time.Timer
+	status   Status
+	result   *JobResult
+	cancel   func() // non-nil while running
+	canceled bool   // cancel requested (any state)
 
 	submitted time.Time
 	started   time.Time
@@ -133,7 +124,6 @@ type JobView struct {
 	Status      Status     `json:"status"`
 	Spec        JobSpec    `json:"spec"`
 	Token       string     `json:"token"`
-	Attempts    int        `json:"attempts"`
 	QueueWaitMS float64    `json:"queue_wait_ms"`
 	Progress    Progress   `json:"progress"`
 	Result      *JobResult `json:"result,omitempty"`
@@ -145,8 +135,7 @@ type JobView struct {
 // view renders the job; caller holds the server mutex.
 func (j *Job) view() JobView {
 	v := JobView{
-		ID: j.ID, Group: j.Group, Status: j.status, Spec: j.Spec,
-		Token: j.Token, Attempts: j.attempts,
+		ID: j.ID, Group: j.Group, Status: j.status, Spec: j.Spec, Token: j.Token,
 		QueueWaitMS: float64(j.queueWait) / float64(time.Millisecond),
 		Progress: Progress{
 			Blocks: j.progBlocks.Load(),

@@ -1,9 +1,8 @@
 package serve
 
 // The daemon core: bounded job queue with admission control, worker pool,
-// retry with exponential backoff + deterministic jitter, cancellation,
-// graceful drain with queue-state persistence, and the robustness counters
-// published through the obs registry.
+// cancellation, graceful drain with queue-state persistence, and the
+// robustness counters published through the obs registry.
 
 import (
 	"context"
@@ -36,16 +35,9 @@ type Options struct {
 	// Workers bounds concurrently running jobs (default 4).
 	Workers int
 	// QueueDepth bounds admitted-but-not-running jobs (default 64);
-	// submissions beyond it are shed with ErrQueueFull.
+	// submissions beyond it are shed with ErrQueueFull, and a sweep of more
+	// seeds than it holds is refused.
 	QueueDepth int
-	// MaxRetries bounds automatic retries of transient failures per job
-	// (default 2); JobSpec.MaxRetries overrides per job.
-	MaxRetries int
-	// RetryBase is the first backoff delay (default 25ms); each retry
-	// doubles it up to RetryMax (default 2s), plus up to 50% deterministic
-	// jitter.
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// JobTimeout is the default per-job wall budget when the spec carries
 	// none (default 30s). It rides the job's context, so it also bounds
 	// supervised replay/fallback attempts.
@@ -59,12 +51,6 @@ type Options struct {
 	// Record, when set, appends every job's run to the shared columnar
 	// run store (the same store `taskgrind query` reads).
 	Record *store.Writer
-	// Seed drives the backoff jitter PRNG (default 1). Deterministic so
-	// load tests are reproducible.
-	Seed uint64
-	// ProgressEvery is the job progress-tick cadence in timeslices
-	// (default 64).
-	ProgressEvery int
 	// TCache shares one content-addressed translation cache across every
 	// job the daemon runs: repeat jobs on the same program under the same
 	// tool reuse each other's translations. Nil builds an uncapped
@@ -80,26 +66,11 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 2
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 25 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 2 * time.Second
-	}
 	if o.JobTimeout <= 0 {
 		o.JobTimeout = 30 * time.Second
 	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 30 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.ProgressEvery <= 0 {
-		o.ProgressEvery = 64
 	}
 	if o.TCache == nil {
 		o.TCache = tstore.NewCache("")
@@ -121,29 +92,24 @@ type Server struct {
 	groups map[string][]*Job
 	jobSeq int
 	grpSeq int
-	rng    uint64 // backoff jitter PRNG (xorshift64*)
 	parked []JobSpec
 
 	queue    chan *Job
 	workers  sync.WaitGroup
 	inflight sync.WaitGroup
-	retryWG  sync.WaitGroup // pending backoff timers + their re-enqueues
 	started  bool
 	draining atomic.Bool
 
 	// Robustness counters (satellite: published through the obs registry).
 	admitted      atomic.Uint64
 	shed          atomic.Uint64
-	retried       atomic.Uint64
 	quarantined   atomic.Uint64
 	completed     atomic.Uint64
 	canceledJobs  atomic.Uint64
-	schedSens     atomic.Uint64
 	resumed       atomic.Uint64
 	running       atomic.Int64
 	drainNanos    atomic.Int64
 	queueWaitMax  atomic.Int64
-	retriesBusy   atomic.Int64 // retries holding or waiting for a queue slot
 	parkedAtDrain atomic.Uint64
 	stateCorrupt  atomic.Uint64 // corrupt -state files quarantined at start
 }
@@ -158,7 +124,6 @@ func New(opts Options) *Server {
 		cancel: cancel,
 		jobs:   make(map[string]*Job),
 		groups: make(map[string][]*Job),
-		rng:    opts.Seed | 1,
 		queue:  make(chan *Job, opts.QueueDepth),
 	}
 }
@@ -183,46 +148,28 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// jitter draws the next PRNG value (xorshift64*, the vm scheduler's
-// generator) — deterministic backoff jitter for reproducible load tests.
-func (s *Server) jitter() uint64 {
-	x := s.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	s.rng = x
-	return x * 2685821657736338717
-}
-
-// backoffFor computes the attempt'th retry delay: RetryBase doubled per
-// prior retry, capped at RetryMax, plus up to 50% jitter. Caller holds
-// s.mu (the jitter PRNG is mutex-guarded state).
-func (s *Server) backoffFor(attempt int) time.Duration {
-	d := s.opts.RetryBase << uint(attempt-1)
-	if d > s.opts.RetryMax || d <= 0 {
-		d = s.opts.RetryMax
-	}
-	return d + time.Duration(s.jitter()%uint64(d/2+1))
-}
-
 // Submit validates, normalizes and admits a spec. A Seeds>1 spec expands
 // into one job per seed sharing a group; admission is all-or-nothing, so a
-// sweep never half-enters a nearly-full queue. Returns ErrQueueFull (shed;
-// callers should retry later) or ErrDraining.
+// sweep never half-enters a nearly-full queue, and a sweep larger than the
+// whole queue is refused as invalid. Returns ErrQueueFull (shed; callers
+// should retry later) or ErrDraining.
 func (s *Server) Submit(spec JobSpec) ([]*Job, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	n := spec.Seeds
+	if n > cap(s.queue) {
+		return nil, fmt.Errorf("serve: seeds %d exceeds the queue depth %d, so the sweep can never be admitted", n, cap(s.queue))
 	}
 	if s.draining.Load() {
 		return nil, ErrDraining
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := spec.Seeds
-	// Retries claim their slots under s.mu too (requeue), so every send
-	// below finds room.
-	if free := max(0, cap(s.queue)-len(s.queue)-int(s.retriesBusy.Load())); free < n {
+	// Only Submit sends to the queue, under s.mu, so every send below finds
+	// room.
+	if free := cap(s.queue) - len(s.queue); free < n {
 		s.shed.Add(uint64(n))
 		return nil, fmt.Errorf("%w: %d slot(s) free, %d needed", ErrQueueFull, free, n)
 	}
@@ -278,14 +225,6 @@ func (s *Server) worker() {
 func (s *Server) park(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.parkLocked(j)
-}
-
-// parkLocked parks under the caller's lock.
-func (s *Server) parkLocked(j *Job) {
-	if j.status.Terminal() {
-		return
-	}
 	if j.canceled {
 		j.status = StatusCanceled
 		j.finished = time.Now()
@@ -298,9 +237,9 @@ func (s *Server) parkLocked(j *Job) {
 	s.parkedAtDrain.Add(1)
 }
 
-// Cancel stops a job: a queued job is marked and skipped by its worker, a
-// backoff retry is aborted, and a running job's context is canceled — the
-// guest stops within one timeslice.
+// Cancel stops a job: a queued job is marked and skipped by its worker, and
+// a running job's context is canceled — the guest stops within one
+// timeslice.
 func (s *Server) Cancel(id string) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -313,14 +252,6 @@ func (s *Server) Cancel(id string) error {
 		return nil
 	}
 	j.canceled = true
-	if j.retryStop != nil && j.retryStop.Stop() {
-		// The backoff timer will never fire: finalize here.
-		j.retryStop = nil
-		s.retryWG.Done()
-		j.status = StatusCanceled
-		j.finished = time.Now()
-		s.canceledJobs.Add(1)
-	}
 	cancel := j.cancel
 	s.mu.Unlock()
 	if cancel != nil {
@@ -393,17 +324,14 @@ func (s *Server) PublishMetrics(reg *obs.Registry) {
 	}
 	reg.Counter("serve_jobs_admitted_total").Set(s.admitted.Load())
 	reg.Counter("serve_jobs_shed_total").Set(s.shed.Load())
-	reg.Counter("serve_jobs_retried_total").Set(s.retried.Load())
 	reg.Counter("serve_jobs_quarantined_total").Set(s.quarantined.Load())
 	reg.Counter("serve_jobs_completed_total").Set(s.completed.Load())
 	reg.Counter("serve_jobs_canceled_total").Set(s.canceledJobs.Load())
-	reg.Counter("serve_jobs_schedule_sensitive_total").Set(s.schedSens.Load())
 	reg.Counter("serve_jobs_resumed_total").Set(s.resumed.Load())
 	reg.Counter("serve_jobs_parked_total").Set(s.parkedAtDrain.Load())
 	reg.Gauge("serve_queue_depth").Set(float64(len(s.queue)))
 	reg.Gauge("serve_jobs_running").Set(float64(s.running.Load()))
 	reg.Gauge("serve_workers").Set(float64(s.opts.Workers))
-	reg.Gauge("serve_retry_backlog").Set(float64(s.retriesBusy.Load()))
 	reg.Gauge("serve_drain_seconds").Set(float64(s.drainNanos.Load()) / 1e9)
 	reg.Gauge("serve_queue_wait_max_seconds").Set(float64(s.queueWaitMax.Load()) / 1e9)
 	reg.Counter("serve_state_corrupt_total").Set(s.stateCorrupt.Load())
@@ -449,18 +377,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 		break
 	}
-	// Park jobs waiting out a retry backoff: their timers are queued work
-	// too. A timer we lose the race against re-enqueues into the draining
-	// pool and parks itself (requeue checks the flag).
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		if j.retryStop != nil && j.retryStop.Stop() {
-			j.retryStop = nil
-			s.retryWG.Done()
-			s.parkLocked(j)
-		}
-	}
-	s.mu.Unlock()
 	// Wait for in-flight jobs; cancel stragglers at the deadline and wait
 	// again — a canceled guest stops within one timeslice, so this second
 	// wait is short.
@@ -468,9 +384,8 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.cancelRunning()
 		s.waitInflight(nil)
 	}
-	s.cancel() // stops workers and any blocked retry re-enqueues
+	s.cancel() // stops workers
 	s.workers.Wait()
-	s.retryWG.Wait() // in-flight re-enqueues park before state is persisted
 	err := s.persistState()
 	s.drainNanos.Store(int64(time.Since(start)))
 	return err
@@ -483,7 +398,6 @@ func (s *Server) Stop() {
 	s.cancelRunning()
 	s.cancel()
 	s.workers.Wait()
-	s.retryWG.Wait()
 }
 
 // waitInflight waits for running jobs; done aborts the wait (false).
@@ -506,13 +420,6 @@ func (s *Server) cancelRunning() {
 		j.canceled = true
 		if j.cancel != nil {
 			cancels = append(cancels, j.cancel)
-		}
-		if j.retryStop != nil && j.retryStop.Stop() {
-			j.retryStop = nil
-			s.retryWG.Done()
-			j.status = StatusCanceled
-			j.finished = time.Now()
-			s.canceledJobs.Add(1)
 		}
 	}
 	s.mu.Unlock()

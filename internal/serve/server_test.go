@@ -20,16 +20,9 @@ import (
 	"repro/internal/obs/store"
 )
 
-// newTestServer starts a server with test-friendly backoff and stops it at
-// cleanup.
+// newTestServer starts a server and stops it at cleanup.
 func newTestServer(t *testing.T, opts Options) *Server {
 	t.Helper()
-	if opts.RetryBase == 0 {
-		opts.RetryBase = time.Millisecond
-	}
-	if opts.RetryMax == 0 {
-		opts.RetryMax = 5 * time.Millisecond
-	}
 	s := New(opts)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -146,49 +139,125 @@ func TestTokenResubmissionReproduces(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffExhaustion: a deterministic host panic is transient by
-// taxonomy, so it retries with backoff — and fails for good once the retry
-// budget is spent, without ever becoming schedule-sensitive (every attempt
-// failed the same way).
+// TestOneRunPerVerdict: every failure verdict is final on the job's one
+// run. An injected host panic, a block-budget trip, a wall-clock trip and
+// a guest fault each end failed with their taxonomy after one execution,
+// and /metrics carries no retry metric.
+func TestOneRunPerVerdict(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 2})
+	cases := []struct {
+		name string
+		spec JobSpec
+		tax  string
+	}{
+		{"panic", JobSpec{Prog: "task.c", Seed: 2, Inject: "panic=40", InjectSeed: 7}, harness.TaxPanic},
+		{"max_blocks", JobSpec{Prog: "task.c", MaxBlocks: 40}, harness.TaxTimeout},
+		{"timeout_ms", JobSpec{Prog: "lulesh", LIters: 200, TimeoutMS: 2}, harness.TaxTimeout},
+		{"fault", JobSpec{Prog: "wildstore"}, harness.TaxFault},
+	}
+	ids := make([]string, len(cases))
+	for i, c := range cases {
+		jobs, err := s.Submit(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		ids[i] = jobs[0].ID
+	}
+	for i, c := range cases {
+		v := await(t, s, ids[i], 60*time.Second)
+		if v.Status != StatusFailed || v.Result.Verdict != c.tax || v.Result.Attempts != 1 {
+			t.Fatalf("%s: status %s, result %+v; want failed, verdict %s, 1 attempt",
+				c.name, v.Status, v.Result, c.tax)
+		}
+	}
+	if got := s.MetricsSnapshot().Counter("serve_jobs_quarantined_total"); got != uint64(len(cases)) {
+		t.Fatalf("quarantined counter %d, want %d", got, len(cases))
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "serve_jobs_quarantined_total") {
+		t.Fatalf("/metrics lacks the quarantined counter:\n%s", body)
+	}
+	for _, gone := range []string{"serve_jobs_retried_total", "serve_jobs_schedule_sensitive_total", "serve_retry_backlog"} {
+		if strings.Contains(string(body), gone) {
+			t.Fatalf("/metrics still lists %s:\n%s", gone, body)
+		}
+	}
+}
+
+// TestRetryBackoffExhaustion: a deterministic host panic leaves no retry
+// budget to exhaust and no backoff to wait out. The job fails on its one
+// run, and resubmitting its replay token fails the same way with the same
+// crash report, which is all a second run of the job could show.
 func TestRetryBackoffExhaustion(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 2, MaxRetries: 2})
+	s := newTestServer(t, Options{Workers: 2})
 	jobs, err := s.Submit(JobSpec{
 		Prog: "task.c", Seed: 2, Inject: "panic=40", InjectSeed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := await(t, s, jobs[0].ID, 30*time.Second)
-	if v.Status != StatusFailed {
-		t.Fatalf("status %s, want failed", v.Status)
+	v1 := await(t, s, jobs[0].ID, 30*time.Second)
+	if v1.Status != StatusFailed || v1.Result.Verdict != harness.TaxPanic || v1.Result.Attempts != 1 {
+		t.Fatalf("status %s, result %+v; want failed, verdict panic, 1 attempt", v1.Status, v1.Result)
 	}
-	if v.Result.Verdict != harness.TaxPanic {
-		t.Fatalf("verdict %q, want panic", v.Result.Verdict)
+	if v1.Result.Crash == "" {
+		t.Fatal("panicked job carries no crash report")
 	}
-	if v.Result.Attempts != 3 {
-		t.Fatalf("attempts %d, want 3 (1 + 2 retries)", v.Result.Attempts)
-	}
-	if v.Result.ScheduleSensitive {
-		t.Fatal("identical failures flagged schedule-sensitive")
-	}
-	snap := s.MetricsSnapshot()
-	if got := snap.Counter("serve_jobs_retried_total"); got != 2 {
-		t.Fatalf("retried counter %d, want 2", got)
-	}
-}
-
-// TestRetryDisabled: max_retries=-1 fails on the first transient failure.
-func TestRetryDisabled(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
-	jobs, err := s.Submit(JobSpec{
-		Prog: "task.c", Seed: 2, Inject: "panic=40", InjectSeed: 7, MaxRetries: -1,
-	})
+	spec, err := explore.ParseToken(v1.Result.ReplayToken)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := await(t, s, jobs[0].ID, 30*time.Second)
-	if v.Result.Attempts != 1 {
-		t.Fatalf("attempts %d, want 1", v.Result.Attempts)
+	again, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := await(t, s, again[0].ID, 30*time.Second)
+	if v2.Status != StatusFailed || v2.Result.Verdict != harness.TaxPanic || v2.Result.Attempts != 1 {
+		t.Fatalf("resubmitted token: status %s, result %+v; want failed, verdict panic, 1 attempt",
+			v2.Status, v2.Result)
+	}
+	if v2.Result.Crash != v1.Result.Crash {
+		t.Fatalf("resubmitted panic differs:\n--- original\n%s\n--- resubmitted\n%s",
+			v1.Result.Crash, v2.Result.Crash)
+	}
+}
+
+// TestRetryDisabled: the daemon never re-runs a job, so a wall-clock
+// timeout is final like every other verdict. A re-run is the submitter's
+// to ask for: the job's token carries no budget, so resubmitting it runs
+// the job again under the daemon's own job timeout, where it completes.
+func TestRetryDisabled(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	jobs, err := s.Submit(JobSpec{Prog: "lulesh", LIters: 50, TimeoutMS: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := await(t, s, jobs[0].ID, 60*time.Second)
+	if v1.Status != StatusFailed || v1.Result.Verdict != harness.TaxTimeout || v1.Result.Attempts != 1 {
+		t.Fatalf("status %s, result %+v; want failed, verdict timeout, 1 attempt", v1.Status, v1.Result)
+	}
+	spec, err := explore.ParseToken(v1.Result.ReplayToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.TimeoutMS != 0 {
+		t.Fatalf("token %s carries the 2 ms budget", v1.Result.ReplayToken)
+	}
+	again, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := await(t, s, again[0].ID, 60*time.Second)
+	if v2.Status != StatusDone || v2.Result.Verdict != store.VerdictOK || v2.Result.Attempts != 1 {
+		t.Fatalf("resubmitted token: status %s, result %+v; want done, verdict ok, 1 attempt",
+			v2.Status, v2.Result)
 	}
 }
 
@@ -197,8 +266,7 @@ func TestRetryDisabled(t *testing.T) {
 func TestSupervisedFallback(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 2})
 	jobs, err := s.Submit(JobSpec{
-		Prog: "task.c", Seed: 2, Inject: "panic=40", InjectSeed: 7,
-		Supervised: true, MaxRetries: -1,
+		Prog: "task.c", Seed: 2, Inject: "panic=40", InjectSeed: 7, Supervised: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +307,41 @@ func TestQueueFullSheds(t *testing.T) {
 	}
 	if err := s.Cancel(long[0].ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOversizedSweepRejected: a sweep of more seeds than the whole queue
+// holds can never be admitted, so it is an invalid submission naming the
+// seeds and the depth (HTTP 400), not a shed one (429), and the shed
+// counter does not count it. A sweep that fills the empty queue exactly is
+// admitted.
+func TestOversizedSweepRejected(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	_, err := s.Submit(JobSpec{Prog: "task.c", Seeds: 5})
+	if err == nil || errors.Is(err, ErrQueueFull) || !strings.Contains(err.Error(), "seeds 5") ||
+		!strings.Contains(err.Error(), "queue depth 4") {
+		t.Fatalf("Submit of 5 seeds at depth 4: got %v, want an error naming seeds 5 and queue depth 4", err)
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"prog":"task.c","seeds":5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "seeds 5") ||
+		resp.Header.Get("Retry-After") != "" {
+		t.Fatalf("POST 5 seeds at depth 4: %d (Retry-After %q) %s, want 400 naming seeds",
+			resp.StatusCode, resp.Header.Get("Retry-After"), msg)
+	}
+	snap := s.MetricsSnapshot()
+	if shed, admitted := snap.Counter("serve_jobs_shed_total"), snap.Counter("serve_jobs_admitted_total"); shed != 0 || admitted != 0 {
+		t.Fatalf("oversized sweeps counted: shed %d, admitted %d, want 0 and 0", shed, admitted)
+	}
+	jobs, err := s.Submit(JobSpec{Prog: "task.c", Seeds: 4})
+	if err != nil || len(jobs) != 4 {
+		t.Fatalf("Submit of 4 seeds at depth 4: %d jobs, %v", len(jobs), err)
 	}
 }
 
@@ -359,11 +462,12 @@ func TestDrainPersistsAndResumes(t *testing.T) {
 	if got := s.MetricsSnapshot().Gauge("serve_drain_seconds"); got <= 0 {
 		t.Fatal("drain duration gauge not recorded")
 	}
-	// Builds whose job specs had a delivery field parked every job with
-	// "delivery": "batched"; such a file must resume all the same.
-	data = bytes.ReplaceAll(data, []byte(`"prog": `), []byte(`"delivery": "batched", "prog": `))
-	if n := bytes.Count(data, []byte(`"delivery"`)); n != 3 {
-		t.Fatalf("older park file carries %d delivery fields, want 3:\n%s", n, data)
+	// Builds whose job specs had delivery and retry-budget fields parked
+	// jobs with "delivery": "batched" and "max_retries"; such a file must
+	// resume all the same.
+	data = bytes.ReplaceAll(data, []byte(`"prog": `), []byte(`"delivery": "batched", "max_retries": 1, "prog": `))
+	if n, m := bytes.Count(data, []byte(`"delivery"`)), bytes.Count(data, []byte(`"max_retries"`)); n != 3 || m != 3 {
+		t.Fatalf("older park file carries %d delivery and %d max_retries fields, want 3 each:\n%s", n, m, data)
 	}
 	if err := os.WriteFile(state, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -531,11 +635,10 @@ func TestHTTPSurface(t *testing.T) {
 
 // TestHTTPRejectsExtend: superblock extension, the delivery option, the
 // taskgrind-par tool, the timeslice setting, the engine setting (the IR
-// engine in a token) and the translation store's storage fault kinds were
-// removed, so a
-// submission that still asks for any of them — as a spec field or inside a
-// replay token — is a 400 naming it, never a job run under another
-// configuration.
+// engine in a token), the translation store's storage fault kinds and the
+// per-job retry budget were removed, so a submission that still asks for
+// any of them — as a spec field or inside a replay token — is a 400 naming
+// it, never a job run under another configuration.
 func TestHTTPRejectsExtend(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -556,6 +659,7 @@ func TestHTTPRejectsExtend(t *testing.T) {
 		{token("engine=ir"), "engine=ir"},
 		{`{"prog":"task.c","inject":"tsread=2"}`, "tsread"},
 		{token("inject=tsread%3D2"), "tsread"},
+		{`{"prog":"task.c","max_retries":1}`, "max_retries"},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {

@@ -30,11 +30,7 @@ func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	s := newTestServer(t, Options{
-		Workers: 8, QueueDepth: 48, MaxRetries: 1,
-		RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
-		JobTimeout: 30 * time.Second,
-	})
+	s := newTestServer(t, Options{Workers: 8, QueueDepth: 48, JobTimeout: 30 * time.Second})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -54,7 +50,7 @@ func TestChaosSoak(t *testing.T) {
 		case 4:
 			return JobSpec{Prog: "task.c", Seed: seed, Inject: "steal=2,sched=5", InjectSeed: uint64(i%3 + 1)}
 		default:
-			return JobSpec{Prog: "task.c", Seed: seed, MaxBlocks: 40, MaxRetries: -1}
+			return JobSpec{Prog: "task.c", Seed: seed, MaxBlocks: 40}
 		}
 	}
 
@@ -192,8 +188,8 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal("health watchdog never ran")
 	}
 
-	// Every failed job must be classified with a known taxonomy and carry a
-	// replay token.
+	// Every job ran once, and every failed job must be classified with a
+	// known taxonomy and carry a replay token.
 	known := map[string]bool{
 		harness.TaxFault: true, harness.TaxPanic: true, harness.TaxTimeout: true,
 		harness.TaxDeadlock: true, harness.TaxDivergence: true, harness.TaxError: true,
@@ -201,6 +197,9 @@ func TestChaosSoak(t *testing.T) {
 	var failed []JobView
 	counts := map[string]int{}
 	for _, v := range s.Jobs("", "") {
+		if v.Result != nil && v.Result.Attempts != 1 {
+			t.Fatalf("job %s ran %d times, want once", v.ID, v.Result.Attempts)
+		}
 		switch v.Status {
 		case StatusFailed:
 			if v.Result == nil || !known[v.Result.Verdict] {
@@ -270,9 +269,6 @@ func TestChaosSoak(t *testing.T) {
 	}
 	if snap.Counter("serve_jobs_quarantined_total") == 0 {
 		t.Fatal("quarantined counter never ticked")
-	}
-	if snap.Counter("serve_jobs_retried_total") == 0 {
-		t.Fatal("retried counter never ticked (injected panics retry once)")
 	}
 
 	// Graceful drain completes within its deadline.

@@ -2,8 +2,8 @@ package repro
 
 // Daemon throughput benchmark and regression gate. BenchmarkServe pushes a
 // stream of small analysis jobs through an in-process serve.Server — the
-// same worker pool, admission control and retry machinery taskgrindd runs —
-// and records jobs/sec plus the p99 queue wait into the "serve" section of
+// same worker pool and admission control taskgrindd runs — and records
+// jobs/sec plus the p99 queue wait into the "serve" section of
 // $PERF_BENCH_OUT. TestServeThroughputRegression (PERF_GUARD=1) re-measures
 // against the recorded baseline, so an accidental serialization in the
 // daemon's hot path (a lock held across a run, a per-job rebuild of shared
