@@ -8,7 +8,8 @@ GO ?= go
 # gate, the fuzzer smoke runs, one iteration of the observability
 # benchmark (writes BENCH_obs.json), one iteration of the root benchmarks
 # (does not overwrite the recorded BENCH_perf.json), the benchmark-module
-# smoke, the record-and-query smoke, the daemon load test and chaos soak,
+# smoke, the record-and-query smoke with the run-store suite (segments of
+# earlier builds still read), the daemon load test and chaos soak,
 # and the hot-path, journal-overhead, recording-overhead, serve-throughput
 # and warm-store regression guards against the recorded baseline.
 check: vet build race replay-determinism tstore-equiv lock-matrix fuzz bench-obs bench-perf-smoke bench-smoke query-smoke loadtest perf-guard
@@ -104,8 +105,12 @@ bench-perf-smoke:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Recording-overhead comparison (ring sink vs columnar run store on the
-# observability workload); writes the "recording" section of BENCH_perf.json.
+# Recording-overhead comparison: the ring sink against the columnar run
+# store on the observability workload (Taskgrind on LULESH -s 8, 4
+# threads). Writes the "recording" section of BENCH_perf.json: each arm's
+# wall time, events and instructions, and the store arm's dropped events,
+# segment bytes and overhead ratio, which TestRecordingOverheadRegression
+# (perf-guard) bounds below 2x.
 bench-rec:
 	PERF_BENCH_OUT=BENCH_perf.json $(GO) test -run '^$$' -bench 'BenchmarkRecording' -benchtime 3x .
 
@@ -128,11 +133,15 @@ loadtest:
 	LOADTEST=1 $(GO) test -count=1 -run 'TestServeLoad' .
 	$(GO) test -count=1 -run 'TestChaosSoak' ./internal/serve
 
-# Record-and-query smoke: a short sweep into a throwaway store, then every
-# query verb against it. Exercises the CLI end to end, including the golden
-# and cross-seed-aggregation acceptance tests. Fresh run (-count=1) so the
-# gate never passes on a cached result.
+# Record-and-query smoke: the run-store suite (the segment golden, segments
+# written by earlier builds, a store mixing them, torn segments, the
+# one-writer lock); then a recorded task.c run queried by every verb
+# through the CLI, four of them against byte goldens; and a 106-run sweep
+# recorded in process whose `query agg` rebuild equals the sweep's own
+# outcome. Fresh run (-count=1) so the gate never passes on a cached
+# result.
 query-smoke:
+	$(GO) test -count=1 ./internal/obs/store
 	$(GO) test -count=1 -run 'TestQueryGolden|TestQueryCLISmoke|TestExploreRecordAggBitIdentical' ./cmd/taskgrind
 
 # Regression guards: re-measures the compiled engine's hot ns/block (fails

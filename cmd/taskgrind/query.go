@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs/store"
 	"repro/internal/progs"
 	"repro/internal/tools/toolreg"
-	"repro/internal/trace"
 )
 
 // queryUsage enumerates the verbs.
@@ -55,7 +54,6 @@ func runQuery(args []string, stdout io.Writer) {
 		kind     = fs.String("kind", "", "filter: span/instant kind (task, implicit, parallel, translation, sched, omp, inject, diag)")
 		minTS    = fs.Uint64("min-ts", 0, "filter: minimum block-clock time")
 		maxTS    = fs.Uint64("max-ts", 0, "filter: maximum block-clock time (0 = unbounded)")
-		noPrune  = fs.Bool("no-prune", false, "disable footer-index block pruning (full scan)")
 		by       = fs.String("by", "samples", "top: rank by \"samples\" (profile weight) or \"span\" (span time)")
 		topN     = fs.Int("n", 10, "top: row bound (0 = all)")
 		width    = fs.Int("width", 72, "gantt: chart width in columns")
@@ -68,7 +66,6 @@ func runQuery(args []string, stdout io.Writer) {
 	if err != nil {
 		fatal(err)
 	}
-	r.NoPrune = *noPrune
 	q := store.Q{
 		Run: *runID, Tool: *tool, Prog: *prog, Verdict: *verdict,
 		Sym: *sym, Kind: *kind, MinTS: *minTS, MaxTS: *maxTS,
@@ -146,40 +143,7 @@ func renderGantt(w io.Writer, r *store.Reader, q store.Q, width int) error {
 	if err != nil {
 		return err
 	}
-	return trace.Gantt(w, ganttSpans(spans), width)
-}
-
-// ganttSpans maps recorded task-like spans onto the trace renderer's span
-// type, synthesizing stable glyph IDs from the span labels.
-func ganttSpans(spans []store.Span) []trace.Span {
-	ids := map[string]uint64{}
-	var out []trace.Span
-	for _, s := range spans {
-		if s.Kind != "task" && s.Kind != "implicit" && s.Kind != "parallel" {
-			continue
-		}
-		key := s.Name
-		if key == "" {
-			key = s.Kind
-		}
-		id, ok := ids[key]
-		if !ok {
-			id = uint64(len(ids) + 1)
-			ids[key] = id
-		}
-		label := s.Sym
-		if label == "" && s.Kind != "implicit" {
-			label = key
-		}
-		if s.Kind == "implicit" {
-			label = "implicit"
-		}
-		out = append(out, trace.Span{
-			Thread: s.Thread, TaskID: id, Label: label,
-			Start: s.Start, End: s.End,
-		})
-	}
-	return out
+	return store.Gantt(w, spans, width)
 }
 
 // printAgg renders the cross-seed aggregation: the reconstructed sweep
@@ -304,8 +268,8 @@ func runExplore(args []string, stdout io.Writer) {
 		fmt.Fprintf(stdout, "quarantined seed %d: %s%s — %s\n", f.Seed, f.Kind, mark, f.Err)
 	}
 	if opts.Record != nil {
-		flushed, dropped, runs := opts.Record.Stats()
-		fmt.Fprintf(stdout, "recorded %d run(s) to %s (batches=%d dropped=%d)\n",
-			runs, *recordDir, flushed, dropped)
+		dropped, runs := opts.Record.Stats()
+		fmt.Fprintf(stdout, "recorded %d run(s) to %s (dropped=%d)\n",
+			runs, *recordDir, dropped)
 	}
 }

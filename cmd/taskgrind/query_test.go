@@ -54,6 +54,7 @@ func TestQueryGolden(t *testing.T) {
 			{"top", "-by", "span"},
 			{"races"},
 			{"spans", "-kind", "task"},
+			{"gantt", "-run", "1"},
 		} {
 			got, code := runCLI(t, bin, append([]string{"query", q[0], "-store", dir}, q[1:]...)...)
 			if code != 0 {
@@ -87,15 +88,6 @@ func TestQueryCLISmoke(t *testing.T) {
 	gantt, code := runCLI(t, bin, "query", "gantt", "-store", dir, "-run", "1", "-width", "60")
 	if code != 0 || !strings.Contains(gantt, "thr 0") {
 		t.Fatalf("query gantt exit %d\n%s", code, gantt)
-	}
-	// Pruned and unpruned dumps agree.
-	full, code := runCLI(t, bin, "query", "spans", "-store", dir, "-kind", "task", "-no-prune")
-	if code != 0 {
-		t.Fatal(full)
-	}
-	pruned, _ := runCLI(t, bin, "query", "spans", "-store", dir, "-kind", "task")
-	if full != pruned {
-		t.Error("-no-prune changed query results")
 	}
 }
 
@@ -161,7 +153,7 @@ func TestExploreRecordAggBitIdentical(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, _, runs := w.Stats()
+	_, runs := w.Stats()
 	if runs != 106 {
 		t.Fatalf("recorded runs = %d, want 106", runs)
 	}

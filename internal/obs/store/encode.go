@@ -148,15 +148,3 @@ func dictStr(strs []string, i uint64) string {
 	}
 	return ""
 }
-
-// zigzag delta helpers for non-monotone uint64 sequences (span starts,
-// sample PCs are sorted so deltas are non-negative, but thread ids and the
-// like go through i64 directly).
-func deltaEnc(e *enc, prev, v uint64) uint64 {
-	e.i64(int64(v) - int64(prev))
-	return v
-}
-
-func deltaDec(d *dec, prev uint64) uint64 {
-	return uint64(int64(prev) + d.i64())
-}

@@ -1,9 +1,15 @@
 package store
 
 // Query helpers shared by the `taskgrind query` CLI verbs and the tests:
-// symbol aggregation over recorded profiles/spans and the race-to-span join.
+// symbol aggregation over recorded profiles/spans, the task-schedule Gantt
+// chart and the race-to-span join.
 
-import "sort"
+import (
+	"fmt"
+	"io"
+	"sort"
+	"strings"
+)
 
 // TopEntry is one row of a symbol aggregation.
 type TopEntry struct {
@@ -82,6 +88,89 @@ func TopSymbols(r *Reader, q Q, by string, n int) ([]TopEntry, error) {
 		out = out[:n]
 	}
 	return out, nil
+}
+
+// Gantt renders the task schedule of spans as text: one row per guest
+// thread, columns are block-clock buckets, and each task label gets a
+// glyph in order of first appearance. Only task, implicit and parallel
+// spans are drawn; width <= 0 means 72 columns. Seeing the schedule that
+// produced a report makes the report actionable.
+func Gantt(w io.Writer, spans []Span, width int) error {
+	const glyphs = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+	type bar struct {
+		thread, glyph int
+		start, end    uint64
+	}
+	var bars []bar
+	ids := map[string]int{} // span label -> glyph index
+	var legend []string     // glyph index -> legend text ("" = unnamed)
+	var maxEnd uint64
+	maxThread := 0
+	for _, s := range spans {
+		if s.Kind != "task" && s.Kind != "implicit" && s.Kind != "parallel" {
+			continue
+		}
+		key := s.Name
+		if key == "" {
+			key = s.Kind
+		}
+		id, ok := ids[key]
+		if !ok {
+			id = len(ids)
+			ids[key] = id
+			legend = append(legend, "")
+		}
+		// The legend names a glyph after the first of its non-implicit
+		// spans: its symbol, else its label.
+		if legend[id] == "" && s.Kind != "implicit" {
+			legend[id] = s.Sym
+			if legend[id] == "" {
+				legend[id] = key
+			}
+		}
+		bars = append(bars, bar{s.Thread, id, s.Start, s.End})
+		maxEnd = max(maxEnd, s.End)
+		maxThread = max(maxThread, s.Thread)
+	}
+	if len(bars) == 0 {
+		_, err := fmt.Fprintln(w, "(no task spans recorded)")
+		return err
+	}
+	if width <= 0 {
+		width = 72
+	}
+	maxEnd = max(maxEnd, 1)
+	for tid := 0; tid <= maxThread; tid++ {
+		row := []byte(strings.Repeat(".", width))
+		for _, b := range bars {
+			if b.thread != tid {
+				continue
+			}
+			lo := int(b.start * uint64(width) / maxEnd)
+			hi := int(b.end * uint64(width) / maxEnd)
+			if hi <= lo {
+				hi = lo + 1
+			}
+			for i := lo; i < hi && i < width; i++ {
+				row[i] = glyphs[b.glyph%len(glyphs)]
+			}
+		}
+		if _, err := fmt.Fprintf(w, "thr %d |%s|\n", tid, row); err != nil {
+			return err
+		}
+	}
+	var parts []string
+	for id, label := range legend {
+		if label != "" {
+			parts = append(parts, fmt.Sprintf("%c=%s", glyphs[id%len(glyphs)], label))
+		}
+	}
+	if len(parts) > 0 {
+		if _, err := fmt.Fprintln(w, "      ", strings.Join(parts, " ")); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RaceJoin is one race-report row joined with the racing threads' task

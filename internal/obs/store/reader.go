@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -10,34 +11,23 @@ import (
 	"sort"
 )
 
-// segment is one fully loaded segment file.
+// segment is one loaded segment file: the payloads of its intact frames,
+// sliced from the file's bytes.
 type segment struct {
-	path      string
-	data      []byte
-	metas     []BlockMeta
-	recovered bool // footer missing/invalid; metas rebuilt by scanning
+	name   string
+	blocks [][]byte
 }
 
 // Reader opens a store directory for querying. All segment bytes are held
-// in memory (segments rotate at a few MB); queries decode only the blocks
-// the footer index cannot rule out.
+// in memory; queries decode every block's header and a matching run's
+// event columns only when the query reads events.
 type Reader struct {
 	segs []segment
-
-	// NoPrune disables footer-index block skipping — every block is
-	// decoded and row-filtered. The pruning-equivalence tests compare
-	// pruned and unpruned results.
-	NoPrune bool
-
-	// ScannedBlocks / PrunedBlocks count, cumulatively across queries, the
-	// blocks decoded vs skipped via the footer index.
-	ScannedBlocks uint64
-	PrunedBlocks  uint64
 }
 
-// OpenReader loads every segment in dir. Segments without a valid footer
-// (crash mid-flush) are recovered by scanning their CRC-framed blocks; a
-// torn final frame is dropped, never the blocks before it.
+// OpenReader loads every segment in dir, walking its CRC frames. The first
+// torn or corrupt frame ends a segment (a crash mid-append), and so does
+// the footer index older builds wrote; the blocks before it are kept.
 func OpenReader(dir string) (*Reader, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.tgseg"))
 	if err != nil {
@@ -49,117 +39,64 @@ func OpenReader(dir string) (*Reader, error) {
 	sort.Strings(paths)
 	r := &Reader{}
 	for _, p := range paths {
-		metas, data, err := readSegment(p)
+		blocks, err := readSegment(p)
 		if err != nil {
 			return nil, fmt.Errorf("store: %s: %w", filepath.Base(p), err)
 		}
-		recovered := !hasFooter(data)
-		r.segs = append(r.segs, segment{path: p, data: data, metas: metas, recovered: recovered})
+		r.segs = append(r.segs, segment{name: filepath.Base(p), blocks: blocks})
 	}
 	return r, nil
 }
 
-func hasFooter(data []byte) bool {
-	_, ok := footerOf(data)
-	return ok
-}
-
-// footerOf extracts the footer index if the trailer is intact.
-func footerOf(data []byte) ([]BlockMeta, bool) {
-	if len(data) < len(segMagic)+12 {
-		return nil, false
-	}
-	tail := data[len(data)-12:]
-	if string(tail[8:12]) != footMagic {
-		return nil, false
-	}
-	crc := binary.LittleEndian.Uint32(tail[0:4])
-	n := int(binary.LittleEndian.Uint32(tail[4:8]))
-	end := len(data) - 12
-	if n > end-len(segMagic) {
-		return nil, false
-	}
-	js := data[end-n : end]
-	if crc32.ChecksumIEEE(js) != crc {
-		return nil, false
-	}
-	var metas []BlockMeta
-	if err := json.Unmarshal(js, &metas); err != nil {
-		return nil, false
-	}
-	return metas, true
-}
-
-// readSegment loads one segment, preferring the footer index and falling
-// back to a block scan when the footer never landed.
-func readSegment(path string) ([]BlockMeta, []byte, error) {
+// readSegment loads one segment and returns the payloads of its frames up
+// to the first torn or corrupt one. A segment torn before its magic was
+// complete (the empty file included) holds no runs.
+func readSegment(path string) ([][]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		return nil, nil, fmt.Errorf("bad segment magic")
+	if len(data) < len(segMagic) && string(data) == segMagic[:len(data)] {
+		return nil, nil
 	}
-	if metas, ok := footerOf(data); ok {
-		return metas, data, nil
+	if !bytes.HasPrefix(data, []byte(segMagic)) {
+		return nil, fmt.Errorf("bad segment magic")
 	}
-	return scanBlocks(data), data, nil
-}
-
-// scanBlocks rebuilds block metadata by walking CRC frames from the start
-// of a footerless segment. The first torn or corrupt frame ends the scan:
-// everything before it is intact and kept. Recovered metas carry the run
-// identity (decoded from the block header) but no range index, so they are
-// never pruned.
-func scanBlocks(data []byte) []BlockMeta {
-	var metas []BlockMeta
+	var blocks [][]byte
 	off := len(segMagic)
-	for {
-		if off+12 > len(data) || string(data[off:off+4]) != blockMagic {
-			return metas
-		}
+	for off+12 <= len(data) && string(data[off:off+4]) == blockMagic {
 		n := int(binary.LittleEndian.Uint32(data[off+4 : off+8]))
 		crc := binary.LittleEndian.Uint32(data[off+8 : off+12])
-		if n < 0 || off+12+n > len(data) {
-			return metas
+		if n < 0 || n > len(data)-off-12 {
+			break
 		}
 		payload := data[off+12 : off+12+n]
 		if crc32.ChecksumIEEE(payload) != crc {
-			return metas
+			break
 		}
-		m := BlockMeta{Off: int64(off), Len: int64(12 + n), TSMax: ^uint64(0)}
-		if h, err := decodeHeader(payload); err == nil {
-			m.Run, m.Prog, m.Tool, m.Seed, m.Verdict = h.ID, h.Prog, h.Tool, h.Seed, h.Verdict
-		}
-		metas = append(metas, m)
+		blocks = append(blocks, payload)
 		off += 12 + n
 	}
+	return blocks, nil
 }
 
-// decodeHeader decodes just the header JSON section of a block payload.
-func decodeHeader(payload []byte) (RunHeader, error) {
-	d := &dec{buf: payload}
+// decodeHeader reads a block's leading header section into v (a RunHeader
+// or any subset of its fields), leaving d at the string dictionary.
+func decodeHeader(d *dec, v any) error {
 	hs := d.bytesSection()
-	var h RunHeader
 	if d.err != nil {
-		return h, d.err
+		return d.err
 	}
-	if err := json.Unmarshal(hs.buf, &h); err != nil {
-		return h, err
+	if err := json.Unmarshal(hs.buf, v); err != nil {
+		return fmt.Errorf("store: block header: %w", err)
 	}
-	return h, nil
+	return nil
 }
 
-// decodeBlock fully decodes one run block payload.
-func decodeBlock(payload []byte) (RunData, error) {
-	var rd RunData
-	d := &dec{buf: payload}
-	hs := d.bytesSection()
-	if d.err == nil {
-		if err := json.Unmarshal(hs.buf, &rd.Header); err != nil {
-			return rd, fmt.Errorf("store: block header: %w", err)
-		}
-	}
+// decodeEvents decodes the dictionary and event columns that follow a
+// block's header (already in rd.Header) into rd.
+func decodeEvents(d *dec, rd *RunData) error {
+	payload := d.buf
 	strs := decodeDict(d.bytesSection())
 
 	nSpans := d.u64()
@@ -226,21 +163,20 @@ func decodeBlock(payload []byte) (RunData, error) {
 		}
 	}
 	if d.err != nil {
-		return rd, d.err
+		return d.err
 	}
 	for _, c := range append(append(sc, ic...), pc...) {
 		if c.err != nil {
-			return rd, c.err
+			return c.err
 		}
 	}
-	return rd, nil
+	return nil
 }
 
 // Q is a query predicate. The zero value matches everything; set fields to
-// narrow. Identity predicates (Run, Tool, Prog, Verdict, Seed) apply to run
-// headers and blocks; range predicates (MinTS/MaxTS, Thread, Sym, Kind)
-// apply to event rows, and prune whole blocks via the footer index before
-// any decoding.
+// narrow. Identity predicates (Run, Tool, Prog, Verdict, Seed) select runs
+// by their headers before any event column is decoded; row predicates
+// (MinTS/MaxTS, Thread, Sym, Kind) apply to the decoded event rows.
 type Q struct {
 	Run     uint64 // 0 = any (run IDs start at 1)
 	Tool    string
@@ -258,88 +194,35 @@ type Q struct {
 	Kind string
 }
 
-// matchIdentity reports whether a block/run identity passes q.
-func (q Q) matchIdentity(run uint64, prog, tool string, seed uint64, verdict string) bool {
-	if q.Run != 0 && run != q.Run {
-		return false
-	}
-	if q.Prog != "" && prog != q.Prog {
-		return false
-	}
-	if q.Tool != "" && tool != q.Tool {
-		return false
-	}
-	if q.Verdict != "" && verdict != q.Verdict {
-		return false
-	}
-	if q.Seed != nil && seed != *q.Seed {
-		return false
-	}
-	return true
+// matchIdentity reports whether a run header passes q.
+func (q Q) matchIdentity(h *RunHeader) bool {
+	return (q.Run == 0 || h.ID == q.Run) &&
+		(q.Prog == "" || h.Prog == q.Prog) &&
+		(q.Tool == "" || h.Tool == q.Tool) &&
+		(q.Verdict == "" || h.Verdict == q.Verdict) &&
+		(q.Seed == nil || h.Seed == *q.Seed)
 }
 
-// pruneEvents reports whether the footer index proves no event row in the
-// block can match q. Recovered blocks (no range index) are never pruned.
-func (q Q) pruneEvents(m BlockMeta) bool {
-	if q.MaxTS != 0 && m.TSMin > q.MaxTS {
-		return true
-	}
-	if q.MinTS != 0 && m.TSMax < q.MinTS {
-		return true
-	}
-	if q.Thread != nil && m.Threads != nil {
-		found := false
-		for _, t := range m.Threads {
-			if t == *q.Thread {
-				found = true
-				break
+// scan hands fn every run whose header passes q's identity predicates, in
+// segment and block order. Only with events set are the run's event
+// columns decoded.
+func (r *Reader) scan(q Q, events bool, fn func(rd *RunData)) error {
+	for _, seg := range r.segs {
+		for _, payload := range seg.blocks {
+			var rd RunData
+			d := &dec{buf: payload}
+			if err := decodeHeader(d, &rd.Header); err != nil {
+				return fmt.Errorf("store: %s: %w", seg.name, err)
 			}
-		}
-		if !found {
-			return true
-		}
-	}
-	if q.Sym != "" && m.Syms != nil {
-		i := sort.SearchStrings(m.Syms, q.Sym)
-		if i >= len(m.Syms) || m.Syms[i] != q.Sym {
-			return true
-		}
-	}
-	if q.Kind != "" && m.Syms != nil {
-		// Kinds are interned in the same dictionary as symbols.
-		i := sort.SearchStrings(m.Syms, q.Kind)
-		if i >= len(m.Syms) || m.Syms[i] != q.Kind {
-			return true
-		}
-	}
-	return false
-}
-
-// scan decodes every block that survives pruning and hands it to fn.
-func (r *Reader) scan(q Q, events bool, fn func(rd RunData)) error {
-	for si := range r.segs {
-		seg := &r.segs[si]
-		for _, m := range seg.metas {
-			if !r.NoPrune {
-				if !q.matchIdentity(m.Run, m.Prog, m.Tool, m.Seed, m.Verdict) ||
-					(events && q.pruneEvents(m)) {
-					r.PrunedBlocks++
-					continue
-				}
-			}
-			r.ScannedBlocks++
-			if m.Off+m.Len > int64(len(seg.data)) {
-				return fmt.Errorf("store: %s: block range out of file", filepath.Base(seg.path))
-			}
-			payload := seg.data[m.Off+12 : m.Off+m.Len]
-			rd, err := decodeBlock(payload)
-			if err != nil {
-				return fmt.Errorf("store: %s: %w", filepath.Base(seg.path), err)
-			}
-			if r.NoPrune && !q.matchIdentity(rd.Header.ID, rd.Header.Prog, rd.Header.Tool, rd.Header.Seed, rd.Header.Verdict) {
+			if !q.matchIdentity(&rd.Header) {
 				continue
 			}
-			fn(rd)
+			if events {
+				if err := decodeEvents(d, &rd); err != nil {
+					return fmt.Errorf("store: %s: %w", seg.name, err)
+				}
+			}
+			fn(&rd)
 		}
 	}
 	return nil
@@ -349,7 +232,7 @@ func (r *Reader) scan(q Q, events bool, fn func(rd RunData)) error {
 // ordered by run ID.
 func (r *Reader) Runs(q Q) ([]RunHeader, error) {
 	var out []RunHeader
-	err := r.scan(q, false, func(rd RunData) { out = append(out, rd.Header) })
+	err := r.scan(q, false, func(rd *RunData) { out = append(out, rd.Header) })
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, err
 }
@@ -377,7 +260,7 @@ func (q Q) matchSpan(s Span) bool {
 // Spans returns every span matching q, ordered by (run, start).
 func (r *Reader) Spans(q Q) ([]Span, error) {
 	var out []Span
-	err := r.scan(q, true, func(rd RunData) {
+	err := r.scan(q, true, func(rd *RunData) {
 		for _, s := range rd.Spans {
 			if q.matchSpan(s) {
 				out = append(out, s)
@@ -410,7 +293,7 @@ func (q Q) matchInstant(in Instant) bool {
 // Instants returns every instant matching q, ordered by (run, ts).
 func (r *Reader) Instants(q Q) ([]Instant, error) {
 	var out []Instant
-	err := r.scan(q, true, func(rd RunData) {
+	err := r.scan(q, true, func(rd *RunData) {
 		for _, in := range rd.Instants {
 			if q.matchInstant(in) {
 				out = append(out, in)
@@ -421,9 +304,11 @@ func (r *Reader) Instants(q Q) ([]Instant, error) {
 }
 
 // Samples returns every profile sample matching q, ordered by (run, pc).
+// A sample has no clock, thread or kind, so of q's row predicates only Sym
+// applies.
 func (r *Reader) Samples(q Q) ([]Sample, error) {
 	var out []Sample
-	err := r.scan(q, true, func(rd RunData) {
+	err := r.scan(q, true, func(rd *RunData) {
 		for _, s := range rd.Samples {
 			if q.Sym != "" && s.Sym != q.Sym {
 				continue
@@ -438,19 +323,7 @@ func (r *Reader) Samples(q Q) ([]Sample, error) {
 // predicates are not applied — callers get whole runs for joins).
 func (r *Reader) Data(q Q) ([]RunData, error) {
 	var out []RunData
-	err := r.scan(q, false, func(rd RunData) { out = append(out, rd) })
+	err := r.scan(q, true, func(rd *RunData) { out = append(out, *rd) })
 	sort.Slice(out, func(i, j int) bool { return out[i].Header.ID < out[j].Header.ID })
 	return out, err
-}
-
-// Recovered reports how many segments were loaded without a valid footer
-// (torn-tail scan recovery).
-func (r *Reader) Recovered() int {
-	n := 0
-	for _, s := range r.segs {
-		if s.recovered {
-			n++
-		}
-	}
-	return n
 }

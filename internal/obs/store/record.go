@@ -4,16 +4,17 @@
 // (steals, preemptions, faults, injections), and counter/profile samples —
 // plus a per-run header carrying the run's configuration and verdict.
 //
-// The design follows the batched, indexed recorder idiom of akita's
-// datarecording (SQLite memory-tracer schema: structured tables, proper
-// indexing, batch writes), realized without cgo or SQLite: one store is a
-// directory of segment files; each run is one CRC-framed block of
-// dictionary- and varint-delta-encoded columns; each segment carries a
-// footer index (time range, threads, symbols, run identity per block) that
-// lets the reader skip whole blocks on filtered queries. Because every
-// record's clock is the machine's deterministic block counter, two runs of
-// the same seed produce byte-identical blocks — the property the golden
-// query tests pin.
+// The design follows the recorder idiom of akita's datarecording (SQLite
+// memory-tracer schema: structured tables recorded through a backend,
+// queried offline), realized without cgo or SQLite: one store is a
+// directory of segment files, one per writer session; each run is one
+// CRC-framed block holding a JSON header, a string dictionary and varint
+// delta-encoded columns. A reader walks the frames, filters runs by their
+// headers, and decodes event columns only for the runs a query selects.
+// A store has one writer at a time. Because every record's clock is the
+// machine's deterministic block counter, two runs of the same seed
+// produce byte-identical blocks — the property the golden query tests
+// pin.
 package store
 
 import "repro/internal/report"
@@ -24,8 +25,8 @@ import "repro/internal/report"
 const VerdictOK = "ok"
 
 // RunHeader identifies and summarizes one recorded run. It is stored as a
-// JSON section inside the run's block (headers are small; the bulk event
-// data is columnar) and echoed into the segment footer for pruning.
+// JSON section at the head of the run's block (headers are small; the bulk
+// event data is columnar), so queries select runs without decoding events.
 type RunHeader struct {
 	// ID is the store-assigned run identity (unique within a store,
 	// monotonically increasing across append sessions).

@@ -8,8 +8,8 @@ import (
 
 // StoreSink adapts a RunWriter to the obs.Sink interface: Begin/End pairs
 // become spans (paired on a per-thread stack), instants become instant
-// rows. It lives on the tracing fast path, so per-event work is one map
-// lookup plus a batched append.
+// rows. It lives on the tracing fast path, so per-event work is a few map
+// lookups plus column appends.
 type StoreSink struct {
 	rw *RunWriter
 
@@ -36,9 +36,6 @@ type openSpan struct {
 func NewStoreSink(rw *RunWriter) *StoreSink {
 	return &StoreSink{rw: rw, open: make(map[int][]openSpan)}
 }
-
-// Run returns the underlying run writer (for counters, result, Finish).
-func (s *StoreSink) Run() *RunWriter { return s.rw }
 
 // argU64 extracts a numeric event argument.
 func argU64(args map[string]any, key string) (uint64, bool) {
@@ -163,8 +160,6 @@ func (s *StoreSink) Close() error {
 // SinkMetrics implements obs.SinkMetrics, surfacing recording loss and
 // unbalanced span ends.
 func (s *StoreSink) SinkMetrics(put func(name string, v uint64)) {
-	flushed, dropped := s.rw.Stats()
-	put("trace_store_flushed_batches_total", flushed)
-	put("trace_store_dropped_events_total", dropped)
+	put("trace_store_dropped_events_total", s.rw.Dropped())
 	put("trace_store_unbalanced_ends_total", s.unbalanced)
 }

@@ -15,7 +15,8 @@ func TestUnbalancedTaskEndCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := NewStoreSink(w.Begin(RunHeader{Prog: "t.c", Tool: "taskgrind"}))
+	rw := w.Begin(RunHeader{Prog: "t.c", Tool: "taskgrind"})
+	sink := NewStoreSink(rw)
 	task := func(phase obs.Phase, ts, id uint64) {
 		sink.Write(obs.Event{TS: ts, Thread: 0, Phase: phase, Cat: "omp", Name: "task",
 			Args: map[string]any{"task": id}})
@@ -33,7 +34,7 @@ func TestUnbalancedTaskEndCounted(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Run().Finish(); err != nil {
+	if err := rw.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -60,9 +62,6 @@ func TestRoundTrip(t *testing.T) {
 	r, err := OpenReader(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.Recovered() != 0 {
-		t.Fatalf("recovered = %d, want 0", r.Recovered())
 	}
 	runs, err := r.Runs(Q{})
 	if err != nil {
@@ -132,9 +131,6 @@ func TestGoldenSegment(t *testing.T) {
 	}
 	golden := filepath.Join("testdata", "golden.tgseg")
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -143,62 +139,89 @@ func TestGoldenSegment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	if string(got) != string(want) {
+	if !bytes.Equal(got, want) {
 		t.Fatalf("segment bytes differ from golden (%d vs %d bytes); run with -update if the format change is intentional",
 			len(got), len(want))
 	}
-	// And the golden segment must still decode.
-	r, err := OpenReader(filepath.Dir(golden))
-	if err == nil {
-		_ = r
+	// The same input as written by the build that ended segments in a
+	// footer index: its frames are this build's segment byte for byte.
+	footer, err := os.ReadFile(filepath.Join("testdata", "golden-footer.tgseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(footer, got) || len(footer) == len(got) {
+		t.Fatalf("segment (%d bytes) is not a proper prefix of golden-footer.tgseg (%d bytes)", len(got), len(footer))
 	}
 }
 
-// TestGoldenStillDecodes opens the checked-in golden segment and the one
-// written before run headers lost their delivery field, so stores recorded
-// by that build still open.
+// segmentStore returns a store directory holding only a copy of the named
+// testdata segment as seg-00001 (testdata itself holds several).
+func segmentStore(t *testing.T, name string) string {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-00001.tgseg"), src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestGoldenStillDecodes opens the checked-in golden segment, the one
+// written while segments ended in a footer index, and the one written
+// before run headers lost their delivery field: all three hold exactly
+// the runs this build records for the same input.
 func TestGoldenStillDecodes(t *testing.T) {
-	for _, name := range []string{"golden.tgseg", "golden-parent.tgseg"} {
-		// Decode through a copy (OpenReader globs the directory, and
-		// testdata holds more than one segment).
-		src, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "seg-00001.tgseg"), src, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		r, err := OpenReader(dir)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		runs, err := r.Runs(Q{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(runs) != 2 || runs[0].Seed != 1 || runs[1].Seed != 2 || runs[0].Engine != "compiled" {
-			t.Fatalf("%s: decode mismatch: %+v", name, runs)
-		}
-	}
-}
-
-func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Create(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.MaxSegBytes = 1024 // force rotation every couple of runs
-	for seed := uint64(1); seed <= 10; seed++ {
-		writeRun(t, w, seed)
-	}
+	writeRun(t, w, 1)
+	writeRun(t, w, 2)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.tgseg"))
-	if len(segs) < 2 {
-		t.Fatalf("expected rotation, got %d segment(s)", len(segs))
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := r.Data(Q{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2 || want[0].Header.Seed != 1 || want[1].Header.Seed != 2 || want[0].Header.Engine != "compiled" {
+		t.Fatalf("fresh recording: %+v", want)
+	}
+	for _, name := range []string{"golden.tgseg", "golden-footer.tgseg", "golden-parent.tgseg"} {
+		r, err := OpenReader(segmentStore(t, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := r.Data(Q{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decode mismatch:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}
+
+// TestMixedFormatStore: a store whose first segment was written by the
+// footer-index build and whose second by this one reads as one store, and
+// the second session continues the first one's run IDs.
+func TestMixedFormatStore(t *testing.T) {
+	dir := segmentStore(t, "golden-footer.tgseg")
+	w, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRun(t, w, 3)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 	r, err := OpenReader(dir)
 	if err != nil {
@@ -208,8 +231,24 @@ func TestSegmentRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 10 {
-		t.Fatalf("runs = %d, want 10", len(runs))
+	if len(runs) != 3 {
+		t.Fatalf("runs = %d, want 3", len(runs))
+	}
+	for i, h := range runs {
+		if h.ID != uint64(i+1) || h.Seed != uint64(i+1) {
+			t.Fatalf("run %d: id %d seed %d, want %d/%d", i, h.ID, h.Seed, i+1, i+1)
+		}
+	}
+	spans, err := r.Spans(Q{Kind: "task"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun := map[uint64]int{}
+	for _, s := range spans {
+		perRun[s.Run]++
+	}
+	if !reflect.DeepEqual(perRun, map[uint64]int{1: 4, 2: 4, 3: 4}) {
+		t.Fatalf("task spans per run = %v, want 4 in each of runs 1-3", perRun)
 	}
 }
 
@@ -255,25 +294,27 @@ func TestTornSegmentRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seg := filepath.Join(dir, "seg-00001.tgseg")
 	writeRun(t, w, 1)
 	writeRun(t, w, 2)
+	// Finish writes its block straight to the segment, so the file's size
+	// now is where the third block starts.
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	writeRun(t, w, 3)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, "seg-00001.tgseg")
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Tear the file mid-way through the last block: the footer is gone and
-	// the final frame is torn. Recovery must keep runs 1 and 2.
-	metas, ok := footerOf(data)
-	if !ok || len(metas) != 3 {
-		t.Fatalf("test setup: footer metas = %v", metas)
-	}
-	cut := metas[2].Off + metas[2].Len/2
+	// Tear the file mid-way through the last block. Recovery must keep
+	// runs 1 and 2.
+	cut := fi.Size() + (int64(len(data))-fi.Size())/2
 	if err := os.WriteFile(seg, data[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -282,9 +323,6 @@ func TestTornSegmentRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Recovered() != 1 {
-		t.Fatalf("recovered = %d, want 1", r.Recovered())
-	}
 	runs, err := r.Runs(Q{})
 	if err != nil {
 		t.Fatal(err)
@@ -292,8 +330,6 @@ func TestTornSegmentRecovery(t *testing.T) {
 	if len(runs) != 2 || runs[0].Seed != 1 || runs[1].Seed != 2 {
 		t.Fatalf("recovered runs mismatch: %+v", runs)
 	}
-	// Event queries against a recovered segment must still work (recovered
-	// blocks carry no range index, so they are decoded, never pruned).
 	spans, err := r.Spans(Q{Kind: "task"})
 	if err != nil {
 		t.Fatal(err)
@@ -324,6 +360,90 @@ func TestTornSegmentRecovery(t *testing.T) {
 	}
 	if len(runs2) != 3 {
 		t.Fatalf("post-recovery runs = %d, want 3", len(runs2))
+	}
+}
+
+// TestSegmentTornBeforeMagic: a segment cut short before its magic was
+// complete (the empty file a crash between create and write leaves)
+// holds no runs. It neither hides the store's other segments nor stops a
+// new session. A segment of foreign bytes is still refused.
+func TestSegmentTornBeforeMagic(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRun(t, w, 1)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{
+		"seg-00002.tgseg": "",
+		"seg-00003.tgseg": segMagic[:3],
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs, err := r.Runs(Q{}); err != nil || len(runs) != 1 || runs[0].Seed != 1 {
+		t.Fatalf("runs = %+v (%v), want the one run of seg-00001", runs, err)
+	}
+	w2, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := writeRun(t, w2, 2); h.ID != 2 {
+		t.Fatalf("next run ID = %d, want 2", h.ID)
+	}
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "seg-00004.tgseg")); err != nil {
+		t.Fatalf("second session's segment: %v", err)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "seg-00005.tgseg"), []byte("TGX"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenReader(dir); err == nil || !strings.Contains(err.Error(), "bad segment magic") {
+		t.Fatalf("foreign segment: err = %v, want bad segment magic", err)
+	}
+}
+
+// TestSingleWriter: a store has one Writer at a time, so two sessions can
+// never hand out the same run IDs. A second Create fails, naming the
+// directory, until the first Writer closes.
+func TestSingleWriter(t *testing.T) {
+	dir := t.TempDir()
+	w1, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := Create(dir)
+	if err == nil {
+		w2.Close()
+		t.Fatal("second concurrent Create succeeded")
+	}
+	if !strings.Contains(err.Error(), dir) {
+		t.Fatalf("error %q does not name the store directory", err)
+	}
+	writeRun(t, w1, 1)
+	if err := w1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w3, err := Create(dir)
+	if err != nil {
+		t.Fatalf("Create after Close: %v", err)
+	}
+	if h := writeRun(t, w3, 2); h.ID != 2 {
+		t.Fatalf("next session's run ID = %d, want 2", h.ID)
+	}
+	if err := w3.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -391,80 +511,6 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestPruningEquivalence(t *testing.T) {
-	// Filtered queries with the footer index must equal full-scan-then-filter.
-	dir := t.TempDir()
-	w, err := Create(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.MaxSegBytes = 1024
-	for seed := uint64(1); seed <= 12; seed++ {
-		writeRun(t, w, seed) // disjoint [seed*100, seed*100+53] time ranges
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	three := uint64(3)
-	th2 := 2
-	queries := []struct {
-		q      Q
-		prunes bool // the footer index can rule out at least one block
-	}{
-		{Q{}, false},
-		{Q{Seed: &three}, true},
-		{Q{MinTS: 500, MaxTS: 700}, true},
-		{Q{Thread: &th2}, false},  // every run touches threads 0..3
-		{Q{Sym: "task_a"}, false}, // every run records task_a
-		{Q{Kind: "task"}, false},  // kinds are in every block's dict
-		{Q{Kind: "sched"}, false},
-		{Q{Sym: "no-such-symbol"}, true},
-		{Q{MinTS: 1e9}, true},
-		{Q{Seed: &three, Kind: "implicit", MinTS: 300, MaxTS: 310}, true},
-	}
-	for qi, tc := range queries {
-		q := tc.q
-		pruned, err := OpenReader(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := OpenReader(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full.NoPrune = true
-
-		ps, err1 := pruned.Spans(q)
-		fs, err2 := full.Spans(q)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("q%d spans: %v / %v", qi, err1, err2)
-		}
-		if !reflect.DeepEqual(ps, fs) {
-			t.Fatalf("q%d spans diverge: pruned %d rows, full %d rows", qi, len(ps), len(fs))
-		}
-		pi, err1 := pruned.Instants(q)
-		fi, err2 := full.Instants(q)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("q%d instants: %v / %v", qi, err1, err2)
-		}
-		if !reflect.DeepEqual(pi, fi) {
-			t.Fatalf("q%d instants diverge: pruned %d, full %d", qi, len(pi), len(fi))
-		}
-		pr, err1 := pruned.Runs(q)
-		fr, err2 := full.Runs(q)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("q%d runs: %v / %v", qi, err1, err2)
-		}
-		if !reflect.DeepEqual(pr, fr) {
-			t.Fatalf("q%d runs diverge: pruned %d, full %d", qi, len(pr), len(fr))
-		}
-		if tc.prunes && pruned.PrunedBlocks == 0 {
-			t.Errorf("q%d (%+v): expected the footer index to prune at least one block", qi, q)
-		}
-	}
-}
-
 func TestMaxEventsDrop(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Create(dir)
@@ -472,21 +518,22 @@ func TestMaxEventsDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	rw := w.Begin(RunHeader{Prog: "p", Tool: "t", Seed: 1})
-	rw.SetMaxEvents(100)
+	// Count the run as already holding all but 100 of its events, so the
+	// bound is reached without recording a million of them.
+	rw.events = DefaultMaxEvents - 100
 	for i := 0; i < 250; i++ {
 		rw.Instant(uint64(i), 0, "k", "n", 0)
 	}
 	if err := rw.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	_, dropped := rw.Stats()
-	if dropped != 150 {
+	if dropped := rw.Dropped(); dropped != 150 {
 		t.Fatalf("dropped = %d, want 150", dropped)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, wDropped, _ := w.Stats()
+	wDropped, _ := w.Stats()
 	if wDropped != 150 {
 		t.Fatalf("writer dropped = %d, want 150", wDropped)
 	}
@@ -573,15 +620,18 @@ func TestTopSymbolsAndAggregate(t *testing.T) {
 	}
 }
 
-func TestPruningCounters(t *testing.T) {
+// TestSamplesIgnoreRowFilters: samples carry no clock, thread or kind, so
+// a time window, thread or kind filter keeps every matching run's samples
+// (and so `query top` ranks them) even where no span or instant of the run
+// falls inside it.
+func TestSamplesIgnoreRowFilters(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Create(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := uint64(1); seed <= 4; seed++ {
-		writeRun(t, w, seed)
-	}
+	writeRun(t, w, 1)
+	writeRun(t, w, 2)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -589,12 +639,25 @@ func TestPruningCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two := uint64(2)
-	if _, err := r.Spans(Q{Seed: &two}); err != nil {
+	th := 7
+	for _, q := range []Q{{MinTS: 1e9}, {Thread: &th}, {Kind: "no-such-kind"}} {
+		samples, err := r.Samples(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(samples) != 4 {
+			t.Fatalf("%+v: samples = %d, want all 4", q, len(samples))
+		}
+	}
+}
+
+func TestEmptyGantt(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Gantt(&buf, nil, 40); err != nil {
 		t.Fatal(err)
 	}
-	if r.ScannedBlocks != 1 || r.PrunedBlocks != 3 {
-		t.Fatalf("scanned=%d pruned=%d, want 1/3", r.ScannedBlocks, r.PrunedBlocks)
+	if !strings.Contains(buf.String(), "no task spans") {
+		t.Fatalf("empty gantt: %q", buf.String())
 	}
 }
 

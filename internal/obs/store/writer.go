@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -16,166 +17,109 @@ import (
 //
 //	segMagic
 //	{ blockMagic u32:len u32:crc payload }*
-//	footerJSON u32:crc u32:len footMagic
 //
-// Every run block is CRC-framed, so a reader can recover a segment whose
-// footer never landed (crash mid-flush) by scanning blocks until the first
-// torn frame; everything before it is intact.
+// Every run block is CRC-framed, so a reader walks the frames from the
+// start and stops at the first torn or corrupt one (a crash mid-append);
+// everything before it is intact. Segments written by older builds end in
+// a JSON footer index, which the walk stops at the same way.
 const (
 	segMagic   = "TGSEG01\n"
 	blockMagic = "TGRB"
-	footMagic  = "TGFT"
 
-	// DefaultBatch is the in-memory event batch size: the tracing fast
-	// path appends raw records to the batch; every DefaultBatch events one
-	// amortized pass moves them into the columnar builders.
-	DefaultBatch = 4096
 	// DefaultMaxEvents bounds one run's retained events (spans + instants
 	// + samples); further events are counted as dropped, keeping a
 	// runaway run from exhausting memory.
 	DefaultMaxEvents = 1 << 20
-	// DefaultMaxSegBytes rotates the segment file when it grows past this.
-	DefaultMaxSegBytes = 4 << 20
 )
-
-// BlockMeta is one run block's footer index entry: enough identity to
-// answer header-level queries and enough range information (time span,
-// threads, symbols) for the reader to skip the block on filtered scans
-// without decoding it.
-type BlockMeta struct {
-	Off int64 `json:"off"`
-	Len int64 `json:"len"`
-
-	Run     uint64 `json:"run"`
-	Prog    string `json:"prog,omitempty"`
-	Tool    string `json:"tool,omitempty"`
-	Seed    uint64 `json:"seed,omitempty"`
-	Verdict string `json:"verdict"`
-
-	TSMin   uint64   `json:"ts_min"`
-	TSMax   uint64   `json:"ts_max"`
-	Threads []int    `json:"threads,omitempty"`
-	Syms    []string `json:"syms,omitempty"`
-
-	Spans    int `json:"spans"`
-	Instants int `json:"instants"`
-	Samples  int `json:"samples"`
-}
 
 // Writer appends runs to a store directory. One Writer serializes appends
 // from any number of concurrently recording RunWriters (explore sweep
-// workers); each Writer session opens a fresh segment file and never
-// rewrites existing ones, so the store is append-only at every level.
+// workers) into one fresh segment file per session and never rewrites
+// existing ones, so the store is append-only at every level. A store has
+// one Writer at a time: Create holds an exclusive lock on the directory
+// until Close, so two sessions cannot hand out the same run IDs.
 type Writer struct {
-	// MaxSegBytes rotates the current segment once it exceeds this size
-	// (default DefaultMaxSegBytes). Set before the first Finish.
-	MaxSegBytes int64
-
 	mu      sync.Mutex
-	dir     string
 	f       *os.File
-	off     int64
-	segIdx  int
-	blocks  []BlockMeta
+	lock    *os.File // the store directory, locked until Close
 	nextRun uint64
 	closed  bool
 
-	flushedBatches atomic.Uint64
-	droppedEvents  atomic.Uint64
-	finishedRuns   atomic.Uint64
+	droppedEvents atomic.Uint64
+	finishedRuns  atomic.Uint64
 }
 
-// Create opens a store directory for appending, creating it if needed.
-// Existing segments are scanned only for the next run ID and segment index;
+// Create opens a store directory for appending, creating it if needed. It
+// fails, naming the directory, while another Writer has the store open.
+// Existing segments are read only for the next run ID and segment index;
 // their contents are never modified.
 func Create(dir string) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create: %w", err)
 	}
-	maxRun, maxSeg, err := scanIdentity(dir)
+	lock, err := os.Open(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: create: %w", err)
 	}
-	w := &Writer{
-		dir:         dir,
-		segIdx:      maxSeg,
-		nextRun:     maxRun,
-		MaxSegBytes: DefaultMaxSegBytes,
+	if err := lockExclusive(lock); err != nil {
+		lock.Close()
+		return nil, fmt.Errorf("store: %s: %w", dir, err)
 	}
-	if err := w.openSegment(); err != nil {
+	w := &Writer{lock: lock}
+	if err := w.openSegment(dir); err != nil {
+		lock.Close()
 		return nil, err
 	}
 	return w, nil
 }
 
-// scanIdentity finds the highest run ID and segment index already present.
-func scanIdentity(dir string) (maxRun uint64, maxSeg int, err error) {
+func segName(idx int) string { return fmt.Sprintf("seg-%05d.tgseg", idx) }
+
+// openSegment continues run IDs after the highest one already in dir and
+// creates the session's segment after the highest existing index.
+// Unreadable segments are skipped, never overwritten.
+func (w *Writer) openSegment(dir string) error {
 	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.tgseg"))
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
+	maxSeg := 0
 	for _, p := range paths {
 		var idx int
 		if _, serr := fmt.Sscanf(filepath.Base(p), "seg-%d.tgseg", &idx); serr == nil && idx > maxSeg {
 			maxSeg = idx
 		}
-		metas, _, serr := readSegment(p)
+		blocks, serr := readSegment(p)
 		if serr != nil {
-			continue // unreadable segment: skip, never overwrite
+			continue
 		}
-		for _, m := range metas {
-			if m.Run > maxRun {
-				maxRun = m.Run
+		for _, b := range blocks {
+			var h struct {
+				ID uint64 `json:"id"`
+			}
+			if decodeHeader(&dec{buf: b}, &h) == nil && h.ID > w.nextRun {
+				w.nextRun = h.ID
 			}
 		}
 	}
-	return maxRun, maxSeg, nil
-}
-
-func segName(idx int) string { return fmt.Sprintf("seg-%05d.tgseg", idx) }
-
-// openSegment starts the next segment file. Caller holds mu (or is the
-// constructor).
-func (w *Writer) openSegment() error {
-	w.segIdx++
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(w.segIdx)),
-		os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	path := filepath.Join(dir, segName(maxSeg+1))
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: open segment: %w", err)
 	}
 	if _, err := f.WriteString(segMagic); err != nil {
 		f.Close()
-		return err
+		// Best effort: a segment left holding part of the magic reads
+		// as empty anyway.
+		os.Remove(path)
+		return fmt.Errorf("store: open segment: %w", err)
 	}
 	w.f = f
-	w.off = int64(len(segMagic))
-	w.blocks = nil
 	return nil
 }
 
-// sealSegment writes the footer and closes the current segment file. Caller
-// holds mu.
-func (w *Writer) sealSegment() error {
-	if w.f == nil {
-		return nil
-	}
-	js, err := json.Marshal(w.blocks)
-	if err != nil {
-		return err
-	}
-	var tail [12]byte
-	binary.LittleEndian.PutUint32(tail[0:], crc32.ChecksumIEEE(js))
-	binary.LittleEndian.PutUint32(tail[4:], uint32(len(js)))
-	copy(tail[8:], footMagic)
-	if _, err := w.f.Write(append(js, tail[:]...)); err != nil {
-		return err
-	}
-	err = w.f.Close()
-	w.f = nil
-	return err
-}
-
-// Close seals the open segment. The Writer is unusable afterwards.
+// Close closes the segment and releases the store. The Writer is unusable
+// afterwards.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -183,17 +127,14 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	return w.sealSegment()
+	return errors.Join(w.f.Close(), w.lock.Close())
 }
 
-// Stats returns the writer's cumulative batch/drop accounting across all
-// its RunWriters — the trace-loss numbers surfaced as obs metrics.
-func (w *Writer) Stats() (flushedBatches, droppedEvents, finishedRuns uint64) {
-	return w.flushedBatches.Load(), w.droppedEvents.Load(), w.finishedRuns.Load()
+// Stats returns the writer's cumulative drop accounting across all its
+// RunWriters — the trace-loss numbers surfaced as obs metrics.
+func (w *Writer) Stats() (droppedEvents, finishedRuns uint64) {
+	return w.droppedEvents.Load(), w.finishedRuns.Load()
 }
-
-// Dir returns the store directory.
-func (w *Writer) Dir() string { return w.dir }
 
 // Begin starts recording one run. The returned RunWriter must be used from
 // a single goroutine; Finish appends the encoded block to the store.
@@ -202,24 +143,10 @@ func (w *Writer) Begin(h RunHeader) *RunWriter {
 	w.nextRun++
 	h.ID = w.nextRun
 	w.mu.Unlock()
-	return &RunWriter{
-		w:         w,
-		h:         h,
-		d:         newDict(),
-		maxEvents: DefaultMaxEvents,
-		batch:     make([]rec, 0, DefaultBatch),
-	}
+	return &RunWriter{w: w, h: h, d: newDict()}
 }
 
-// rec is one raw record in the fast-path batch.
-type rec struct {
-	kind    uint8 // 0 span, 1 instant, 2 sample
-	a, b, c uint64
-	thread  int32
-	k, n, s uint32 // dict ids: kind, name, sym
-}
-
-// cols is the columnar (struct-of-arrays) builder a batch flushes into.
+// cols is the columnar (struct-of-arrays) builder events append to.
 type cols struct {
 	spanStart, spanEnd, spanPC  []uint64
 	spanThread                  []int32
@@ -231,21 +158,16 @@ type cols struct {
 	sampleSym                   []uint32
 }
 
-// RunWriter accumulates one run's records. Adds go to a fixed-size batch (a
-// slice append on the tracing fast path); full batches flush into the
-// columnar builders in one amortized pass; Finish sorts, delta-encodes and
+// RunWriter accumulates one run's records. Each event interns its strings
+// and appends to the columnar builders; Finish sorts, delta-encodes and
 // appends the block.
 type RunWriter struct {
 	w *Writer
 	h RunHeader
 	d *dict
+	c cols
 
-	batch     []rec
-	c         cols
-	events    int
-	maxEvents int
-
-	flushed uint64
+	events  int
 	dropped uint64
 	done    bool
 }
@@ -253,73 +175,58 @@ type RunWriter struct {
 // Header returns the (store-assigned) run header as begun.
 func (rw *RunWriter) Header() RunHeader { return rw.h }
 
-// SetMaxEvents overrides the per-run retained event bound (0 keeps the
-// default).
-func (rw *RunWriter) SetMaxEvents(n int) {
-	if n > 0 {
-		rw.maxEvents = n
-	}
-}
-
-func (rw *RunWriter) add(r rec) {
-	if rw.events >= rw.maxEvents {
+// admit counts one event against DefaultMaxEvents and reports whether the
+// run retains it. Strings are interned before the check, so the dictionary
+// holds every string in arrival order, dropped events' included.
+func (rw *RunWriter) admit() bool {
+	if rw.events >= DefaultMaxEvents {
 		rw.dropped++
-		return
+		return false
 	}
 	rw.events++
-	rw.batch = append(rw.batch, r)
-	if len(rw.batch) == cap(rw.batch) {
-		rw.flush()
-	}
-}
-
-// flush moves the batch into the columnar builders — the amortized step off
-// the per-event fast path.
-func (rw *RunWriter) flush() {
-	for i := range rw.batch {
-		r := &rw.batch[i]
-		switch r.kind {
-		case 0:
-			rw.c.spanStart = append(rw.c.spanStart, r.a)
-			rw.c.spanEnd = append(rw.c.spanEnd, r.b)
-			rw.c.spanPC = append(rw.c.spanPC, r.c)
-			rw.c.spanThread = append(rw.c.spanThread, r.thread)
-			rw.c.spanKind = append(rw.c.spanKind, r.k)
-			rw.c.spanName = append(rw.c.spanName, r.n)
-			rw.c.spanSym = append(rw.c.spanSym, r.s)
-		case 1:
-			rw.c.instTS = append(rw.c.instTS, r.a)
-			rw.c.instArg = append(rw.c.instArg, r.c)
-			rw.c.instThread = append(rw.c.instThread, r.thread)
-			rw.c.instKind = append(rw.c.instKind, r.k)
-			rw.c.instName = append(rw.c.instName, r.n)
-		case 2:
-			rw.c.samplePC = append(rw.c.samplePC, r.c)
-			rw.c.sampleW = append(rw.c.sampleW, r.a)
-			rw.c.sampleSym = append(rw.c.sampleSym, r.s)
-		}
-	}
-	if len(rw.batch) > 0 {
-		rw.flushed++
-	}
-	rw.batch = rw.batch[:0]
+	return true
 }
 
 // Span records one interval.
 func (rw *RunWriter) Span(thread int, kind, name, sym string, pc, start, end uint64) {
-	rw.add(rec{kind: 0, a: start, b: end, c: pc, thread: int32(thread),
-		k: rw.d.id(kind), n: rw.d.id(name), s: rw.d.id(sym)})
+	k, n, s := rw.d.id(kind), rw.d.id(name), rw.d.id(sym)
+	if !rw.admit() {
+		return
+	}
+	c := &rw.c
+	c.spanStart = append(c.spanStart, start)
+	c.spanEnd = append(c.spanEnd, end)
+	c.spanPC = append(c.spanPC, pc)
+	c.spanThread = append(c.spanThread, int32(thread))
+	c.spanKind = append(c.spanKind, k)
+	c.spanName = append(c.spanName, n)
+	c.spanSym = append(c.spanSym, s)
 }
 
 // Instant records one point event.
 func (rw *RunWriter) Instant(ts uint64, thread int, kind, name string, arg uint64) {
-	rw.add(rec{kind: 1, a: ts, c: arg, thread: int32(thread),
-		k: rw.d.id(kind), n: rw.d.id(name)})
+	k, n := rw.d.id(kind), rw.d.id(name)
+	if !rw.admit() {
+		return
+	}
+	c := &rw.c
+	c.instTS = append(c.instTS, ts)
+	c.instArg = append(c.instArg, arg)
+	c.instThread = append(c.instThread, int32(thread))
+	c.instKind = append(c.instKind, k)
+	c.instName = append(c.instName, n)
 }
 
 // Sample records one weighted guest-PC profile sample.
 func (rw *RunWriter) Sample(pc uint64, sym string, weight uint64) {
-	rw.add(rec{kind: 2, a: weight, c: pc, s: rw.d.id(sym)})
+	s := rw.d.id(sym)
+	if !rw.admit() {
+		return
+	}
+	c := &rw.c
+	c.samplePC = append(c.samplePC, pc)
+	c.sampleW = append(c.sampleW, weight)
+	c.sampleSym = append(c.sampleSym, s)
 }
 
 // AddRace appends one race-report row to the run header.
@@ -348,10 +255,8 @@ func (rw *RunWriter) SetReproduced(v bool) { rw.h.Reproduced = v }
 // SetReplayToken stamps the run's reproduction recipe.
 func (rw *RunWriter) SetReplayToken(tok string) { rw.h.ReplayToken = tok }
 
-// Stats returns the run's flushed-batch and dropped-event counts.
-func (rw *RunWriter) Stats() (flushedBatches, droppedEvents uint64) {
-	return rw.flushed, rw.dropped
-}
+// Dropped returns how many of the run's events DefaultMaxEvents dropped.
+func (rw *RunWriter) Dropped() uint64 { return rw.dropped }
 
 // Abort discards the run without writing anything (a run that never
 // started). The store-assigned run ID is not reused. A nil RunWriter's
@@ -369,18 +274,16 @@ func (rw *RunWriter) Finish() error {
 		return nil
 	}
 	rw.done = true
-	rw.flush()
 	if rw.h.Verdict == "" {
 		rw.h.Verdict = VerdictOK
 	}
-	payload, meta, err := rw.encode()
+	payload, err := rw.encode()
 	if err != nil {
 		return err
 	}
-	rw.w.flushedBatches.Add(rw.flushed)
 	rw.w.droppedEvents.Add(rw.dropped)
 	rw.w.finishedRuns.Add(1)
-	return rw.w.appendBlock(payload, meta)
+	return rw.w.appendBlock(payload)
 }
 
 // sortPerm returns indices 0..n-1 ordered by less, stable.
@@ -393,54 +296,13 @@ func sortPerm(n int, less func(i, j int) bool) []int {
 	return p
 }
 
-// encode produces the block payload and its footer meta.
-func (rw *RunWriter) encode() ([]byte, BlockMeta, error) {
+// encode produces the block payload.
+func (rw *RunWriter) encode() ([]byte, error) {
 	c := &rw.c
-	meta := BlockMeta{
-		Run: rw.h.ID, Prog: rw.h.Prog, Tool: rw.h.Tool, Seed: rw.h.Seed,
-		Verdict: rw.h.Verdict,
-		Spans:   len(c.spanStart), Instants: len(c.instTS), Samples: len(c.samplePC),
-	}
-	// Range metadata for pruning: time over spans+instants, thread set,
-	// symbol set (every non-empty dictionary string: kinds and names are
-	// few, and including them lets name filters prune too).
-	first := true
-	span := func(lo, hi uint64) {
-		if first {
-			meta.TSMin, meta.TSMax, first = lo, hi, false
-			return
-		}
-		if lo < meta.TSMin {
-			meta.TSMin = lo
-		}
-		if hi > meta.TSMax {
-			meta.TSMax = hi
-		}
-	}
-	threads := map[int]bool{}
-	for i := range c.spanStart {
-		span(c.spanStart[i], c.spanEnd[i])
-		threads[int(c.spanThread[i])] = true
-	}
-	for i := range c.instTS {
-		span(c.instTS[i], c.instTS[i])
-		threads[int(c.instThread[i])] = true
-	}
-	for t := range threads {
-		meta.Threads = append(meta.Threads, t)
-	}
-	sort.Ints(meta.Threads)
-	for _, s := range rw.d.strs {
-		if s != "" {
-			meta.Syms = append(meta.Syms, s)
-		}
-	}
-	sort.Strings(meta.Syms)
-
 	e := &enc{}
 	hdr, err := json.Marshal(rw.h)
 	if err != nil {
-		return nil, meta, err
+		return nil, err
 	}
 	e.bytesSection(hdr)
 	de := &enc{}
@@ -554,12 +416,11 @@ func (rw *RunWriter) encode() ([]byte, BlockMeta, error) {
 			s.u64(c.sampleW[i])
 		}
 	})
-	return e.buf, meta, nil
+	return e.buf, nil
 }
 
-// appendBlock frames and writes one run block, rotating the segment when it
-// outgrows MaxSegBytes.
-func (w *Writer) appendBlock(payload []byte, meta BlockMeta) error {
+// appendBlock frames and writes one run block.
+func (w *Writer) appendBlock(payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -572,18 +433,6 @@ func (w *Writer) appendBlock(payload []byte, meta BlockMeta) error {
 	if _, err := w.f.Write(frame[:]); err != nil {
 		return err
 	}
-	if _, err := w.f.Write(payload); err != nil {
-		return err
-	}
-	meta.Off = w.off
-	meta.Len = int64(len(frame) + len(payload))
-	w.off += meta.Len
-	w.blocks = append(w.blocks, meta)
-	if w.off >= w.MaxSegBytes {
-		if err := w.sealSegment(); err != nil {
-			return err
-		}
-		return w.openSegment()
-	}
-	return nil
+	_, err := w.f.Write(payload)
+	return err
 }

@@ -94,7 +94,7 @@ func (tr *Tracer) Events() uint64 {
 }
 
 // PublishMetrics copies tracer and sink accounting (events emitted, ring
-// drops, store batch/drop counts) into the registry. Call at capture time.
+// drops, store drop counts) into the registry. Call at capture time.
 func (tr *Tracer) PublishMetrics(reg *Registry) {
 	if tr == nil || reg == nil {
 		return

@@ -32,7 +32,6 @@ type recArm struct {
 	Instrs      uint64  `json:"instrs"`
 
 	// Store-only accounting.
-	FlushedBatches uint64  `json:"flushed_batches,omitempty"`
 	DroppedEvents  uint64  `json:"dropped_events,omitempty"`
 	StoreBytes     int64   `json:"store_bytes,omitempty"`
 	OverheadVsRing float64 `json:"overhead_vs_ring,omitempty"`
@@ -119,8 +118,7 @@ func BenchmarkRecording(b *testing.B) {
 					if err := rw.Finish(); err != nil {
 						b.Fatal(err)
 					}
-					flushed, dropped, _ := w.Stats()
-					arm.FlushedBatches += flushed
+					dropped, _ := w.Stats()
 					arm.DroppedEvents += dropped
 					if err := w.Close(); err != nil {
 						b.Fatal(err)
@@ -150,9 +148,9 @@ func BenchmarkRecording(b *testing.B) {
 	}{
 		Suite: "lulesh-s8", Tool: "taskgrind", Threads: 4, Seed: 1,
 		Criterion: "overhead_vs_ring is the per-run wall-clock ratio of " +
-			"tracing into the columnar run store (batched encode + segment " +
-			"append) against the in-memory ring sink; the acceptance bound " +
-			"is < 2x.",
+			"tracing into the columnar run store (column appends, one encode " +
+			"per run + segment append) against the in-memory ring sink; the " +
+			"acceptance bound is < 2x.",
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 		Arms:      arms,
 	})
@@ -162,7 +160,7 @@ func BenchmarkRecording(b *testing.B) {
 // gate: it re-measures the store-vs-ring wall-clock ratio (best of three
 // fresh runs per arm, so machine noise cannot fail it) and fails if
 // recording costs 2x or more — the kind of blowup a per-event allocation or
-// an unbatched encode on the trace fast path would cause.
+// a per-event encode on the trace fast path would cause.
 func TestRecordingOverheadRegression(t *testing.T) {
 	if os.Getenv("PERF_GUARD") != "1" {
 		t.Skip("set PERF_GUARD=1 to run the recording-overhead regression gate")
