@@ -45,7 +45,7 @@ replay-determinism:
 	$(GO) test -count=1 -run 'TestFrontEndParity' ./internal/serve
 
 # Translation-store equivalence gate: the tstore unit suite (first writer
-# wins, invalidation by key, eviction under both caps) under -race, plus
+# wins, invalidation by key, eviction under the byte cap) under -race, plus
 # the store-equivalence differential smoke — cold vs shared-cold vs warm
 # compiled runs bit-identical, with the same footprint model, and the IR
 # oracle storeless beside them, the crash-report and invalidation cases,
@@ -151,7 +151,8 @@ query-smoke:
 # end-to-end speedup (fails unless warm compiled beats IR end to end,
 # recorded and fresh) against the baseline recorded in BENCH_perf.json by
 # `make bench-perf` / `make bench-serve` (best-of-3, so only a real
-# slowdown trips any of them).
+# slowdown trips any of them), and bounds the recording overhead below 2x
+# (the median ratio of 9 interleaved store/ring pairs).
 perf-guard:
 	PERF_GUARD=1 $(GO) test -count=1 -run 'TestHotPerfRegression|TestCkptOverheadRegression|TestRecordingOverheadRegression|TestServeThroughputRegression|TestWarmStoreE2ERegression' .
 

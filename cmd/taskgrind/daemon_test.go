@@ -63,7 +63,6 @@ func TestDaemonRejectsBadCaps(t *testing.T) {
 	bin := buildDaemon(t)
 	for _, c := range [][2]string{
 		{"-tcache-max-mb", "-1"},
-		{"-tcache-max-units", "-3"},
 		{"-tcache-max-mb", "8796093022208"}, // 2^43 MiB is 2^63 bytes
 	} {
 		out, code := runCLI(t, bin, "-addr", "127.0.0.1:99999", c[0], c[1])
@@ -75,7 +74,8 @@ func TestDaemonRejectsBadCaps(t *testing.T) {
 
 // TestRetiredRetryFlags: the daemon no longer retries jobs, so its retry
 // budget and backoff-jitter seed flags and the client's per-job retry
-// budget are gone, and passing one is a usage error naming it.
+// budget are gone; the translation store has one cap, in bytes, so the
+// daemon's unit cap is gone too. Passing one is a usage error naming it.
 func TestRetiredRetryFlags(t *testing.T) {
 	daemon, cli := buildDaemon(t), buildCLI(t)
 	for _, c := range []struct {
@@ -84,6 +84,7 @@ func TestRetiredRetryFlags(t *testing.T) {
 	}{
 		{daemon, []string{"-addr", "127.0.0.1:99999", "-retries", "2"}},
 		{daemon, []string{"-addr", "127.0.0.1:99999", "-seed", "3"}},
+		{daemon, []string{"-addr", "127.0.0.1:99999", "-tcache-max-units", "3"}},
 		{cli, []string{"submit", "-addr", "http://127.0.0.1:99999", "-retries", "1"}},
 	} {
 		flag := c.args[len(c.args)-2]

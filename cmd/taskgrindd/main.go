@@ -35,23 +35,19 @@ import (
 
 func main() {
 	var (
-		addr           = flag.String("addr", ":8080", "listen address")
-		workers        = flag.Int("workers", 4, "concurrent analysis workers")
-		queue          = flag.Int("queue", 64, "admission queue depth (submissions beyond it are shed with 429)")
-		jobTimeout     = flag.Duration("job-timeout", 30*time.Second, "default per-job wall budget")
-		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain wait for in-flight jobs")
-		statePath      = flag.String("state", "", "persist still-queued jobs here at drain; resume them on start")
-		recordDir      = flag.String("record", "", "append every job's run to this run-store directory (query with `taskgrind query`)")
-		tcacheMaxMB    = flag.Int64("tcache-max-mb", 0, "translation store cap in MiB of host memory held by cached code (0 = unbounded); clock eviction keeps the cache under it")
-		tcacheMaxUnits = flag.Int64("tcache-max-units", 0, "translation store unit cap (0 = unbounded); clock eviction keeps the cache under it")
-		verbose        = flag.Bool("v", false, "print the metrics snapshot after drain")
+		addr         = flag.String("addr", ":8080", "listen address")
+		workers      = flag.Int("workers", 4, "concurrent analysis workers")
+		queue        = flag.Int("queue", 64, "admission queue depth (submissions beyond it are shed with 429)")
+		jobTimeout   = flag.Duration("job-timeout", 30*time.Second, "default per-job wall budget")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain wait for in-flight jobs")
+		statePath    = flag.String("state", "", "persist still-queued jobs here at drain; resume them on start")
+		recordDir    = flag.String("record", "", "append every job's run to this run-store directory (query with `taskgrind query`)")
+		tcacheMaxMB  = flag.Int64("tcache-max-mb", 0, "translation store cap in MiB of host memory held by cached code (0 = unbounded); clock eviction keeps the cache under it")
+		verbose      = flag.Bool("v", false, "print the metrics snapshot after drain")
 	)
 	flag.Parse()
 	if *tcacheMaxMB < 0 || *tcacheMaxMB > math.MaxInt64>>20 {
 		fatal(fmt.Errorf("-tcache-max-mb %d out of range [0, %d]", *tcacheMaxMB, int64(math.MaxInt64>>20)))
-	}
-	if *tcacheMaxUnits < 0 {
-		fatal(fmt.Errorf("-tcache-max-units %d is negative", *tcacheMaxUnits))
 	}
 
 	var rec *store.Writer
@@ -67,10 +63,7 @@ func main() {
 		Workers: *workers, QueueDepth: *queue,
 		JobTimeout: *jobTimeout, DrainTimeout: *drainTimeout,
 		StatePath: *statePath, Record: rec,
-		TCache: tstore.NewCacheOpts(tstore.Options{
-			MaxBytes: *tcacheMaxMB << 20,
-			MaxUnits: *tcacheMaxUnits,
-		}),
+		TCache: tstore.NewCacheOpts(tstore.Options{MaxBytes: *tcacheMaxMB << 20}),
 	})
 	if err := srv.Start(); err != nil {
 		fatal(err)

@@ -47,7 +47,7 @@ func engineAllocs(t *testing.T, engine string, tool dbi.Tool) float64 {
 	}
 	th := m.Threads()[0]
 	th.Regs[guest.R6] = arr
-	// Prime: translate, compile and chain the loop block.
+	// Prime: translate and compile the loop block.
 	for i := 0; i < 8; i++ {
 		if _, err := m.Eng.RunBlock(m, th); err != nil {
 			t.Fatal(err)
@@ -62,7 +62,7 @@ func engineAllocs(t *testing.T, engine string, tool dbi.Tool) float64 {
 
 // TestRunBlockDoesNotAllocate is the allocs/op guard: the hot dispatch path
 // of both engines must stay allocation-free in steady state (instrumented
-// block with a load, a store, two dirty calls and a chained jump). A
+// block with a load, a store, two dirty calls and a jump to itself). A
 // regression here is the paper's 100x overhead quietly getting worse.
 func TestRunBlockDoesNotAllocate(t *testing.T) {
 	for _, engine := range []string{dbi.EngineIR, dbi.EngineCompiled} {
@@ -110,11 +110,10 @@ func TestDeliveryDoesNotAllocate(t *testing.T) {
 }
 
 // TestColdTranslationAllocs bounds what one cold translation allocates:
-// every iteration drops the caches and runs the self-loop block once, so it
-// translates, instruments through InstrumentAccesses and compiles the block
-// from scratch. The pipeline's intermediates live in the core's arena; what
-// remains is the copied-out block, its compiled code, the flush site and
-// the cache entries, plus the two maps ClearCache makes.
+// every iteration empties the slot table and runs the self-loop block once,
+// so it translates, instruments through InstrumentAccesses and compiles the
+// block from scratch. The pipeline's intermediates live in the core's
+// arena; what remains is the compiled code and the flush site.
 func TestColdTranslationAllocs(t *testing.T) {
 	im, arr := buildSelfLoop(t)
 	m, err := vm.New(im, vm.NewHostRegistry(), vm.Config{Seed: 1})
@@ -125,7 +124,7 @@ func TestColdTranslationAllocs(t *testing.T) {
 	th := m.Threads()[0]
 	th.Regs[guest.R6] = arr
 	cold := func() {
-		core.ClearCache()
+		core.DropCompiled()
 		if _, err := m.Eng.RunBlock(m, th); err != nil {
 			t.Fatal(err)
 		}

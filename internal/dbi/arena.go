@@ -9,8 +9,8 @@ import "repro/internal/vex"
 // their argument lists from exprs, and Optimize and Compile keep their
 // per-temp tables and op buffers in vx. The compiled engine lowers the
 // finished block in place and Compile copies out only its code; the IR
-// engine copies the block itself out (detach). Nothing a cache, a chain or
-// the shared store keeps points into the arena.
+// engine copies the block itself out (detach). Nothing a cache or the
+// shared store keeps points into the arena.
 //
 // The arena belongs to one Core. A core translates one block at a time (its
 // scheduler runs one guest thread at a time), so it needs no locking, and

@@ -35,11 +35,11 @@ func (at *arenaTool) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock
 // codeSnapshot renders a block's compiled ops and side tables.
 func codeSnapshot(code *vex.Compiled) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "frame %d instrs %d chains %d next %d/%#x/%d\n",
-		code.NFrame, code.NInstrs, code.NChains, code.NextKind, code.NextImm, code.NextChain)
+	fmt.Fprintf(&b, "frame %d instrs %d next %d/%#x\n",
+		code.NFrame, code.NInstrs, code.NextKind, code.NextImm)
 	for i, u := range code.Ops {
-		fmt.Fprintf(&b, "%d %d %s %d %d %d %d %#x pc=%#x ic=%d",
-			u.Code, u.Wd, u.Op, u.Dst, u.A, u.B, u.ChainIdx, u.Imm, code.PCs[i], code.ICs[i])
+		fmt.Fprintf(&b, "%d %d %s %d %d %d %#x pc=%#x ic=%d",
+			u.Code, u.Wd, u.Op, u.Dst, u.A, u.B, u.Imm, code.PCs[i], code.ICs[i])
 		if d := u.Dirty; d != nil {
 			fmt.Fprintf(&b, " %s %v %v %d %v %d", d.Name, d.Args, d.Meta, d.Tmp, d.HasTmp, d.InstrsBefore)
 		}

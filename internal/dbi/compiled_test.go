@@ -1,12 +1,14 @@
 package dbi_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/dbi"
+	"repro/internal/gbuild"
+	"repro/internal/guest"
 	"repro/internal/tools/archer"
-	"repro/internal/vex"
 )
 
 func TestCompiledEngineIsDefaultAndChains(t *testing.T) {
@@ -26,12 +28,17 @@ func TestCompiledEngineIsDefaultAndChains(t *testing.T) {
 		t.Errorf("Compiles=%d Translations=%d, want equal (one lowering per translation)",
 			core.Compiles, core.Translations)
 	}
-	// fib's hot blocks chain: most dispatches must bypass the cache map.
-	if core.ChainHits == 0 {
-		t.Fatal("no chain hits")
+	// Every block is translated once, on its first dispatch, and every
+	// later dispatch is served from its slot. Nothing chains.
+	if core.CacheMisses != core.Translations || core.CacheHits+core.CacheMisses != m.BlocksExecuted {
+		t.Errorf("CacheHits=%d CacheMisses=%d Translations=%d over %d blocks",
+			core.CacheHits, core.CacheMisses, core.Translations, m.BlocksExecuted)
 	}
-	if core.ChainHits < core.ChainMisses {
-		t.Errorf("chaining ineffective: %d hits, %d misses", core.ChainHits, core.ChainMisses)
+	if n := len(core.CachedBlocks()); uint64(n) != core.Translations {
+		t.Errorf("%d cached blocks, %d translations", n, core.Translations)
+	}
+	if core.ChainHits != 0 || core.ChainMisses != 0 {
+		t.Errorf("ChainHits=%d ChainMisses=%d, want 0", core.ChainHits, core.ChainMisses)
 	}
 	if tool.loads == 0 || tool.stores == 0 {
 		t.Fatalf("instrumentation lost: loads=%d stores=%d", tool.loads, tool.stores)
@@ -62,69 +69,45 @@ func TestSelectEngine(t *testing.T) {
 	}
 }
 
-// clearTool clears the translation cache mid-run: after `after` instrumented
-// block entries, the next entry calls ClearCache. This is the discard-
-// translations path every real DBI framework needs (self-modifying code,
-// tool-driven re-instrumentation) — and the hardest case for chaining,
-// because cached successor pointers and per-thread predictions must all die
-// with the generation.
-type clearTool struct {
-	dbi.NopTool
-	core    *dbi.Core
-	after   int
-	entries int
-	cleared int
-}
-
-func (ct *clearTool) Name() string { return "clear" }
-
-func (ct *clearTool) Attach(c *dbi.Core) { ct.core = c }
-
-func (ct *clearTool) Instrument(_ *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
-	out := &vex.SuperBlock{GuestAddr: sb.GuestAddr, NTemps: sb.NTemps, Next: sb.Next, NextJK: sb.NextJK, Aux: sb.Aux}
-	out.Dirty("clear_probe", func(_ any, _ []uint64) uint64 {
-		ct.entries++
-		if ct.entries == ct.after {
-			ct.core.ClearCache()
-			ct.cleared++
+// TestBadDispatchTargets calls two PCs the translator refuses after the
+// block at leaf has run and filled its slot: leaf+4, which falls in leaf's
+// slot, and the first address past the text. Both engines must fail with
+// the translator's error naming the PC, run no block there and count no
+// translation for it.
+func TestBadDispatchTargets(t *testing.T) {
+	b := gbuild.New()
+	f := b.Func("main", "bad.c")
+	f.Call("leaf")
+	f.CallReg(guest.R6)
+	f.Hlt(guest.R0)
+	b.Func("leaf", "bad.c").Ret()
+	im, err := b.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := im.SymbolByName("leaf").Addr
+	for _, bad := range []uint64{leaf + 4, im.TextEnd()} {
+		var msgs []string
+		for _, engine := range []string{dbi.EngineCompiled, dbi.EngineIR} {
+			m, core, _ := newMachine(t, im, &countTool{}, 1)
+			if err := core.SelectEngine(engine); err != nil {
+				t.Fatal(err)
+			}
+			m.Threads()[0].Regs[guest.R6] = bad
+			err := core.Run()
+			if want := fmt.Sprintf("bad fetch address %#x", bad); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s engine, call to %#x: err %v, want %q", engine, bad, err, want)
+			}
+			// main's two blocks and leaf, once each.
+			if m.BlocksExecuted != 3 || core.Translations != 3 {
+				t.Fatalf("%s engine, call to %#x: %d blocks, %d translations, want 3 and 3",
+					engine, bad, m.BlocksExecuted, core.Translations)
+			}
+			msgs = append(msgs, err.Error())
 		}
-		return 0
-	})
-	out.Stmts = append(out.Stmts, sb.Stmts...)
-	return out
-}
-
-func TestClearCacheInvalidatesChains(t *testing.T) {
-	im := buildFib(t, 10)
-
-	// Baseline: how many distinct translations does the run need?
-	_, coreRef, _ := newMachine(t, im, &countTool{}, 1)
-	if err := coreRef.Run(); err != nil {
-		t.Fatal(err)
-	}
-	base := coreRef.Translations
-
-	tool := &clearTool{after: 50}
-	m, core, _ := newMachine(t, im, tool, 1)
-	if err := core.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.ExitCode() != 55 {
-		t.Fatalf("fib(10) across a cache clear = %d, want 55", m.ExitCode())
-	}
-	if tool.cleared != 1 {
-		t.Fatalf("cleared %d times, want 1", tool.cleared)
-	}
-	if core.CacheGen() != 1 {
-		t.Fatalf("CacheGen = %d, want 1", core.CacheGen())
-	}
-	// The live blocks were retranslated (and recompiled) after the clear.
-	if core.Translations <= base {
-		t.Fatalf("no retranslation after clear: %d translations, baseline %d",
-			core.Translations, base)
-	}
-	if core.Compiles != core.Translations {
-		t.Errorf("Compiles=%d Translations=%d after clear", core.Compiles, core.Translations)
+		if msgs[0] != msgs[1] {
+			t.Fatalf("call to %#x: compiled %q, ir %q", bad, msgs[0], msgs[1])
+		}
 	}
 }
 

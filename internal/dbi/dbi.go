@@ -82,19 +82,11 @@ type Core struct {
 	// cache is the IR engine's translation cache; the compiled engine
 	// keeps no IR.
 	cache map[uint64]*vex.SuperBlock
-	// ccache is the compiled-translation cache (micro-op code plus
-	// chaining metadata), used by the compiled engine.
-	ccache map[uint64]*centry
-	// cdisp is the fast dispatch table: a dense array indexed by
-	// guest-PC/instruction-size mirroring ccache, the analog of Valgrind's
-	// direct-mapped VG_(tt_fast). The compiled engine probes it before the
-	// map; guest text is small and dense, so virtually every warm dispatch
-	// is an indexed load instead of a map lookup. Entries are verified
-	// against the block's GuestAddr (unaligned PCs alias slots).
-	cdisp []*centry
-	// cacheGen is the cache generation; ClearCache bumps it, invalidating
-	// every chained successor pointer and dispatch prediction at once.
-	cacheGen uint64
+	// code is the compiled engine's translation cache: one slot per guest
+	// instruction, indexed by (pc - guest.TextBase) / guest.InstrBytes and
+	// sized from the image once. Guest text is fixed and dense, so the
+	// lookup is exact and a filled slot never goes stale.
+	code []*vex.Compiled
 	// engineFixed is set when a CompileTimeTool installed the direct
 	// engine with access hooks; SelectEngine then refuses to override.
 	engineFixed bool
@@ -120,10 +112,10 @@ type Core struct {
 	TranslateNanos uint64
 	CompileNanos   uint64
 	// CacheHits counts dispatches served from a translation cache (the
-	// superblock cache under the IR engine, the compiled cache or a chain
-	// hit under the compiled engine). CacheMisses counts dispatches no
-	// local cache served — each is resolved either from the shared store
-	// (SharedHits) or by a fresh translation (Translations), so
+	// superblock cache under the IR engine, the slot table under the
+	// compiled engine). CacheMisses counts dispatches no local cache
+	// served — each is resolved either from the shared store (SharedHits)
+	// or by a fresh translation (Translations), so
 	// CacheMisses == SharedHits + Translations.
 	CacheHits   uint64
 	CacheMisses uint64
@@ -131,10 +123,8 @@ type Core struct {
 	SharedHits uint64
 	// Compiles counts superblocks lowered to micro-ops.
 	Compiles uint64
-	// ChainHits counts dispatches that bypassed translation-cache lookup
-	// entirely through a chained successor pointer; ChainMisses counts
-	// dispatches that had to look the block up (via the fast dispatch
-	// table or the map: first visits and unchainable edges).
+	// ChainHits and ChainMisses are always zero: the engine does not chain
+	// blocks. They are kept because bench/tgbench/runner.go reads them.
 	ChainHits, ChainMisses uint64
 	// cacheStmts counts the IR statements of the cached translations (for
 	// compiled ones, of the IR they were lowered from).
@@ -209,8 +199,8 @@ type CompileTimeTool interface {
 func New(m *vm.Machine, tool Tool) *Core {
 	c := &Core{
 		M: m, tool: tool,
-		cache:  make(map[uint64]*vex.SuperBlock),
-		ccache: make(map[uint64]*centry),
+		cache: make(map[uint64]*vex.SuperBlock),
+		code:  make([]*vex.Compiled, len(m.Image.Text)),
 	}
 	if tool != nil {
 		installed := false
@@ -245,8 +235,8 @@ func (c *Core) Tool() Tool { return c.tool }
 
 // Engine names accepted by SelectEngine.
 const (
-	// EngineCompiled executes pre-lowered micro-ops with block chaining
-	// (the default for instrumenting tools).
+	// EngineCompiled executes pre-lowered micro-ops (the default for
+	// instrumenting tools).
 	EngineCompiled = "compiled"
 	// EngineIR is the reference IR interpreter, kept as the differential-
 	// testing oracle for the compiled engine.
@@ -275,27 +265,6 @@ func (c *Core) SelectEngine(name string) error {
 // (compile-time instrumentation on the direct interpreter). Such cores
 // never translate, so a shared translation store does not apply.
 func (c *Core) EngineFixed() bool { return c.engineFixed }
-
-// ClearCache drops every translation — IR and compiled — and bumps the
-// cache generation, which atomically invalidates all chained successor
-// pointers and per-thread dispatch predictions. The next dispatch of every
-// block retranslates (and re-instruments) it.
-func (c *Core) ClearCache() {
-	c.cache = make(map[uint64]*vex.SuperBlock)
-	c.ccache = make(map[uint64]*centry)
-	for i := range c.cdisp {
-		c.cdisp[i] = nil
-	}
-	c.cacheGen++
-	c.cacheStmts = 0
-	if h := c.Obs; h != nil && h.Tracer != nil {
-		h.Tracer.Instant(c.M.BlocksExecuted, -1, "dbi", "cache-clear",
-			map[string]any{"gen": c.cacheGen})
-	}
-}
-
-// CacheGen returns the current cache generation (bumped by ClearCache).
-func (c *Core) CacheGen() uint64 { return c.cacheGen }
 
 // SetObs attaches observability hooks to the core (and its machine) and
 // pre-resolves the hot-path metrics, so translation and client-request
@@ -455,15 +424,22 @@ func (c *Core) instrument(addr uint64, tid int) (*vex.SuperBlock, error) {
 	return sb, nil
 }
 
-// compiled produces the micro-op translation for the block at addr,
-// consulting the compiled cache, then the shared store, then running the
-// pipeline — translate, optimize, instrument, lower — once in the arena;
-// only the compiled code is kept, and every later dispatch executes it.
-func (c *Core) compiled(addr uint64, tid int) (*centry, error) {
-	if ent, ok := c.ccache[addr]; ok {
-		c.CacheHits++
-		return ent, nil
+// slot returns the compiled translation of the block at pc, or nil when
+// pc is unaligned, outside the text or not compiled yet.
+func (c *Core) slot(pc uint64) *vex.Compiled {
+	off := pc - guest.TextBase
+	if i := off / guest.InstrBytes; off%guest.InstrBytes == 0 && i < uint64(len(c.code)) {
+		return c.code[i]
 	}
+	return nil
+}
+
+// compiled produces the micro-op translation for a block whose slot is
+// empty, from the shared store or by running the pipeline — translate,
+// optimize, instrument, lower — once in the arena, and fills the slot;
+// only the compiled code is kept, and every later dispatch executes it. A
+// PC the translator refuses (unaligned or outside the text) fails here.
+func (c *Core) compiled(addr uint64, tid int) (*vex.Compiled, error) {
 	c.CacheMisses++
 	code := c.adopt(addr)
 	if code == nil {
@@ -481,40 +457,28 @@ func (c *Core) compiled(addr uint64, tid int) (*centry, error) {
 		c.CompileNanos += uint64(time.Since(start))
 		c.publish(addr, code)
 	}
-	ent := &centry{code: code, gen: c.cacheGen, chains: make([]*centry, code.NChains)}
-	c.ccache[addr] = ent
-	if idx := addr / guest.InstrBytes; addr%guest.InstrBytes == 0 {
-		if idx >= uint64(len(c.cdisp)) {
-			nd := make([]*centry, idx+idx/2+64)
-			copy(nd, c.cdisp)
-			c.cdisp = nd
-		}
-		c.cdisp[idx] = ent
-	}
-	return ent, nil
+	// Only an aligned PC inside the text translates, so addr has a slot.
+	c.code[(addr-guest.TextBase)/guest.InstrBytes] = code
+	return code, nil
 }
 
 // CachedBlocks returns the guest addresses of every compiled translation
-// in sorted order — the benchmark harness replays them to measure hot block
-// throughput on real translated code.
+// in address order — the benchmark harness replays them to measure hot
+// block throughput on real translated code.
 func (c *Core) CachedBlocks() []uint64 {
-	out := make([]uint64, 0, len(c.ccache))
-	for a := range c.ccache {
-		out = append(out, a)
+	var out []uint64
+	for _, code := range c.code {
+		if code != nil {
+			out = append(out, code.GuestAddr)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // BlockCode returns the compiled translation of the block at addr, or nil
 // if the block has not been compiled. Introspection only — callers must not
 // mutate it.
-func (c *Core) BlockCode(addr uint64) *vex.Compiled {
-	if ent := c.ccache[addr]; ent != nil {
-		return ent.code
-	}
-	return nil
-}
+func (c *Core) BlockCode(addr uint64) *vex.Compiled { return c.slot(addr) }
 
 // CacheFootprint approximates the memory held by the translation cache —
 // instrumented code is a real part of a DBI tool's footprint. It is a

@@ -253,8 +253,8 @@ func buildListing4() *gbuild.Builder {
 // fuzzProgram deterministically generates a random single-threaded guest
 // program: ALU soup over a register window, loads and stores into a global
 // array at random aligned offsets, forward branches, all wrapped in a
-// bounded countdown loop so blocks re-execute (exercising the caches and
-// chaining, not just translation).
+// bounded countdown loop so blocks re-execute (exercising the translation
+// caches, not just translation).
 func fuzzProgram(seed int64) *gbuild.Builder {
 	rng := rand.New(rand.NewSource(seed))
 	b := gbuild.New()

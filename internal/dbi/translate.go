@@ -139,7 +139,7 @@ func translateInto(sb *vex.SuperBlock, im *guest.Image, addr uint64) error {
 		}
 		pc = next
 	}
-	// Block cap reached: chain to the next address.
+	// Block cap reached: fall through to the next address.
 	sb.Next = vex.ConstE(pc)
 	sb.NextJK = vex.JKBoring
 	return nil

@@ -54,7 +54,7 @@ func TestTranslateJumpKinds(t *testing.T) {
 }
 
 // TestTranslateBlockCapChains: very long straight-line code splits into
-// chained blocks.
+// blocks that fall through to each other.
 func TestTranslateBlockCapChains(t *testing.T) {
 	b := gbuild.New()
 	f := b.Func("main", "long.c")

@@ -34,10 +34,12 @@ type Failure struct {
 
 // Outcome aggregates one (program, tool) exploration.
 type Outcome struct {
-	Tool  string
+	Tool string
+	// Seeds counts the seeds that ran.
 	Seeds int
-	// Counts holds the per-seed report counts, indexed like the seeds
-	// (zero for quarantined seeds).
+	// Counts holds the per-seed report counts of the seeds that ran, in
+	// seed order (zero for quarantined seeds); for seeds 1..Seeds, Counts[i]
+	// is seed i+1's.
 	Counts []int
 	// Failed lists the seeds that were quarantined, in seed order.
 	Failed []int

@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/gbuild"
 	"repro/internal/harness"
 	"repro/internal/lulesh"
+	"repro/internal/obs/store"
 	"repro/internal/omp"
 	"repro/internal/ompt"
 )
@@ -224,6 +226,46 @@ func TestSupervisedSweepVerifiesCrashes(t *testing.T) {
 	for i := range plain.Counts {
 		if plain.Counts[i] != sup.Counts[i] {
 			t.Fatalf("supervision changed surviving counts: %v vs %v", sup.Counts, plain.Counts)
+		}
+	}
+}
+
+// TestAggregateSeedsThatRan: an Outcome covers only the seeds that have a
+// result (a store may hold a daemon job for seed 2 alone), a later
+// duplicate of a seed wins, and a quarantined seed counts zero reports.
+func TestAggregateSeedsThatRan(t *testing.T) {
+	ok := func(seed, reports int) explore.SeedResult {
+		return explore.SeedResult{Seed: seed, Verdict: store.VerdictOK, Reports: reports}
+	}
+	fault := explore.SeedResult{Seed: 2, Verdict: harness.TaxFault, Err: "wild store"}
+	for _, tc := range []struct {
+		name string
+		in   []explore.SeedResult
+		want explore.Outcome
+	}{
+		{"seed 2", []explore.SeedResult{ok(2, 1)}, explore.Outcome{
+			Tool: "taskgrind", Seeds: 1, Counts: []int{1},
+			Min: 1, Max: 1, Distinct: 1, DetectionRate: 1,
+		}},
+		{"seeds 2 and 5", []explore.SeedResult{ok(5, 0), ok(2, 3)}, explore.Outcome{
+			Tool: "taskgrind", Seeds: 2, Counts: []int{3, 0},
+			Min: 0, Max: 3, Distinct: 2, DetectionRate: 0.5,
+		}},
+		{"seed 2 twice", []explore.SeedResult{ok(1, 2), fault, ok(3, 2), ok(2, 4)}, explore.Outcome{
+			Tool: "taskgrind", Seeds: 3, Counts: []int{2, 4, 2},
+			Min: 2, Max: 4, Distinct: 2, DetectionRate: 1,
+		}},
+		{"seed 2 twice, failing last", []explore.SeedResult{ok(1, 2), ok(2, 4), ok(3, 2), fault}, explore.Outcome{
+			Tool: "taskgrind", Seeds: 3, Counts: []int{2, 0, 2},
+			Failed:   []int{2},
+			Failures: []explore.Failure{{Seed: 2, Kind: harness.TaxFault, Err: "wild store"}},
+			Min:      2, Max: 2, Distinct: 1, DetectionRate: 1,
+		}},
+	} {
+		// fields prints every field, where %v would call Outcome.String.
+		type fields explore.Outcome
+		if got := explore.Aggregate("taskgrind", tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, fields(got), fields(tc.want))
 		}
 	}
 }

@@ -100,31 +100,30 @@ type SeedResult struct {
 
 // Aggregate folds per-seed terminal results into a sweep Outcome — the
 // cross-seed statistics core shared by Rebuild (store headers) and the
-// analysis daemon (job groups). Later duplicates of a seed win, mirroring
-// Rebuild's header semantics; seeds never reported stay as zero-count
-// survivors.
+// analysis daemon (job groups). The Outcome covers only the seeds that have
+// a result, in seed order; a later duplicate of a seed wins, mirroring
+// Rebuild's header semantics.
 func Aggregate(tool string, results []SeedResult) Outcome {
-	rs := append([]SeedResult(nil), results...)
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].Seed < rs[j].Seed })
-	nseeds := 0
-	for _, r := range rs {
-		if r.Seed > nseeds {
-			nseeds = r.Seed
+	last := make(map[int]SeedResult, len(results))
+	for _, r := range results {
+		if r.Seed > 0 {
+			last[r.Seed] = r
 		}
 	}
-	out := Outcome{Tool: tool, Seeds: nseeds, Counts: make([]int, nseeds)}
-	fails := make([]*Failure, nseeds)
-	for _, r := range rs {
-		if r.Seed <= 0 || r.Seed > nseeds {
-			continue
-		}
-		i := r.Seed - 1
+	seeds := make([]int, 0, len(last))
+	for s := range last {
+		seeds = append(seeds, s)
+	}
+	sort.Ints(seeds)
+	out := Outcome{Tool: tool, Seeds: len(seeds), Counts: make([]int, len(seeds))}
+	fails := make([]*Failure, len(seeds))
+	for i, s := range seeds {
+		r := last[s]
 		if r.Verdict == store.VerdictOK {
 			out.Counts[i] = r.Reports
-			fails[i] = nil
 			continue
 		}
-		fails[i] = &Failure{Seed: r.Seed, Kind: r.Verdict,
+		fails[i] = &Failure{Seed: s, Kind: r.Verdict,
 			Err: r.Err, Reproduced: r.Reproduced}
 	}
 	out.finish(fails)

@@ -55,10 +55,10 @@ type Setup struct {
 	// accesses silently allocate instead of raising a GuestFault).
 	LenientMem bool
 	// Engine selects the DBI execution engine: dbi.EngineCompiled (micro-op
-	// translations with block chaining), dbi.EngineIR (the reference IR
-	// interpreter, the compiled engine's differential oracle), or "" to
-	// keep the default for the tool. No front end exposes it: the
-	// supervisor's fallback and the differential tests set it.
+	// translations), dbi.EngineIR (the reference IR interpreter, the
+	// compiled engine's differential oracle), or "" to keep the default for
+	// the tool. No front end exposes it: the supervisor's fallback and the
+	// differential tests set it.
 	Engine string
 	// Journal, when set, is attached to the machine and the injector: in
 	// record mode every scheduler pick and injection draw is logged, with a
@@ -231,8 +231,6 @@ func (inst *Instance) CaptureMetrics(reg *obs.Registry) {
 	reg.Counter("dbi_cache_stmts").Set(c.CacheStmts())
 	reg.Gauge("dbi_cache_footprint_bytes").Set(float64(c.CacheFootprint()))
 	reg.Counter("dbi_compiles_total").Set(c.Compiles)
-	reg.Counter("dbi_chain_hits_total").Set(c.ChainHits)
-	reg.Counter("dbi_chain_misses_total").Set(c.ChainMisses)
 	reg.Counter("dbi_dirty_calls_total").Set(c.DirtyCalls)
 	reg.Counter("dbi_accesses_delivered_total").Set(c.AccessesDelivered)
 

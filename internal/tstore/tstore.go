@@ -16,17 +16,16 @@
 // embedded helper closure carries its (Name, Meta, Args) triple beside the
 // closure itself: closures are bound to the core and tool instance that
 // produced them, so an adopting core re-binds equivalent helpers of its own
-// (copy-on-attach, implemented in internal/dbi).
-// Everything per-thread and mutable — chain predictions, dispatch tables,
-// generation counters — stays in the adopting core. Only the compiled
-// engine attaches a store; the IR interpreter, kept as the differential
-// oracle, always translates for itself.
+// (copy-on-attach, implemented in internal/dbi). The slot table a core
+// dispatches from stays in that core. Only the compiled engine attaches a
+// store; the IR interpreter, kept as the differential oracle, always
+// translates for itself.
 //
 // Units are published on demand, by the core that first translates a block.
 // An ahead-of-execution pretranslation pipeline was removed: it never beat
 // cold on-demand translation end to end.
 //
-// The store is bounded: a Cache may carry byte and unit caps, enforced by
+// The store is bounded: a Cache may carry a byte cap, enforced by
 // clock-style (second-chance) eviction over generation-stamped adoption
 // times. Evicting a unit is always safe — cores keep their own copies of
 // adopted blocks, so a re-miss merely retranslates — which is why a cheap
@@ -140,7 +139,7 @@ type slot struct {
 // address-indexed map of Units. All methods are safe for concurrent use.
 type Store struct {
 	key   Key
-	cache *Cache // nil for a standalone store: no caps
+	cache *Cache // nil for a standalone store: no cap
 
 	mu    sync.RWMutex
 	units map[uint64]*slot
@@ -157,7 +156,7 @@ type Store struct {
 	evictions atomic.Uint64
 }
 
-// NewStore creates an empty standalone store for key (no caps).
+// NewStore creates an empty standalone store for key (no cap).
 func NewStore(key Key) *Store {
 	return &Store{key: key, units: make(map[uint64]*slot)}
 }
@@ -199,17 +198,15 @@ func sizeOf(u *Unit) int64 {
 	return int64(n)
 }
 
-// track accounts an inserted slot against the cache totals. Called with
-// s.mu held; cache totals are atomics, so no lock ordering applies.
+// track accounts an inserted slot against the cache's byte total, which
+// only a byte cap needs. Called with s.mu held; the total is atomic, so no
+// lock ordering applies.
 func (s *Store) track(sl *slot) {
-	if s.cache == nil {
+	if s.cache == nil || s.cache.opts.MaxBytes <= 0 {
 		return
 	}
-	if s.cache.opts.MaxBytes > 0 {
-		sl.size = sizeOf(sl.u)
-		s.cache.bytes.Add(sl.size)
-	}
-	s.cache.totalUnits.Add(1)
+	sl.size = sizeOf(sl.u)
+	s.cache.bytes.Add(sl.size)
 }
 
 // Put publishes a unit unless the address already has one. Determinism
@@ -272,7 +269,6 @@ func (s *Store) sweep(need func() bool, protect uint64) {
 		s.evictions.Add(1)
 		if s.cache != nil {
 			s.cache.bytes.Add(-sl.size)
-			s.cache.totalUnits.Add(-1)
 		}
 	}
 }
@@ -305,8 +301,6 @@ type Options struct {
 	// MaxBytes caps the host memory of cached units across all stores
 	// (0 = unbounded). Enforced by clock eviction with hysteresis.
 	MaxBytes int64
-	// MaxUnits caps the total unit count across all stores (0 = unbounded).
-	MaxUnits int64
 }
 
 // Cache is a registry of stores, one per Key. A process typically holds
@@ -318,11 +312,10 @@ type Cache struct {
 	mu     sync.Mutex
 	stores map[Key]*Store
 
-	bytes      atomic.Int64
-	totalUnits atomic.Int64
+	bytes atomic.Int64
 }
 
-// NewCache creates an in-memory cache with no caps. dir must be "": the
+// NewCache creates an in-memory cache with no cap. dir must be "": the
 // cache has no persistent tier.
 func NewCache(dir string) *Cache {
 	if dir != "" {
@@ -362,42 +355,17 @@ func (c *Cache) snapshotStores() []*Store {
 	return stores
 }
 
-// overCap reports whether the cache exceeds its configured caps.
-func (c *Cache) overCap() bool {
-	if c.opts.MaxBytes > 0 && c.bytes.Load() > c.opts.MaxBytes {
-		return true
-	}
-	if c.opts.MaxUnits > 0 && c.totalUnits.Load() > c.opts.MaxUnits {
-		return true
-	}
-	return false
-}
-
-// maybeEvict runs the clock sweep when the cache is over a cap, draining
-// to ~7/8 of the cap (hysteresis, so each overflow triggers one sweep, not
-// one per Put). The store that triggered the overflow is swept last and
-// its newest address never evicted.
+// maybeEvict runs the clock sweep when the cache is over its byte cap,
+// draining to ~7/8 of the cap (hysteresis, so each overflow triggers one
+// sweep, not one per Put). The store that triggered the overflow is swept
+// last and its newest address never evicted.
 func (c *Cache) maybeEvict(trigger *Store, protect uint64) {
-	if !c.overCap() {
+	limit := c.opts.MaxBytes
+	if limit <= 0 || c.bytes.Load() <= limit {
 		return
 	}
-	needBytes := int64(0)
-	if c.opts.MaxBytes > 0 {
-		needBytes = c.opts.MaxBytes - c.opts.MaxBytes/8
-	}
-	needUnits := int64(0)
-	if c.opts.MaxUnits > 0 {
-		needUnits = c.opts.MaxUnits - c.opts.MaxUnits/8
-	}
-	need := func() bool {
-		if needBytes > 0 && c.bytes.Load() > needBytes {
-			return true
-		}
-		if needUnits > 0 && c.totalUnits.Load() > needUnits {
-			return true
-		}
-		return false
-	}
+	target := limit - limit/8
+	need := func() bool { return c.bytes.Load() > target }
 	for _, st := range c.snapshotStores() {
 		if st == trigger {
 			continue

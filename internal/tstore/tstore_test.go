@@ -84,22 +84,8 @@ func TestInvalidation(t *testing.T) {
 	}
 }
 
-// TestEvictionUnitCap: the clock keeps the cache under MaxUnits.
-func TestEvictionUnitCap(t *testing.T) {
-	c := NewCacheOpts(Options{MaxUnits: 10})
-	st := c.Open(testKey())
-	for i := uint64(0); i < 30; i++ {
-		st.Put(sampleUnit(t, 0x1000+i*64))
-		if got := c.totalUnits.Load(); got > 10 {
-			t.Fatalf("after put %d: %d units cached, cap 10", i, got)
-		}
-	}
-	if got := st.Stats().Evictions; got == 0 {
-		t.Fatal("no evictions under a 10-unit cap with 30 puts")
-	}
-}
-
-// TestEvictionByteCap: same, against MaxBytes, and Stats reports bytes.
+// TestEvictionByteCap: the clock keeps the cache under MaxBytes, and
+// Stats reports bytes.
 func TestEvictionByteCap(t *testing.T) {
 	unitSize := sizeOf(sampleUnit(t, 0x1000))
 	cap := unitSize * 8
@@ -120,7 +106,7 @@ func TestEvictionByteCap(t *testing.T) {
 // TestEvictionSparesAdopted: the second-chance bit — units adopted since
 // the hand's last visit survive a sweep that claims cold ones.
 func TestEvictionSparesAdopted(t *testing.T) {
-	c := NewCacheOpts(Options{MaxUnits: 8})
+	c := NewCacheOpts(Options{MaxBytes: 8 * sizeOf(sampleUnit(t, 0x1000))})
 	st := c.Open(testKey())
 	hot := uint64(0x1000)
 	for i := uint64(0); i < 20; i++ {

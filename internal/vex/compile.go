@@ -24,11 +24,6 @@ package vex
 //     disappear here;
 //   - the temp arena size is fixed per block (NFrame), including any
 //     scratch temps the lowering itself synthesizes.
-//
-// Control-flow micro-ops (UJmp, UExit*) and a constant fall-through edge
-// carry a chain-site index: execution engines use those to cache direct
-// pointers to successor translations (Valgrind-style block chaining),
-// bypassing the translation-cache lookup on the hot path.
 
 import "fmt"
 
@@ -150,9 +145,8 @@ const (
 	UStRT
 	UStRC
 	UStRR
-	// UExitT/UExitR: if (tmps[A] / regs[A]) != 0 goto Imm; ChainIdx names
-	// the chain site for the taken edge. Dst carries the number of guest
-	// instructions retired when the exit is taken.
+	// UExitT/UExitR: if (tmps[A] / regs[A]) != 0 goto Imm. Dst carries the
+	// number of guest instructions retired when the exit is taken.
 	UExitT
 	UExitR
 	// UJmp: unconditional goto Imm (a compile-time always-taken exit).
@@ -198,9 +192,6 @@ const (
 	UExitBinRR
 )
 
-// NoChain marks a micro-op without a chain site.
-const NoChain int32 = -1
-
 // UOp is one pre-lowered micro-op. Field use depends on Code; unused fields
 // are zero. Imm doubles as the constant operand, the IMark address and the
 // jump target — no code uses two of those at once.
@@ -210,14 +201,13 @@ type UOp struct {
 	// Op is the IR operation a binop or unop micro-op was lowered from. The
 	// engine never reads it (Fn/Fn1 are pre-bound); the peephole fuser uses
 	// it to recognize address arithmetic (func values are not comparable).
-	Op       Op
-	Dst      uint32
-	A, B     uint32
-	ChainIdx int32
-	Imm      uint64
-	Fn       BinFn
-	Fn1      UnFn
-	Dirty    *DirtyOp
+	Op    Op
+	Dst   uint32
+	A, B  uint32
+	Imm   uint64
+	Fn    BinFn
+	Fn1   UnFn
+	Dirty *DirtyOp
 }
 
 // DirtyOp is the pre-bound form of a Dirty helper call.
@@ -280,19 +270,12 @@ type Compiled struct {
 	NextIdx  uint32
 	NextJK   JumpKind
 	Aux      int32
-	// NextChain is the chain site of a constant JKBoring fall-through
-	// (NoChain otherwise).
-	NextChain int32
-	// NChains is the number of chain sites in the block; engines allocate
-	// their successor-pointer array with this length.
-	NChains int
 }
 
 // compiler accumulates state during one lowering.
 type compiler struct {
 	out    *Compiled
 	nframe uint32
-	chains int
 	// pc/ic track the guest instruction the statements being lowered
 	// belong to, for the PCs/ICs side tables.
 	pc uint64
@@ -306,13 +289,6 @@ type compiler struct {
 	ops []UOp
 	pcs []uint64
 	ics []uint32
-}
-
-// newChain allocates a chain site.
-func (cc *compiler) newChain() int32 {
-	i := cc.chains
-	cc.chains++
-	return int32(i)
 }
 
 // scratch allocates a compiler-synthesized temp.
@@ -391,7 +367,6 @@ func (x *Scratch) Compile(sb *SuperBlock) (*Compiled, error) {
 			NStmts:    len(sb.Stmts),
 			NextJK:    sb.NextJK,
 			Aux:       sb.Aux,
-			NextChain: NoChain,
 			LastPC:    sb.GuestAddr,
 		},
 		nframe: sb.NTemps,
@@ -456,11 +431,11 @@ func (x *Scratch) Compile(sb *SuperBlock) (*Compiled, error) {
 				// Always taken: an unconditional jump. Statements
 				// after it are unreachable; they are still lowered
 				// (harmless) to keep indices simple.
-				cc.emit(UOp{Code: UJmp, Dst: cc.ic, Imm: s.Target, ChainIdx: cc.newChain()})
+				cc.emit(UOp{Code: UJmp, Dst: cc.ic, Imm: s.Target})
 			case KindRdTmp:
-				cc.emit(UOp{Code: UExitT, A: idx, Dst: cc.ic, Imm: s.Target, ChainIdx: cc.newChain()})
+				cc.emit(UOp{Code: UExitT, A: idx, Dst: cc.ic, Imm: s.Target})
 			default:
-				cc.emit(UOp{Code: UExitR, A: idx, Dst: cc.ic, Imm: s.Target, ChainIdx: cc.newChain()})
+				cc.emit(UOp{Code: UExitR, A: idx, Dst: cc.ic, Imm: s.Target})
 			}
 		case SDirty:
 			if s.Fn == nil {
@@ -486,18 +461,8 @@ func (x *Scratch) Compile(sb *SuperBlock) (*Compiled, error) {
 	out.NextKind = k
 	out.NextIdx = idx
 	out.NextImm = imm
-	// Constant successors get a chain site: fall-throughs, direct calls,
-	// and host-call/client-request edges (which resume at the call site's
-	// static successor — a host that redirects the thread merely misses the
-	// re-verified prediction). Returns stay unchained here; they are
-	// predicted through the engine's return stack instead.
-	if k == KindConst && (sb.NextJK == JKBoring || sb.NextJK == JKCall ||
-		sb.NextJK == JKHostCall || sb.NextJK == JKClientReq) {
-		out.NextChain = cc.newChain()
-	}
 	cc.fuse()
 	out.NFrame = cc.nframe
-	out.NChains = cc.chains
 	out.Ops = copyOut(cc.ops)
 	out.PCs = copyOut(cc.pcs)
 	out.ICs = copyOut(cc.ics)
@@ -586,7 +551,7 @@ func (cc *compiler) fuse() {
 				}
 				if ec != 0 {
 					fused = UOp{Code: ec, A: u.A, B: u.B, Fn: u.Fn, Op: u.Op,
-						Dst: v.Dst, Imm: v.Imm, ChainIdx: v.ChainIdx}
+						Dst: v.Dst, Imm: v.Imm}
 					n = 2
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // binOps and unOps enumerate the full Op space for the table tests.
@@ -114,43 +115,19 @@ func TestCompileExitGuards(t *testing.T) {
 	if len(c.Ops) != 1 || c.Ops[0].Code != UJmp || c.Ops[0].Imm != 0x3000 {
 		t.Fatalf("want a single UJmp to 0x3000, got %+v", c.Ops)
 	}
-	// Chain sites: one for the UJmp, one for the const boring fall-through.
-	if c.NChains != 2 || c.Ops[0].ChainIdx != 0 || c.NextChain != 1 {
-		t.Fatalf("chain layout: NChains=%d ChainIdx=%d NextChain=%d",
-			c.NChains, c.Ops[0].ChainIdx, c.NextChain)
-	}
 }
 
-func TestCompileChainSites(t *testing.T) {
-	sb := &SuperBlock{GuestAddr: 0x1000}
-	g1 := sb.WrTmpExpr(RegE(1))
-	g2 := sb.WrTmpExpr(RegE(2))
-	sb.Exit(TmpE(g1), 0x2000, JKBoring)
-	sb.Exit(TmpE(g2), 0x3000, JKBoring)
-	sb.Next = ConstE(0x1010)
-	sb.NextJK = JKBoring
-	c, err := Compile(sb)
-	if err != nil {
-		t.Fatal(err)
+// TestUOpSize pins the micro-op at 48 bytes on 64-bit hosts. The compiled
+// engine walks arrays of them, so a field that grows the op costs every
+// executed micro-op; one that shrinks it should lower the pin.
+func TestUOpSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pin is for 64-bit hosts")
 	}
-	if c.NChains != 3 || c.NextChain != 2 {
-		t.Fatalf("NChains=%d NextChain=%d, want 3 and 2", c.NChains, c.NextChain)
-	}
-	// A dynamic (register) fall-through or a non-boring jump kind gets no
-	// chain site.
-	sb2 := &SuperBlock{GuestAddr: 0x1000}
-	sb2.Next = RegE(guestLR)
-	sb2.NextJK = JKRet
-	c2, err := Compile(sb2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.NChains != 0 || c2.NextChain != NoChain {
-		t.Fatalf("dynamic edge chained: NChains=%d NextChain=%d", c2.NChains, c2.NextChain)
+	if got := unsafe.Sizeof(UOp{}); got != 48 {
+		t.Fatalf("vex.UOp is %d bytes, pinned at 48", got)
 	}
 }
-
-const guestLR = 30 // any register number; the compiler does not interpret it
 
 func TestCompileScratchStore(t *testing.T) {
 	sb := &SuperBlock{GuestAddr: 0x1000}

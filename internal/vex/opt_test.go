@@ -150,9 +150,9 @@ func mixedBlock(n int) *SuperBlock {
 // opsString renders compiled code without its func values.
 func opsString(c *Compiled) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d %d %d %d\n", c.NFrame, c.NInstrs, c.NChains, c.NextChain)
+	fmt.Fprintf(&b, "%d %d\n", c.NFrame, c.NInstrs)
 	for i, u := range c.Ops {
-		fmt.Fprintf(&b, "%d %d %d %d %d %d %d %d %d %d", u.Code, u.Wd, u.Op, u.Dst, u.A, u.B, u.ChainIdx, u.Imm, c.PCs[i], c.ICs[i])
+		fmt.Fprintf(&b, "%d %d %d %d %d %d %d %d %d", u.Code, u.Wd, u.Op, u.Dst, u.A, u.B, u.Imm, c.PCs[i], c.ICs[i])
 		if d := u.Dirty; d != nil {
 			fmt.Fprintf(&b, " %s %v %d", d.Name, d.Args, d.InstrsBefore)
 		}

@@ -1,7 +1,7 @@
 package repro
 
 // Engine throughput benchmark: the measurement behind the compiled-engine
-// work (pre-lowered micro-ops + block chaining). Each arm runs the whole
+// work (pre-lowered micro-ops). Each arm runs the whole
 // Table I microbenchmark suite under the nop tool and reports guest
 // blocks/sec and instrs/sec; `make bench-perf`
 // writes the comparison (with speedups over the IR interpreter) to
@@ -74,7 +74,6 @@ type perfArm struct {
 	ExecSpeedupVsIR float64 `json:"exec_speedup_vs_ir"`
 	E2ESpeedupVsIR  float64 `json:"e2e_speedup_vs_ir"`
 
-	ChainHitRate  float64 `json:"chain_hit_rate"`
 	Translations  uint64  `json:"translations"`
 	SharedHits    uint64  `json:"shared_hits,omitempty"`
 	CacheFootKiB  float64 `json:"cache_footprint_kib"`
@@ -86,9 +85,8 @@ type perfArm struct {
 // `start`, hot: it follows the guest's real branches and jumps for up to
 // maxSteps blocks, stopping as soon as the next PC leaves the replayable
 // region (boring[pc/ib] false — an untranslated address, or a block whose
-// exit needs VM runtime). Following real flow is what lets block chaining
-// do its job: the dispatcher's successor predictions hit exactly as they
-// would in a long-running guest. The guest state is whatever the warm run
+// exit needs VM runtime). Following real flow dispatches blocks in the
+// order a long-running guest would. The guest state is whatever the warm run
 // (and earlier windows) left behind; both engines evolve it identically, so
 // the work compared across arms is the same. A block that faults in the
 // dead state unwinds here and is removed from the region — at the same
@@ -229,7 +227,7 @@ func BenchmarkPerfEngines(b *testing.B) {
 					}
 				}
 			}
-			var chainHits, chainMisses, cacheFoot uint64
+			var cacheFoot uint64
 			for i := 0; i < b.N; i++ {
 				for r := 0; r < repeats; r++ {
 					for k, im := range images {
@@ -262,8 +260,6 @@ func BenchmarkPerfEngines(b *testing.B) {
 						arm.WallSeconds += res.Wall.Seconds()
 						arm.TranslateSeconds += float64(inst.Core.TranslateNanos) / 1e9
 						arm.CompileSeconds += float64(inst.Core.CompileNanos) / 1e9
-						chainHits += inst.Core.ChainHits
-						chainMisses += inst.Core.ChainMisses
 						arm.Translations += inst.Core.Translations
 						cacheFoot += inst.Core.CacheFootprint()
 
@@ -273,9 +269,6 @@ func BenchmarkPerfEngines(b *testing.B) {
 						arm.HotWallSeconds += hw.Seconds()
 					}
 				}
-			}
-			if total := chainHits + chainMisses; total > 0 {
-				arm.ChainHitRate = float64(chainHits) / float64(total)
 			}
 			arm.CacheFootKiB = float64(cacheFoot) / 1024
 			arm.SuiteRepeats = repeats

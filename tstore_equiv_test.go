@@ -12,6 +12,7 @@ package repro
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
 
@@ -197,8 +198,9 @@ func TestStoreInvalidationHarness(t *testing.T) {
 // shared store concurrently (exercised under -race by make check); every
 // outcome matches the cold fingerprint and the store performs roughly one
 // run's worth of translation work. A second arm runs the same workers
-// against a store capped at a quarter of the image's units: eviction may
-// make them translate again, but never changes what they compute.
+// against a store capped at the bytes of a quarter of the image's units:
+// eviction may make them translate again, but never changes what they
+// compute.
 func TestStoreConcurrentWorkers(t *testing.T) {
 	bm, ok := drb.ByName("072-taskdep1-orig")
 	if !ok {
@@ -224,7 +226,8 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 		}
 	}
 
-	cache := tstore.NewCache("")
+	// A byte cap no run reaches makes the cache count its units' bytes.
+	cache := tstore.NewCacheOpts(tstore.Options{MaxBytes: math.MaxInt64})
 	runWorkers("worker", cache)
 	stats := cache.Stats()
 	// First-writer-wins means a block can be translated by several racing
@@ -237,11 +240,14 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 		t.Fatalf("no worker adopted anything")
 	}
 
-	maxUnits := int64(solo / 4)
-	capped := tstore.NewCacheOpts(tstore.Options{MaxUnits: maxUnits})
+	if stats.Evictions != 0 || stats.Units == 0 {
+		t.Fatalf("uncapped store: %+v", stats)
+	}
+	maxBytes := stats.Bytes / int64(stats.Units) * int64(solo/4)
+	capped := tstore.NewCacheOpts(tstore.Options{MaxBytes: maxBytes})
 	runWorkers("capped worker", capped)
-	if cs := capped.Stats(); cs.Evictions == 0 || int64(cs.Units) > maxUnits {
-		t.Fatalf("store capped at %d units: %+v", maxUnits, cs)
+	if cs := capped.Stats(); cs.Evictions == 0 || cs.Bytes > maxBytes {
+		t.Fatalf("store capped at %d bytes: %+v", maxBytes, cs)
 	}
 }
 
