@@ -36,13 +36,19 @@ race:
 # crash-reproduction and fallback paths, and its replay against a foreign
 # schedule; the CLI's byte-for-byte -replay round trip, its refusal of
 # tokens naming retired settings and its -on-panic=fallback report; one
-# replay token per configuration across the CLI, the daemon and explore
-# sweeps; and daemon job output byte-identical to an independent run's.
-# Fresh run (-count=1) so the gate never passes on a cached result.
+# replay token and one run digest per configuration across the CLI,
+# -replay, the daemon and explore sweeps; daemon job output byte-identical
+# to an independent run's; and the run-digest matrix (TestRunDigestMatrix),
+# which holds the CLI path, cold and warm translation stores,
+# journal-verified replay on both engines at drawn mark cadences, a
+# recorded run, a daemon job and a supervised run of every row, under drawn
+# fault injection, to the IR oracle's digest. Fresh run (-count=1) so the
+# gate never passes on a cached result.
 replay-determinism:
 	$(GO) test -count=1 -run 'TestCheckpointResume|TestCheckpointStreamsDeterministic|TestSupervisor|TestSupervisedReplay|TestJournal' ./internal/harness ./internal/vm ./internal/snapshot
 	$(GO) test -count=1 -run 'TestReplayToken|TestOnPanicFallback|TestTokenIdentity' ./cmd/taskgrind
 	$(GO) test -count=1 -run 'TestFrontEndParity' ./internal/serve
+	$(GO) test -count=1 -run 'TestRunDigestMatrix' .
 
 # Translation-store equivalence gate: the tstore unit suite (first writer
 # wins, invalidation by key, eviction under the byte cap) under -race, plus
@@ -50,10 +56,10 @@ replay-determinism:
 # compiled runs bit-identical, with the same footprint model, and the IR
 # oracle storeless beside them, the crash-report and invalidation cases,
 # the 16-worker shared-store race test with its capped arm (eviction under
-# load changes no output) and the sweep amortization counter check — and
-# the pinned digest of every unit the Table I suite and racy LULESH publish
-# (TestTranslationEncodingPinned). Fresh run (-count=1) so the gate never
-# passes on a cached result.
+# load changes no digest), the sweep amortization counter check, the
+# daemon's shared store — and the pinned digest of every unit the Table I
+# suite and racy LULESH publish (TestTranslationEncodingPinned). Fresh run
+# (-count=1) so the gate never passes on a cached result.
 tstore-equiv:
 	$(GO) test -race -count=1 ./internal/tstore
 	$(GO) test -race -count=1 -run 'TestStoreEquivalence|TestStoreInvalidation|TestStoreConcurrentWorkers|TestSweepAmortization|TestJobsShareTranslationStore|TestTranslationEncodingPinned' . ./internal/serve ./internal/tstore

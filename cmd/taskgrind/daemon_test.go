@@ -75,22 +75,23 @@ func TestDaemonRejectsBadCaps(t *testing.T) {
 // TestRetiredRetryFlags: the daemon no longer retries jobs, so its retry
 // budget and backoff-jitter seed flags and the client's per-job retry
 // budget are gone; the translation store has one cap, in bytes, so the
-// daemon's unit cap is gone too. Passing one is a usage error naming it.
+// daemon's unit cap is gone too; and the CLI's per-block trace events are
+// gone. Passing one is a usage error naming it.
 func TestRetiredRetryFlags(t *testing.T) {
 	daemon, cli := buildDaemon(t), buildCLI(t)
 	for _, c := range []struct {
-		bin  string
-		args []string
+		bin, flag string
+		args      []string
 	}{
-		{daemon, []string{"-addr", "127.0.0.1:99999", "-retries", "2"}},
-		{daemon, []string{"-addr", "127.0.0.1:99999", "-seed", "3"}},
-		{daemon, []string{"-addr", "127.0.0.1:99999", "-tcache-max-units", "3"}},
-		{cli, []string{"submit", "-addr", "http://127.0.0.1:99999", "-retries", "1"}},
+		{daemon, "-retries", []string{"-addr", "127.0.0.1:99999", "-retries", "2"}},
+		{daemon, "-seed", []string{"-addr", "127.0.0.1:99999", "-seed", "3"}},
+		{daemon, "-tcache-max-units", []string{"-addr", "127.0.0.1:99999", "-tcache-max-units", "3"}},
+		{cli, "-retries", []string{"submit", "-addr", "http://127.0.0.1:99999", "-retries", "1"}},
+		{cli, "-trace-blocks", []string{"-prog", "task.c", "-trace-blocks"}},
 	} {
-		flag := c.args[len(c.args)-2]
 		out, code := runCLI(t, c.bin, c.args...)
-		if code != 2 || !strings.Contains(out, flag) {
-			t.Fatalf("%s %v: exit %d, want 2 naming %s\n%s", filepath.Base(c.bin), c.args, code, flag, out)
+		if code != 2 || !strings.Contains(out, c.flag) {
+			t.Fatalf("%s %v: exit %d, want 2 naming %s\n%s", filepath.Base(c.bin), c.args, code, c.flag, out)
 		}
 	}
 }
@@ -204,12 +205,35 @@ func TestSubmitTokenRejectsExtend(t *testing.T) {
 	}
 }
 
-// TestTokenIdentity: one configuration has one replay token whichever front
-// end ran it — the CLI's recorded run, the daemon's job, the seed an
-// explore sweep records — and decoding and re-encoding it changes nothing.
+// TestTokenIdentity: one configuration has one replay token and one run
+// digest whichever front end ran it — the CLI's recorded run, the seed an
+// explore sweep records, the daemon's recorded job — and decoding and
+// re-encoding the token changes nothing; a -replay of the token records
+// the same digest again.
 func TestTokenIdentity(t *testing.T) {
 	cli := buildCLI(t)
-	_, base := startDaemon(t, buildDaemon(t))
+	daemonStore := t.TempDir()
+	_, base := startDaemon(t, buildDaemon(t), "-record", daemonStore)
+	// latest reads the header of the last run recorded in dir (Runs
+	// orders by run ID).
+	latest := func(dir string) store.RunHeader {
+		t.Helper()
+		r, err := store.OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := r.Runs(store.Q{})
+		if err != nil || len(runs) == 0 {
+			t.Fatalf("%s: recorded %d run(s), %v", dir, len(runs), err)
+		}
+		return runs[len(runs)-1]
+	}
+	recorded := func(args ...string) store.RunHeader {
+		t.Helper()
+		dir := t.TempDir()
+		runCLI(t, cli, append(args, "-record", dir)...)
+		return latest(dir)
+	}
 	// Every configuration runs seed 1, the default of all three front ends
 	// and the first seed of a sweep.
 	for _, args := range [][]string{
@@ -218,35 +242,28 @@ func TestTokenIdentity(t *testing.T) {
 		{"-prog", "task.c", "-inject", "pool=3", "-inject-seed", "5"},
 	} {
 		name := strings.Join(args, " ")
-		recorded := func(cmd ...string) string {
-			t.Helper()
-			dir := t.TempDir()
-			runCLI(t, cli, append(append(cmd, args...), "-record", dir)...)
-			r, err := store.OpenReader(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runs, err := r.Runs(store.Q{})
-			if err != nil || len(runs) != 1 {
-				t.Fatalf("%s %s: recorded %d run(s), %v", cmd, name, len(runs), err)
-			}
-			return runs[0].ReplayToken
+		local := recorded(args...)
+		swept := recorded(append([]string{"explore", "-seeds", "1"}, args...)...)
+		replayed := recorded("-replay", local.ReplayToken)
+		out, _ := runCLI(t, cli, append(append([]string{"submit", "-addr", base}, args...), "-wait")...)
+		ack, _, _ := strings.Cut(out, "\n")
+		fields := strings.Fields(ack)
+		if len(fields) != 3 {
+			t.Fatalf("submit %s: acknowledgement %q\n%s", name, ack, out)
 		}
-		local := recorded()
-		swept := recorded("explore", "-seeds", "1")
-		out, code := runCLI(t, cli, append([]string{"submit", "-addr", base}, args...)...)
-		fields := strings.Fields(out)
-		if code != 0 || len(fields) != 3 {
-			t.Fatalf("submit %s: exit %d\n%s", name, code, out)
-		}
-		job := fields[2]
-		sp, err := explore.ParseToken(local)
+		job, daemon := fields[2], latest(daemonStore)
+		sp, err := explore.ParseToken(local.ReplayToken)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if local == "" || swept != local || job != local || sp.Token() != local {
-			t.Errorf("%s: tokens differ\n cli     %s\n explore %s\n daemon  %s\n decoded %s",
-				name, local, swept, job, sp.Token())
+		if tok := local.ReplayToken; tok == "" || swept.ReplayToken != tok || job != tok ||
+			daemon.ReplayToken != tok || sp.Token() != tok {
+			t.Errorf("%s: tokens differ\n cli     %s\n explore %s\n daemon  %s (recorded %s)\n decoded %s",
+				name, tok, swept.ReplayToken, job, daemon.ReplayToken, sp.Token())
+		}
+		if d := local.Digest; d == "" || swept.Digest != d || daemon.Digest != d || replayed.Digest != d {
+			t.Errorf("%s: digests differ\n cli     %s\n explore %s\n daemon  %s\n replay  %s",
+				name, d, swept.Digest, daemon.Digest, replayed.Digest)
 		}
 	}
 }

@@ -70,7 +70,6 @@ func main() {
 		metricsFile  = flag.String("metrics", "", "write a metrics snapshot (JSON) to this file")
 		recordDir    = flag.String("record", "", "append this run (spans, instants, profile samples, counters, verdict) to a run store directory (query with `taskgrind query`)")
 		traceOut     = flag.String("trace-out", "", "write a Chrome trace_event trace to this file (load in chrome://tracing or ui.perfetto.dev)")
-		traceBlocks  = flag.Bool("trace-blocks", false, "include per-block dispatch events in -trace-out (very large)")
 		profileFile  = flag.String("profile", "", "write a guest-PC profile (per-symbol + flat) to this file")
 		profileEvery = flag.Uint64("profile-interval", 1, "sample every Nth block for -profile")
 		// Robustness knobs: watchdog budgets, memory model, fault injection.
@@ -126,7 +125,7 @@ func main() {
 	}
 	sp.Normalize()
 	sp.MaxBlocks, sp.MaxInstrs, sp.Supervised = *maxBlocks, *maxInstrs, *onPanic == "fallback"
-	env := explore.Env{Timeout: *timeout, Metrics: *verbose || *metricsFile != "", TraceBlocks: *traceBlocks}
+	env := explore.Env{Timeout: *timeout, Metrics: *verbose || *metricsFile != ""}
 
 	var b *gbuild.Builder
 	var err error

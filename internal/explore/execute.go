@@ -40,10 +40,8 @@ type Env struct {
 	Timeout time.Duration
 	// Metrics collects the run's counters into Execution.Metrics.
 	Metrics bool
-	// Sinks receive the first attempt's trace events; TraceBlocks adds one
-	// per dispatched block.
-	Sinks       []obs.Sink
-	TraceBlocks bool
+	// Sinks receive the first attempt's trace events.
+	Sinks []obs.Sink
 	// ProfileEvery, when positive, samples every Nth block into
 	// Execution.Profile. A recorded run is profiled at every block unless
 	// it is set.
@@ -126,7 +124,6 @@ func Execute(ctx context.Context, im *guest.Image, sp Spec, env Env) (Execution,
 	var tr *obs.Tracer
 	if len(sinks) > 0 {
 		tr = obs.NewTracer(sinks...)
-		tr.BlockEvents = env.TraceBlocks
 	}
 	if env.ProfileEvery > 0 || rw != nil {
 		run.Profile = obs.NewProfiler(env.ProfileEvery)
@@ -231,11 +228,17 @@ func (run *Execution) finish(tr *obs.Tracer, rw *store.RunWriter) error {
 	}
 	rw.SetCounters(run.Metrics.Snapshot().Counters)
 	rw.SetReplayToken(run.Token)
+	rw.SetDigest(run.Digest().Sum())
 	rw.SetReproduced(run.Reproduced)
 	rw.SetResult(run.Verdict, run.Reports, run.Err)
 	sym := symbolizer(inst.M.Image)
 	run.Profile.Each(func(pc, n uint64) { rw.Sample(pc, sym(pc), n) })
 	return errors.Join(err, rw.Finish())
+}
+
+// Digest computes the run's digest from the surviving attempt.
+func (run *Execution) Digest() harness.Digest {
+	return run.Inst.Digest(run.Report, run.Stdout, run.Crash, run.Token)
 }
 
 // symbolizer names the image symbol holding a PC ("" outside any).

@@ -9,7 +9,8 @@ package gmem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"hash/crc32"
+	"slices"
 )
 
 const (
@@ -227,42 +228,33 @@ func (m *Memory) Zero(addr uint64, n uint64) {
 	}
 }
 
-// Hash returns a content digest of the address space: FNV-1a over every
-// resident page's index and bytes, visiting pages in address order and
-// skipping all-zero pages (an untouched page and a zeroed one digest the
-// same, so the hash reflects content, not allocation history). Intended for
-// differential testing: two runs with identical guest-visible memory hash
-// equal.
+// zeroPage is compared against to skip all-zero pages in Hash.
+var zeroPage [PageSize]byte
+
+// castagnoli is the CRC-32C table, which hash/crc32 computes with the
+// CPU's CRC instruction where there is one (amd64 SSE4.2, arm64).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Hash returns a content digest of the address space: the CRC-32C of every
+// resident page that is not all zero, folded with the page's index into a
+// 64-bit FNV-1a word hash, in address order. Zero pages are skipped (an
+// untouched page and a zeroed one digest the same), so the hash reflects
+// content, not allocation history. It is a differential check, not a
+// fingerprint: two runs with identical guest-visible memory hash equal, and
+// no value is meaningful on its own.
 func (m *Memory) Hash() uint64 {
 	idxs := make([]uint64, 0, len(m.pages))
-	for idx := range m.pages {
-		idxs = append(idxs, idx)
+	for idx, p := range m.pages {
+		if *p != zeroPage {
+			idxs = append(idxs, idx)
+		}
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	slices.Sort(idxs)
+	const prime64 = 1099511628211
+	h := uint64(14695981039346656037)
 	for _, idx := range idxs {
-		p := m.pages[idx]
-		zero := true
-		for _, b := range p {
-			if b != 0 {
-				zero = false
-				break
-			}
-		}
-		if zero {
-			continue
-		}
-		for shift := 0; shift < 64; shift += 8 {
-			h = (h ^ uint64(byte(idx>>shift))) * prime64
-		}
-		for _, b := range p {
-			h = (h ^ uint64(b)) * prime64
-		}
+		h = (h ^ idx) * prime64
+		h = (h ^ uint64(crc32.Checksum(m.pages[idx][:], castagnoli))) * prime64
 	}
 	return h
 }

@@ -47,6 +47,9 @@ type RunHeader struct {
 	Reproduced bool `json:"reproduced,omitempty"`
 	// ReplayToken reproduces the run (`taskgrind -replay <token>`).
 	ReplayToken string `json:"replay_token,omitempty"`
+	// Digest is the run's digest sum (harness.Digest.Sum); empty in runs
+	// recorded by older builds.
+	Digest string `json:"digest,omitempty"`
 	// Err is the rendered run error for failed runs.
 	Err string `json:"err,omitempty"`
 	// WallNanos is host wall time (nondeterministic; excluded from golden

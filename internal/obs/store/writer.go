@@ -255,6 +255,9 @@ func (rw *RunWriter) SetReproduced(v bool) { rw.h.Reproduced = v }
 // SetReplayToken stamps the run's reproduction recipe.
 func (rw *RunWriter) SetReplayToken(tok string) { rw.h.ReplayToken = tok }
 
+// SetDigest stamps the run's digest sum.
+func (rw *RunWriter) SetDigest(sum string) { rw.h.Digest = sum }
+
 // Dropped returns how many of the run's events DefaultMaxEvents dropped.
 func (rw *RunWriter) Dropped() uint64 { return rw.dropped }
 

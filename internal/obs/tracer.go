@@ -41,13 +41,9 @@ type SinkMetrics interface {
 
 // Tracer fans events out to its sinks. A nil *Tracer is valid and drops
 // everything, so subsystems can emit unconditionally through a possibly-nil
-// pointer. BlockEvents gates the very-high-frequency per-block dispatch
-// events (off by default even when tracing).
+// pointer.
 type Tracer struct {
-	sinks []Sink
-	// BlockEvents enables one instant event per dispatched basic block.
-	BlockEvents bool
-
+	sinks  []Sink
 	events uint64
 }
 

@@ -76,6 +76,9 @@ type JobResult struct {
 	// ReplayToken reproduces this run: `taskgrind -replay <token>` or a
 	// re-submission by token.
 	ReplayToken string `json:"replay_token,omitempty"`
+	// Digest is the run's digest sum (harness.Digest.Sum): equal for
+	// every front end that runs the same configuration.
+	Digest string `json:"digest,omitempty"`
 	// Reproduced reports a supervised crash replayed bit-identically.
 	Reproduced bool `json:"reproduced,omitempty"`
 	// FellBack reports a supervised job that completed under the IR oracle

@@ -106,6 +106,7 @@ func (s *Server) execute(ctx context.Context, j *Job) JobResult {
 	j.progInstrs.Store(run.Result.GuestInstrs)
 	out.Verdict, out.Err, out.Reports, out.Crash = run.Verdict, run.Err, run.Reports, run.Crash
 	out.Reproduced, out.FellBack = run.Reproduced, run.FellBack
+	out.Digest = run.Digest().Sum()
 	out.GuestInstrs = run.Result.GuestInstrs
 	out.WallMS = float64(run.Result.Wall) / float64(time.Millisecond)
 	if run.Verdict == store.VerdictOK {

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/store"
 	"repro/internal/tstore"
 )
@@ -47,5 +51,32 @@ func TestJobsShareTranslationStore(t *testing.T) {
 	snap := s.MetricsSnapshot()
 	if got := snap.Counters["tstore_translations_total"]; got != cs.Puts {
 		t.Fatalf("metrics report %d translations, store says %d", got, cs.Puts)
+	}
+}
+
+// TestMetricsCountStoreBytes: a default server's translation store is
+// uncapped, and /metrics still reports the host memory its units hold.
+func TestMetricsCountStoreBytes(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	jobs, err := s.Submit(JobSpec{Prog: "task.c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := await(t, s, jobs[0].ID, 30*time.Second); v.Status != StatusDone {
+		t.Fatalf("job ended %s", v.Status)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Gauges["tstore_units"] == 0 || snap.Gauges["tstore_bytes"] <= 0 {
+		t.Fatalf("/metrics: tstore_units %g, tstore_bytes %g", snap.Gauges["tstore_units"], snap.Gauges["tstore_bytes"])
 	}
 }

@@ -130,8 +130,8 @@ type slot struct {
 	// the store mutex). gen == seen at a visit means no adoption since —
 	// the unit's second chance is spent and it is evicted.
 	seen uint64
-	// size is the host memory the unit holds, in bytes (0 when the cache
-	// carries no byte cap).
+	// size is the host memory the unit holds, in bytes (0 in a standalone
+	// store).
 	size int64
 }
 
@@ -198,11 +198,11 @@ func sizeOf(u *Unit) int64 {
 	return int64(n)
 }
 
-// track accounts an inserted slot against the cache's byte total, which
-// only a byte cap needs. Called with s.mu held; the total is atomic, so no
-// lock ordering applies.
+// track sizes an inserted slot and accounts it against the cache's byte
+// total. Called with s.mu held, once per published unit; the total is
+// atomic, so no lock ordering applies.
 func (s *Store) track(sl *slot) {
-	if s.cache == nil || s.cache.opts.MaxBytes <= 0 {
+	if s.cache == nil {
 		return
 	}
 	sl.size = sizeOf(sl.u)
@@ -379,8 +379,7 @@ func (c *Cache) maybeEvict(trigger *Store, protect uint64) {
 type CacheStats struct {
 	Stores int
 	Units  int
-	// Bytes is the tracked host memory of cached units (0 unless a byte
-	// cap is configured).
+	// Bytes is the host memory of cached units.
 	Bytes     int64
 	Hits      uint64
 	Misses    uint64

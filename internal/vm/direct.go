@@ -46,9 +46,9 @@ func (e *DirectEngine) RunBlock(m *Machine, t *Thread) (RunResult, error) {
 			t.PC = pc
 			return m.ExitThread(t), nil
 		}
-		in, err := m.FetchDecoded(pc)
-		if err != nil {
-			return RunOK, err
+		in := m.decodedAt(pc)
+		if in == nil {
+			return RunOK, fmt.Errorf("vm: bad fetch address 0x%x", pc)
 		}
 		m.InstrsExecuted++
 		t.InstrsExecuted++

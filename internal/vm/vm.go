@@ -391,14 +391,18 @@ func (m *Machine) RedirectHost(name string, fn HostFn) (HostFn, error) {
 	return nil, fmt.Errorf("vm: image does not import host function %q", name)
 }
 
-// FetchDecoded returns the predecoded instruction at a text address, or an
-// error for addresses outside the text segment.
-func (m *Machine) FetchDecoded(addr uint64) (guest.Instr, error) {
+// decodedAt returns the predecoded instruction at a text address, or nil for
+// an address outside the text segment or between instructions. Callers must
+// not modify it. It returns a pointer because an Instr returned by value
+// comes back in registers field by field, and storing those bytes and
+// reloading the whole word misses store forwarding on every instruction the
+// direct interpreter runs.
+func (m *Machine) decodedAt(addr uint64) *guest.Instr {
 	idx := (addr - guest.TextBase) / guest.InstrBytes
 	if addr < guest.TextBase || idx >= uint64(len(m.decoded)) || (addr-guest.TextBase)%guest.InstrBytes != 0 {
-		return guest.Instr{}, fmt.Errorf("vm: bad fetch address 0x%x", addr)
+		return nil
 	}
-	return m.decoded[idx], nil
+	return &m.decoded[idx]
 }
 
 // HostName returns the name of host import id (diagnostics).
@@ -696,23 +700,17 @@ func (m *Machine) RunOpts(opts RunOpts) error {
 }
 
 // runSlice executes up to slice blocks of t, reporting whether the slice
-// ended voluntarily. The observability gates are resolved once per slice —
-// the per-block cost of disabled observability is two predictable branches —
-// and profiler samples are weighted by each dispatched block's retired
+// ended voluntarily. The profiler gate is resolved once per slice — the
+// per-block cost of disabled observability is one predictable branch — and
+// profiler samples are weighted by each dispatched block's retired
 // instruction count (see obs.Profiler).
 func (m *Machine) runSlice(t *Thread, slice int) (voluntary bool, err error) {
 	var prof *obs.Profiler
-	blockEvents := false
 	if h := m.Obs; h != nil {
 		prof = h.Prof
-		blockEvents = h.Tracer != nil && h.Tracer.BlockEvents
 	}
 	for i := 0; i < slice && t.State == ThreadRunnable && !m.exited; i++ {
 		pc0, i0 := t.PC, t.InstrsExecuted
-		if blockEvents {
-			m.Obs.Tracer.Instant(m.BlocksExecuted, t.ID, "vm", "block",
-				map[string]any{"pc": pc0})
-		}
 		res, err := m.runBlockGuarded(t)
 		if err != nil {
 			var gf *GuestFault

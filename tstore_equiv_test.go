@@ -9,10 +9,15 @@ package repro
 // Translation-side counters (Translations, SharedHits, translate/compile
 // nanos, instrument-time tallies) legitimately differ — they measure where
 // the translation happened, which is exactly what the store changes.
+// The digest matrix (digest_matrix_test.go) holds the same cold, filling
+// and warm runs of every row to the IR oracle's harness.Digest. The tests
+// after the equivalence tests check what a digest cannot: programs and tool
+// identities never adopt each other's translations, 16 concurrent workers
+// sharing one store (capped or not) compute the cold run's digest, and a
+// sweep translates about one image's worth in total.
 
 import (
 	"bytes"
-	"math"
 	"sync"
 	"testing"
 
@@ -169,18 +174,13 @@ func TestStoreEquivalenceCrash(t *testing.T) {
 // never serve each other's translations — the image content hash keys them
 // apart end to end.
 func TestStoreInvalidationHarness(t *testing.T) {
-	a, ok := drb.ByName("072-taskdep1-orig")
-	if !ok {
-		t.Fatal("missing benchmark")
-	}
-	b, ok := drb.ByName("027-taskdependmissing-orig")
-	if !ok {
-		t.Fatal("missing benchmark")
-	}
+	a := explore.Spec{Prog: "072-taskdep1-orig"}
+	b := explore.Spec{Prog: "027-taskdependmissing-orig"}
+	imA, imB := linkSpec(t, &a), linkSpec(t, &b)
 	cache := tstore.NewCache("")
-	_, _ = tcRun(t, a, harness.Setup{TStore: cache})
+	harnessRun(t, imA, a, harness.Setup{TStore: cache})
 	// Program B against A's cache: nothing adopted, everything fresh.
-	_, bInst := tcRun(t, b, harness.Setup{TStore: cache})
+	bInst, _ := harnessRun(t, imB, b, harness.Setup{TStore: cache})
 	if bInst.Core.SharedHits != 0 {
 		t.Fatalf("program B adopted %d of program A's translations", bInst.Core.SharedHits)
 	}
@@ -188,46 +188,84 @@ func TestStoreInvalidationHarness(t *testing.T) {
 		t.Fatalf("program B translated nothing")
 	}
 	// And the cache still serves A.
-	_, aInst := tcRun(t, a, harness.Setup{TStore: cache})
+	aInst, _ := harnessRun(t, imA, a, harness.Setup{TStore: cache})
 	if aInst.Core.Translations != 0 {
 		t.Fatalf("program A's store went cold: %d translations", aInst.Core.Translations)
 	}
 }
 
+// TestStoreInvalidationToolIdentity: translation units are keyed by the
+// tool's registry identity, not its display name. The taskgrind variants
+// (taskgrind, taskgrind-naive) share Name() == "taskgrind" but instrument
+// differently; against one shared store the second variant must translate
+// everything itself, while a repeat run of the first adopts its own units.
+// lockgrind, a third instrumenting identity, is isolated the same way.
+func TestStoreInvalidationToolIdentity(t *testing.T) {
+	sp := explore.Spec{Prog: "lock-100-mutex-counter"}
+	im := linkSpec(t, &sp)
+	cache := tstore.NewCache("")
+	run := func(tool string) *harness.Instance {
+		t.Helper()
+		sp := sp
+		sp.Tool = tool
+		inst, _ := harnessRun(t, im, sp, harness.Setup{TStore: cache})
+		return inst
+	}
+
+	if first := run("taskgrind"); first.Core.Translations == 0 {
+		t.Fatal("priming run translated nothing")
+	}
+
+	// Same display name, different instrumentation: nothing adopted.
+	naive := run("taskgrind-naive")
+	if naive.Core.SharedHits != 0 {
+		t.Fatalf("taskgrind-naive adopted %d of taskgrind's units", naive.Core.SharedHits)
+	}
+	if naive.Core.Translations == 0 {
+		t.Fatal("taskgrind-naive translated nothing")
+	}
+
+	// Third identity: lockgrind also starts cold on the same store.
+	if lg := run("lockgrind"); lg.Core.SharedHits != 0 {
+		t.Fatalf("lockgrind adopted %d units from other tools", lg.Core.SharedHits)
+	}
+
+	// And each identity's own units stay warm.
+	for _, tool := range []string{"taskgrind", "taskgrind-naive", "lockgrind"} {
+		if again := run(tool); again.Core.Translations != 0 {
+			t.Fatalf("repeat %s run went cold: %d translations", tool, again.Core.Translations)
+		}
+	}
+}
+
 // TestStoreConcurrentWorkers: 16 workers run the same program against one
 // shared store concurrently (exercised under -race by make check); every
-// outcome matches the cold fingerprint and the store performs roughly one
+// outcome matches the cold run's digest and the store performs roughly one
 // run's worth of translation work. A second arm runs the same workers
 // against a store capped at the bytes of a quarter of the image's units:
 // eviction may make them translate again, but never changes what they
 // compute.
 func TestStoreConcurrentWorkers(t *testing.T) {
-	bm, ok := drb.ByName("072-taskdep1-orig")
-	if !ok {
-		t.Fatal("missing benchmark")
-	}
-	cold, coldInst := tcRun(t, bm, harness.Setup{})
+	sp := explore.Spec{Prog: "072-taskdep1-orig"}
+	im := linkSpec(t, &sp)
+	coldInst, cold := harnessRun(t, im, sp, harness.Setup{})
 	solo := coldInst.Core.Translations
 
 	runWorkers := func(label string, cache *tstore.Cache) {
-		const workers = 16
-		prints := make([]runPrint, workers)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w := 0; w < 16; w++ {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
-				prints[w], _ = tcRun(t, bm, harness.Setup{TStore: cache})
-			}(w)
+				if _, d, err := digestRun(im, sp, harness.Setup{TStore: cache}); err != nil || d != cold {
+					t.Errorf("%s %d: %v: digest differs from the cold run's:\ncold %+v\ngot  %+v", label, w, err, cold, d)
+				}
+			}()
 		}
 		wg.Wait()
-		for w := 0; w < workers; w++ {
-			diffPrints(t, label, cold, prints[w])
-		}
 	}
 
-	// A byte cap no run reaches makes the cache count its units' bytes.
-	cache := tstore.NewCacheOpts(tstore.Options{MaxBytes: math.MaxInt64})
+	cache := tstore.NewCache("")
 	runWorkers("worker", cache)
 	stats := cache.Stats()
 	// First-writer-wins means a block can be translated by several racing
@@ -240,7 +278,7 @@ func TestStoreConcurrentWorkers(t *testing.T) {
 		t.Fatalf("no worker adopted anything")
 	}
 
-	if stats.Evictions != 0 || stats.Units == 0 {
+	if stats.Evictions != 0 || stats.Units == 0 || stats.Bytes <= 0 {
 		t.Fatalf("uncapped store: %+v", stats)
 	}
 	maxBytes := stats.Bytes / int64(stats.Units) * int64(solo/4)
@@ -259,7 +297,8 @@ func TestSweepAmortization(t *testing.T) {
 	if !ok {
 		t.Fatal("missing benchmark")
 	}
-	_, coldInst := tcRun(t, bm, harness.Setup{})
+	sp := explore.Spec{Prog: bm.Name}
+	coldInst, _ := harnessRun(t, linkSpec(t, &sp), sp, harness.Setup{})
 	solo := coldInst.Core.Translations
 
 	cache := tstore.NewCache("")

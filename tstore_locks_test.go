@@ -2,9 +2,9 @@ package repro
 
 // Translation-store coverage for the lock subsystem: lockgrind is a
 // translating tool (it instruments accesses and skips the __kmp* runtime),
-// so its units live in the shared store under its own tool identity. Two
-// properties are gated here: lock-program runs are bit-identical cold and
-// warm under lockgrind, and
+// so its units live in the shared store under its own tool identity.
+// Lock-program runs are bit-identical cold and warm under lockgrind.
+// TestStoreInvalidationToolIdentity (tstore_equiv_test.go) checks that
 // differently-instrumenting tools that share a display name (the taskgrind
 // registry variants) can never adopt each other's translations.
 
@@ -62,48 +62,6 @@ func TestStoreEquivalenceLocks(t *testing.T) {
 		}
 		if warmInst.Core.SharedHits == 0 {
 			t.Fatalf("%s: warm lockgrind run adopted nothing", name)
-		}
-	}
-}
-
-// TestStoreInvalidationToolIdentity: translation units are keyed by the
-// tool's registry identity, not its display name. The taskgrind variants
-// (taskgrind, taskgrind-naive) share Name() == "taskgrind" but instrument
-// differently; against one shared store the second variant must translate
-// everything itself, while a repeat run of the first adopts its own units.
-// lockgrind, a third instrumenting identity, is isolated the same way.
-func TestStoreInvalidationToolIdentity(t *testing.T) {
-	bm, ok := drb.ByName("lock-100-mutex-counter")
-	if !ok {
-		t.Fatal("missing benchmark")
-	}
-	cache := tstore.NewCache("")
-
-	_, first := lgRun(t, bm, "taskgrind", harness.Setup{TStore: cache})
-	if first.Core.Translations == 0 {
-		t.Fatal("priming run translated nothing")
-	}
-
-	// Same display name, different instrumentation: nothing adopted.
-	_, naive := lgRun(t, bm, "taskgrind-naive", harness.Setup{TStore: cache})
-	if naive.Core.SharedHits != 0 {
-		t.Fatalf("taskgrind-naive adopted %d of taskgrind's units", naive.Core.SharedHits)
-	}
-	if naive.Core.Translations == 0 {
-		t.Fatal("taskgrind-naive translated nothing")
-	}
-
-	// Third identity: lockgrind also starts cold on the same store.
-	_, lg := lgRun(t, bm, "lockgrind", harness.Setup{TStore: cache})
-	if lg.Core.SharedHits != 0 {
-		t.Fatalf("lockgrind adopted %d units from other tools", lg.Core.SharedHits)
-	}
-
-	// And each identity's own units stay warm.
-	for _, toolName := range []string{"taskgrind", "taskgrind-naive", "lockgrind"} {
-		_, again := lgRun(t, bm, toolName, harness.Setup{TStore: cache})
-		if again.Core.Translations != 0 {
-			t.Fatalf("repeat %s run went cold: %d translations", toolName, again.Core.Translations)
 		}
 	}
 }
