@@ -77,7 +77,9 @@ func (r *Runtime) hMutexLock(m *vm.Machine, t *vm.Thread) vm.HostResult {
 		m.Mem.Store(addr+mxOwner, 8, uint64(t.ID)+1)
 		r.MutexAcquires++
 		r.Events.MutexAcquire(t, addr)
-		r.emit(obs.PhaseBegin, t, "mutex", map[string]any{"addr": addr})
+		if r.tracing() {
+			r.emit(obs.PhaseBegin, t, "mutex", map[string]any{"addr": addr})
+		}
 		return vm.HostResult{Ret: 1}
 	}
 	if m.Mem.Load(addr+mxOwner, 8) == uint64(t.ID)+1 {
@@ -105,7 +107,9 @@ func (r *Runtime) hMutexTrylock(m *vm.Machine, t *vm.Thread) vm.HostResult {
 	m.Mem.Store(addr+mxOwner, 8, uint64(t.ID)+1)
 	r.MutexAcquires++
 	r.Events.MutexAcquire(t, addr)
-	r.emit(obs.PhaseBegin, t, "mutex", map[string]any{"addr": addr, "try": true})
+	if r.tracing() {
+		r.emit(obs.PhaseBegin, t, "mutex", map[string]any{"addr": addr, "try": true})
+	}
 	return vm.HostResult{Ret: 1}
 }
 
@@ -125,7 +129,9 @@ func (r *Runtime) releaseMutex(m *vm.Machine, t *vm.Thread, addr uint64) {
 	m.Mem.Store(addr+mxWord, 8, 0)
 	m.Mem.Store(addr+mxOwner, 8, 0)
 	r.Events.MutexRelease(t, addr)
-	r.emit(obs.PhaseEnd, t, "mutex", map[string]any{"addr": addr})
+	if r.tracing() {
+		r.emit(obs.PhaseEnd, t, "mutex", map[string]any{"addr": addr})
+	}
 	r.wakeMutexWaiter(m, addr)
 }
 

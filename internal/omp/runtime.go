@@ -274,14 +274,18 @@ func (r *Runtime) SetObs(h *obs.Hooks) {
 	}
 }
 
-// emit sends a task-runtime trace event on the machine's block clock.
+// tracing reports whether emit has a tracer to send to. Callers test it
+// before building an event's arguments, which are otherwise built and boxed
+// for nothing.
+func (r *Runtime) tracing() bool { return r.Obs != nil && r.Obs.Tracer != nil }
+
+// emit sends a task-runtime trace event on the machine's block clock. The
+// caller has checked tracing.
 func (r *Runtime) emit(ph obs.Phase, t *vm.Thread, name string, args map[string]any) {
-	if h := r.Obs; h != nil && h.Tracer != nil {
-		h.Tracer.Emit(obs.Event{
-			TS: r.M.BlocksExecuted, Thread: t.ID, Phase: ph,
-			Cat: "omp", Name: name, Args: args,
-		})
-	}
+	r.Obs.Tracer.Emit(obs.Event{
+		TS: r.M.BlocksExecuted, Thread: t.ID, Phase: ph,
+		Cat: "omp", Name: name, Args: args,
+	})
 }
 
 // ts returns (creating if needed) the runtime state of a guest thread. The
@@ -417,7 +421,9 @@ func (r *Runtime) hForkSetup(m *vm.Machine, t *vm.Thread) vm.HostResult {
 	}
 	reg.implicitLive = len(reg.Members)
 	r.Events.ParallelBegin(t, reg.ID, len(reg.Members), fn)
-	r.emit(obs.PhaseBegin, t, "parallel", map[string]any{"region": reg.ID, "members": len(reg.Members), "fn": fn})
+	if r.tracing() {
+		r.emit(obs.PhaseBegin, t, "parallel", map[string]any{"region": reg.ID, "members": len(reg.Members), "fn": fn})
+	}
 	// Release the workers into the region (pendingRegion was set at claim
 	// time).
 	for _, ts := range reg.Members[1:] {
@@ -477,7 +483,9 @@ func (r *Runtime) hImplicitBegin(m *vm.Machine, t *vm.Thread) vm.HostResult {
 	ts.taskStack = append(ts.taskStack, ts.cur)
 	ts.cur = task
 	r.Events.ImplicitBegin(t, reg.ID, task.ID, ts.ThreadNum)
-	r.emit(obs.PhaseBegin, t, "implicit", map[string]any{"task": task.ID, "region": reg.ID, "fn": reg.Fn})
+	if r.tracing() {
+		r.emit(obs.PhaseBegin, t, "implicit", map[string]any{"task": task.ID, "region": reg.ID, "fn": reg.Fn})
+	}
 	return vm.HostResult{Ret: reg.Desc}
 }
 
@@ -489,7 +497,9 @@ func (r *Runtime) hImplicitEnd(m *vm.Machine, t *vm.Thread) vm.HostResult {
 	ts.cur = ts.taskStack[len(ts.taskStack)-1]
 	ts.taskStack = ts.taskStack[:len(ts.taskStack)-1]
 	r.Events.ImplicitEnd(t, reg.ID, task.ID)
-	r.emit(obs.PhaseEnd, t, "implicit", map[string]any{"task": task.ID, "region": reg.ID})
+	if r.tracing() {
+		r.emit(obs.PhaseEnd, t, "implicit", map[string]any{"task": task.ID, "region": reg.ID})
+	}
 	reg.implicitLive--
 	// Restore the enclosing team context (nested regions) or leave the
 	// team (top level / pool workers).
@@ -518,7 +528,9 @@ func (r *Runtime) hJoinWait(m *vm.Machine, t *vm.Thread) vm.HostResult {
 	}
 	delete(r.regions, regID)
 	r.Events.ParallelEnd(t, regID)
-	r.emit(obs.PhaseEnd, t, "parallel", map[string]any{"region": regID})
+	if r.tracing() {
+		r.emit(obs.PhaseEnd, t, "parallel", map[string]any{"region": regID})
+	}
 	r.Pool.Free(desc)
 	return vm.HostResult{Ret: 1}
 }

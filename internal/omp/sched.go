@@ -78,8 +78,10 @@ func (r *Runtime) hTaskEnqueue(m *vm.Machine, t *vm.Thread) vm.HostResult {
 
 	r.Events.TaskCreate(t, task.ID, parent.ID, task.Flags, task.Fn, desc)
 	r.ctrTaskCreate.Inc()
-	r.emit(obs.PhaseInstant, t, "task_create",
-		map[string]any{"task": task.ID, "parent": parent.ID, "fn": task.Fn})
+	if r.tracing() {
+		r.emit(obs.PhaseInstant, t, "task_create",
+			map[string]any{"task": task.ID, "parent": parent.ID, "fn": task.Fn})
+	}
 
 	// Dependence matching against siblings (same parent namespace).
 	for i := 0; i < ndeps; i++ {
@@ -210,8 +212,10 @@ func (r *Runtime) findWork(ts *ThreadState) *Task {
 		v.deque = v.deque[1:]
 		r.StealsSuccessful++
 		r.stealCursor++
-		r.emit(obs.PhaseInstant, ts.T, "steal",
-			map[string]any{"task": task.ID, "victim": v.ThreadNum})
+		if r.tracing() {
+			r.emit(obs.PhaseInstant, ts.T, "steal",
+				map[string]any{"task": task.ID, "victim": v.ThreadNum})
+		}
 		return task
 	}
 	return nil
@@ -231,7 +235,9 @@ func (r *Runtime) hTaskBegin(m *vm.Machine, t *vm.Thread) vm.HostResult {
 	ts.cur = task
 	r.Events.TaskBegin(t, task.ID)
 	r.ctrTaskBegin.Inc()
-	r.emit(obs.PhaseBegin, t, "task", map[string]any{"task": task.ID, "fn": task.Fn})
+	if r.tracing() {
+		r.emit(obs.PhaseBegin, t, "task", map[string]any{"task": task.ID, "fn": task.Fn})
+	}
 	return vm.HostResult{Ret: desc}
 }
 
@@ -245,7 +251,9 @@ func (r *Runtime) hTaskEnd(m *vm.Machine, t *vm.Thread) vm.HostResult {
 	ts.taskStack = ts.taskStack[:len(ts.taskStack)-1]
 	r.Events.TaskEnd(t, task.ID)
 	r.ctrTaskEnd.Inc()
-	r.emit(obs.PhaseEnd, t, "task", map[string]any{"task": task.ID})
+	if r.tracing() {
+		r.emit(obs.PhaseEnd, t, "task", map[string]any{"task": task.ID})
+	}
 	task.State = TaskFinished
 	if task.Flags&ompt.FlagDetached == 0 {
 		r.completeTask(ts, task)

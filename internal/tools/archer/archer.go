@@ -16,8 +16,10 @@ package archer
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/dbi"
 	"repro/internal/guest"
@@ -53,17 +55,25 @@ func (v VC) covers(tid int, clk uint32) bool {
 	return tid < len(v) && v[tid] >= clk
 }
 
-// maxTrackedThreads bounds the per-cell read slots (like TSan's fixed
-// shadow-cell count).
+// maxTrackedThreads bounds the threads whose reads a granule remembers (like
+// TSan's fixed shadow-cell count).
 const maxTrackedThreads = 16
 
-// cell is the per-8-byte-granule shadow state. wClk == 0 means no recorded
-// write (thread clocks start at 1); a read slot with clk == 0 is empty.
+// readerMask has one bit per tracked thread.
+type readerMask uint16
+
+// The mask must have exactly maxTrackedThreads bits.
+var _ = [1]struct{}{}[unsafe.Sizeof(readerMask(0))*8-maxTrackedThreads]
+
+// cell is the 16-byte shadow header of one 8-byte granule: the last write's
+// epoch and the threads that have read the granule since that write.
+// wClk == 0 means no recorded write (thread clocks start at 1). A thread's
+// read slot for the granule is meaningful only while its bit is set.
 type cell struct {
-	wTid  int32
-	wClk  uint32
-	wPC   uint64
-	reads [maxTrackedThreads]readSlot
+	wPC     uint64
+	wClk    uint32
+	wTid    uint16
+	readers readerMask
 }
 
 type readSlot struct {
@@ -71,8 +81,17 @@ type readSlot struct {
 	pc  uint64
 }
 
-// shadowPage is a direct-mapped block of cells (4 KiB of guest memory).
-type shadowPage [512]cell
+// readColumn holds one thread's latest read of each granule of a page.
+type readColumn [512]readSlot
+
+// shadowPage shadows 4 KiB of guest memory: a header per granule and a read
+// column per thread, allocated on that thread's first read in the page. The
+// column pointers come first, so the collector scans 128 B of a page rather
+// than all of it.
+type shadowPage struct {
+	reads [maxTrackedThreads]*readColumn
+	cells [512]cell
+}
 
 // Report is one deduplicated race (by program-counter pair).
 type Report struct {
@@ -143,11 +162,7 @@ func (a *Archer) Attach(c *dbi.Core) {
 		_, _ = c.M.RedirectHost("free", func(m *vm.Machine, t *vm.Thread) vm.HostResult {
 			addr := t.Regs[guest.R0]
 			if blk := c.FindBlock(addr); blk != nil && blk.Addr == addr {
-				for g := addr >> 3; g <= (addr+blk.Size-1)>>3; g++ {
-					if pg := a.shadow[g>>9]; pg != nil {
-						pg[g&511] = cell{}
-					}
-				}
+				a.clearShadow(addr, blk.Size)
 			}
 			return orig(m, t)
 		})
@@ -157,9 +172,26 @@ func (a *Archer) Attach(c *dbi.Core) {
 	}
 }
 
-// ShadowFootprint reports shadow memory (TSan-like direct-mapped pages).
+// ShadowFootprint reports the shadow memory of TSan's model: four 8-byte
+// shadow words (32 B) per 8-byte granule, on direct-mapped pages of 4 KiB of
+// guest memory. It is a model, not the host bytes: a page here holds 8 KiB of
+// headers and 128 B of column pointers, plus 8 KiB for each thread that has
+// read in it.
 func (a *Archer) ShadowFootprint() uint64 {
-	return uint64(len(a.shadow)) * 512 * 32 // ~32B live bytes per cell
+	return uint64(len(a.shadow)) * 512 * 32
+}
+
+// clearShadow forgets every access to [addr, addr+size) (the allocator
+// interceptor's reset on free). It creates no page.
+func (a *Archer) clearShadow(addr, size uint64) {
+	last := (addr + size - 1) >> 3
+	for g := addr >> 3; g <= last; {
+		end := min(last, g|511)
+		if pg := a.shadow[g>>9]; pg != nil {
+			clear(pg.cells[g&511 : end&511+1])
+		}
+		g = end + 1
+	}
 }
 
 // vc returns the thread's clock, initializing epoch 1.
@@ -178,9 +210,9 @@ func (a *Archer) vc(t *vm.Thread) *VC {
 	return c
 }
 
-// cellAt returns the shadow cell for granule g, with a one-page cache for
-// the streaming accesses numeric kernels make.
-func (a *Archer) cellAt(g uint64) *cell {
+// pageAt returns the shadow page holding granule g, with a one-page cache
+// for the streaming accesses numeric kernels make.
+func (a *Archer) pageAt(g uint64) *shadowPage {
 	pageIdx := g >> 9
 	if a.lastPtr == nil || pageIdx != a.lastPage {
 		pg := a.shadow[pageIdx]
@@ -190,7 +222,7 @@ func (a *Archer) cellAt(g uint64) *cell {
 		}
 		a.lastPage, a.lastPtr = pageIdx, pg
 	}
-	return &a.lastPtr[g&511]
+	return a.lastPtr
 }
 
 // release snapshots the thread clock and advances its own component.
@@ -254,8 +286,11 @@ func (a *Archer) check(t *vm.Thread, addr, w, pc uint64, write bool) {
 	}
 	myVC := *a.vc(t)
 	myClk := myVC[t.ID]
+	me := readerMask(1) << t.ID
 	for g := addr >> 3; g <= (addr+w-1)>>3; g++ {
-		cl := a.cellAt(g)
+		pg := a.pageAt(g)
+		i := g & 511
+		cl := &pg.cells[i]
 		// Race iff a prior access by another thread is not ordered
 		// before us. Same-thread accesses are always ordered — the
 		// thread-centric property.
@@ -263,21 +298,26 @@ func (a *Archer) check(t *vm.Thread, addr, w, pc uint64, write bool) {
 			if cl.wClk != 0 && int(cl.wTid) != t.ID && !myVC.covers(int(cl.wTid), cl.wClk) {
 				a.report(cl.wPC, pc, g<<3, "w/r")
 			}
-			cl.reads[t.ID] = readSlot{clk: myClk, pc: pc}
+			col := pg.reads[t.ID]
+			if col == nil {
+				col = new(readColumn)
+				pg.reads[t.ID] = col
+			}
+			col[i] = readSlot{clk: myClk, pc: pc}
+			cl.readers |= me
 			continue
 		}
 		if cl.wClk != 0 && int(cl.wTid) != t.ID && !myVC.covers(int(cl.wTid), cl.wClk) {
 			a.report(cl.wPC, pc, g<<3, "w/w")
 		}
-		for rt := range cl.reads {
-			rs := &cl.reads[rt]
-			if rs.clk != 0 && rt != t.ID && !myVC.covers(rt, rs.clk) {
+		for m := cl.readers &^ me; m != 0; m &= m - 1 {
+			rt := bits.TrailingZeros16(uint16(m))
+			if rs := &pg.reads[rt][i]; !myVC.covers(rt, rs.clk) {
 				a.report(rs.pc, pc, g<<3, "r/w")
 			}
 		}
-		cl.wTid, cl.wClk, cl.wPC = int32(t.ID), myClk, pc
 		// A write supersedes prior reads.
-		cl.reads = [maxTrackedThreads]readSlot{}
+		*cl = cell{wPC: pc, wClk: myClk, wTid: uint16(t.ID)}
 	}
 }
 

@@ -1,8 +1,11 @@
 package archer
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/vm"
 )
 
 // normalize builds a VC from a short slice.
@@ -95,27 +98,25 @@ func TestEnsureGrowsZeroFilled(t *testing.T) {
 	}
 }
 
-// TestReleaseAdvancesOwnComponent: release returns the snapshot and bumps
-// the releasing thread's own clock, so consecutive releases are ordered.
+// TestReleaseAdvancesOwnComponent: release returns the clock as it was and
+// bumps the releasing thread's own component, so consecutive releases are
+// ordered.
 func TestReleaseAdvancesOwnComponent(t *testing.T) {
 	a := New()
-	th := &fakeThread{id: 2}
-	_ = th
-	// Exercise through the public path: vc/release need a *vm.Thread;
-	// covered by the integration tests. Here check the shadow cell
-	// paging instead.
-	c1 := a.cellAt(100)
-	c2 := a.cellAt(100)
-	if c1 != c2 {
-		t.Fatal("cellAt not stable")
+	th := &vm.Thread{ID: 2}
+	a.vc(th).acquire(VC{4, 0, 0, 7})
+	before := a.vc(th).clone()
+	s1 := a.release(th)
+	if !slices.Equal(s1, before) {
+		t.Fatalf("snapshot %v, want the clock before release %v", s1, before)
 	}
-	c3 := a.cellAt(100 + 512)
-	if c3 == c1 {
-		t.Fatal("different pages aliased")
+	want := before.clone()
+	want[2]++
+	if got := *a.vc(th); !slices.Equal(got, want) {
+		t.Fatalf("clock after release %v, want %v", got, want)
 	}
-	if a.ShadowFootprint() == 0 {
-		t.Fatal("footprint not accounted")
+	s2 := a.release(th)
+	if !s2.covers(2, s1[2]) || s1.covers(2, s2[2]) {
+		t.Fatalf("snapshots %v then %v are not ordered", s1, s2)
 	}
 }
-
-type fakeThread struct{ id int }
