@@ -78,13 +78,16 @@ lock-matrix:
 # assembler and the instruction decoder; plus the guest-memory model
 # (strict loads and stores through the software TLB against a byte map and
 # region list); plus Algorithm 1's candidate sweep against the all-pairs
-# loop on synthetic segments. Go runs one -fuzz package at a time, hence
-# four invocations.
+# loop on synthetic segments; plus the translation pipeline (Optimize's
+# register passes and Compile's fuser) against the direct interpreter on
+# generated programs. Go runs one -fuzz package at a time, hence five
+# invocations.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzAssemble' -fuzztime 5s ./internal/gasm
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 5s ./internal/guest
 	$(GO) test -run '^$$' -fuzz 'FuzzMemoryModel' -fuzztime 5s ./internal/gmem
 	$(GO) test -run '^$$' -fuzz 'FuzzAnalysisSweep' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzOptimizeMatchesDirect' -fuzztime 5s ./internal/dbi
 
 # One short iteration of the observability benchmark; the metrics snapshot
 # of the full-stack variant lands in BENCH_obs.json.

@@ -1,5 +1,7 @@
 // Command luleshbench regenerates the paper's Table II and Fig 4 on the
-// LULESH proxy, plus the §IV naive-suppression motivation experiment.
+// LULESH proxy, plus the §IV naive-suppression motivation experiment. Every
+// Table II and Fig 4 cell runs three times and shows the median run's time;
+// the command fails if the three disagree on memory or reports.
 //
 // Usage:
 //

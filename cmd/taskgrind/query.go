@@ -236,7 +236,7 @@ func runExplore(args []string, stdout io.Writer) {
 		LSize: *s, LIters: *iter, LTasksEl: *tel, LTasksNd: *tnl, LRacy: *racy,
 	}
 	sp.Normalize()
-	if _, err := progs.Build(sp.Prog, sp.Lulesh()); err != nil {
+	if err := progs.Check(sp.Prog, sp.Lulesh()); err != nil {
 		fatal(err)
 	}
 	opts := explore.Opts{Workers: *workers}

@@ -69,7 +69,7 @@ func TestCrashFootprintPinned(t *testing.T) {
 		footprint uint64
 		report    string
 	}{
-		{"wildstore", progs.Wildstore(), 36880, `==taskgrind== Invalid write of size 8 at 0xdead0000 (unmapped) by thread 0
+		{"wildstore", progs.Wildstore(), 35344, `==taskgrind== Invalid write of size 8 at 0xdead0000 (unmapped) by thread 0
 ==taskgrind==    at bad_task (wild.c:7)
 ==taskgrind==    by __kmp_invoke_task (+0x48)
 ==taskgrind==    by __kmp_task_barrier (+0x48)
@@ -77,7 +77,7 @@ func TestCrashFootprintPinned(t *testing.T) {
 ==taskgrind==    by __kmpc_fork_call (+0x48)
 ==taskgrind==    by main (wild.c:4)
 `},
-		{"fill-then-fault", fillThenFault(), 52936, `==taskgrind== Invalid write of size 8 at 0xdead0000 (unmapped) by thread 0
+		{"fill-then-fault", fillThenFault(), 50248, `==taskgrind== Invalid write of size 8 at 0xdead0000 (unmapped) by thread 0
 ==taskgrind==    at bad_task (fill.c:9)
 ==taskgrind==    by __kmp_invoke_task (+0x48)
 ==taskgrind==    by __kmp_task_barrier (+0x48)

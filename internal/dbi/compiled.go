@@ -119,7 +119,13 @@ func (e *compiledEngine) RunBlock(m *vm.Machine, t *vm.Thread) (res vm.RunResult
 		case vex.UBinRT:
 			tmps[u.Dst] = u.Fn(regs[u.A], tmps[u.B])
 		case vex.UBinRC:
-			tmps[u.Dst] = u.Fn(regs[u.A], u.Imm)
+			// Add, the address and induction arithmetic of every
+			// loop, skips the indirect call in its hot shapes.
+			v := regs[u.A] + u.Imm
+			if u.Op != vex.OpAdd {
+				v = u.Fn(regs[u.A], u.Imm)
+			}
+			tmps[u.Dst] = v
 		case vex.UBinRR:
 			tmps[u.Dst] = u.Fn(regs[u.A], regs[u.B])
 		case vex.UUnT:
@@ -160,28 +166,62 @@ func (e *compiledEngine) RunBlock(m *vm.Machine, t *vm.Thread) (res vm.RunResult
 			e.curIdx = i
 			m.Mem.Store(regs[u.A], u.Wd, regs[u.B])
 		case vex.UPutBinTT:
-			regs[u.Dst] = u.Fn(tmps[u.A], tmps[u.B])
+			v := u.Fn(tmps[u.A], tmps[u.B])
+			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinTC:
-			regs[u.Dst] = u.Fn(tmps[u.A], u.Imm)
+			v := tmps[u.A] + u.Imm
+			if u.Op != vex.OpAdd {
+				v = u.Fn(tmps[u.A], u.Imm)
+			}
+			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinTR:
-			regs[u.Dst] = u.Fn(tmps[u.A], regs[u.B])
+			v := tmps[u.A] + regs[u.B]
+			if u.Op != vex.OpAdd {
+				v = u.Fn(tmps[u.A], regs[u.B])
+			}
+			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinCT:
-			regs[u.Dst] = u.Fn(u.Imm, tmps[u.B])
+			v := u.Fn(u.Imm, tmps[u.B])
+			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinCR:
-			regs[u.Dst] = u.Fn(u.Imm, regs[u.B])
+			v := u.Fn(u.Imm, regs[u.B])
+			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinRT:
-			regs[u.Dst] = u.Fn(regs[u.A], tmps[u.B])
+			v := u.Fn(regs[u.A], tmps[u.B])
+			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinRC:
-			regs[u.Dst] = u.Fn(regs[u.A], u.Imm)
+			v := u.Fn(regs[u.A], u.Imm)
+			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinRR:
-			regs[u.Dst] = u.Fn(regs[u.A], regs[u.B])
+			v := u.Fn(regs[u.A], regs[u.B])
+			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutUnT:
-			regs[u.Dst] = u.Fn1(tmps[u.A])
+			v := u.Fn1(tmps[u.A])
+			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutUnR:
-			regs[u.Dst] = u.Fn1(regs[u.A])
+			v := u.Fn1(regs[u.A])
+			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.ULdPRI:
 			e.curIdx = i
-			regs[u.Dst] = m.Mem.Load(regs[u.A]+u.Imm, u.Wd)
+			v := m.Mem.Load(regs[u.A]+u.Imm, u.Wd)
+			tmps[u.Dst], regs[u.B] = v, v
+		case vex.ULdPT:
+			e.curIdx = i
+			v := m.Mem.Load(tmps[u.A], u.Wd)
+			tmps[u.Dst], regs[u.B] = v, v
+		case vex.ULdPC:
+			e.curIdx = i
+			v := m.Mem.Load(u.Imm, u.Wd)
+			tmps[u.Dst], regs[u.B] = v, v
+		case vex.UPutLdC:
+			regs[u.A] = u.Imm
+			e.curIdx = i
+			tmps[u.Dst] = m.Mem.Load(u.Imm, u.Wd)
+		case vex.UPutLdPC:
+			regs[u.A] = u.Imm
+			e.curIdx = i
+			v := m.Mem.Load(u.Imm, u.Wd)
+			tmps[u.Dst], regs[u.B] = v, v
 		case vex.ULdTRI:
 			e.curIdx = i
 			tmps[u.Dst] = m.Mem.Load(regs[u.A]+u.Imm, u.Wd)

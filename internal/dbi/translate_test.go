@@ -1,9 +1,7 @@
 package dbi_test
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/dbi"
 	"repro/internal/gbuild"
@@ -75,74 +73,6 @@ func TestTranslateBlockCapChains(t *testing.T) {
 	}
 	if sb.Next.Kind != vex.KindConst || sb.Next.Const != guest.TextBase+dbi.MaxBlockInstrs*guest.InstrBytes {
 		t.Fatalf("chain target = %v", sb.Next)
-	}
-}
-
-// randLinearProgram emits a random straight-line program over computational
-// opcodes plus loads/stores into a scratch global, ending in hlt r0.
-func randLinearProgram(rng *rand.Rand, n int) (*guest.Image, error) {
-	b := gbuild.New()
-	b.Global("scratch", 256)
-	f := b.Func("main", "rand.c")
-	f.LoadSym(guest.R7, "scratch")
-	for i := 0; i < n; i++ {
-		rd := uint8(rng.Intn(6))
-		rs1 := uint8(rng.Intn(8))
-		rs2 := uint8(rng.Intn(8))
-		switch rng.Intn(12) {
-		case 0:
-			f.Ldi(rd, int32(rng.Int31()))
-		case 1:
-			f.Mov(rd, rs1)
-		case 2:
-			f.Add(rd, rs1, rs2)
-		case 3:
-			f.Sub(rd, rs1, rs2)
-		case 4:
-			f.Mul(rd, rs1, rs2)
-		case 5:
-			f.ALU(guest.OpXor, rd, rs1, rs2)
-		case 6:
-			f.ALU(guest.OpShl, rd, rs1, rs2)
-		case 7:
-			f.Addi(rd, rs1, int32(rng.Int31()))
-		case 8:
-			f.Slt(rd, rs1, rs2)
-		case 9:
-			width := []uint8{1, 2, 4, 8}[rng.Intn(4)]
-			f.St(width, guest.R7, int32(rng.Intn(31)*8), rs2)
-		case 10:
-			width := []uint8{1, 2, 4, 8}[rng.Intn(4)]
-			f.Ld(width, rd, guest.R7, int32(rng.Intn(31)*8))
-		case 11:
-			f.ALU(guest.OpSar, rd, rs1, rs2)
-		}
-	}
-	f.Hlt(guest.R0)
-	return b.Link()
-}
-
-// TestQuickIREngineMatchesDirect is the central translator property: for
-// random straight-line programs, executing via translated IR produces the
-// same exit state as the direct interpreter.
-func TestQuickIREngineMatchesDirect(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		im, err := randLinearProgram(rng, 40)
-		if err != nil {
-			return false
-		}
-		run := func(tool dbi.Tool) uint64 {
-			m, core, _ := newMachine(t, im, tool, 1)
-			if err := core.Run(); err != nil {
-				t.Fatal(err)
-			}
-			return m.ExitCode()
-		}
-		return run(nil) == run(&countTool{})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

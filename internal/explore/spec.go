@@ -99,7 +99,7 @@ func (sp *Spec) Normalize() {
 // Validate rejects specs that could never run: unknown program, tool or
 // injection spec. Called after Normalize.
 func (sp *Spec) Validate() error {
-	if _, err := progs.Build(sp.Prog, sp.Lulesh()); err != nil {
+	if err := progs.Check(sp.Prog, sp.Lulesh()); err != nil {
 		return err
 	}
 	if _, _, err := toolreg.Make(sp.Tool); err != nil {

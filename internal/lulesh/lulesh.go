@@ -133,10 +133,19 @@ func loadArr(f *gbuild.Func, dst uint8, ptrSym string) {
 	f.Ld(8, dst, dst, 0)
 }
 
+// Check reports whether Build accepts p: the mesh size, both task counts and
+// the iteration count must be positive.
+func (p Params) Check() error {
+	if p.S <= 0 || p.TEL <= 0 || p.TNL <= 0 || p.Iters <= 0 {
+		return fmt.Errorf("lulesh: bad params %+v", p)
+	}
+	return nil
+}
+
 // Build constructs the guest program.
 func Build(p Params) (*gbuild.Builder, error) {
-	if p.S <= 0 || p.TEL <= 0 || p.TNL <= 0 || p.Iters <= 0 {
-		return nil, fmt.Errorf("lulesh: bad params %+v", p)
+	if err := p.Check(); err != nil {
+		return nil, err
 	}
 	n := p.Cells()
 	b := omp.NewProgram()

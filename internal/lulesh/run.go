@@ -1,7 +1,9 @@
 package lulesh
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/harness"
@@ -71,6 +73,30 @@ func Run(p Params, tool string, threads int, seed uint64) (RunResult, error) {
 	}, nil
 }
 
+// cellRuns is how many times GenerateTableII and GenerateFig4 run each cell.
+// A cell shows its median run's times, so one slow run cannot reorder a row.
+const cellRuns = 3
+
+// runCell runs one cell cellRuns times and returns the run of median wall
+// time. The memory and report columns are deterministic: runs that disagree
+// on either are an error.
+func runCell(p Params, tool string, threads int, seed uint64) (RunResult, error) {
+	var runs [cellRuns]RunResult
+	for i := range runs {
+		r, err := Run(p, tool, threads, seed)
+		if err != nil {
+			return RunResult{}, err
+		}
+		if f, n := runs[0].Footprint, runs[0].Reports; i > 0 && (r.Footprint != f || r.Reports != n) {
+			return RunResult{}, fmt.Errorf("lulesh under %s: run %d has footprint %d and %d reports, run 1 %d and %d",
+				tool, i+1, r.Footprint, r.Reports, f, n)
+		}
+		runs[i] = r
+	}
+	slices.SortFunc(runs[:], func(a, b RunResult) int { return cmp.Compare(a.Wall, b.Wall) })
+	return runs[cellRuns/2], nil
+}
+
 // TableIIRow is one row of Table II.
 type TableIIRow struct {
 	Racy    bool
@@ -79,9 +105,10 @@ type TableIIRow struct {
 }
 
 // GenerateTableII reproduces Table II: {correct, racy} × {1, 4} threads
-// under no-tools, Archer, and Taskgrind. Unlike the paper's prototype, this
-// implementation does not deadlock on multi-threaded runs, so the 4-thread
-// Taskgrind cells carry real measurements.
+// under no-tools, Archer, and Taskgrind, each cell the median of cellRuns
+// runs. Unlike the paper's prototype, this implementation does not
+// deadlock on multi-threaded runs, so the 4-thread Taskgrind cells carry
+// real measurements.
 func GenerateTableII(p Params, seed uint64) ([]TableIIRow, error) {
 	var rows []TableIIRow
 	for _, racy := range []bool{false, true} {
@@ -90,7 +117,7 @@ func GenerateTableII(p Params, seed uint64) ([]TableIIRow, error) {
 			pp.Racy = racy
 			row := TableIIRow{Racy: racy, Threads: threads, Results: map[string]RunResult{}}
 			for _, tool := range []string{"none", "archer", "taskgrind"} {
-				res, err := Run(pp, tool, threads, seed)
+				res, err := runCell(pp, tool, threads, seed)
 				if err != nil {
 					return nil, err
 				}
@@ -132,21 +159,22 @@ type Fig4Point struct {
 	Taskgrind RunResult
 }
 
-// GenerateFig4 sweeps the problem size.
+// GenerateFig4 sweeps the problem size, each point's runs the median of
+// cellRuns.
 func GenerateFig4(sizes []int, base Params, seed uint64) ([]Fig4Point, error) {
 	var out []Fig4Point
 	for _, s := range sizes {
 		p := base
 		p.S = s
-		ref, err := Run(p, "none", 4, seed)
+		ref, err := runCell(p, "none", 4, seed)
 		if err != nil {
 			return nil, err
 		}
-		arch, err := Run(p, "archer", 4, seed)
+		arch, err := runCell(p, "archer", 4, seed)
 		if err != nil {
 			return nil, err
 		}
-		tg, err := Run(p, "taskgrind", 1, seed)
+		tg, err := runCell(p, "taskgrind", 1, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -16,10 +16,30 @@ import (
 	"repro/internal/omp"
 )
 
+// Check reports whether Build accepts name and lp without building the
+// program: name must be a built-in program and, for "lulesh", lp must pass
+// lulesh's parameter check. Build fails exactly when Check does, with its
+// error.
+func Check(name string, lp lulesh.Params) error {
+	switch name {
+	case "lulesh":
+		return lp.Check()
+	case "task.c", "task.c-critical", "wildstore":
+		return nil
+	}
+	if _, ok := drb.ByName(name); ok {
+		return nil
+	}
+	return fmt.Errorf("unknown program %q (use -list)", name)
+}
+
 // Build resolves a program name to a fresh builder (builders are
 // single-link, so every call constructs anew). lp is consulted for
 // "lulesh" only.
 func Build(name string, lp lulesh.Params) (*gbuild.Builder, error) {
+	if err := Check(name, lp); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "lulesh":
 		return lulesh.Build(lp)
@@ -30,10 +50,8 @@ func Build(name string, lp lulesh.Params) (*gbuild.Builder, error) {
 	case "wildstore":
 		return Wildstore(), nil
 	}
-	if b, ok := drb.ByName(name); ok {
-		return b.Build(), nil
-	}
-	return nil, fmt.Errorf("unknown program %q (use -list)", name)
+	b, _ := drb.ByName(name)
+	return b.Build(), nil
 }
 
 // Names enumerates the built-in program names, specials first, in the

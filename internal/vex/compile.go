@@ -156,13 +156,15 @@ const (
 	UDirty
 
 	// Fused micro-ops. The peephole pass in Compile merges the multi-op
-	// sequences the translator emits for single guest instructions —
-	// compute-into-temp followed by a single-use read of that temp — into
-	// one dispatch. These carry the same semantics as the sequences they
-	// replace, executed atomically within the op.
+	// sequences the translator emits for single guest instructions — a
+	// computation into a temp followed by a read of that temp — into one
+	// dispatch. These carry the same semantics as the sequences they
+	// replace, executed atomically within the op. A fused op that writes a
+	// register also writes its temp, so the temp may have other readers.
 
-	// UPutBin**: regs[Dst] = Fn(x, y) — a binop whose single-use result
-	// temp fed a register write. Operand sources mirror UBin**.
+	// UPutBin**: tmps[Dst] = Fn(x, y); regs[Wd] = tmps[Dst] — a binop
+	// whose result temp fed a register write. Operand sources mirror
+	// UBin**.
 	UPutBinTT
 	UPutBinTC
 	UPutBinTR
@@ -171,14 +173,23 @@ const (
 	UPutBinRT
 	UPutBinRC
 	UPutBinRR
-	// UPutUnT/UPutUnR: regs[Dst] = Fn1(x).
+	// UPutUnT/UPutUnR: tmps[Dst] = Fn1(x); regs[Wd] = tmps[Dst].
 	UPutUnT
 	UPutUnR
-	// ULdPRI: regs[Dst] = LD[Wd](regs[A] + Imm) — the full base+offset
-	// load-to-register pattern. ULdTRI is the same with a temp destination
-	// (the loaded value had further uses).
+	// ULdPRI: tmps[Dst] = LD[Wd](regs[A] + Imm); regs[B] = tmps[Dst] —
+	// the full base+offset load-to-register pattern. ULdPT and ULdPC are
+	// the same with the address in tmps[A] or Imm. ULdTRI loads from
+	// regs[A] + Imm into the temp alone (no register write followed).
 	ULdPRI
+	ULdPT
+	ULdPC
 	ULdTRI
+	// UPutLdC/UPutLdPC: regs[A] = Imm, then ULdC/ULdPC — a constant put
+	// to a register and then loaded through, the deref of a global
+	// pointer's address. The op takes the load's instruction, so a fault
+	// sees the register written.
+	UPutLdC
+	UPutLdPC
 	// UStRIR/UStRIT: ST[Wd](regs[A] + Imm) = regs[B] / tmps[B].
 	UStRIR
 	UStRIT
@@ -477,94 +488,113 @@ func copyOut[T any](s []T) []T {
 }
 
 // fuse is the peephole pass: it merges the adjacent micro-op sequences the
-// translator produces for single guest instructions — a computation into a
-// single-use temp immediately consumed by the next op — into one fused
-// micro-op. Runs in place (the output is never longer than the input).
+// translator produces for single guest instructions, and a constant put
+// followed by a load through it, into one fused micro-op. A temp is folded
+// away only when it has a single reader; a register write of a temp with
+// further readers fuses into an op that writes both. Runs in place (the
+// output is never longer than the input).
 func (cc *compiler) fuse() {
 	ops, pcs, ics := cc.ops, cc.pcs, cc.ics
+	// same reports whether op i+k exists and belongs to op i's guest
+	// instruction.
+	same := func(i, k int) bool { return i+k < len(ops) && ics[i] == ics[i+k] }
+	// putOf returns the register op i+1 writes, when it is a UPutT of temp
+	// t in op i's instruction.
+	putOf := func(i int, t uint32) (uint32, bool) {
+		if same(i, 1) && ops[i+1].Code == UPutT && ops[i+1].A == t {
+			return ops[i+1].Dst, true
+		}
+		return 0, false
+	}
 	j := 0
 	for i := 0; i < len(ops); {
 		u := &ops[i]
 		var fused UOp
-		n := 0 // ops consumed by the match, 0 = no match
+		var pre *UOp // an op the match moves ahead of the fused one
+		n := 0       // ops consumed by the match, 0 = no match
 
-		switch {
-		case u.Code == UBinRC && u.Op == OpAdd && cc.singleUse(u.Dst):
+		if u.Code == UBinRC && u.Op == OpAdd && cc.singleUse(u.Dst) && same(i, 1) {
 			// Base+offset address arithmetic feeding a load or store.
-			if i+1 < len(ops) && ics[i] == ics[i+1] {
-				switch v := &ops[i+1]; v.Code {
-				case ULdT:
-					if v.A == u.Dst {
-						// Full load-to-register triple?
-						if i+2 < len(ops) && ics[i] == ics[i+2] {
-							if w := &ops[i+2]; w.Code == UPutT && w.A == v.Dst && cc.singleUse(v.Dst) {
-								fused = UOp{Code: ULdPRI, Wd: v.Wd, Dst: w.Dst, A: u.A, Imm: u.Imm}
-								n = 3
-								break
-							}
-						}
-						fused = UOp{Code: ULdTRI, Wd: v.Wd, Dst: v.Dst, A: u.A, Imm: u.Imm}
-						n = 2
-					}
-				case UStTR:
-					if v.A == u.Dst {
-						fused = UOp{Code: UStRIR, Wd: v.Wd, A: u.A, B: v.B, Imm: u.Imm}
-						n = 2
-					}
-				case UStTT:
-					if v.A == u.Dst {
-						fused = UOp{Code: UStRIT, Wd: v.Wd, A: u.A, B: v.B, Imm: u.Imm}
-						n = 2
-					}
+			switch v := &ops[i+1]; {
+			case v.Code == ULdT && v.A == u.Dst:
+				fused = UOp{Code: ULdTRI, Wd: v.Wd, Dst: v.Dst, A: u.A, Imm: u.Imm}
+				n = 2
+				if r, ok := putOf(i+1, v.Dst); ok {
+					fused.Code, fused.B = ULdPRI, r
+					n = 3
 				}
-			}
-
-		case u.Code == ULdR && i+1 < len(ops) && ics[i] == ics[i+1]:
-			// Zero-offset load straight to a register.
-			if v := &ops[i+1]; v.Code == UPutT && v.A == u.Dst && cc.singleUse(u.Dst) {
-				fused = UOp{Code: ULdPRI, Wd: u.Wd, Dst: v.Dst, A: u.A}
+			case v.Code == UStTR && v.A == u.Dst:
+				fused = UOp{Code: UStRIR, Wd: v.Wd, A: u.A, B: v.B, Imm: u.Imm}
+				n = 2
+			case v.Code == UStTT && v.A == u.Dst:
+				fused = UOp{Code: UStRIT, Wd: v.Wd, A: u.A, B: v.B, Imm: u.Imm}
 				n = 2
 			}
 		}
-
-		// Binop/unop whose single-use result feeds a register write or a
-		// conditional exit.
-		if n == 0 && u.Code >= UBinTT && u.Code <= UBinRR && cc.singleUse(u.Dst) &&
-			i+1 < len(ops) && ics[i] == ics[i+1] {
-			switch v := &ops[i+1]; {
-			case v.Code == UPutT && v.A == u.Dst:
-				fused = *u
-				fused.Code = UPutBinTT + (u.Code - UBinTT)
-				fused.Dst = v.Dst
-				n = 2
-			case v.Code == UExitT && v.A == u.Dst:
-				var ec UCode
-				switch u.Code {
-				case UBinTT:
-					ec = UExitBinTT
-				case UBinTR:
-					ec = UExitBinTR
-				case UBinRT:
-					ec = UExitBinRT
-				case UBinRR:
-					ec = UExitBinRR
-				}
-				if ec != 0 {
-					fused = UOp{Code: ec, A: u.A, B: u.B, Fn: u.Fn, Op: u.Op,
-						Dst: v.Dst, Imm: v.Imm}
+		if u.Code == UPutC && i+1 < len(ops) && ops[i+1].Code == ULdC && ops[i+1].Imm == u.Imm {
+			// A constant put and then loaded through: the load's
+			// instruction may be the next one.
+			v := &ops[i+1]
+			fused = UOp{Code: UPutLdC, Wd: v.Wd, Dst: v.Dst, A: u.Dst, Imm: u.Imm}
+			n = 2
+			if r, ok := putOf(i+1, v.Dst); ok {
+				fused.Code, fused.B = UPutLdPC, r
+				n = 3
+			}
+			i++ // the fused op takes the load's PC and count
+			n--
+		}
+		if n == 0 {
+			switch u.Code {
+			case ULdR, ULdT, ULdC:
+				// A load straight to a register.
+				if r, ok := putOf(i, u.Dst); ok {
+					fused = *u
+					fused.B = r
+					switch u.Code {
+					case ULdR:
+						fused.Code = ULdPRI // zero offset
+					case ULdT:
+						fused.Code = ULdPT
+					default:
+						fused.Code = ULdPC
+					}
 					n = 2
 				}
-			}
-		}
-		if n == 0 && (u.Code == UUnT || u.Code == UUnR) && cc.singleUse(u.Dst) &&
-			i+1 < len(ops) && ics[i] == ics[i+1] {
-			if v := &ops[i+1]; v.Code == UPutT && v.A == u.Dst {
-				code := UPutUnT
-				if u.Code == UUnR {
-					code = UPutUnR
+			case UBinTT, UBinTC, UBinTR, UBinCT, UBinCR, UBinRT, UBinRC, UBinRR:
+				if r, ok := putOf(i, u.Dst); ok {
+					fused = *u
+					fused.Code = UPutBinTT + (u.Code - UBinTT)
+					fused.Wd = uint8(r)
+					n = 2
+					break
 				}
-				fused = UOp{Code: code, Dst: v.Dst, A: u.A, Fn1: u.Fn1, Op: u.Op}
-				n = 2
+				// A compare feeding a conditional exit. The flush
+				// call instrumentation puts before an exit may sit
+				// between the two when the compare reads only temps,
+				// which no call can change.
+				ec := exitBinCode(u.Code)
+				if ec == 0 || !cc.singleUse(u.Dst) {
+					break
+				}
+				k := 1
+				if u.Code == UBinTT && same(i, 2) && ops[i+1].Code == UDirty {
+					pre, k = &ops[i+1], 2
+				}
+				if !same(i, k) || ops[i+k].Code != UExitT || ops[i+k].A != u.Dst {
+					pre = nil
+					break
+				}
+				v := &ops[i+k]
+				fused = UOp{Code: ec, A: u.A, B: u.B, Fn: u.Fn, Op: u.Op, Dst: v.Dst, Imm: v.Imm}
+				n = k + 1
+			case UUnT, UUnR:
+				if r, ok := putOf(i, u.Dst); ok {
+					fused = *u
+					fused.Code = UPutUnT + (u.Code - UUnT)
+					fused.Wd = uint8(r)
+					n = 2
+				}
 			}
 		}
 
@@ -574,6 +604,10 @@ func (cc *compiler) fuse() {
 			i++
 			continue
 		}
+		if pre != nil {
+			ops[j], pcs[j], ics[j] = *pre, pcs[i], ics[i]
+			j++
+		}
 		ops[j], pcs[j], ics[j] = fused, pcs[i], ics[i]
 		j++
 		i += n
@@ -581,6 +615,22 @@ func (cc *compiler) fuse() {
 	cc.ops = ops[:j]
 	cc.pcs = pcs[:j]
 	cc.ics = ics[:j]
+}
+
+// exitBinCode returns the fused compare-and-exit code for a binop code, or
+// zero for the shapes with a constant operand.
+func exitBinCode(c UCode) UCode {
+	switch c {
+	case UBinTT:
+		return UExitBinTT
+	case UBinTR:
+		return UExitBinTR
+	case UBinRT:
+		return UExitBinRT
+	case UBinRR:
+		return UExitBinRR
+	}
+	return 0
 }
 
 // compileMov lowers t = e.

@@ -117,6 +117,64 @@ func TestCompileExitGuards(t *testing.T) {
 	}
 }
 
+// TestCompileFusesRegisterWrites: a computation or load whose temp feeds a
+// register write fuses into one op writing both, whatever else reads the
+// temp, and a constant put to a register and then loaded through fuses
+// into the load, which keeps the load's PC.
+func TestCompileFusesRegisterWrites(t *testing.T) {
+	sb := &SuperBlock{GuestAddr: 0x1000}
+	sb.IMark(0x1000, 8)
+	sum := sb.WrTmpBinop(OpAdd, RegE(1), RegE(2))
+	sb.PutReg(3, TmpE(sum))
+	sb.IMark(0x1008, 8)
+	v := sb.WrTmpLoad(W64, TmpE(sum))
+	sb.PutReg(4, TmpE(v))
+	sb.IMark(0x1010, 8)
+	sb.PutReg(5, ConstE(0x9000))
+	sb.IMark(0x1018, 8)
+	w := sb.WrTmpLoad(W32, ConstE(0x9000))
+	sb.Store(W32, TmpE(v), TmpE(w))
+	sb.Next = ConstE(0x1020)
+	c, err := Compile(sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []UOp{
+		{Code: UPutBinRR, Op: OpAdd, Dst: uint32(sum), Wd: 3, A: 1, B: 2},
+		{Code: ULdPT, Wd: 8, Dst: uint32(v), A: uint32(sum), B: 4},
+		{Code: UPutLdC, Wd: 4, Dst: uint32(w), A: 5, Imm: 0x9000},
+		{Code: UStTT, Wd: 4, A: uint32(v), B: uint32(w)},
+	}
+	if len(c.Ops) != len(want) {
+		t.Fatalf("got %d ops, want %d: %+v", len(c.Ops), len(want), c.Ops)
+	}
+	for i, u := range c.Ops {
+		w := want[i]
+		if u.Code != w.Code || u.Op != w.Op || u.Wd != w.Wd || u.Dst != w.Dst ||
+			u.A != w.A || u.B != w.B || u.Imm != w.Imm {
+			t.Errorf("op %d = %+v, want %+v", i, u, w)
+		}
+	}
+	if c.PCs[2] != 0x1018 || c.ICs[2] != 4 {
+		t.Errorf("fused constant load at pc %#x, count %d; want the load's, 0x1018 and 4", c.PCs[2], c.ICs[2])
+	}
+}
+
+// TestCompileBlockEndingInBinop: a binop whose temp only the fall-through
+// reads is the block's last op, with nothing after it to fuse with.
+func TestCompileBlockEndingInBinop(t *testing.T) {
+	sb := &SuperBlock{GuestAddr: 0x1000}
+	sb.IMark(0x1000, 8)
+	sb.Next = TmpE(sb.WrTmpBinop(OpCmpEQ, RegE(1), RegE(2)))
+	c, err := Compile(sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Ops) != 1 || c.Ops[0].Code != UBinRR || c.NextKind != KindRdTmp {
+		t.Fatalf("want one UBinRR feeding the fall-through, got %+v", c.Ops)
+	}
+}
+
 // TestUOpSize pins the micro-op at 48 bytes on 64-bit hosts. The compiled
 // engine walks arrays of them, so a field that grows the op costs every
 // executed micro-op; one that shrinks it should lower the pin.

@@ -99,6 +99,149 @@ func TestOptimizeGetRegAliasInvalidation(t *testing.T) {
 	}
 }
 
+// optimized renders Optimize(sb), checked well-formed, one statement a line.
+func optimized(t *testing.T, sb *SuperBlock) string {
+	t.Helper()
+	opt := Optimize(sb)
+	if err := opt.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, s := range opt.Stmts {
+		b.WriteString(s.String())
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "goto %s\n", opt.Next)
+	return b.String()
+}
+
+// TestOptimizeForwardsConstantLoad: an ldi/ldih pair as the translator
+// lowers it becomes one register write of the constant.
+func TestOptimizeForwardsConstantLoad(t *testing.T) {
+	sb := &SuperBlock{GuestAddr: 0x1000}
+	sb.IMark(0x1000, 8)
+	sb.PutReg(1, ConstE(0x12345678))
+	sb.IMark(0x1008, 8)
+	lo := sb.WrTmpBinop(OpAnd, RegE(1), ConstE(0xffffffff))
+	hi := sb.WrTmpBinop(OpOr, TmpE(lo), ConstE(9<<32))
+	sb.PutReg(1, TmpE(hi))
+	sb.IMark(0x1010, 8)
+	sb.Store(W64, RegE(1), RegE(2))
+	sb.Next = ConstE(0x1018)
+	want := `------ IMark(0x1000, 8) ------
+------ IMark(0x1008, 8) ------
+PUT(r1) = 0x912345678
+------ IMark(0x1010, 8) ------
+ST64(0x912345678) = GET(r2)
+goto 0x1018
+`
+	if got := optimized(t, sb); got != want {
+		t.Fatalf("got\n%swant\n%s", got, want)
+	}
+}
+
+// TestOptimizeKeepsObservablePuts: a PUT survives a later PUT to its
+// register when a load, store, exit, dirty call or register read between
+// the two can observe it, and only then.
+func TestOptimizeKeepsObservablePuts(t *testing.T) {
+	probe := func(any, []uint64) uint64 { return 0 }
+	for _, c := range []struct {
+		name    string
+		between func(sb *SuperBlock)
+		puts    int
+	}{
+		{"nothing", func(sb *SuperBlock) {}, 1},
+		{"pure", func(sb *SuperBlock) { sb.PutReg(2, TmpE(sb.WrTmpBinop(OpAdd, RegE(4), ConstE(1)))) }, 1},
+		{"load", func(sb *SuperBlock) { sb.WrTmpLoad(W8, RegE(2)) }, 2},
+		{"store", func(sb *SuperBlock) { sb.Store(W8, RegE(2), ConstE(0)) }, 2},
+		{"exit", func(sb *SuperBlock) { sb.Exit(RegE(2), 0x4000, JKBoring) }, 2},
+		{"dirty", func(sb *SuperBlock) { sb.Dirty("probe", probe) }, 2},
+		{"read", func(sb *SuperBlock) { sb.PutReg(2, RegE(1)) }, 2},
+	} {
+		sb := &SuperBlock{GuestAddr: 0x1000}
+		sb.PutReg(1, RegE(3)) // not forwardable: later GETs read r1
+		c.between(sb)
+		sb.PutReg(1, ConstE(7))
+		sb.Next = ConstE(0x1008)
+		opt := Optimize(sb)
+		puts := 0
+		for _, s := range opt.Stmts {
+			if s.Kind == SPutReg && s.Reg == 1 {
+				puts++
+			}
+		}
+		if puts != c.puts {
+			t.Errorf("%s: %d PUTs to r1 kept, want %d:\n%s", c.name, puts, c.puts, opt)
+		}
+	}
+}
+
+// TestOptimizeDropsDeadChains: removing a PUT kills the pure statements that
+// only fed it, and the ones that only fed those.
+func TestOptimizeDropsDeadChains(t *testing.T) {
+	sb := &SuperBlock{GuestAddr: 0x1000}
+	t0 := sb.WrTmpBinop(OpMul, RegE(2), RegE(3))
+	sb.PutReg(1, TmpE(t0))
+	t1 := sb.WrTmpBinop(OpAdd, RegE(1), RegE(4))
+	sb.PutReg(1, TmpE(t1))
+	sb.PutReg(1, ConstE(7))
+	sb.Next = ConstE(0x1008)
+	if got, want := optimized(t, sb), "PUT(r1) = 0x7\ngoto 0x1008\n"; got != want {
+		t.Fatalf("got\n%swant\n%s", got, want)
+	}
+}
+
+// TestOptimizeCSE: a binop the block computed already reads the earlier
+// temp, unless one of its source registers was written or a dirty call ran
+// in between.
+func TestOptimizeCSE(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		between func(sb *SuperBlock)
+		muls    int
+	}{
+		{"nothing", func(sb *SuperBlock) {}, 1},
+		{"other register", func(sb *SuperBlock) { sb.PutReg(5, RegE(6)) }, 1},
+		{"source register", func(sb *SuperBlock) { sb.PutReg(2, RegE(6)) }, 2},
+		{"dirty", func(sb *SuperBlock) { sb.Dirty("probe", func(any, []uint64) uint64 { return 0 }) }, 2},
+	} {
+		sb := &SuperBlock{GuestAddr: 0x1000}
+		sb.PutReg(4, TmpE(sb.WrTmpBinop(OpMul, RegE(2), RegE(3))))
+		c.between(sb)
+		sb.PutReg(7, TmpE(sb.WrTmpBinop(OpMul, RegE(2), RegE(3))))
+		sb.Next = ConstE(0x1008)
+		opt := Optimize(sb)
+		muls := 0
+		for _, s := range opt.Stmts {
+			if s.Kind == SWrTmpBinop && s.Op == OpMul {
+				muls++
+			}
+		}
+		if muls != c.muls {
+			t.Errorf("%s: %d Muls, want %d:\n%s", c.name, muls, c.muls, opt)
+		}
+	}
+}
+
+// TestOptimizeDirtyEndsForwarding: a dirty call may write any register, so
+// a GET after one reads the register, not the value put before it.
+func TestOptimizeDirtyEndsForwarding(t *testing.T) {
+	sb := &SuperBlock{GuestAddr: 0x1000}
+	sb.PutReg(1, ConstE(5))
+	sb.Dirty("probe", func(any, []uint64) uint64 { return 0 })
+	sb.PutReg(2, TmpE(sb.WrTmpBinop(OpAdd, RegE(1), ConstE(1))))
+	sb.Next = ConstE(0x1008)
+	want := `PUT(r1) = 0x5
+DIRTY probe()
+t0 = Add(GET(r1),0x1)
+PUT(r2) = t0
+goto 0x1008
+`
+	if got := optimized(t, sb); got != want {
+		t.Fatalf("got\n%swant\n%s", got, want)
+	}
+}
+
 func TestOptimizeCopyPropagation(t *testing.T) {
 	// Chains of copies collapse.
 	sb := &SuperBlock{GuestAddr: 0x1000}
