@@ -306,19 +306,22 @@ func (tg *Taskgrind) Attach(c *dbi.Core) {
 
 // AccessHooks implements dbi.CompileTimeTool when Opt.CompileTime is set:
 // the tool's checks run inline on the direct engine.
-func (tg *Taskgrind) AccessHooks(im *guest.Image) (load, store vm.AccessHook, filter []bool) {
+func (tg *Taskgrind) AccessHooks() (load, store vm.AccessHook) {
 	if !tg.Opt.CompileTime {
-		return nil, nil, nil
+		return nil, nil
 	}
-	filter = dbi.SymbolFilter(im, func(sym string) bool { return !tg.symFiltered(sym) })
 	load = func(t *vm.Thread, addr uint64, w uint8, pc uint64) {
 		tg.record(t, addr, w, false)
 	}
 	store = func(t *vm.Thread, addr uint64, w uint8, pc uint64) {
 		tg.record(t, addr, w, true)
 	}
-	return load, store, filter
+	return load, store
 }
+
+// InstrumentsSym implements dbi.CompileTimeTool: the ignore and
+// instrument lists decide, as for translated blocks.
+func (tg *Taskgrind) InstrumentsSym(sym string) bool { return !tg.symFiltered(sym) }
 
 // record attributes one access to the thread's current segment.
 func (tg *Taskgrind) record(t *vm.Thread, addr uint64, w uint8, write bool) {

@@ -187,9 +187,13 @@ type Identifier interface {
 // architectural difference behind Archer's 10x vs Taskgrind's 100x
 // overhead in the paper.
 type CompileTimeTool interface {
-	// AccessHooks returns the load/store checks and the per-instruction
-	// instrumentation filter for the image.
-	AccessHooks(im *guest.Image) (load, store vm.AccessHook, filter []bool)
+	// AccessHooks returns the load/store checks, or nils to run on the
+	// translating engine after all.
+	AccessHooks() (load, store vm.AccessHook)
+	// InstrumentsSym reports whether the checks cover the instructions of
+	// the named function ("" for code outside every symbol); the core
+	// builds the image's instrumentation filter from it with SymbolFilter.
+	InstrumentsSym(sym string) bool
 }
 
 // New wraps a machine with a tool and installs the translating engine and
@@ -197,22 +201,19 @@ type CompileTimeTool interface {
 // while keeping Core facilities available. Threads that already exist (the
 // main thread) get their ThreadStart callback immediately.
 func New(m *vm.Machine, tool Tool) *Core {
-	c := &Core{
-		M: m, tool: tool,
-		cache: make(map[uint64]*vex.SuperBlock),
-		code:  make([]*vex.Compiled, len(m.Image.Text)),
-	}
+	c := &Core{M: m, tool: tool}
 	if tool != nil {
 		installed := false
 		if ct, ok := tool.(CompileTimeTool); ok {
-			if load, store, filter := ct.AccessHooks(m.Image); load != nil || store != nil {
+			if load, store := ct.AccessHooks(); load != nil || store != nil {
+				filter := SymbolFilter(m.Image, ct.InstrumentsSym)
 				m.Eng = &vm.DirectEngine{LoadHook: load, StoreHook: store, Filter: filter}
 				installed = true
 				c.engineFixed = true
 			}
 		}
 		if !installed {
-			m.Eng = &compiledEngine{c: c}
+			c.installCompiled()
 		}
 		m.Hooks.ClientRequest = func(t *vm.Thread, code int32, args [6]uint64) uint64 {
 			c.observeCreq(t, code)
@@ -252,13 +253,26 @@ func (c *Core) SelectEngine(name string) error {
 	}
 	switch name {
 	case "", EngineCompiled:
-		c.M.Eng = &compiledEngine{c: c}
+		c.installCompiled()
 	case EngineIR:
+		if c.cache == nil {
+			c.cache = make(map[uint64]*vex.SuperBlock)
+		}
 		c.M.Eng = &irEngine{c: c}
 	default:
 		return fmt.Errorf("dbi: unknown engine %q (have %q, %q)", name, EngineCompiled, EngineIR)
 	}
 	return nil
+}
+
+// installCompiled installs the compiled engine, with its slot table on
+// the first install: cores on the direct interpreter never translate, so
+// they allocate neither the slot table nor the IR engine's cache.
+func (c *Core) installCompiled() {
+	if c.code == nil {
+		c.code = make([]*vex.Compiled, len(c.M.Image.Text))
+	}
+	c.M.Eng = &compiledEngine{c: c}
 }
 
 // EngineFixed reports whether the tool fixed the engine itself
@@ -496,16 +510,28 @@ func (c *Core) CacheFootprint() uint64 {
 func (c *Core) SymbolAt(addr uint64) *guest.Symbol { return c.M.Image.SymbolFor(addr) }
 
 // SymbolFilter builds a per-instruction instrumentation filter: instruction
-// i is instrumented iff keep(name of its enclosing function) is true.
+// i is instrumented iff keep(name of its enclosing function) is true, and
+// an instruction outside every symbol iff keep("") is. keep is called once
+// per symbol. Where symbols overlap the later one in address order wins,
+// as in Image.SymbolFor.
 func SymbolFilter(im *guest.Image, keep func(sym string) bool) []bool {
-	n := len(im.Text)
-	filter := make([]bool, n)
-	for i := range filter {
-		name := ""
-		if sym := im.SymbolFor(guest.TextBase + uint64(i)*guest.InstrBytes); sym != nil {
-			name = sym.Name
+	filter := make([]bool, len(im.Text))
+	if keep("") {
+		for i := range filter {
+			filter[i] = true
 		}
-		filter[i] = keep(name)
+	}
+	// The instructions in [lo, hi), index i at address TextBase+i*InstrBytes.
+	index := func(a uint64) uint64 { return (a - guest.TextBase + guest.InstrBytes - 1) / guest.InstrBytes }
+	for _, s := range im.Symbols {
+		lo, hi := max(s.Addr, guest.TextBase), min(s.Addr+s.Size, im.TextEnd())
+		if lo >= hi || index(lo) >= index(hi) {
+			continue
+		}
+		k := keep(s.Name)
+		for i := index(lo); i < index(hi); i++ {
+			filter[i] = k
+		}
 	}
 	return filter
 }

@@ -152,14 +152,17 @@ type hookLog struct {
 }
 
 // AccessHooks implements CompileTimeTool.
-func (h *hookLog) AccessHooks(*guest.Image) (load, store vm.AccessHook, filter []bool) {
+func (h *hookLog) AccessHooks() (load, store vm.AccessHook) {
 	hook := func(st bool) vm.AccessHook {
 		return func(_ *vm.Thread, addr uint64, wd uint8, pc uint64) {
 			h.log = append(h.log, Access{PC: pc, Addr: addr, Wd: wd, Store: st})
 		}
 	}
-	return hook(false), hook(true), nil
+	return hook(false), hook(true)
 }
+
+// InstrumentsSym implements CompileTimeTool: every instruction is checked.
+func (h *hookLog) InstrumentsSym(string) bool { return true }
 
 // batchLog records the accesses InstrumentAccesses delivers.
 type batchLog struct {

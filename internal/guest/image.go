@@ -80,6 +80,8 @@ type Image struct {
 	TLSSize uint64
 
 	frozen bool
+	// decoded is Text decoded, kept by Freeze.
+	decoded []Instr
 }
 
 // TextEnd returns the first address past the text segment.
@@ -87,26 +89,49 @@ func (im *Image) TextEnd() uint64 {
 	return TextBase + uint64(len(im.Text))*InstrBytes
 }
 
-// Freeze sorts lookup tables and validates the image. It must be called
-// before the image is executed.
+// Freeze sorts lookup tables, validates the image and keeps its decoded
+// text. It must be called before the image is executed.
 func (im *Image) Freeze() error {
-	sort.Slice(im.Symbols, func(i, j int) bool { return im.Symbols[i].Addr < im.Symbols[j].Addr })
-	sort.Slice(im.Lines, func(i, j int) bool { return im.Lines[i].Addr < im.Lines[j].Addr })
+	// A table already in strictly increasing order is its only sorted
+	// order, so it is left as it is.
+	if !increasing(len(im.Symbols), func(i int) uint64 { return im.Symbols[i].Addr }) {
+		sort.Slice(im.Symbols, func(i, j int) bool { return im.Symbols[i].Addr < im.Symbols[j].Addr })
+	}
+	if !increasing(len(im.Lines), func(i int) uint64 { return im.Lines[i].Addr }) {
+		sort.Slice(im.Lines, func(i, j int) bool { return im.Lines[i].Addr < im.Lines[j].Addr })
+	}
 	if im.Entry < TextBase || im.Entry >= im.TextEnd() {
 		return fmt.Errorf("guest: entry 0x%x outside text [0x%x,0x%x)", im.Entry, TextBase, im.TextEnd())
 	}
+	decoded := make([]Instr, len(im.Text))
 	for i, w := range im.Text {
-		in := Decode(w)
-		if !in.Valid() {
+		decoded[i] = Decode(w)
+		if !decoded[i].Valid() {
 			return fmt.Errorf("guest: invalid instruction at 0x%x: %#x", TextBase+uint64(i)*InstrBytes, w)
 		}
 	}
+	im.decoded = decoded
 	im.frozen = true
 	return nil
 }
 
+// increasing reports whether key(0), ..., key(n-1) strictly increase.
+func increasing(n int, key func(int) uint64) bool {
+	for i := 1; i < n; i++ {
+		if key(i-1) >= key(i) {
+			return false
+		}
+	}
+	return true
+}
+
 // Frozen reports whether Freeze has been called successfully.
 func (im *Image) Frozen() bool { return im.frozen }
+
+// Decoded returns the decoded text of a frozen image: instruction i sits at
+// TextBase + i*InstrBytes. It is shared by every user of the image, so
+// callers must not modify it.
+func (im *Image) Decoded() []Instr { return im.decoded }
 
 // FetchInstr decodes the instruction at the given text address.
 func (im *Image) FetchInstr(addr uint64) (Instr, error) {

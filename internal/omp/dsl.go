@@ -1,6 +1,8 @@
 package omp
 
 import (
+	"sync"
+
 	"repro/internal/gbuild"
 	"repro/internal/guest"
 	"repro/internal/ompt"
@@ -15,12 +17,19 @@ import (
 // handed to Fill callbacks, R9/R10 are scratch for Dep/Fill emitters, and
 // emitted sequences preserve SP/FP across the whole construct.
 
-// NewProgram creates a builder with the runtime prelude already emitted.
-func NewProgram() *gbuild.Builder {
-	b := gbuild.New()
-	EmitPrelude(b)
-	return b
-}
+// NewProgram creates a builder whose image begins with the runtime
+// prelude: the image equals the one EmitPrelude on a fresh builder gives,
+// but the prelude is linked once per process and shared read-only, so the
+// program emits, resolves and encodes only its own code.
+func NewProgram() *gbuild.Builder { return gbuild.NewFrom(prelude()) }
+
+var prelude = sync.OnceValue(func() *gbuild.Prelude {
+	p, err := gbuild.NewPrelude(EmitPrelude)
+	if err != nil {
+		panic(err)
+	}
+	return p
+})
 
 // Parallel emits `#pragma omp parallel num_threads(n)` running microtask
 // with the argument currently in argReg (pass guest.R1 to use R1 as-is).

@@ -254,17 +254,20 @@ func (a *Archer) sortReports() {
 // AccessHooks implements dbi.CompileTimeTool: Archer's checks are compiled
 // into the program, so it runs on the direct engine — an order of magnitude
 // cheaper than heavyweight DBI (the 10x-vs-100x gap of Table II).
-func (a *Archer) AccessHooks(im *guest.Image) (vm.AccessHook, vm.AccessHook, []bool) {
-	filter := dbi.SymbolFilter(im, func(sym string) bool {
-		return !strings.HasPrefix(sym, "__kmp") && !strings.HasPrefix(sym, "omp_")
-	})
+func (a *Archer) AccessHooks() (vm.AccessHook, vm.AccessHook) {
 	load := func(t *vm.Thread, addr uint64, w uint8, pc uint64) {
 		a.check(t, addr, uint64(w), pc, false)
 	}
 	store := func(t *vm.Thread, addr uint64, w uint8, pc uint64) {
 		a.check(t, addr, uint64(w), pc, true)
 	}
-	return load, store, filter
+	return load, store
+}
+
+// InstrumentsSym implements dbi.CompileTimeTool: the compiler instruments
+// user code, not the OpenMP runtime.
+func (a *Archer) InstrumentsSym(sym string) bool {
+	return !strings.HasPrefix(sym, "__kmp") && !strings.HasPrefix(sym, "omp_")
 }
 
 // Instrument implements dbi.Tool. AccessHooks always installs the
