@@ -1,6 +1,7 @@
 package gbuild
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -160,5 +161,63 @@ func TestHostImportInterning(t *testing.T) {
 	}
 	if len(im.HostImports) != 2 {
 		t.Errorf("imports = %v", im.HostImports)
+	}
+}
+
+// TestPrelude: a builder started on a Prelude links to the image the same
+// code gives with the prelude's functions emitted into it first, and the
+// prelude's function names are taken.
+func TestPrelude(t *testing.T) {
+	emit := func(b *Builder) {
+		f := b.Func("helper", "p.c")
+		f.Line(1)
+		f.Call("leaf")
+		f.Hcall("h1")
+		f.Ret()
+		g := b.Func("leaf", "p.c")
+		g.Line(5)
+		g.Hcall("h2")
+		g.Ret()
+	}
+	user := func(b *Builder) {
+		b.Global("g", 8)
+		f := b.Func("main", "u.c")
+		f.Line(7)
+		f.Call("helper")
+		f.LoadSym(guest.R1, "leaf")
+		f.LoadSym(guest.R2, "g")
+		f.Hcall("h2")
+		f.Hcall("h3")
+		f.Hlt(guest.R0)
+	}
+	p, err := NewPrelude(emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := New()
+	emit(inline)
+	user(inline)
+	shared := NewFrom(p)
+	user(shared)
+	want, err := inline.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := shared.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("image on the prelude:\n%+v\nwith the prelude emitted inline:\n%+v", got, want)
+	}
+
+	dup := NewFrom(p)
+	dup.Func("leaf", "u.c").Ret()
+	dup.Func("main", "u.c").Hlt(guest.R0)
+	if _, err := dup.Link(); err == nil || !strings.Contains(err.Error(), "duplicate function") {
+		t.Errorf("redefining a prelude function: %v", err)
+	}
+	if _, err := NewPrelude(func(b *Builder) { b.Global("x", 8) }); err == nil {
+		t.Error("a prelude with a global was accepted")
 	}
 }

@@ -211,34 +211,6 @@ func TestFaultInjectionGracefulDegradation(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionDeterminism: same (program, seed, injection spec) gives
-// identical outcomes.
-func TestFaultInjectionDeterminism(t *testing.T) {
-	run := func() (uint64, uint64, string) {
-		in, err := faultinject.ParseSpec("pool=3,steal=2,sched=5", 13)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, inst, err := harness.BuildAndRun(randTaskProgram(5), harness.Setup{
-			Seed: 3, Threads: 4, Inject: in,
-			RunOpts: vm.RunOpts{MaxBlocks: 2_000_000},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		errText := ""
-		if res.Err != nil {
-			errText = res.Err.Error()
-		}
-		return res.GuestInstrs, inst.M.ExitCode(), errText + "|" + in.Summary()
-	}
-	i1, e1, s1 := run()
-	i2, e2, s2 := run()
-	if i1 != i2 || e1 != e2 || s1 != s2 {
-		t.Fatalf("injection run diverged: (%d,%d,%q) vs (%d,%d,%q)", i1, e1, s1, i2, e2, s2)
-	}
-}
-
 // TestPoolExhaustionDropsTasksGracefully: with every pool allocation failing,
 // regions and tasks are skipped NULL-style and the program still terminates.
 func TestPoolExhaustionDropsTasksGracefully(t *testing.T) {

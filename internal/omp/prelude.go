@@ -9,7 +9,9 @@ import (
 // __kmp_* dispatch loops and the __kmpc_* entry points user code calls.
 // These are genuine guest functions — the DBI framework instruments them
 // like any other binary code, which is why Taskgrind needs the __kmp
-// ignore-list (§IV-A).
+// ignore-list (§IV-A). NewProgram starts programs on a copy linked once
+// per process; EmitPrelude serves builders that place the prelude
+// themselves (gasm's `.runtime omp`, possibly after other code).
 func EmitPrelude(b *gbuild.Builder) {
 	const file = "libomp.c"
 
