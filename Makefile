@@ -32,22 +32,20 @@ race:
 # Replay-determinism gate: journal-verified resume fuzz over the Table I
 # programs, at random state-mark cadences, on the compiled engine and its IR
 # oracle; two runs recording one mark stream; the journal's record, verify
-# and divergence checks; the supervisor's clean pass-through,
-# crash-reproduction and fallback paths, and its replay against a foreign
-# schedule; the CLI's byte-for-byte -replay round trip, its refusal of
-# tokens naming retired settings and its -on-panic=fallback report; one
-# replay token and one run digest per configuration across the CLI,
-# -replay, the daemon and explore sweeps; daemon job output byte-identical
-# to an independent run's; and the run-digest matrix (TestRunDigestMatrix),
-# which holds the CLI path, cold and warm translation stores,
-# journal-verified replay on both engines at drawn mark cadences, a
-# recorded run, a daemon job and a supervised run of every row, under drawn
-# fault injection, to the IR oracle's digest. Fresh run (-count=1) so the
-# gate never passes on a cached result.
+# and divergence checks; the supervisor's clean pass-through and fallback
+# paths, and its replay against a foreign schedule; the CLI's byte-for-byte
+# -replay round trip, its refusal of tokens naming retired settings and its
+# -on-panic=fallback report; one replay token and one run digest per
+# configuration across the CLI, -replay, the daemon and explore sweeps; and
+# the run-digest matrix (TestRunDigestMatrix), which holds the CLI path,
+# cold and warm translation stores, journal-verified replay on both engines
+# at drawn mark cadences, a recorded run, a daemon job (output, crash
+# report and token) and a supervised run of every row (a crash reproduces
+# under replay), under drawn fault injection, to the IR oracle's digest.
+# Fresh run (-count=1) so the gate never passes on a cached result.
 replay-determinism:
 	$(GO) test -count=1 -run 'TestCheckpointResume|TestCheckpointStreamsDeterministic|TestSupervisor|TestSupervisedReplay|TestJournal' ./internal/harness ./internal/vm ./internal/snapshot
 	$(GO) test -count=1 -run 'TestReplayToken|TestOnPanicFallback|TestTokenIdentity' ./cmd/taskgrind
-	$(GO) test -count=1 -run 'TestFrontEndParity' ./internal/serve
 	$(GO) test -count=1 -run 'TestRunDigestMatrix' .
 
 # Translation-store equivalence gate: the tstore unit suite (first writer

@@ -37,7 +37,7 @@ const imagesDigest = "284500b0aa41654236628632a6a2a0f5614866dca85040543b8a821f34
 // userDigest is the tstore.ImageHash of emitUser's program on the OpenMP
 // prelude, whose symbols share addresses, as linked when every program
 // emitted its own copy of the prelude.
-const userDigest = "8e30021a7f5a338fee9040be69b3aa9cd4a9a4217ca53dc9b3f007a15bd3cf46"
+const userDigest = "ac252b63122cb8ae9df07979fd7041e709274ead1d502e7202950fe308a81630"
 
 // pinnedImage names one program build.
 type pinnedImage struct {

@@ -311,10 +311,10 @@ func (tg *Taskgrind) AccessHooks() (load, store vm.AccessHook) {
 		return nil, nil
 	}
 	load = func(t *vm.Thread, addr uint64, w uint8, pc uint64) {
-		tg.record(t, addr, w, false)
+		tg.record(t, pc, addr, w, false)
 	}
 	store = func(t *vm.Thread, addr uint64, w uint8, pc uint64) {
-		tg.record(t, addr, w, true)
+		tg.record(t, pc, addr, w, true)
 	}
 	return load, store
 }
@@ -323,17 +323,18 @@ func (tg *Taskgrind) AccessHooks() (load, store vm.AccessHook) {
 // instrument lists decide, as for translated blocks.
 func (tg *Taskgrind) InstrumentsSym(sym string) bool { return !tg.symFiltered(sym) }
 
-// record attributes one access to the thread's current segment.
-func (tg *Taskgrind) record(t *vm.Thread, addr uint64, w uint8, write bool) {
+// record attributes one access, by the instruction at pc, to the thread's
+// current segment.
+func (tg *Taskgrind) record(t *vm.Thread, pc, addr uint64, w uint8, write bool) {
 	ts, ok := t.Tool.(*threadState)
 	if !ok || ts.cur == nil || tg.skipAddr(addr) {
 		return
 	}
 	tg.Stats.AccessesRecorded++
 	if write {
-		ts.writes.add(ts.cur.Writes, addr, addr+uint64(w))
+		ts.writes.add(ts.cur.Writes, pc, addr, addr+uint64(w))
 	} else {
-		ts.reads.add(ts.cur.Reads, addr, addr+uint64(w))
+		ts.reads.add(ts.cur.Reads, pc, addr, addr+uint64(w))
 	}
 }
 
@@ -413,18 +414,45 @@ func (tg *Taskgrind) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock
 }
 
 // FlushAccesses implements dbi.AccessSink: record a batch of accesses into
-// the thread's current segment.
-func (tg *Taskgrind) FlushAccesses(t *vm.Thread, batch []dbi.Access) {
-	for i := range batch {
-		a := &batch[i]
-		tg.record(t, a.Addr, a.Wd, a.Store)
+// the thread's current segment. It does record's checks once per batch: the
+// segment cannot change inside a flush, because client requests and host
+// calls end their block.
+func (tg *Taskgrind) FlushAccesses(t *vm.Thread, b dbi.Batch) {
+	ts, ok := t.Tool.(*threadState)
+	if !ok || ts.cur == nil {
+		return
 	}
+	pool := tg.Opt.IgnorePoolRegion
+	n := b.Len()
+	kept := n
+	for i := range n {
+		addr := b.Addr(i)
+		if pool && inFastPool(addr) {
+			kept--
+			continue
+		}
+		hi := addr + uint64(b.Wd(i))
+		c, tree := &ts.reads, ts.cur.Reads
+		if b.Store(i) {
+			c, tree = &ts.writes, ts.cur.Writes
+		}
+		// combiner.add, with its fast path inlined.
+		if pc := b.PC(i); !c.extendHinted(pc, addr, hi) {
+			c.place(tree, pc, addr, hi)
+		}
+	}
+	tg.Stats.AccessesRecorded += uint64(kept)
 }
 
 // skipAddr drops accesses compile-time-instrumented tools never see.
 func (tg *Taskgrind) skipAddr(addr uint64) bool {
-	return tg.Opt.IgnorePoolRegion &&
-		addr >= guest.FastPoolBase && addr < guest.FastPoolLimit
+	return tg.Opt.IgnorePoolRegion && inFastPool(addr)
+}
+
+// inFastPool reports whether addr lies in the runtime's internal allocation
+// pool.
+func inFastPool(addr uint64) bool {
+	return addr >= guest.FastPoolBase && addr < guest.FastPoolLimit
 }
 
 // newSegment registers a fresh segment for a thread, capturing the frame

@@ -88,9 +88,9 @@ func (cs *countSink) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock
 }
 
 // FlushAccesses implements dbi.AccessSink.
-func (cs *countSink) FlushAccesses(t *vm.Thread, batch []dbi.Access) {
-	for i := range batch {
-		if batch[i].Store {
+func (cs *countSink) FlushAccesses(t *vm.Thread, b dbi.Batch) {
+	for i := range b.Len() {
+		if b.Store(i) {
 			cs.stores++
 		} else {
 			cs.loads++
@@ -100,7 +100,7 @@ func (cs *countSink) FlushAccesses(t *vm.Thread, batch []dbi.Access) {
 
 // TestDeliveryDoesNotAllocate extends the guard to the access-delivery
 // path: flushing a batch into a sink must not allocate in steady state —
-// the batch buffer is reused.
+// the sink reads the flush call's arguments in place.
 func TestDeliveryDoesNotAllocate(t *testing.T) {
 	for _, engine := range []string{dbi.EngineIR, dbi.EngineCompiled} {
 		if n := engineAllocs(t, engine, &countSink{}); n != 0 {

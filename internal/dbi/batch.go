@@ -7,6 +7,11 @@ package dbi
 // of a whole superblock segment in one FlushAccesses callback, amortizing the
 // dirty-call overhead that dominates heavyweight instrumentation.
 //
+// Delivery is one pass: a Batch is a read-only view over the flush call's
+// arguments, which the engine has already resolved to addresses, and the
+// site's Meta words, so the core copies nothing per access. A sink reads the
+// batch in place during FlushAccesses and must not retain it.
+//
 // Correctness rests on two properties of the translation pipeline:
 //
 //   - the translator never emits mid-block SDirty statements: host calls and
@@ -33,7 +38,8 @@ import (
 	"repro/internal/vm"
 )
 
-// Access is one recorded guest memory access, delivered to AccessSink tools.
+// Access is one guest memory access as a record, for callers that want one
+// (NewBatch builds a batch from them).
 type Access struct {
 	// PC is the guest instruction performing the access.
 	PC uint64
@@ -45,11 +51,52 @@ type Access struct {
 	Store bool
 }
 
-// AccessSink receives batched access records. The batch slice is owned by the
-// core and reused across flushes: sinks must consume it before returning and
-// must not retain it.
+// Batch is the accesses of one flush, in program order. It views the
+// addresses the engine resolved for the flush call and the site's Meta
+// words (PC, then width|store, per access) without copying them: both
+// belong to the engine and the translation, so a sink reads a batch during
+// FlushAccesses and must not retain it.
+type Batch struct {
+	addrs []uint64
+	meta  []uint64
+}
+
+// NewBatch builds a batch from access records: the per-access reference
+// delivery and tests use it; production batches view a flush call in place.
+func NewBatch(accs []Access) Batch {
+	b := Batch{addrs: make([]uint64, len(accs)), meta: make([]uint64, 2*len(accs))}
+	for i, a := range accs {
+		w := uint64(a.Wd)
+		if a.Store {
+			w |= accessMetaStore
+		}
+		b.addrs[i], b.meta[2*i], b.meta[2*i+1] = a.Addr, a.PC, w
+	}
+	return b
+}
+
+// The accessors take a pointer so that a sink's loop reads the batch where
+// it lies: a Batch is too large for the compiler to keep in registers, and a
+// value receiver copies all of it at every call.
+
+// Len returns the number of accesses in the batch.
+func (b *Batch) Len() int { return len(b.addrs) }
+
+// Addr returns access i's address, evaluated at the access point.
+func (b *Batch) Addr(i int) uint64 { return b.addrs[i] }
+
+// PC returns the guest instruction performing access i.
+func (b *Batch) PC(i int) uint64 { return b.meta[2*i] }
+
+// Wd returns access i's width in bytes.
+func (b *Batch) Wd(i int) uint8 { return uint8(b.meta[2*i+1]) }
+
+// Store reports whether access i is a write.
+func (b *Batch) Store(i int) bool { return b.meta[2*i+1]&accessMetaStore != 0 }
+
+// AccessSink receives batched accesses. See Batch for what a sink may keep.
 type AccessSink interface {
-	FlushAccesses(t *vm.Thread, batch []Access)
+	FlushAccesses(t *vm.Thread, b Batch)
 }
 
 // accessPoint is the compile-time half of one queued access: everything known
@@ -84,8 +131,7 @@ func flushMeta(pts []accessPoint) []uint64 {
 // flushSite is one flush callback baked into an instrumented block. Its dirty
 // statement's arguments are the address expressions of the queued accesses in
 // program order, and meta is the statement's Meta: the PC and packed
-// width|direction of each access. flush marries the two into the core's
-// reusable batch buffer and hands the batch to the sink.
+// width|direction of each access. flush hands the sink the two as a Batch.
 type flushSite struct {
 	c    *Core
 	sink AccessSink
@@ -94,14 +140,8 @@ type flushSite struct {
 
 // flush is the DirtyFn delivering the site's batch.
 func (f *flushSite) flush(ctx any, args []uint64) uint64 {
-	buf := f.c.batchBuf[:0]
-	for i, addr := range args {
-		w := f.meta[2*i+1]
-		buf = append(buf, Access{PC: f.meta[2*i], Addr: addr, Wd: uint8(w), Store: w&accessMetaStore != 0})
-	}
-	f.c.batchBuf = buf
-	f.c.AccessesDelivered += uint64(len(buf))
-	f.sink.FlushAccesses(ctx.(*vm.Thread), buf)
+	f.c.AccessesDelivered += uint64(len(args))
+	f.sink.FlushAccesses(ctx.(*vm.Thread), Batch{addrs: args, meta: f.meta})
 	return 0
 }
 

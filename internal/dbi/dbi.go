@@ -134,9 +134,6 @@ type Core struct {
 	// into; only compiled code, or the IR engine's copy of a block, leaves
 	// it.
 	arena arena
-	// batchBuf is the reusable access-batch buffer shared by every
-	// flushSite (the scheduler is single-threaded by construction).
-	batchBuf []Access
 	// DirtyCalls counts tool dirty-call executions (both engines): the
 	// callback granularity, one per flush for InstrumentAccesses tools.
 	DirtyCalls uint64

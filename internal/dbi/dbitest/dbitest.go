@@ -22,10 +22,10 @@ func PerAccess(sb *vex.SuperBlock, sink dbi.AccessSink) *vex.SuperBlock {
 		case vex.SIMark:
 			pc = s.Addr
 		case vex.SWrTmpLoad, vex.SStore:
-			batch := []dbi.Access{{PC: pc, Wd: uint8(s.Wd), Store: s.Kind == vex.SStore}}
+			acc := []dbi.Access{{PC: pc, Wd: uint8(s.Wd), Store: s.Kind == vex.SStore}}
 			out.Dirty("access", func(ctx any, args []uint64) uint64 {
-				batch[0].Addr = args[0]
-				sink.FlushAccesses(ctx.(*vm.Thread), batch)
+				acc[0].Addr = args[0]
+				sink.FlushAccesses(ctx.(*vm.Thread), dbi.NewBatch(acc))
 				return 0
 			}, s.E1)
 		}

@@ -52,9 +52,9 @@ func (lt *logTool) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock {
 }
 
 // FlushAccesses implements dbi.AccessSink.
-func (lt *logTool) FlushAccesses(t *vm.Thread, batch []dbi.Access) {
-	for _, a := range batch {
-		lt.log = append(lt.log, accessRec{TID: t.ID, PC: a.PC, Store: a.Store, Addr: a.Addr, Wd: a.Wd})
+func (lt *logTool) FlushAccesses(t *vm.Thread, b dbi.Batch) {
+	for i := range b.Len() {
+		lt.log = append(lt.log, accessRec{TID: t.ID, PC: b.PC(i), Store: b.Store(i), Addr: b.Addr(i), Wd: b.Wd(i)})
 	}
 }
 

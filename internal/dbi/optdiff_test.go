@@ -177,8 +177,10 @@ func (b *batchLog) Instrument(c *Core, sb *vex.SuperBlock) *vex.SuperBlock {
 }
 
 // FlushAccesses implements AccessSink.
-func (b *batchLog) FlushAccesses(_ *vm.Thread, batch []Access) {
-	b.log = append(b.log, batch...)
+func (b *batchLog) FlushAccesses(_ *vm.Thread, batch Batch) {
+	for i := range batch.Len() {
+		b.log = append(b.log, Access{PC: batch.PC(i), Addr: batch.Addr(i), Wd: batch.Wd(i), Store: batch.Store(i)})
+	}
 }
 
 // compileExtended runs the pipeline of compiled on a superblock that

@@ -241,6 +241,7 @@ func (b *Builder) Func(name, file string) *Func {
 		name:  name,
 		file:  file,
 		start: b.pos(),
+		end:   b.pos(),
 	}
 	b.funcsByNm[name] = f
 	b.funcs = append(b.funcs, f)
@@ -389,7 +390,7 @@ func (b *Builder) Link() (*guest.Image, error) {
 }
 
 // Func emits instructions for one function. Its start, end and labels are
-// text positions counted from the start of the image's text; end is 0
+// text positions counted from the start of the image's text; end is start
 // until the function's first instruction.
 type Func struct {
 	b      *Builder

@@ -46,6 +46,26 @@ func TestBuildLinkSmallProgram(t *testing.T) {
 	}
 }
 
+// TestEmptyFuncSize: a function that emits no instruction has size 0, not
+// its start subtracted from 0.
+func TestEmptyFuncSize(t *testing.T) {
+	b := New()
+	f := b.Func("main", "t.c")
+	f.Ldi(guest.R0, 0)
+	f.Hlt(guest.R0)
+	b.Func("nothing", "t.c")
+	im, err := b.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := im.SymbolByName("nothing"); s == nil || s.Addr != guest.TextBase+2*guest.InstrBytes || s.Size != 0 {
+		t.Errorf("nothing = %+v, want size 0 at %#x", s, guest.TextBase+2*guest.InstrBytes)
+	}
+	if s := im.SymbolByName("main"); s == nil || s.Size != 2*guest.InstrBytes {
+		t.Errorf("main = %+v, want size %d", s, 2*guest.InstrBytes)
+	}
+}
+
 func TestForwardLabelAndCallFixups(t *testing.T) {
 	b := New()
 	f := b.Func("main", "t.c")

@@ -187,6 +187,28 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) {
 	}
 }
 
+// WriteWords copies host words into guest memory as consecutive
+// little-endian 8-byte values, filling one page at a time.
+func (m *Memory) WriteWords(addr uint64, words []uint64) {
+	for len(words) > 0 {
+		p := m.page(addr)
+		off := addr & pageMask
+		n := min(len(words), int((PageSize-off)/8))
+		if n == 0 { // a word straddling the page end
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], words[0])
+			m.WriteBytes(addr, b[:])
+			n = 1
+		} else {
+			for i, w := range words[:n] {
+				binary.LittleEndian.PutUint64(p[off+uint64(i)*8:], w)
+			}
+		}
+		words = words[n:]
+		addr += uint64(n) * 8
+	}
+}
+
 // ReadBytes copies guest memory into a fresh host byte slice.
 func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	out := make([]byte, n)

@@ -67,6 +67,32 @@ func TestWriteReadBytes(t *testing.T) {
 	}
 }
 
+// TestWriteWordsMatchesStores: writing words a page at a time leaves memory
+// as storing them one by one does, from an aligned start and from one where
+// a word straddles a page end.
+func TestWriteWordsMatchesStores(t *testing.T) {
+	words := make([]uint64, 1200) // more than two pages
+	for i := range words {
+		words[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
+	}
+	for _, base := range []uint64{0x1000, PageSize - 12} {
+		got, want := New(), New()
+		got.WriteWords(base, words)
+		for i, w := range words {
+			want.Store(base+uint64(i)*8, 8, w)
+		}
+		if got.Hash() != want.Hash() || got.ResidentPages() != want.ResidentPages() {
+			t.Errorf("base %#x: hash %#x over %d pages, stores give %#x over %d",
+				base, got.Hash(), got.ResidentPages(), want.Hash(), want.ResidentPages())
+		}
+		for i, w := range words {
+			if v := got.Load(base+uint64(i)*8, 8); v != w {
+				t.Fatalf("base %#x: word %d = %#x, want %#x", base, i, v, w)
+			}
+		}
+	}
+}
+
 func TestReadCString(t *testing.T) {
 	m := New()
 	m.WriteBytes(0x40, append([]byte("hello"), 0))

@@ -1,11 +1,9 @@
 package harness_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/faultinject"
 	"repro/internal/guest"
 	"repro/internal/harness"
@@ -111,38 +109,6 @@ func TestSupervisorFallbackMatchesUninjectedReport(t *testing.T) {
 	if sup.ExitCode != base.ExitCode || sup.GuestInstrs != base.GuestInstrs {
 		t.Fatalf("fallback exit/instrs %d/%d, baseline %d/%d",
 			sup.ExitCode, sup.GuestInstrs, base.ExitCode, base.GuestInstrs)
-	}
-}
-
-// TestSupervisorVerifyCrashReproduces: a real guest crash must reproduce
-// bit-identically under journal-verified replay, and the rendered report
-// carries the replay token.
-func TestSupervisorVerifyCrashReproduces(t *testing.T) {
-	im, err := wildStoreProgram().Link()
-	if err != nil {
-		t.Fatal(err)
-	}
-	token := explore.Spec{Prog: "wildstore", Tool: "taskgrind", Seed: 1, Threads: 2}.Token()
-	factory := func() harness.Setup {
-		return harness.Setup{Image: im, Tool: core.New(core.Options{}), Seed: 1, Threads: 2,
-			ReplayToken: token}
-	}
-	sup, err := harness.Supervise(nil, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sup.Taxonomy != harness.TaxFault || sup.Crash == nil {
-		t.Fatalf("taxonomy=%q crash=%v", sup.Taxonomy, sup.Crash)
-	}
-	if !sup.Reproduced {
-		t.Fatal("crash did not reproduce under verified replay")
-	}
-	if sup.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", sup.Attempts)
-	}
-	text := sup.Crash.Render(sup.Inst.M.Image)
-	if !strings.Contains(text, "replay: "+token) {
-		t.Fatalf("report missing replay token:\n%s", text)
 	}
 }
 

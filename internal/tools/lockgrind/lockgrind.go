@@ -379,22 +379,22 @@ func (lg *Lockgrind) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock
 }
 
 // FlushAccesses implements dbi.AccessSink.
-func (lg *Lockgrind) FlushAccesses(t *vm.Thread, batch []dbi.Access) {
+func (lg *Lockgrind) FlushAccesses(t *vm.Thread, b dbi.Batch) {
 	ts, _ := t.Tool.(*tstate)
 	if ts == nil || ts.cur == nil {
 		return
 	}
-	for i := range batch {
-		a := &batch[i]
+	for i := range b.Len() {
+		addr := b.Addr(i)
 		// Runtime-pool internals (descriptors, lock words) are the
 		// runtime's business, not the program's.
-		if a.Addr >= guest.FastPoolBase && a.Addr < guest.FastPoolLimit {
+		if addr >= guest.FastPoolBase && addr < guest.FastPoolLimit {
 			continue
 		}
-		if a.Store {
-			ts.cur.writes.InsertPoint(a.Addr, a.Wd)
+		if b.Store(i) {
+			ts.cur.writes.InsertPoint(addr, b.Wd(i))
 		} else {
-			ts.cur.reads.InsertPoint(a.Addr, a.Wd)
+			ts.cur.reads.InsertPoint(addr, b.Wd(i))
 		}
 	}
 }

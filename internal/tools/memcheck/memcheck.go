@@ -192,10 +192,9 @@ func (mc *Memcheck) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock 
 }
 
 // FlushAccesses implements dbi.AccessSink: check a batch of accesses.
-func (mc *Memcheck) FlushAccesses(t *vm.Thread, batch []dbi.Access) {
-	for i := range batch {
-		a := &batch[i]
-		mc.access(a.Addr, uint64(a.Wd), a.PC)
+func (mc *Memcheck) FlushAccesses(t *vm.Thread, b dbi.Batch) {
+	for i := range b.Len() {
+		mc.access(b.Addr(i), uint64(b.Wd(i)), b.PC(i))
 	}
 }
 

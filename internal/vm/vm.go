@@ -323,9 +323,7 @@ func New(im *guest.Image, reg *HostRegistry, cfg Config) (*Machine, error) {
 		m.hostFns[i] = fn
 	}
 	// Load segments.
-	for i, w := range im.Text {
-		m.Mem.Store(guest.TextBase+uint64(i)*guest.InstrBytes, 8, w)
-	}
+	m.Mem.WriteWords(guest.TextBase, im.Text)
 	m.Mem.WriteBytes(guest.DataBase, im.Data)
 	// Wire the permission map from the image: text is read-only, data is
 	// read-write. Heap/pool allocations, TLS blocks and stacks are mapped

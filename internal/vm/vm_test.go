@@ -211,6 +211,30 @@ func TestStdoutPlumbing(t *testing.T) {
 	}
 }
 
+// TestTextLoaded: every word of the image's text reads back from guest
+// memory, over text that spans several pages.
+func TestTextLoaded(t *testing.T) {
+	b := gbuild.New()
+	f := b.Func("main", "t.c")
+	for i := int32(0); i < 1200; i++ {
+		f.Addi(guest.R1, guest.R1, i)
+	}
+	f.Hlt(guest.R0)
+	im, err := b.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := vm.New(im, vm.NewHostRegistry(), vm.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range im.Text {
+		if v := m.Mem.Load(guest.TextBase+uint64(i)*guest.InstrBytes, 8); v != w {
+			t.Fatalf("text word %d = %#x, image has %#x", i, v, w)
+		}
+	}
+}
+
 func TestUnresolvedImportFails(t *testing.T) {
 	b := gbuild.New()
 	f := b.Func("main", "u.c")
