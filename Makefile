@@ -29,27 +29,32 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Replay-determinism gate: journal-verified resume fuzz over the Table I
-# programs, at random state-mark cadences, on the compiled engine and its IR
-# oracle; two runs recording one mark stream; the journal's record, verify
-# and divergence checks; the supervisor's clean pass-through and fallback
-# paths, and its replay against a foreign schedule; the CLI's byte-for-byte
-# -replay round trip, its refusal of tokens naming retired settings and its
-# -on-panic=fallback report; one replay token and one run digest per
-# configuration across the CLI, -replay, the daemon and explore sweeps; and
-# the run-digest matrix (TestRunDigestMatrix), which holds the CLI path,
-# cold and warm translation stores, journal-verified replay on both engines
-# at drawn mark cadences, a recorded run, a daemon job (output, crash
-# report and token) and a supervised run of every row (a crash reproduces
-# under replay), under drawn fault injection, to the IR oracle's digest.
-# Fresh run (-count=1) so the gate never passes on a cached result.
+# Replay-determinism gate: two runs recording one mark stream; the
+# journal's record, verify and divergence checks; the supervisor's clean
+# pass-through and fallback paths, and its replay against a foreign
+# schedule; the CLI's byte-for-byte -replay round trip, its refusal of
+# tokens naming retired settings and its -on-panic=fallback report; one
+# replay token and one run digest per configuration across the CLI,
+# -replay, the daemon and explore sweeps; and the run-digest matrix
+# (TestRunDigestMatrix), which holds the CLI path, cold and warm
+# translation stores, journal-verified replay on both engines at drawn mark
+# cadences, a recorded run, a daemon job (output, crash report and token)
+# and a supervised run of every row (a crash reproduces under replay), under
+# drawn fault injection, to the IR oracle's digest. Its arms 4-6 (a compiled
+# run recording a journal, and its verified replays on the compiled engine
+# and on the IR oracle) are the journal-verified resume of every Table I
+# row at drawn mark cadences, on both engines. Fresh run (-count=1) so the
+# gate never passes on a cached result.
 replay-determinism:
-	$(GO) test -count=1 -run 'TestCheckpointResume|TestCheckpointStreamsDeterministic|TestSupervisor|TestSupervisedReplay|TestJournal' ./internal/harness ./internal/vm ./internal/snapshot
+	$(GO) test -count=1 -run 'TestCheckpointStreamsDeterministic|TestSupervisor|TestSupervisedReplay|TestJournal' ./internal/harness ./internal/vm ./internal/snapshot
 	$(GO) test -count=1 -run 'TestReplayToken|TestOnPanicFallback|TestTokenIdentity' ./cmd/taskgrind
 	$(GO) test -count=1 -run 'TestRunDigestMatrix' .
 
 # Translation-store equivalence gate: the tstore unit suite (first writer
-# wins, invalidation by key, eviction under the byte cap) under -race, plus
+# wins, invalidation by key, eviction under the byte cap, and
+# TestAdoptionSharesCode: an adopting core shares a unit's micro-ops and
+# side tables, rebinds its own copy of the call table, and delivers its
+# flushes to its own tool instance) under -race, plus
 # the store-equivalence differential smoke — cold vs shared-cold vs warm
 # compiled runs bit-identical, with the same footprint model, and the IR
 # oracle storeless beside them, the crash-report and invalidation cases,

@@ -42,20 +42,15 @@ func (ct *countTool) Instrument(c *dbi.Core, sb *vex.SuperBlock) *vex.SuperBlock
 		GuestAddr: sb.GuestAddr, NTemps: sb.NTemps,
 		Next: sb.Next, NextJK: sb.NextJK, Aux: sb.Aux,
 	}
-	for _, s := range sb.Stmts {
+	for i := range sb.Stmts {
+		s := &sb.Stmts[i]
 		switch s.Kind {
 		case vex.SWrTmpLoad:
-			out.Stmts = append(out.Stmts, vex.Stmt{
-				Kind: vex.SDirty, Tmp: vex.NoTemp, Name: "count_ld",
-				Fn: func(any, []uint64) uint64 { ct.loads[sym]++; return 0 },
-			})
+			out.Dirty("count_ld", func(any, []uint64) uint64 { ct.loads[sym]++; return 0 })
 		case vex.SStore:
-			out.Stmts = append(out.Stmts, vex.Stmt{
-				Kind: vex.SDirty, Tmp: vex.NoTemp, Name: "count_st",
-				Fn: func(any, []uint64) uint64 { ct.stores[sym]++; return 0 },
-			})
+			out.Dirty("count_st", func(any, []uint64) uint64 { ct.stores[sym]++; return 0 })
 		}
-		out.Stmts = append(out.Stmts, s)
+		out.AppendFrom(sb, s)
 	}
 	return out
 }

@@ -3,13 +3,14 @@ package dbi
 // Shared-store adoption: the copy-on-attach seam between a core's compiled
 // cache and the cross-core translation store (internal/tstore).
 //
-// A published unit's code may embed dirty-call closures bound to the core
-// and tool instance that compiled it. Adoption therefore copies the
-// micro-op list and re-binds every dirty call to an equivalent helper of
-// the adopting core, reconstructed from the op's serializable (Name, Meta,
-// Args) triple. Code without dirty calls — every nop-tool block, and any
-// block the tool left uninstrumented — is shared by reference: it is
-// immutable once compiled, so reference sharing is safe and free.
+// A published unit's call table may hold dirty-call closures bound to the
+// core and tool instance that compiled it. Adoption therefore copies that
+// table and re-binds every call to an equivalent helper of the adopting
+// core, reconstructed from the call's serializable (Name, Meta, Args)
+// triple. The micro-ops and their side tables hold no closures, only call
+// indices; they are immutable once compiled and shared by reference. Code
+// without dirty calls — every nop-tool block, and any block the tool left
+// uninstrumented — is shared whole.
 //
 // Publication is gated the other way: only code whose dirty calls all
 // carry a registered name and well-formed Meta is published. A tool that
@@ -29,8 +30,8 @@ func (c *Core) publish(addr uint64, code *vex.Compiled) {
 	if c.Shared == nil {
 		return
 	}
-	for i := range code.Ops {
-		if d := code.Ops[i].Dirty; d != nil && (d.Name != "flush_accesses" || len(d.Meta) != 2*len(d.Args)) {
+	for i := range code.Calls {
+		if d := &code.Calls[i]; d.Name != "flush_accesses" || len(d.Meta) != 2*len(d.Args) {
 			return
 		}
 	}
@@ -80,35 +81,24 @@ func (c *Core) adopt(addr uint64) *vex.Compiled {
 	return code
 }
 
-// adoptCode binds shared code to this core: micro-op arrays without dirty
-// calls are shared by reference; otherwise the op list is copied and each
-// dirty op re-bound. The side tables (PCs/ICs) are read-only and always
+// adoptCode binds shared code to this core: code without dirty calls is
+// shared whole; otherwise the call table is copied and each call re-bound.
+// The op array and its side tables (PCs/ICs) are read-only and always
 // shared.
 func (c *Core) adoptCode(code *vex.Compiled) (*vex.Compiled, error) {
-	dirty := false
-	for i := range code.Ops {
-		if code.Ops[i].Code == vex.UDirty {
-			dirty = true
-			break
-		}
-	}
-	if !dirty {
+	if len(code.Calls) == 0 {
 		return code, nil
 	}
 	cp := *code
-	cp.Ops = append([]vex.UOp(nil), code.Ops...)
-	for i := range cp.Ops {
-		op := &cp.Ops[i]
-		if op.Code != vex.UDirty || op.Dirty == nil {
-			continue
-		}
-		d := *op.Dirty
+	cp.Calls = make([]vex.DirtyOp, len(code.Calls))
+	for i := range code.Calls {
+		d := code.Calls[i]
 		fn, err := c.bindDirty(d.Name, d.Meta, len(d.Args))
 		if err != nil {
 			return nil, err
 		}
 		d.Fn = fn
-		op.Dirty = &d
+		cp.Calls[i] = d
 	}
 	return &cp, nil
 }

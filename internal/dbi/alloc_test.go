@@ -113,7 +113,10 @@ func TestDeliveryDoesNotAllocate(t *testing.T) {
 // every iteration empties the slot table and runs the self-loop block once,
 // so it translates, instruments through InstrumentAccesses and compiles the
 // block from scratch. The pipeline's intermediates live in the core's
-// arena; what remains is the compiled code and the flush site.
+// arena; what remains is the compiled code and the flush site, 9 allocations
+// and 616 bytes on a 64-bit host. The bound leaves 2 allocations and 1 KiB
+// over that, so an allocation per statement or per op that creeps back
+// fails.
 func TestColdTranslationAllocs(t *testing.T) {
 	im, arr := buildSelfLoop(t)
 	m, err := vm.New(im, vm.NewHostRegistry(), vm.Config{Seed: 1})
@@ -142,7 +145,7 @@ func TestColdTranslationAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / iters
 	t.Logf("cold translation: %.1f allocs, %.0f bytes", allocs, bytes)
-	if allocs > 20 || bytes > 4096 {
-		t.Errorf("cold translation: %.1f allocs and %.0f bytes, want <= 20 and <= 4096", allocs, bytes)
+	if allocs > 11 || bytes > 616+1024 {
+		t.Errorf("cold translation: %.1f allocs and %.0f bytes, want <= 11 and <= %d", allocs, bytes, 616+1024)
 	}
 }

@@ -42,34 +42,37 @@ func (a *arena) block() *vex.SuperBlock {
 	}
 	sb := a.blocks[a.used]
 	a.used++
-	*sb = vex.SuperBlock{Stmts: sb.Stmts[:0]}
+	*sb = vex.SuperBlock{Stmts: sb.Stmts[:0], Calls: sb.Calls[:0]}
 	return sb
 }
 
 // detach copies a finished block out of the arena into memory of its own,
-// for the IR engine's cache: the statements into one right-sized slice and
-// the arguments of every dirty call into another.
+// for the IR engine's cache: the statements into one right-sized slice, the
+// calls into another and the arguments of every call into a third.
 func detach(sb *vex.SuperBlock) *vex.SuperBlock {
 	out := new(vex.SuperBlock)
 	*out = *sb
 	out.Stmts = make([]vex.Stmt, len(sb.Stmts))
 	copy(out.Stmts, sb.Stmts)
-	n := 0
-	for i := range out.Stmts {
-		n += len(out.Stmts[i].Args)
-	}
-	if n == 0 {
+	if len(sb.Calls) == 0 {
+		out.Calls = nil
 		return out
 	}
+	out.Calls = make([]vex.DirtyCall, len(sb.Calls))
+	copy(out.Calls, sb.Calls)
+	n := 0
+	for i := range out.Calls {
+		n += len(out.Calls[i].Args)
+	}
 	args := make([]vex.Expr, 0, n)
-	for i := range out.Stmts {
-		s := &out.Stmts[i]
-		if s.Args == nil {
+	for i := range out.Calls {
+		c := &out.Calls[i]
+		if c.Args == nil {
 			continue
 		}
 		k := len(args)
-		args = append(args, s.Args...)
-		s.Args = args[k:len(args):len(args)]
+		args = append(args, c.Args...)
+		c.Args = args[k:len(args):len(args)]
 	}
 	return out
 }

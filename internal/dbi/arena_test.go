@@ -40,7 +40,8 @@ func codeSnapshot(code *vex.Compiled) string {
 	for i, u := range code.Ops {
 		fmt.Fprintf(&b, "%d %d %s %d %d %d %#x pc=%#x ic=%d",
 			u.Code, u.Wd, u.Op, u.Dst, u.A, u.B, u.Imm, code.PCs[i], code.ICs[i])
-		if d := u.Dirty; d != nil {
+		if u.Code == vex.UDirty {
+			d := &code.Calls[u.A]
 			fmt.Fprintf(&b, " %s %v %v %d %v %d", d.Name, d.Args, d.Meta, d.Tmp, d.HasTmp, d.InstrsBefore)
 		}
 		b.WriteByte('\n')

@@ -115,7 +115,7 @@ type accessPoint struct {
 // equivalent one.
 const accessMetaStore = 1 << 8
 
-// flushMeta packs a flush site's access points into Stmt.Meta.
+// flushMeta packs a flush site's access points into DirtyCall.Meta.
 func flushMeta(pts []accessPoint) []uint64 {
 	meta := make([]uint64, 0, 2*len(pts))
 	for i := range pts {
@@ -129,8 +129,8 @@ func flushMeta(pts []accessPoint) []uint64 {
 }
 
 // flushSite is one flush callback baked into an instrumented block. Its dirty
-// statement's arguments are the address expressions of the queued accesses in
-// program order, and meta is the statement's Meta: the PC and packed
+// call's arguments are the address expressions of the queued accesses in
+// program order, and meta is the call's Meta: the PC and packed
 // width|direction of each access. flush hands the sink the two as a Batch.
 type flushSite struct {
 	c    *Core
@@ -190,7 +190,7 @@ func (c *Core) InstrumentAccesses(sb *vex.SuperBlock, sink AccessSink) (out *vex
 				stores++
 			}
 		}
-		out.Append(*s)
+		out.AppendFrom(sb, s)
 	}
 	a.pts = c.flushAccesses(out, pending, sink)
 	return out, loads, stores
@@ -209,8 +209,7 @@ func (c *Core) flushAccesses(out *vex.SuperBlock, pending []accessPoint, sink Ac
 		a.exprs = append(a.exprs, pending[i].addr)
 	}
 	site := &flushSite{c: c, sink: sink, meta: flushMeta(pending)}
-	out.Append(vex.Stmt{
-		Kind: vex.SDirty, Tmp: vex.NoTemp,
+	out.AppendCall(vex.NoTemp, vex.DirtyCall{
 		Name: "flush_accesses", Fn: site.flush,
 		Args: a.exprs[k:len(a.exprs):len(a.exprs)], Meta: site.meta,
 	})

@@ -107,31 +107,31 @@ func (e *compiledEngine) RunBlock(m *vm.Machine, t *vm.Thread) (res vm.RunResult
 		case vex.UPutR:
 			regs[u.Dst] = regs[u.A]
 		case vex.UBinTT:
-			tmps[u.Dst] = u.Fn(tmps[u.A], tmps[u.B])
+			tmps[u.Dst] = u.Bin(tmps[u.A], tmps[u.B])
 		case vex.UBinTC:
-			tmps[u.Dst] = u.Fn(tmps[u.A], u.Imm)
+			tmps[u.Dst] = u.Bin(tmps[u.A], u.Imm)
 		case vex.UBinTR:
-			tmps[u.Dst] = u.Fn(tmps[u.A], regs[u.B])
+			tmps[u.Dst] = u.Bin(tmps[u.A], regs[u.B])
 		case vex.UBinCT:
-			tmps[u.Dst] = u.Fn(u.Imm, tmps[u.B])
+			tmps[u.Dst] = u.Bin(u.Imm, tmps[u.B])
 		case vex.UBinCR:
-			tmps[u.Dst] = u.Fn(u.Imm, regs[u.B])
+			tmps[u.Dst] = u.Bin(u.Imm, regs[u.B])
 		case vex.UBinRT:
-			tmps[u.Dst] = u.Fn(regs[u.A], tmps[u.B])
+			tmps[u.Dst] = u.Bin(regs[u.A], tmps[u.B])
 		case vex.UBinRC:
 			// Add, the address and induction arithmetic of every
 			// loop, skips the indirect call in its hot shapes.
 			v := regs[u.A] + u.Imm
 			if u.Op != vex.OpAdd {
-				v = u.Fn(regs[u.A], u.Imm)
+				v = u.Bin(regs[u.A], u.Imm)
 			}
 			tmps[u.Dst] = v
 		case vex.UBinRR:
-			tmps[u.Dst] = u.Fn(regs[u.A], regs[u.B])
+			tmps[u.Dst] = u.Bin(regs[u.A], regs[u.B])
 		case vex.UUnT:
-			tmps[u.Dst] = u.Fn1(tmps[u.A])
+			tmps[u.Dst] = u.Un(tmps[u.A])
 		case vex.UUnR:
-			tmps[u.Dst] = u.Fn1(regs[u.A])
+			tmps[u.Dst] = u.Un(regs[u.A])
 		case vex.ULdT:
 			e.curIdx = i
 			tmps[u.Dst] = m.Mem.Load(tmps[u.A], u.Wd)
@@ -166,40 +166,40 @@ func (e *compiledEngine) RunBlock(m *vm.Machine, t *vm.Thread) (res vm.RunResult
 			e.curIdx = i
 			m.Mem.Store(regs[u.A], u.Wd, regs[u.B])
 		case vex.UPutBinTT:
-			v := u.Fn(tmps[u.A], tmps[u.B])
+			v := u.Bin(tmps[u.A], tmps[u.B])
 			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinTC:
 			v := tmps[u.A] + u.Imm
 			if u.Op != vex.OpAdd {
-				v = u.Fn(tmps[u.A], u.Imm)
+				v = u.Bin(tmps[u.A], u.Imm)
 			}
 			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinTR:
 			v := tmps[u.A] + regs[u.B]
 			if u.Op != vex.OpAdd {
-				v = u.Fn(tmps[u.A], regs[u.B])
+				v = u.Bin(tmps[u.A], regs[u.B])
 			}
 			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinCT:
-			v := u.Fn(u.Imm, tmps[u.B])
+			v := u.Bin(u.Imm, tmps[u.B])
 			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinCR:
-			v := u.Fn(u.Imm, regs[u.B])
+			v := u.Bin(u.Imm, regs[u.B])
 			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinRT:
-			v := u.Fn(regs[u.A], tmps[u.B])
+			v := u.Bin(regs[u.A], tmps[u.B])
 			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinRC:
-			v := u.Fn(regs[u.A], u.Imm)
+			v := u.Bin(regs[u.A], u.Imm)
 			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutBinRR:
-			v := u.Fn(regs[u.A], regs[u.B])
+			v := u.Bin(regs[u.A], regs[u.B])
 			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutUnT:
-			v := u.Fn1(tmps[u.A])
+			v := u.Un(tmps[u.A])
 			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.UPutUnR:
-			v := u.Fn1(regs[u.A])
+			v := u.Un(regs[u.A])
 			tmps[u.Dst], regs[u.Wd] = v, v
 		case vex.ULdPRI:
 			e.curIdx = i
@@ -240,26 +240,28 @@ func (e *compiledEngine) RunBlock(m *vm.Machine, t *vm.Thread) (res vm.RunResult
 				return e.takeExit(m, t, u, ic)
 			}
 		case vex.UExitBinTT:
-			if u.Fn(tmps[u.A], tmps[u.B]) != 0 {
+			if u.Bin(tmps[u.A], tmps[u.B]) != 0 {
 				return e.takeExit(m, t, u, ic)
 			}
 		case vex.UExitBinTR:
-			if u.Fn(tmps[u.A], regs[u.B]) != 0 {
+			if u.Bin(tmps[u.A], regs[u.B]) != 0 {
 				return e.takeExit(m, t, u, ic)
 			}
 		case vex.UExitBinRT:
-			if u.Fn(regs[u.A], tmps[u.B]) != 0 {
+			if u.Bin(regs[u.A], tmps[u.B]) != 0 {
 				return e.takeExit(m, t, u, ic)
 			}
 		case vex.UExitBinRR:
-			if u.Fn(regs[u.A], regs[u.B]) != 0 {
+			if u.Bin(regs[u.A], regs[u.B]) != 0 {
 				return e.takeExit(m, t, u, ic)
 			}
 		case vex.UJmp:
 			return e.takeExit(m, t, u, ic)
 		case vex.UDirty:
 			e.curIdx = i
-			d := u.Dirty
+			// The call table is read through code, not hoisted: a
+			// slice live across the loop costs the hot ops spills.
+			d := &code.Calls[u.A]
 			// Credit the instructions started before the call so the
 			// helper observes IR-interpreter-exact counters.
 			if n := uint64(d.InstrsBefore); n > ic {

@@ -89,15 +89,16 @@ func (e *irEngine) RunBlock(m *vm.Machine, t *vm.Thread) (res vm.RunResult, err 
 				return vm.RunOK, nil
 			}
 		case vex.SDirty:
-			if cap(e.args) < len(s.Args) {
-				e.args = make([]uint64, len(s.Args))
+			call := &sb.Calls[s.Call]
+			if cap(e.args) < len(call.Args) {
+				e.args = make([]uint64, len(call.Args))
 			}
-			args := e.args[:len(s.Args)]
-			for j, a := range s.Args {
+			args := e.args[:len(call.Args)]
+			for j, a := range call.Args {
 				args[j] = evalExpr(a, tmps, regs)
 			}
 			e.c.DirtyCalls++
-			r := s.Fn(t, args)
+			r := call.Fn(t, args)
 			if s.Tmp != vex.NoTemp {
 				tmps[s.Tmp] = r
 			}

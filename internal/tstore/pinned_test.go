@@ -51,7 +51,7 @@ func TestTranslationEncodingPinned(t *testing.T) {
 		}
 		for _, u := range inst.Core.Shared.Units() {
 			var e enc
-			encodeUnit(&e, u)
+			encodeUnit(t, &e, u)
 			var n [8]byte
 			binary.LittleEndian.PutUint64(n[:], uint64(len(e.buf)))
 			h.Write(n[:])
@@ -95,12 +95,16 @@ func (e *enc) str(s string) {
 }
 
 // encodeUnit serializes a unit.
-func encodeUnit(e *enc, u *tstore.Unit) {
+func encodeUnit(t *testing.T, e *enc, u *tstore.Unit) {
 	e.u64(u.Addr)
-	encCompiled(e, u.Code)
+	encCompiled(t, e, u.Code)
 }
 
-func encCompiled(e *enc, c *vex.Compiled) {
+// encCompiled serializes compiled code in the layout the digest was pinned
+// over, when a dirty op carried its call itself and its A was zero: a UDirty
+// op writes 0 for A, after checking that A indexes its own call (the calls
+// of a block are in op order), and then its call.
+func encCompiled(t *testing.T, e *enc, c *vex.Compiled) {
 	e.u64(c.GuestAddr)
 	e.u64(uint64(c.NFrame))
 	e.u64(uint64(c.NInstrs))
@@ -112,21 +116,30 @@ func encCompiled(e *enc, c *vex.Compiled) {
 	e.i64(int64(c.Aux))
 	e.u64(uint64(c.NStmts))
 	e.u64(uint64(len(c.Ops)))
+	calls := 0
 	for i := range c.Ops {
 		u := &c.Ops[i]
+		a := u.A
+		if u.Code == vex.UDirty {
+			if int(a) != calls {
+				t.Fatalf("unit 0x%x op %d: dirty op's A is %d, the block's call %d", c.GuestAddr, i, a, calls)
+			}
+			a = 0
+		}
 		e.u64(uint64(u.Code))
 		e.u64(uint64(u.Wd))
 		e.u64(uint64(u.Op))
 		e.u64(uint64(u.Dst))
-		e.u64(uint64(u.A))
+		e.u64(uint64(a))
 		e.u64(uint64(u.B))
 		e.u64(u.Imm)
-		if u.Dirty == nil {
+		if u.Code != vex.UDirty {
 			e.u64(0)
 			continue
 		}
 		e.u64(1)
-		dd := u.Dirty
+		dd := &c.Calls[calls]
+		calls++
 		e.str(dd.Name)
 		e.u64(uint64(len(dd.Args)))
 		for _, a := range dd.Args {
@@ -145,6 +158,9 @@ func encCompiled(e *enc, c *vex.Compiled) {
 			e.u64(0)
 		}
 		e.u64(uint64(dd.InstrsBefore))
+	}
+	if calls != len(c.Calls) {
+		t.Fatalf("unit 0x%x: %d dirty ops for %d calls", c.GuestAddr, calls, len(c.Calls))
 	}
 	// PCs are near-monotone guest addresses: delta-encode them. ICs are
 	// small monotone counts.

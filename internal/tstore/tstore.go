@@ -187,13 +187,12 @@ func sizeOf(u *Unit) int64 {
 	n := unsafe.Sizeof(*u) + unsafe.Sizeof(*c) +
 		uintptr(len(c.Ops))*unsafe.Sizeof(vex.UOp{}) +
 		uintptr(len(c.PCs))*unsafe.Sizeof(uint64(0)) +
-		uintptr(len(c.ICs))*unsafe.Sizeof(uint32(0))
-	for i := range c.Ops {
-		if d := c.Ops[i].Dirty; d != nil {
-			n += unsafe.Sizeof(*d) +
-				uintptr(len(d.Args))*unsafe.Sizeof(vex.CArg{}) +
-				uintptr(len(d.Meta))*unsafe.Sizeof(uint64(0))
-		}
+		uintptr(len(c.ICs))*unsafe.Sizeof(uint32(0)) +
+		uintptr(len(c.Calls))*unsafe.Sizeof(vex.DirtyOp{})
+	for i := range c.Calls {
+		d := &c.Calls[i]
+		n += uintptr(len(d.Args))*unsafe.Sizeof(vex.CArg{}) +
+			uintptr(len(d.Meta))*unsafe.Sizeof(uint64(0))
 	}
 	return int64(n)
 }

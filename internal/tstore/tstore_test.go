@@ -20,7 +20,7 @@ func sampleSB(addr uint64) *vex.SuperBlock {
 	sb.Append(vex.Stmt{Kind: vex.SWrTmpBinop, Tmp: t1, Op: vex.OpAdd,
 		E1: vex.TmpE(t0), E2: vex.ConstE(7)})
 	sb.Append(vex.Stmt{Kind: vex.SWrTmpUnop, Tmp: t2, Op: vex.OpNot, E1: vex.TmpE(t1)})
-	sb.Append(vex.Stmt{Kind: vex.SDirty, Tmp: vex.NoTemp, Name: "flush_accesses",
+	sb.AppendCall(vex.NoTemp, vex.DirtyCall{Name: "flush_accesses",
 		Fn:   func(any, []uint64) uint64 { return 0 },
 		Args: []vex.Expr{vex.TmpE(t0)}, Meta: []uint64{addr, 8}})
 	sb.Append(vex.Stmt{Kind: vex.SStore, Wd: 4, E1: vex.RegE(3), E2: vex.TmpE(t2)})

@@ -14,11 +14,12 @@ package vex
 //     micro-op code (UBinTC = "binop of a temp and a constant"), so the
 //     engine reads operands with direct indexed loads instead of a
 //     per-operand kind switch;
-//   - operation dispatch: binary and unary operations are bound to funcs
-//     from the op tables (binFns/unFns) instead of going through the
-//     EvalBinop switch on every execution;
+//   - operation dispatch: binary and unary operations index the op tables
+//     (binFns/unFns) by their Op instead of going through the EvalBinop
+//     switch on every execution;
 //   - dirty-call arguments: helper arguments are pre-resolved into CArg
-//     descriptors and the helper func pointer is carried on the op;
+//     descriptors, and the helper func pointer is carried in the block's
+//     call table, which the op indexes;
 //   - constant folding of anything Optimize left behind (tool-inserted
 //     IR): const⊕const binops, const unops and never-taken exits
 //     disappear here;
@@ -35,9 +36,10 @@ type UnFn func(a uint64) uint64
 
 // binFns is the binary op table. Entries must agree bit-for-bit with
 // EvalBinop (property-tested in compile_test.go); the table exists so a
-// compiled micro-op carries one direct func instead of re-entering the
-// switch per execution.
-var binFns = [...]BinFn{
+// compiled micro-op calls one direct func instead of re-entering the switch
+// per execution. It has an entry for every Op value, so indexing it by one
+// needs no bounds check; the entries of non-binary ops are nil.
+var binFns = [256]BinFn{
 	OpAdd: func(a, b uint64) uint64 { return a + b },
 	OpSub: func(a, b uint64) uint64 { return a - b },
 	OpMul: func(a, b uint64) uint64 { return a * b },
@@ -74,8 +76,8 @@ var binFns = [...]BinFn{
 	OpFCmpEQ: func(a, b uint64) uint64 { return b2u(u2f(a) == u2f(b)) },
 }
 
-// unFns is the unary op table.
-var unFns = [...]UnFn{
+// unFns is the unary op table, indexed like binFns.
+var unFns = [256]UnFn{
 	OpNot:  func(a uint64) uint64 { return ^a },
 	OpNeg:  func(a uint64) uint64 { return -a },
 	OpItoF: func(a uint64) uint64 { return f2u(float64(int64(a))) },
@@ -84,20 +86,10 @@ var unFns = [...]UnFn{
 
 // BinopFn returns the pre-bound func for a binary operation, or nil when op
 // is not binary.
-func BinopFn(op Op) BinFn {
-	if int(op) < len(binFns) {
-		return binFns[op]
-	}
-	return nil
-}
+func BinopFn(op Op) BinFn { return binFns[op] }
 
 // UnopFn returns the pre-bound func for a unary operation, or nil.
-func UnopFn(op Op) UnFn {
-	if int(op) < len(unFns) {
-		return unFns[op]
-	}
-	return nil
-}
+func UnopFn(op Op) UnFn { return unFns[op] }
 
 // UCode is a micro-op code: the statement kind fused with the pre-resolved
 // operand kinds (T = temp, C = constant, R = guest register).
@@ -116,7 +108,7 @@ const (
 	UPutC
 	UPutT
 	UPutR
-	// Binops: tmps[Dst] = Fn(x, y); the code names the operand sources in
+	// Binops: tmps[Dst] = Bin(x, y); the code names the operand sources in
 	// order (first operand, second operand). The constant operand, when
 	// present, is Imm. Const⊕const is folded at compile time.
 	UBinTT
@@ -127,7 +119,7 @@ const (
 	UBinRT
 	UBinRC
 	UBinRR
-	// Unops: tmps[Dst] = Fn1(x). Const operands fold at compile time.
+	// Unops: tmps[Dst] = Un(x). Const operands fold at compile time.
 	UUnT
 	UUnR
 	// Loads: tmps[Dst] = LD[Wd](addr).
@@ -152,7 +144,8 @@ const (
 	// UJmp: unconditional goto Imm (a compile-time always-taken exit).
 	// Dst carries the retired-instruction count like the exits.
 	UJmp
-	// UDirty: helper call with pre-resolved arguments.
+	// UDirty: helper call with pre-resolved arguments, the call Calls[A]
+	// of its Compiled.
 	UDirty
 
 	// Fused micro-ops. The peephole pass in Compile merges the multi-op
@@ -162,7 +155,7 @@ const (
 	// replace, executed atomically within the op. A fused op that writes a
 	// register also writes its temp, so the temp may have other readers.
 
-	// UPutBin**: tmps[Dst] = Fn(x, y); regs[Wd] = tmps[Dst] — a binop
+	// UPutBin**: tmps[Dst] = Bin(x, y); regs[Wd] = tmps[Dst] — a binop
 	// whose result temp fed a register write. Operand sources mirror
 	// UBin**.
 	UPutBinTT
@@ -173,7 +166,7 @@ const (
 	UPutBinRT
 	UPutBinRC
 	UPutBinRR
-	// UPutUnT/UPutUnR: tmps[Dst] = Fn1(x); regs[Wd] = tmps[Dst].
+	// UPutUnT/UPutUnR: tmps[Dst] = Un(x); regs[Wd] = tmps[Dst].
 	UPutUnT
 	UPutUnR
 	// ULdPRI: tmps[Dst] = LD[Wd](regs[A] + Imm); regs[B] = tmps[Dst] —
@@ -193,7 +186,7 @@ const (
 	// UStRIR/UStRIT: ST[Wd](regs[A] + Imm) = regs[B] / tmps[B].
 	UStRIR
 	UStRIT
-	// UExitBin**: if Fn(x, y) != 0 goto Imm — a compare feeding a
+	// UExitBin**: if Bin(x, y) != 0 goto Imm — a compare feeding a
 	// conditional exit. Only non-const operand shapes exist (a const
 	// operand would need a second immediate). Dst carries the retired-
 	// instruction count like plain exits.
@@ -205,28 +198,34 @@ const (
 
 // UOp is one pre-lowered micro-op. Field use depends on Code; unused fields
 // are zero. Imm doubles as the constant operand, the IMark address and the
-// jump target — no code uses two of those at once.
+// jump target — no code uses two of those at once. An op holds no pointers,
+// so an op array is 24 bytes an op and the garbage collector never scans
+// it: a binop or unop applies the op table entry of its Op (Bin, Un), and
+// a dirty call lives in its Compiled's Calls.
 type UOp struct {
 	Code UCode
 	Wd   uint8
-	// Op is the IR operation a binop or unop micro-op was lowered from. The
-	// engine never reads it (Fn/Fn1 are pre-bound); the peephole fuser uses
-	// it to recognize address arithmetic (func values are not comparable).
-	Op    Op
-	Dst   uint32
-	A, B  uint32
-	Imm   uint64
-	Fn    BinFn
-	Fn1   UnFn
-	Dirty *DirtyOp
+	// Op is the IR operation a binop or unop micro-op was lowered from:
+	// Bin and Un apply it, and the peephole fuser reads it to recognize
+	// address arithmetic.
+	Op   Op
+	Dst  uint32
+	A, B uint32
+	Imm  uint64
 }
+
+// Bin applies the binary operation of a binop micro-op.
+func (u *UOp) Bin(a, b uint64) uint64 { return binFns[u.Op](a, b) }
+
+// Un applies the unary operation of a unop micro-op.
+func (u *UOp) Un(a uint64) uint64 { return unFns[u.Op](a) }
 
 // DirtyOp is the pre-bound form of a Dirty helper call.
 type DirtyOp struct {
 	Name string
 	Fn   DirtyFn
 	Args []CArg
-	// Meta carries the helper's parameters from the source Stmt, so a
+	// Meta carries the helper's parameters from the source DirtyCall, so a
 	// cross-core-adopted block can re-bind an equivalent helper (the
 	// closure in Fn is bound to one core).
 	Meta []uint64
@@ -254,6 +253,11 @@ type Compiled struct {
 	GuestAddr uint64
 	// Ops is the micro-op array.
 	Ops []UOp
+	// Calls holds the block's dirty calls in program order; a UDirty op's
+	// A indexes it. It is the only part of the code bound to one core's
+	// tool instance: an adopting core shares Ops, PCs and ICs and rebinds
+	// a copy of Calls.
+	Calls []DirtyOp
 	// PCs[i] is the guest PC of the instruction op i belongs to, and
 	// ICs[i] the number of guest instructions started up to and including
 	// that op. Both are fault-path-only: the engine reads them when a
@@ -296,10 +300,13 @@ type compiler struct {
 	// temp away when it has exactly one reader.
 	uses []uint32
 	// ops, pcs and ics are the lowered micro-ops and their side tables,
-	// in scratch buffers until Compile copies them out.
-	ops []UOp
-	pcs []uint64
-	ics []uint32
+	// and calls and cargs the dirty calls and their arguments, in scratch
+	// buffers until Compile copies them out.
+	ops   []UOp
+	pcs   []uint64
+	ics   []uint32
+	calls []DirtyOp
+	cargs []CArg
 }
 
 // scratch allocates a compiler-synthesized temp.
@@ -337,7 +344,7 @@ func (cc *compiler) countUses(sb *SuperBlock) {
 			cnt(s.E1)
 			cnt(s.E2)
 		case SDirty:
-			for _, a := range s.Args {
+			for _, a := range sb.Calls[s.Call].Args {
 				cnt(a)
 			}
 		}
@@ -370,7 +377,7 @@ func Compile(sb *SuperBlock) (*Compiled, error) {
 
 // Compile lowers sb into micro-ops like the package-level Compile. Use
 // counts and the op buffers live in x; the result owns right-sized copies of
-// its ops and side tables, so it shares nothing with x.
+// its ops, side tables and calls, so it shares nothing with x.
 func (x *Scratch) Compile(sb *SuperBlock) (*Compiled, error) {
 	cc := &compiler{
 		out: &Compiled{
@@ -386,6 +393,8 @@ func (x *Scratch) Compile(sb *SuperBlock) (*Compiled, error) {
 		ops:    x.ops[:0],
 		pcs:    x.pcs[:0],
 		ics:    x.ics[:0],
+		calls:  x.calls[:0],
+		cargs:  x.cargs[:0],
 	}
 	cc.countUses(sb)
 	out := cc.out
@@ -449,20 +458,9 @@ func (x *Scratch) Compile(sb *SuperBlock) (*Compiled, error) {
 				cc.emit(UOp{Code: UExitR, A: idx, Dst: cc.ic, Imm: s.Target})
 			}
 		case SDirty:
-			if s.Fn == nil {
-				return nil, fmt.Errorf("vex: compile: dirty %q has nil helper", s.Name)
+			if err := cc.compileDirty(sb, s); err != nil {
+				return nil, err
 			}
-			d := &DirtyOp{Name: s.Name, Fn: s.Fn, Args: make([]CArg, len(s.Args)),
-				Meta: s.Meta, InstrsBefore: cc.ic}
-			for j, a := range s.Args {
-				k, idx, imm := src(a)
-				d.Args[j] = CArg{Kind: k, Idx: idx, Imm: imm}
-			}
-			if s.Tmp != NoTemp {
-				d.Tmp = uint32(s.Tmp)
-				d.HasTmp = true
-			}
-			cc.emit(UOp{Code: UDirty, Dirty: d})
 		default:
 			return nil, fmt.Errorf("vex: compile: unknown statement kind %d", s.Kind)
 		}
@@ -477,7 +475,18 @@ func (x *Scratch) Compile(sb *SuperBlock) (*Compiled, error) {
 	out.Ops = copyOut(cc.ops)
 	out.PCs = copyOut(cc.pcs)
 	out.ICs = copyOut(cc.ics)
+	if len(cc.calls) > 0 {
+		// One array holds every call's arguments, in call order.
+		out.Calls = copyOut(cc.calls)
+		args := copyOut(cc.cargs)
+		for i := range out.Calls {
+			d := &out.Calls[i]
+			n := len(d.Args)
+			d.Args, args = args[:n:n], args[n:]
+		}
+	}
 	x.uses, x.ops, x.pcs, x.ics = cc.uses, cc.ops, cc.pcs, cc.ics
+	x.calls, x.cargs = cc.calls, cc.cargs
 	return out, nil
 }
 
@@ -586,7 +595,7 @@ func (cc *compiler) fuse() {
 					break
 				}
 				v := &ops[i+k]
-				fused = UOp{Code: ec, A: u.A, B: u.B, Fn: u.Fn, Op: u.Op, Dst: v.Dst, Imm: v.Imm}
+				fused = UOp{Code: ec, A: u.A, B: u.B, Op: u.Op, Dst: v.Dst, Imm: v.Imm}
 				n = k + 1
 			case UUnT, UUnR:
 				if r, ok := putOf(i, u.Dst); ok {
@@ -648,8 +657,7 @@ func (cc *compiler) compileMov(dst uint32, e Expr) {
 
 // compileBinop lowers t = op(a, b), folding const⊕const.
 func (cc *compiler) compileBinop(s *Stmt) error {
-	fn := BinopFn(s.Op)
-	if fn == nil || s.Op.IsUnary() {
+	if BinopFn(s.Op) == nil {
 		return fmt.Errorf("vex: compile: bad binary op %s", s.Op)
 	}
 	ka, ia, ca := src(s.E1)
@@ -659,7 +667,7 @@ func (cc *compiler) compileBinop(s *Stmt) error {
 		cc.emit(UOp{Code: UMovC, Dst: dst, Imm: EvalBinop(s.Op, ca, cb)})
 		return nil
 	}
-	u := UOp{Dst: dst, Fn: fn, A: ia, B: ib, Imm: ca | cb, Op: s.Op}
+	u := UOp{Dst: dst, A: ia, B: ib, Imm: ca | cb, Op: s.Op}
 	switch {
 	case ka == KindRdTmp && kb == KindRdTmp:
 		u.Code = UBinTT
@@ -684,8 +692,7 @@ func (cc *compiler) compileBinop(s *Stmt) error {
 
 // compileUnop lowers t = op(a), folding const operands.
 func (cc *compiler) compileUnop(s *Stmt) error {
-	fn := UnopFn(s.Op)
-	if fn == nil || !s.Op.IsUnary() {
+	if UnopFn(s.Op) == nil {
 		return fmt.Errorf("vex: compile: bad unary op %s", s.Op)
 	}
 	k, idx, imm := src(s.E1)
@@ -694,10 +701,34 @@ func (cc *compiler) compileUnop(s *Stmt) error {
 	case KindConst:
 		cc.emit(UOp{Code: UMovC, Dst: dst, Imm: EvalUnop(s.Op, imm)})
 	case KindRdTmp:
-		cc.emit(UOp{Code: UUnT, Dst: dst, A: idx, Fn1: fn, Op: s.Op})
+		cc.emit(UOp{Code: UUnT, Dst: dst, A: idx, Op: s.Op})
 	default:
-		cc.emit(UOp{Code: UUnR, Dst: dst, A: idx, Fn1: fn, Op: s.Op})
+		cc.emit(UOp{Code: UUnR, Dst: dst, A: idx, Op: s.Op})
 	}
+	return nil
+}
+
+// compileDirty lowers the dirty statement s of sb: its call, arguments
+// pre-resolved, joins the block's call table, and the op indexes it. The
+// call's Args view the scratch argument buffer until Compile copies them
+// out.
+func (cc *compiler) compileDirty(sb *SuperBlock, s *Stmt) error {
+	c := &sb.Calls[s.Call]
+	if c.Fn == nil {
+		return fmt.Errorf("vex: compile: dirty %q has nil helper", c.Name)
+	}
+	k := len(cc.cargs)
+	for _, a := range c.Args {
+		ka, idx, imm := src(a)
+		cc.cargs = append(cc.cargs, CArg{Kind: ka, Idx: idx, Imm: imm})
+	}
+	d := DirtyOp{Name: c.Name, Fn: c.Fn, Args: cc.cargs[k:], Meta: c.Meta, InstrsBefore: cc.ic}
+	if s.Tmp != NoTemp {
+		d.Tmp = uint32(s.Tmp)
+		d.HasTmp = true
+	}
+	cc.emit(UOp{Code: UDirty, A: uint32(len(cc.calls))})
+	cc.calls = append(cc.calls, d)
 	return nil
 }
 

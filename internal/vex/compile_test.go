@@ -175,15 +175,15 @@ func TestCompileBlockEndingInBinop(t *testing.T) {
 	}
 }
 
-// TestUOpSize pins the micro-op at 48 bytes on 64-bit hosts. The compiled
+// TestUOpSize pins the micro-op at 24 bytes on 64-bit hosts. The compiled
 // engine walks arrays of them, so a field that grows the op costs every
 // executed micro-op; one that shrinks it should lower the pin.
 func TestUOpSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pin is for 64-bit hosts")
 	}
-	if got := unsafe.Sizeof(UOp{}); got != 48 {
-		t.Fatalf("vex.UOp is %d bytes, pinned at 48", got)
+	if got := unsafe.Sizeof(UOp{}); got != 24 {
+		t.Fatalf("vex.UOp is %d bytes, pinned at 24", got)
 	}
 }
 
@@ -215,7 +215,7 @@ func TestCompileDirtyPrebinding(t *testing.T) {
 	sb := &SuperBlock{GuestAddr: 0x1000}
 	tv := sb.WrTmpExpr(ConstE(11))
 	res := sb.NewTemp()
-	sb.Append(Stmt{Kind: SDirty, Tmp: res, Name: "helper", Fn: fn,
+	sb.AppendCall(res, DirtyCall{Name: "helper", Fn: fn,
 		Args: []Expr{ConstE(7), TmpE(tv), RegE(3)}})
 	sb.Next = ConstE(0x1008)
 	c, err := Compile(sb)
@@ -225,7 +225,7 @@ func TestCompileDirtyPrebinding(t *testing.T) {
 	var d *DirtyOp
 	for _, u := range c.Ops {
 		if u.Code == UDirty {
-			d = u.Dirty
+			d = &c.Calls[u.A]
 		}
 	}
 	if d == nil || d.Name != "helper" || !d.HasTmp || d.Tmp != uint32(res) {
@@ -248,7 +248,7 @@ func TestCompileDirtyPrebinding(t *testing.T) {
 
 func TestCompileRejectsNilDirty(t *testing.T) {
 	sb := &SuperBlock{GuestAddr: 0x1000}
-	sb.Append(Stmt{Kind: SDirty, Tmp: NoTemp, Name: "broken"})
+	sb.AppendCall(NoTemp, DirtyCall{Name: "broken"})
 	sb.Next = ConstE(0)
 	if _, err := Compile(sb); err == nil || !strings.Contains(err.Error(), "nil helper") {
 		t.Fatalf("want nil-helper error, got %v", err)

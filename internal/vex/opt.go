@@ -18,12 +18,15 @@ type Scratch struct {
 	touched []uint8
 	cseTab  []cseSlot
 	cseGen  uint32
-	// Compile: readers of each temp, and the op, PC and IC buffers the
-	// lowering appends into before it copies the result out.
-	uses []uint32
-	ops  []UOp
-	pcs  []uint64
-	ics  []uint32
+	// Compile: readers of each temp, and the op, PC, IC, call and call
+	// argument buffers the lowering appends into before it copies the
+	// result out.
+	uses  []uint32
+	ops   []UOp
+	pcs   []uint64
+	ics   []uint32
+	calls []DirtyOp
+	cargs []CArg
 }
 
 // tstate is Optimize's substitution state for one temp: a known constant
@@ -103,9 +106,9 @@ func Optimize(sb *SuperBlock) *SuperBlock {
 }
 
 // Optimize writes the optimized form of sb into out, reusing out's statement
-// array; out and sb must be distinct blocks. Its working state lives in x,
-// and so do the substituted arguments of sb's dirty calls: out is valid until
-// the next call on x.
+// and call arrays; out and sb must be distinct blocks. Its working state
+// lives in x, and so do the substituted arguments of sb's dirty calls: out is
+// valid until the next call on x.
 func (x *Scratch) Optimize(out, sb *SuperBlock) {
 	*out = SuperBlock{
 		GuestAddr: sb.GuestAddr,
@@ -113,6 +116,7 @@ func (x *Scratch) Optimize(out, sb *SuperBlock) {
 		NextJK:    sb.NextJK,
 		Aux:       sb.Aux,
 		Stmts:     out.Stmts[:0],
+		Calls:     out.Calls[:0],
 	}
 	x.ts = zeroed(x.ts, int(sb.NTemps))
 	x.kill = zeroed(x.kill, len(sb.Stmts))
@@ -183,15 +187,17 @@ func (x *Scratch) Optimize(out, sb *SuperBlock) {
 			ns = Stmt{Kind: SExit, E1: x.subst(s.E1, at, dirty), Target: s.Target, JK: s.JK}
 			bar = at
 		case SDirty:
-			ns = *s
-			if len(s.Args) > 0 {
+			c := sb.Calls[s.Call]
+			if len(c.Args) > 0 {
 				n := len(x.args)
-				for _, a := range s.Args {
+				for _, a := range c.Args {
 					x.args = append(x.args, x.subst(a, at, dirty))
 				}
-				ns.Args = x.args[n:len(x.args):len(x.args)]
+				c.Args = x.args[n:len(x.args):len(x.args)]
 			}
 			bar, dirty = at, at
+			out.AppendCall(s.Tmp, c)
+			continue
 		default: // SIMark
 			out.Append(*s)
 			continue
@@ -321,7 +327,7 @@ func (x *Scratch) sweep(out *SuperBlock) {
 			}
 		}
 		if !x.kill[i] {
-			x.markReads(s)
+			x.markReads(out, s)
 		}
 	}
 	n := 0
@@ -344,8 +350,8 @@ func (x *Scratch) mark(e Expr) {
 	}
 }
 
-// markReads records every temp a statement reads.
-func (x *Scratch) markReads(s *Stmt) {
+// markReads records every temp statement s of block out reads.
+func (x *Scratch) markReads(out *SuperBlock, s *Stmt) {
 	switch s.Kind {
 	case SWrTmpExpr, SWrTmpUnop, SWrTmpLoad, SPutReg, SExit:
 		x.mark(s.E1)
@@ -353,7 +359,7 @@ func (x *Scratch) markReads(s *Stmt) {
 		x.mark(s.E1)
 		x.mark(s.E2)
 	case SDirty:
-		for _, a := range s.Args {
+		for _, a := range out.Calls[s.Call].Args {
 			x.mark(a)
 		}
 	}

@@ -65,8 +65,8 @@ func TestOptimizePreservesSideEffects(t *testing.T) {
 			stores++
 		case SDirty:
 			dirties++
-			if s.Args[0].Kind != KindConst || s.Args[0].Const != 0x2008 {
-				t.Fatalf("dirty arg not folded: %v", s.Args[0])
+			if a := opt.Calls[s.Call].Args[0]; a.Kind != KindConst || a.Const != 0x2008 {
+				t.Fatalf("dirty arg not folded: %v", a)
 			}
 		case SExit:
 			exits++
@@ -107,8 +107,8 @@ func optimized(t *testing.T, sb *SuperBlock) string {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	for _, s := range opt.Stmts {
-		b.WriteString(s.String())
+	for i := range opt.Stmts {
+		b.WriteString(opt.StmtString(i))
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "goto %s\n", opt.Next)
@@ -296,7 +296,8 @@ func opsString(c *Compiled) string {
 	fmt.Fprintf(&b, "%d %d\n", c.NFrame, c.NInstrs)
 	for i, u := range c.Ops {
 		fmt.Fprintf(&b, "%d %d %d %d %d %d %d %d %d", u.Code, u.Wd, u.Op, u.Dst, u.A, u.B, u.Imm, c.PCs[i], c.ICs[i])
-		if d := u.Dirty; d != nil {
+		if u.Code == UDirty {
+			d := &c.Calls[u.A]
 			fmt.Fprintf(&b, " %s %v %d", d.Name, d.Args, d.InstrsBefore)
 		}
 		b.WriteByte('\n')

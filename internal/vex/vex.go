@@ -165,7 +165,10 @@ const (
 )
 
 // Stmt is one flattened IR statement. Its byte-sized fields come first so a
-// Stmt packs into 136 bytes.
+// Stmt packs into 64 bytes, and it holds no pointers: a dirty call's helper,
+// name and arguments live in its block's Calls. Appending, sweeping and
+// copying statements is then a plain memory move the garbage collector
+// never has to see.
 type Stmt struct {
 	Kind StmtKind
 
@@ -175,8 +178,8 @@ type Stmt struct {
 	// Operands. SWrTmpExpr uses E1. SWrTmpBinop uses Op, E1, E2.
 	// SWrTmpUnop uses Op, E1. SWrTmpLoad uses Wd, E1 (address).
 	// SStore uses Wd, E1 (address), E2 (data). SPutReg uses Reg, E1.
-	// SExit uses E1 (guard), Target, JK. SDirty uses Fn, Args, and Tmp as
-	// the optional result temp (NoTemp when unused).
+	// SExit uses E1 (guard), Target, JK. SDirty uses Call, and Tmp as the
+	// optional result temp (NoTemp when unused).
 	Op  Op
 	Wd  Width
 	Reg uint8
@@ -185,6 +188,9 @@ type Stmt struct {
 	// Destination temp for SWrTmp*.
 	Tmp Temp
 
+	// SDirty: index of the statement's call in its block's Calls.
+	Call uint32
+
 	E1, E2 Expr
 
 	// SIMark: guest address of the instruction.
@@ -192,20 +198,22 @@ type Stmt struct {
 
 	// SExit: absolute guest target address.
 	Target uint64
+}
 
-	// SDirty: helper index into the machine's dirty-helper table plus
-	// argument expressions. Meta carries the helper's serializable
-	// parameters: a closure bound to one core cannot cross core or process
-	// boundaries, but (Name, Meta, Args) can, letting an adopting core
-	// rebind an equivalent helper of its own (see the translation store).
+// NoTemp marks an unused result temp on a Dirty statement.
+const NoTemp Temp = ^Temp(0)
+
+// DirtyCall is the call an SDirty statement makes: the helper, its argument
+// expressions, and the helper's serializable form. A closure bound to one
+// core cannot cross core or process boundaries, but (Name, Meta, Args) can,
+// letting an adopting core rebind an equivalent helper of its own (see the
+// translation store).
+type DirtyCall struct {
 	Fn   DirtyFn
 	Name string
 	Args []Expr
 	Meta []uint64
 }
-
-// NoTemp marks an unused result temp on a Dirty statement.
-const NoTemp Temp = ^Temp(0)
 
 // DirtyFn is a helper called from IR execution. The ctx argument is the
 // executing thread (opaque here to avoid an import cycle; the dbi package
@@ -263,6 +271,9 @@ type SuperBlock struct {
 	// Aux carries the host-call number (JKHostCall) or client-request code
 	// (JKClientReq) of the block-ending instruction.
 	Aux int32
+	// Calls holds the calls of the block's SDirty statements, which index
+	// it by Stmt.Call.
+	Calls []DirtyCall
 }
 
 // NewTemp allocates a fresh temporary.
@@ -323,19 +334,37 @@ func (sb *SuperBlock) Exit(guard Expr, target uint64, jk JumpKind) {
 	sb.Append(Stmt{Kind: SExit, E1: guard, Target: target, JK: jk})
 }
 
+// AppendCall appends a dirty statement making call c, with its result in
+// temp tmp (NoTemp when unused).
+func (sb *SuperBlock) AppendCall(tmp Temp, c DirtyCall) {
+	sb.Append(Stmt{Kind: SDirty, Tmp: tmp, Call: uint32(len(sb.Calls))})
+	sb.Calls = append(sb.Calls, c)
+}
+
+// AppendFrom appends statement s of block src, carrying its call over when
+// it is a dirty statement.
+func (sb *SuperBlock) AppendFrom(src *SuperBlock, s *Stmt) {
+	if s.Kind == SDirty {
+		sb.AppendCall(s.Tmp, src.Calls[s.Call])
+		return
+	}
+	sb.Append(*s)
+}
+
 // Dirty appends a helper call with no result.
 func (sb *SuperBlock) Dirty(name string, fn DirtyFn, args ...Expr) {
-	sb.Append(Stmt{Kind: SDirty, Tmp: NoTemp, Name: name, Fn: fn, Args: args})
+	sb.AppendCall(NoTemp, DirtyCall{Name: name, Fn: fn, Args: args})
 }
 
 // DirtyTmp appends a helper call whose result is stored in a fresh temp.
 func (sb *SuperBlock) DirtyTmp(name string, fn DirtyFn, args ...Expr) Temp {
 	t := sb.NewTemp()
-	sb.Append(Stmt{Kind: SDirty, Tmp: t, Name: name, Fn: fn, Args: args})
+	sb.AppendCall(t, DirtyCall{Name: name, Fn: fn, Args: args})
 	return t
 }
 
-// String renders a statement in VEX-like syntax.
+// String renders a statement in VEX-like syntax. A dirty statement shows
+// only its call's index; SuperBlock.StmtString renders the call itself.
 func (s Stmt) String() string {
 	switch s.Kind {
 	case SIMark:
@@ -355,29 +384,44 @@ func (s Stmt) String() string {
 	case SExit:
 		return fmt.Sprintf("if (%s) goto {%s} 0x%x", s.E1, s.JK, s.Target)
 	case SDirty:
-		var b strings.Builder
-		if s.Tmp != NoTemp {
-			fmt.Fprintf(&b, "t%d = ", s.Tmp)
-		}
-		fmt.Fprintf(&b, "DIRTY %s(", s.Name)
-		for i, a := range s.Args {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString(a.String())
-		}
-		b.WriteString(")")
-		return b.String()
+		return s.dirtyString(fmt.Sprintf("#%d", s.Call), nil)
 	}
 	return "?stmt"
+}
+
+// dirtyString renders a dirty statement calling name with args.
+func (s *Stmt) dirtyString(name string, args []Expr) string {
+	var b strings.Builder
+	if s.Tmp != NoTemp {
+		fmt.Fprintf(&b, "t%d = ", s.Tmp)
+	}
+	fmt.Fprintf(&b, "DIRTY %s(", name)
+	for i, a := range args {
+		if i > 0 {
+			b.WriteString(",")
+		}
+		b.WriteString(a.String())
+	}
+	b.WriteString(")")
+	return b.String()
+}
+
+// StmtString renders statement i of the block, a dirty one with its call.
+func (sb *SuperBlock) StmtString(i int) string {
+	s := &sb.Stmts[i]
+	if s.Kind == SDirty && int(s.Call) < len(sb.Calls) {
+		c := &sb.Calls[s.Call]
+		return s.dirtyString(c.Name, c.Args)
+	}
+	return s.String()
 }
 
 // String renders the whole superblock.
 func (sb *SuperBlock) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "IRSB@0x%x {\n", sb.GuestAddr)
-	for _, s := range sb.Stmts {
-		fmt.Fprintf(&b, "   %s\n", s)
+	for i := range sb.Stmts {
+		fmt.Fprintf(&b, "   %s\n", sb.StmtString(i))
 	}
 	fmt.Fprintf(&b, "   goto {%s} %s\n}\n", sb.NextJK, sb.Next)
 	return b.String()
@@ -440,7 +484,12 @@ func (sb *SuperBlock) Validate() error {
 		case SExit:
 			err = checkRead(s.E1)
 		case SDirty:
-			for _, a := range s.Args {
+			if int(s.Call) >= len(sb.Calls) {
+				err = fmt.Errorf("vex: dirty call #%d out of range (%d calls)", s.Call, len(sb.Calls))
+				break
+			}
+			c := &sb.Calls[s.Call]
+			for _, a := range c.Args {
 				if err = checkRead(a); err != nil {
 					break
 				}
@@ -448,14 +497,14 @@ func (sb *SuperBlock) Validate() error {
 			if err == nil && s.Tmp != NoTemp {
 				err = checkWrite(s.Tmp)
 			}
-			if err == nil && s.Fn == nil {
-				err = fmt.Errorf("vex: dirty %q has nil helper", s.Name)
+			if err == nil && c.Fn == nil {
+				err = fmt.Errorf("vex: dirty %q has nil helper", c.Name)
 			}
 		default:
 			err = fmt.Errorf("vex: unknown statement kind %d", s.Kind)
 		}
 		if err != nil {
-			return fmt.Errorf("stmt %d (%s): %w", i, s, err)
+			return fmt.Errorf("stmt %d (%s): %w", i, sb.StmtString(i), err)
 		}
 	}
 	return checkRead(sb.Next)

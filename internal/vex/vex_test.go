@@ -2,6 +2,7 @@ package vex
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -51,7 +52,7 @@ func TestValidateRejectsOutOfRangeTemp(t *testing.T) {
 
 func TestValidateRejectsNilDirty(t *testing.T) {
 	sb := &SuperBlock{GuestAddr: 0x1000}
-	sb.Append(Stmt{Kind: SDirty, Tmp: NoTemp, Name: "x"})
+	sb.AppendCall(NoTemp, DirtyCall{Name: "x"})
 	sb.Next = ConstE(0)
 	if err := sb.Validate(); err == nil || !strings.Contains(err.Error(), "nil helper") {
 		t.Fatalf("want nil-helper error, got %v", err)
@@ -194,7 +195,36 @@ func TestIRLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Expr{}); n != 16 {
 		t.Errorf("sizeof(Expr) = %d, want 16", n)
 	}
-	if n := unsafe.Sizeof(Stmt{}); n != 136 {
-		t.Errorf("sizeof(Stmt) = %d, want 136", n)
+	if n := unsafe.Sizeof(Stmt{}); n != 64 {
+		t.Errorf("sizeof(Stmt) = %d, want 64", n)
+	}
+}
+
+// TestIRHoldsNoPointers walks Expr, Stmt and UOp field by field and fails on
+// any field the garbage collector would have to trace: a pointer, slice,
+// string, map, func, chan or interface, at any depth. Statements and
+// micro-ops are appended, swept and fused by the thousand per translation;
+// while they hold no pointers, each copy is a plain memory move, free of
+// write barriers, and an op array is never scanned. What a dirty call needs
+// lives in the side tables (SuperBlock.Calls, Compiled.Calls) instead.
+func TestIRHoldsNoPointers(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+			reflect.Map, reflect.Func, reflect.Chan, reflect.Interface:
+			t.Errorf("%s is a %s: the type must hold no pointers", path, ty.Kind())
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	for _, v := range []any{Expr{}, Stmt{}, UOp{}} {
+		ty := reflect.TypeOf(v)
+		walk(ty.Name(), ty)
 	}
 }
